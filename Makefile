@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-warm bench-revised bench-shard bench-servd bench-obs bench-screen bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke clean
+.PHONY: ci vet build test race benchmark bench bench-warm bench-revised bench-shard bench-servd bench-obs bench-screen bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke clean
 
 ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke
 
@@ -19,6 +19,21 @@ test:
 # cache, journaling — still runs under the detector.
 race:
 	$(GO) test -race -short ./...
+
+# The repository benchmark (BENCHMARK.json, benchmark/): for each workload
+# BENCHMARK.json declares, one end-to-end run (--trace 0) and one per-layer
+# run (--trace 1), about 50 s each. Each run's output is kept in
+# .bench_build/W.traceN.txt; its last line is the JSON result. Not in ci.
+benchmark:
+	@mkdir -p .bench_build
+	@set -e; \
+	workloads=$$(sed -n '/"workloads"/,/]/s/.*"name": "\(.*\)".*/\1/p' BENCHMARK.json); \
+	test -n "$$workloads" || { echo "no workloads found in BENCHMARK.json" >&2; exit 1; }; \
+	for w in $$workloads; do for t in 0 1; do \
+		out=.bench_build/$$w.trace$$t.txt; \
+		bash benchmark/run.sh --workload $$w --trace $$t >$$out || { cat $$out; exit 1; }; \
+		cat $$out; \
+	done; done
 
 # Solver-layer benchmark sweep with telemetry attribution: pairs ns/op with
 # the deterministic work counters (pivots, nodes, evaluations, appends) each
@@ -157,6 +172,6 @@ screen-smoke:
 clean:
 	$(GO) clean ./...
 	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsservd BENCH_telemetry.json BENCH_warmstart.json BENCH_revised.json BENCH_shard.json BENCH_servd.json BENCH_obs.json BENCH_screen.json
-	rm -rf /tmp/cpsguard-shard-smoke /tmp/cpsguard-screen-smoke
+	rm -rf /tmp/cpsguard-shard-smoke /tmp/cpsguard-screen-smoke .bench_build
 	find . -name '*.journal' -not -path './results/*' -delete
 	find . -name '*.test' -delete

@@ -6,8 +6,11 @@
 // every flow, generation and load variable is boxed — so this file provides
 // the classic bounded-variable simplex in which nonbasic variables may sit
 // at either bound and bound-to-bound "flips" avoid pivots entirely. On the
-// six-state model it shrinks the basis from ~150 rows to ~50 and the
-// speedup is measured by BenchmarkLPMethods (ablation in DESIGN.md §6).
+// six-state model it shrinks the basis from ~150 rows to ~50, and it prices
+// each pivot from a carried reduced-cost row instead of recomputing it. On
+// the stressed westgrid dispatch it runs ~18× faster than MethodRows
+// (BenchmarkLPMethodRows vs BenchmarkLPMethodBounded, 2-vCPU x86-64;
+// ablations in DESIGN.md §6).
 //
 // Select it with Options{Method: MethodBounded}. Results (objective,
 // primal values, row duals, bound duals) agree with the default method to
@@ -17,6 +20,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Method selects the simplex implementation.
@@ -31,7 +35,8 @@ const (
 	// battle-tested path; quadratically slower when bounds dominate).
 	MethodRows
 	// MethodBounded keeps upper bounds implicit in the pivot rules
-	// (smaller basis; ~7× faster on the westgrid dispatch LP).
+	// (smaller basis, carried pricing; ~18× faster on the westgrid
+	// dispatch LP).
 	MethodBounded
 	// MethodRevised is the sparse revised simplex (revised.go): CSC column
 	// storage, LU-factorized basis with product-form eta updates, sparse
@@ -111,9 +116,12 @@ type boundedTableau struct {
 	nTotal int // structural + slack/artificial columns
 
 	a     [][]float64
+	d     []float64 // carried reduced-cost row c − c_Bᵀ(B⁻¹A) for the current simplex call
 	rhs   []float64
 	upper []float64 // per column (slacks: +Inf, artificials: 0 after phase 1)
 	cost  []float64 // phase-2 cost per column
+
+	backing []float64 // storage of a and d, returned to backingPool by release
 
 	basis  []int  // column basic in each row
 	status []int8 // per column
@@ -121,6 +129,33 @@ type boundedTableau struct {
 
 	iters int
 	max   int
+}
+
+// backingPool recycles tableau storage (*[]float64) between solves. A
+// figure sweep solves thousands of same-sized dispatch LPs back to back;
+// without reuse each one allocates a fresh tableau, and the faster the
+// pivots run, the faster that garbage arrives and the higher the
+// process's peak RSS climbs.
+var backingPool sync.Pool
+
+// getBacking returns a zeroed slice of length n, reusing pooled storage
+// when it is large enough.
+func getBacking(n int) []float64 {
+	if b, ok := backingPool.Get().(*[]float64); ok && cap(*b) >= n {
+		s := (*b)[:n]
+		clear(s)
+		return s
+	}
+	return make([]float64, n)
+}
+
+// release hands the tableau's storage back to backingPool. The tableau
+// must not be used afterwards; nothing a solve returns refers to it
+// (extract allocates the Solution's slices and captureBasis copies).
+func (t *boundedTableau) release() {
+	b := t.backing
+	t.backing, t.a, t.d = nil, nil, nil
+	backingPool.Put(&b)
 }
 
 // solveBounded is the entry point used by Problem.SolveOpts for
@@ -133,6 +168,7 @@ func solveBounded(p *Problem, opts Options, g *guard) (*Solution, error) {
 		mWarmFallbacks.Inc()
 	}
 	t := newBoundedTableau(p, opts)
+	defer t.release()
 	t.g = g
 	st := t.run()
 	switch st {
@@ -149,12 +185,16 @@ func newBoundedTableau(p *Problem, opts Options) *boundedTableau {
 	t.n = len(p.obj)
 	t.m = len(p.rows)
 
+	// One zeroed slice, reused across solves through backingPool, holds
+	// the m tableau rows plus the carried reduced-cost row.
 	maxCols := t.n + 2*t.m
 	t.a = make([][]float64, t.m)
-	backing := make([]float64, t.m*maxCols)
+	backing := getBacking((t.m + 1) * maxCols)
+	t.backing = backing
 	for i := range t.a {
 		t.a[i] = backing[i*maxCols : (i+1)*maxCols]
 	}
+	t.d = backing[t.m*maxCols:]
 	t.rhs = make([]float64, t.m)
 	t.upper = make([]float64, 0, maxCols)
 	t.cost = make([]float64, 0, maxCols)
@@ -290,11 +330,27 @@ func (t *boundedTableau) value(j int) float64 {
 	return 0
 }
 
+// pricingHook, when non-nil, observes the tableau after every pivot and
+// bound flip of simplex, with the cost row c being minimized. Only tests set
+// it (export_test.go); it is nil in every other solve.
+var pricingHook func(t *boundedTableau, c []float64)
+
 // simplex runs bounded-variable pivots minimizing c over the current state.
+//
+// Pricing reads the carried reduced-cost row t.d: it is computed from
+// scratch on entry, updated by every pivot with the normalized pivot row,
+// and left alone by bound flips (which do not change the basis). Choosing
+// the entering column therefore costs O(nTotal) rather than O(m·nTotal).
+// Both verdicts are confirmed by a fresh pricing pass: when the carried row
+// finds no improving column, before Optimal is returned, and when its
+// entering column has an unbounded ray, before Unbounded is returned. So
+// rounding drift in the carried row can cost a pivot but never a wrong
+// Optimal or Unbounded.
 func (t *boundedTableau) simplex(c []float64) Status {
 	bland := t.forceBland
 	noProgress := 0
 	lastObj := math.Inf(1)
+	t.reducedCosts(c, t.d)
 	for t.iters < t.max {
 		if t.g.due(t.iters) {
 			if st, stop := t.g.at("lp.pivot"); stop {
@@ -321,82 +377,24 @@ func (t *boundedTableau) simplex(c []float64) Status {
 			bland = true
 		}
 
-		// Reduced costs: r_j = c_j − c_Bᵀ (B⁻¹A)_j. Entering candidates:
-		// at lower with r < −tol (increase), at upper with r > tol
-		// (decrease).
-		enter := -1
-		enterDir := 1.0 // +1 increasing from lower, −1 decreasing from upper
-		best := t.tol
-		for j := 0; j < t.nTotal; j++ {
-			if t.status[j] == inBasis {
-				continue
-			}
-			if t.upper[j] == 0 && t.status[j] == atLower {
-				continue // fixed at zero (clamped artificials)
-			}
-			r := c[j]
-			for i, bc := range t.basis {
-				if cb := c[bc]; cb != 0 {
-					r -= cb * t.a[i][j]
-				}
-			}
-			var imp float64
-			var dir float64
-			if t.status[j] == atLower && r < 0 {
-				imp, dir = -r, 1
-			} else if t.status[j] == atUpper && r > 0 {
-				imp, dir = r, -1
-			} else {
-				continue
-			}
-			if imp > best {
-				best = imp
-				enter = j
-				enterDir = dir
-				if bland {
-					break
-				}
-			}
-		}
+		enter, enterDir := t.entering(bland)
+		fresh := false // t.d was just priced from scratch
 		if enter < 0 {
-			return Optimal
-		}
-
-		// Ratio test: moving x_enter by Δ·enterDir changes basic values
-		// by −Δ·enterDir·column. Find the first limit among:
-		//   (a) a basic variable reaching 0,
-		//   (b) a basic variable reaching its upper bound,
-		//   (c) x_enter reaching its own opposite bound.
-		limit := math.Inf(1)
-		if u := t.upper[enter]; !math.IsInf(u, 1) {
-			limit = u // case (c): full flip distance
-		}
-		leave := -1
-		leaveToUpper := false
-		for i := 0; i < t.m; i++ {
-			coef := enterDir * t.a[i][enter]
-			bc := t.basis[i]
-			if coef > t.tol {
-				// Basic value decreases toward 0.
-				ratio := t.rhs[i] / coef
-				if ratio < limit-t.tol ||
-					(ratio < limit+t.tol && leave >= 0 && bc < t.basis[leave]) {
-					limit = ratio
-					leave = i
-					leaveToUpper = false
-				}
-			} else if coef < -t.tol {
-				// Basic value increases toward its upper bound.
-				if ub := t.upper[bc]; !math.IsInf(ub, 1) {
-					ratio := (ub - t.rhs[i]) / -coef
-					if ratio < limit-t.tol ||
-						(ratio < limit+t.tol && leave >= 0 && bc < t.basis[leave]) {
-						limit = ratio
-						leave = i
-						leaveToUpper = true
-					}
-				}
+			t.reducedCosts(c, t.d)
+			fresh = true
+			if enter, enterDir = t.entering(bland); enter < 0 {
+				return Optimal
 			}
+		}
+		limit, leave, leaveToUpper := t.ratioTest(enter, enterDir)
+		if math.IsInf(limit, 1) && !fresh {
+			// An unbounded ray is a verdict too: confirm the entering
+			// choice against a fresh pricing pass before reporting it.
+			t.reducedCosts(c, t.d)
+			if enter, enterDir = t.entering(bland); enter < 0 {
+				return Optimal
+			}
+			limit, leave, leaveToUpper = t.ratioTest(enter, enterDir)
 		}
 		if math.IsInf(limit, 1) {
 			return Unbounded
@@ -405,26 +403,123 @@ func (t *boundedTableau) simplex(c []float64) Status {
 		if leave < 0 {
 			// Bound flip: x_enter runs to its opposite bound.
 			t.flip(enter, enterDir, limit)
-			continue
-		}
-		// Pivot: shift basic values for the move, then swap basis.
-		t.move(enter, enterDir, limit)
-		var enterValue float64
-		if enterDir > 0 {
-			enterValue = limit // rose from its lower bound (0)
 		} else {
-			enterValue = t.upper[enter] - limit // fell from its upper bound
+			// Pivot: shift basic values for the move, then swap basis.
+			t.move(enter, enterDir, limit)
+			var enterValue float64
+			if enterDir > 0 {
+				enterValue = limit // rose from its lower bound (0)
+			} else {
+				enterValue = t.upper[enter] - limit // fell from its upper bound
+			}
+			outCol := t.basis[leave]
+			if leaveToUpper {
+				t.status[outCol] = atUpper
+			} else {
+				t.status[outCol] = atLower
+			}
+			t.pivot(leave, enter, enterValue)
+			t.status[enter] = inBasis
 		}
-		outCol := t.basis[leave]
-		if leaveToUpper {
-			t.status[outCol] = atUpper
-		} else {
-			t.status[outCol] = atLower
+		if pricingHook != nil {
+			pricingHook(t, c)
 		}
-		t.pivot(leave, enter, enterValue)
-		t.status[enter] = inBasis
 	}
 	return IterationLimit
+}
+
+// ratioTest finds how far x_enter can move in direction enterDir: moving it
+// by Δ·enterDir changes basic values by −Δ·enterDir·column. The limit is the
+// first of (a) a basic variable reaching 0, (b) a basic variable reaching its
+// upper bound, and (c) x_enter reaching its own opposite bound; leave < 0
+// for (c), and limit = +Inf when nothing blocks.
+func (t *boundedTableau) ratioTest(enter int, enterDir float64) (limit float64, leave int, leaveToUpper bool) {
+	limit = math.Inf(1)
+	if u := t.upper[enter]; !math.IsInf(u, 1) {
+		limit = u // case (c): full flip distance
+	}
+	leave = -1
+	for i := 0; i < t.m; i++ {
+		coef := enterDir * t.a[i][enter]
+		bc := t.basis[i]
+		if coef > t.tol {
+			// Basic value decreases toward 0.
+			ratio := t.rhs[i] / coef
+			if ratio < limit-t.tol ||
+				(ratio < limit+t.tol && leave >= 0 && bc < t.basis[leave]) {
+				limit = ratio
+				leave = i
+				leaveToUpper = false
+			}
+		} else if coef < -t.tol {
+			// Basic value increases toward its upper bound.
+			if ub := t.upper[bc]; !math.IsInf(ub, 1) {
+				ratio := (ub - t.rhs[i]) / -coef
+				if ratio < limit-t.tol ||
+					(ratio < limit+t.tol && leave >= 0 && bc < t.basis[leave]) {
+					limit = ratio
+					leave = i
+					leaveToUpper = true
+				}
+			}
+		}
+	}
+	return limit, leave, leaveToUpper
+}
+
+// reducedCosts prices every column from scratch into d:
+// d_j = c_j − c_Bᵀ (B⁻¹A)_j. Rows are accumulated in basis order, so each
+// d_j sums its terms in the same order a per-column loop would.
+func (t *boundedTableau) reducedCosts(c, d []float64) {
+	copy(d[:t.nTotal], c[:t.nTotal])
+	for i, bc := range t.basis {
+		cb := c[bc]
+		if cb == 0 {
+			continue
+		}
+		ai := t.a[i]
+		for j := 0; j < t.nTotal; j++ {
+			d[j] -= cb * ai[j]
+		}
+	}
+}
+
+// entering picks the entering column from the carried reduced costs:
+// Dantzig's largest improvement with first-lowest-index ties, or under
+// Bland's rule the first improving column. Candidates are columns at lower
+// with d < −tol (increase) and at upper with d > tol (decrease). Returns
+// enter < 0 when no column improves.
+func (t *boundedTableau) entering(bland bool) (enter int, enterDir float64) {
+	enter = -1
+	enterDir = 1 // +1 increasing from lower, −1 decreasing from upper
+	best := t.tol
+	for j := 0; j < t.nTotal; j++ {
+		if t.status[j] == inBasis {
+			continue
+		}
+		if t.upper[j] == 0 && t.status[j] == atLower {
+			continue // fixed at zero (clamped artificials)
+		}
+		r := t.d[j]
+		var imp float64
+		var dir float64
+		if t.status[j] == atLower && r < 0 {
+			imp, dir = -r, 1
+		} else if t.status[j] == atUpper && r > 0 {
+			imp, dir = r, -1
+		} else {
+			continue
+		}
+		if imp > best {
+			best = imp
+			enter = j
+			enterDir = dir
+			if bland {
+				break
+			}
+		}
+	}
+	return enter, enterDir
 }
 
 // flip moves a nonbasic column across to its other bound, adjusting basic
@@ -478,6 +573,13 @@ func (t *boundedTableau) pivot(row, col int, enterValue float64) {
 			ai[j] -= f * ar[j]
 		}
 	}
+	// The carried reduced-cost row is eliminated like any other row.
+	if f := t.d[col]; f != 0 {
+		for j := 0; j < t.nTotal; j++ {
+			t.d[j] -= f * ar[j]
+		}
+	}
+	t.d[col] = 0
 	t.basis[row] = col
 }
 
@@ -508,7 +610,7 @@ func (t *boundedTableau) extract(p *Problem) (*Solution, error) {
 	if t.skipDuals {
 		return sol, nil
 	}
-	// Rebuild original standard-form columns.
+	// Rebuild original standard-form columns (this overwrites t.a).
 	orig := t.originalMatrix(p)
 	bt := make([][]float64, t.m)
 	for i := range bt {
@@ -547,12 +649,13 @@ func (t *boundedTableau) extract(p *Problem) (*Solution, error) {
 }
 
 // originalMatrix reconstructs the pre-pivot standard-form matrix (structural
-// + slack/surplus/artificial columns) for dual extraction.
+// + slack/surplus/artificial columns) for dual extraction. It is rebuilt in
+// place of the tableau rows, which are spent once the primal values and the
+// basis have been read out.
 func (t *boundedTableau) originalMatrix(p *Problem) [][]float64 {
-	orig := make([][]float64, t.m)
-	backing := make([]float64, t.m*t.nTotal)
-	for i := range orig {
-		orig[i] = backing[i*t.nTotal : (i+1)*t.nTotal]
+	orig := t.a
+	for _, row := range orig {
+		clear(row[:t.nTotal])
 	}
 	for i, row := range p.rows {
 		flip := row.RHS < 0

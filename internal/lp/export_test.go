@@ -18,6 +18,34 @@ func SetRevisedFinishMaxRows(n int) int {
 	return old
 }
 
+// PricingState is what a pricing hook sees after one pivot or bound flip of
+// the dense bounded simplex.
+type PricingState struct {
+	Iter    int       // pivots and flips so far in this solve
+	Phase1  bool      // minimizing the artificial sum, not the real objective
+	Carried []float64 // the live carried reduced-cost row: writes reach the solver
+	Fresh   []float64 // the same row priced from scratch at the same basis
+}
+
+// SetPricingHook installs fn to run after every pivot and bound flip of the
+// dense bounded simplex — both phases and warm re-entry — and returns a
+// function restoring the previous hook. Every bounded solve calls the hook
+// while it is installed, so tests that use it must not run in parallel.
+func SetPricingHook(fn func(PricingState)) (restore func()) {
+	old := pricingHook
+	pricingHook = func(t *boundedTableau, c []float64) {
+		fresh := make([]float64, t.nTotal)
+		t.reducedCosts(c, fresh)
+		fn(PricingState{
+			Iter:    t.iters,
+			Phase1:  &c[0] != &t.cost[0],
+			Carried: t.d[:t.nTotal],
+			Fresh:   fresh,
+		})
+	}
+	return func() { pricingHook = old }
+}
+
 // GenRandomProblem builds seeded random LP #seed for the differential
 // battery: 1–16 variables (a mix of boxed and free-above), 0–12 rows across
 // all three senses with both RHS signs, occasional duplicate coefficients

@@ -74,6 +74,7 @@ func (t *boundedTableau) captureBasis() *Basis {
 func solveBoundedWarm(p *Problem, opts Options, g *guard) (*Solution, error, bool) {
 	mWarmAttempts.Inc()
 	t := newBoundedTableau(p, opts)
+	defer t.release()
 	t.g = g
 	if !t.applyWarmBasis(opts.WarmStart) {
 		return nil, nil, false
