@@ -145,14 +145,15 @@ func (LMPDivision) Divide(g *graph.Graph, r *flow.Result, o Ownership) (Profits,
 	}
 	// Generator surplus: attribute to the owner of the highest-capacity
 	// outbound edge of the generating vertex (its "generation tie").
-	for _, v := range g.Vertices {
+	t := newTies(g)
+	for i, v := range g.Vertices {
 		if gen := r.Gen[v.ID]; gen > 0 {
 			surplus := gen * (r.Price[v.ID] - v.SupplyCost)
-			p[tieOwner(g, o, v.ID, false)] += surplus
+			p[t.owner(o, i, false)] += surplus
 		}
 		if load := r.Load[v.ID]; load > 0 {
 			surplus := load * (v.Price - r.Price[v.ID])
-			p[tieOwner(g, o, v.ID, true)] += surplus
+			p[t.owner(o, i, true)] += surplus
 		}
 	}
 	// Drop exact-zero entries for cleanliness, keep negative ones.
@@ -164,28 +165,52 @@ func (LMPDivision) Divide(g *graph.Graph, r *flow.Result, o Ownership) (Profits,
 	return p, nil
 }
 
-// tieOwner finds the actor owning the dominant incident edge of vertex id
-// (inbound when in is true), defaulting to MarketActor.
-func tieOwner(g *graph.Graph, o Ownership, id string, in bool) string {
-	best := ""
-	bestCap := -1.0
-	var idxs []int
-	if in {
-		idxs = g.InEdges(id)
-	} else {
-		idxs = g.OutEdges(id)
+// ties records, per vertex, the dominant inbound and outbound edge: the
+// first edge in edge order of largest capacity (-1 when there is none).
+// Generation and retail surplus follow the owners of these edges.
+type ties struct {
+	g       *graph.Graph
+	in, out []int
+}
+
+// newTies builds the tie table of g in one pass over its edges.
+func newTies(g *graph.Graph) ties {
+	t := ties{g: g, in: make([]int, len(g.Vertices)), out: make([]int, len(g.Vertices))}
+	for i := range t.in {
+		t.in[i], t.out[i] = -1, -1
 	}
-	for _, i := range idxs {
-		e := g.Edges[i]
-		if e.Capacity > bestCap {
-			bestCap = e.Capacity
-			best = e.ID
+	dominate := func(slot *int, j int) {
+		best := -1.0
+		if *slot >= 0 {
+			best = g.Edges[*slot].Capacity
+		}
+		if g.Edges[j].Capacity > best {
+			*slot = j
 		}
 	}
-	if best == "" {
+	for j := range g.Edges {
+		e := &g.Edges[j]
+		if v := g.VertexIndex(e.To); v >= 0 {
+			dominate(&t.in[v], j)
+		}
+		if v := g.VertexIndex(e.From); v >= 0 {
+			dominate(&t.out[v], j)
+		}
+	}
+	return t
+}
+
+// owner returns the actor owning vertex v's dominant incident edge
+// (inbound when in is true), defaulting to MarketActor.
+func (t ties) owner(o Ownership, v int, in bool) string {
+	j := t.out[v]
+	if in {
+		j = t.in[v]
+	}
+	if j < 0 {
 		return MarketActor
 	}
-	if a, ok := o[best]; ok && a != "" {
+	if a, ok := o[t.g.Edges[j].ID]; ok && a != "" {
 		return a
 	}
 	return MarketActor
@@ -300,18 +325,19 @@ func (d IterativeDivision) Divide(g *graph.Graph, r *flow.Result, o Ownership) (
 	residual := r.Welfare - claimed
 	termSurplus := map[string]float64{}
 	totalTerm := 0.0
-	for _, v := range g.Vertices {
+	t := newTies(g)
+	for i, v := range g.Vertices {
 		if gen := r.Gen[v.ID]; gen > 0 {
 			s := gen * (r.Price[v.ID] - v.SupplyCost)
 			if s > 0 {
-				termSurplus[tieOwner(g, o, v.ID, false)] += s
+				termSurplus[t.owner(o, i, false)] += s
 				totalTerm += s
 			}
 		}
 		if load := r.Load[v.ID]; load > 0 {
 			s := load * (v.Price - r.Price[v.ID])
 			if s > 0 {
-				termSurplus[tieOwner(g, o, v.ID, true)] += s
+				termSurplus[t.owner(o, i, true)] += s
 				totalTerm += s
 			}
 		}

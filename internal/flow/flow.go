@@ -141,30 +141,52 @@ func (b *builder) build(fixed map[string]float64) *lp.Problem {
 			b.xVar[i] = -1
 		}
 	}
-	// Conservation rows: inflow + gen − Σ out f/(1−l) − load = 0.
-	for i, v := range g.Vertices {
-		var coefs []lp.Coef
-		for j, e := range g.Edges {
-			if e.To == v.ID {
-				coefs = append(coefs, lp.Coef{Var: b.fVar[j], Value: 1})
-			}
-			if e.From == v.ID {
-				coefs = append(coefs, lp.Coef{Var: b.fVar[j], Value: -1 / (1 - e.Loss)})
-			}
-		}
+	// Conservation rows: inflow + gen − Σ out f/(1−l) − load = 0. Each
+	// row lists its edge terms in edge order (+1 where the edge enters the
+	// hub, −1/(1−l) where it leaves), then generation, then load; two
+	// passes over the edges fill every row at its exact size.
+	from := make([]int, len(g.Edges))
+	to := make([]int, len(g.Edges))
+	size := make([]int, len(g.Vertices))
+	for j := range g.Edges {
+		e := &g.Edges[j]
+		from[j], to[j] = g.VertexIndex(e.From), g.VertexIndex(e.To)
+		size[to[j]]++
+		size[from[j]]++
+	}
+	total := 0
+	for i := range size {
 		if b.gVar[i] >= 0 {
-			coefs = append(coefs, lp.Coef{Var: b.gVar[i], Value: 1})
+			size[i]++
 		}
 		if b.xVar[i] >= 0 {
-			coefs = append(coefs, lp.Coef{Var: b.xVar[i], Value: -1})
+			size[i]++
 		}
-		if len(coefs) == 0 {
+		total += size[i]
+	}
+	coefs := make([][]lp.Coef, len(g.Vertices))
+	backing := make([]lp.Coef, total)
+	for i, n := range size {
+		coefs[i], backing = backing[:0:n], backing[n:]
+	}
+	for j := range g.Edges {
+		coefs[to[j]] = append(coefs[to[j]], lp.Coef{Var: b.fVar[j], Value: 1})
+		coefs[from[j]] = append(coefs[from[j]], lp.Coef{Var: b.fVar[j], Value: -1 / (1 - g.Edges[j].Loss)})
+	}
+	for i, v := range g.Vertices {
+		if b.gVar[i] >= 0 {
+			coefs[i] = append(coefs[i], lp.Coef{Var: b.gVar[i], Value: 1})
+		}
+		if b.xVar[i] >= 0 {
+			coefs[i] = append(coefs[i], lp.Coef{Var: b.xVar[i], Value: -1})
+		}
+		if len(coefs[i]) == 0 {
 			// Isolated vertex: no constraint needed; mark row absent.
 			b.consRow[i] = -1
 			continue
 		}
 		b.consRow[i] = p.AddConstraint(lp.Constraint{
-			Coefs: coefs, Sense: lp.EQ, RHS: 0, Name: "cons:" + v.ID,
+			Coefs: coefs[i], Sense: lp.EQ, RHS: 0, Name: "cons:" + v.ID,
 		})
 	}
 	// Fixed flows (equality pins).

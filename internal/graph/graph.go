@@ -195,8 +195,8 @@ func (g *Graph) Edge(id string) *Edge {
 // InEdges returns the indices of edges entering vertex id.
 func (g *Graph) InEdges(id string) []int {
 	var out []int
-	for i, e := range g.Edges {
-		if e.To == id {
+	for i := range g.Edges {
+		if g.Edges[i].To == id {
 			out = append(out, i)
 		}
 	}
@@ -206,8 +206,8 @@ func (g *Graph) InEdges(id string) []int {
 // OutEdges returns the indices of edges leaving vertex id.
 func (g *Graph) OutEdges(id string) []int {
 	var out []int
-	for i, e := range g.Edges {
-		if e.From == id {
+	for i := range g.Edges {
+		if g.Edges[i].From == id {
 			out = append(out, i)
 		}
 	}
@@ -220,7 +220,7 @@ func (g *Graph) OutEdges(id string) []int {
 // reachable through incident capacity, every generator's supply deliverable).
 func (g *Graph) Validate() error {
 	g.ensureIndex()
-	seenV := map[string]bool{}
+	seenV := make(map[string]bool, len(g.Vertices))
 	for _, v := range g.Vertices {
 		if v.ID == "" {
 			return fmt.Errorf("%w: vertex with empty ID", ErrValidation)
@@ -241,7 +241,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("%w: vertex %q has negative supply/demand", ErrValidation, v.ID)
 		}
 	}
-	seenE := map[string]bool{}
+	seenE := make(map[string]bool, len(g.Edges))
 	for _, e := range g.Edges {
 		if e.ID == "" {
 			return fmt.Errorf("%w: edge with empty ID", ErrValidation)

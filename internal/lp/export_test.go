@@ -119,3 +119,7 @@ func GenRandomProblem(seed uint64) *Problem {
 	}
 	return p
 }
+
+// WarmFallbacks reads the lp.warm_fallbacks counter: warm attempts the
+// solver rejected into the cold two-phase path.
+func WarmFallbacks() int64 { return mWarmFallbacks.Value() }

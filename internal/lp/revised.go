@@ -25,6 +25,22 @@
 // the golden fixture bit for bit (TestGoldenFig5Revised). Above the
 // crossover the solve and its extraction are fully sparse and agreement is
 // 1e-9-differential, proven by TestRevisedVsDenseDifferential.
+//
+// Warm re-entry (dualSimplex) is a bounded dual simplex on the same LU/eta
+// core. An outage only tightens bounds, so the parent's optimal basis stays
+// dual feasible while its basic values break their new bounds. The dual
+// phase checks dual feasibility once (one BTRAN, one full pricing pass),
+// then repeatedly takes the basic variable with the largest bound violation
+// out at that bound: its pivot row α = e_rᵀB⁻¹A comes from one BTRAN and a
+// dot product per nonbasic CSC column; the textbook ratio test picks the
+// entering column (minimum |d_j/α_j| over the sign-eligible columns, ties to
+// the larger |α_j|, then the lower index); the entering column is FTRANed,
+// the basic values updated and the change absorbed as an eta exactly as in
+// the primal loop. Reduced costs are carried (d −= (d_q/α_q)·α) and
+// re-priced from scratch after every refactorization. Once the basis is
+// primal feasible the primal simplex takes over, so every Optimal still
+// rests on a fresh pricing pass. Anything the dual phase cannot finish
+// falls back to the cold solve (warmstart.go lists the cases).
 package lp
 
 import "math"
@@ -49,6 +65,11 @@ const (
 // basis numerically singular mid-solve. The caller falls back to the dense
 // method, which pivots through near-singularity instead of factoring.
 const statusNumerical Status = -2
+
+// statusNotDualFeasible is an internal status: the warm basis is neither
+// primal nor dual feasible, so neither simplex can start from it and the
+// caller falls back to the cold two-phase solve.
+const statusNotDualFeasible Status = -3
 
 type revisedSolver struct {
 	tol        float64
@@ -109,9 +130,10 @@ func solveRevised(p *Problem, opts Options, g *guard) (*Solution, error) {
 	return rs.extractSparse(p)
 }
 
-// solveRevisedWarm attempts a phase-2-only revised solve from the supplied
-// basis — warm-start basis reuse carried over as factorization reuse. The
-// boolean reports whether the warm attempt produced a usable outcome.
+// solveRevisedWarm re-enters a revised solve at the supplied basis:
+// refactorization, the bounded dual simplex back to primal feasibility, then
+// the primal simplex to a freshly priced optimum. The boolean reports
+// whether the warm attempt produced a usable outcome.
 func solveRevisedWarm(p *Problem, opts Options, g *guard) (*Solution, error, bool) {
 	mWarmAttempts.Inc()
 	rs := newRevisedSolver(p, opts, g)
@@ -119,7 +141,10 @@ func solveRevisedWarm(p *Problem, opts Options, g *guard) (*Solution, error, boo
 	if !rs.applyWarmBasis(opts.WarmStart) {
 		return nil, nil, false
 	}
-	st := rs.simplex(rs.sf.cost)
+	st := rs.dualSimplex()
+	if st == Optimal {
+		st = rs.simplex(rs.sf.cost)
+	}
 	switch st {
 	case statusAborted:
 		return nil, p.solveErr("lp.pivot", Optimal, rs.iters, g.err), true
@@ -129,8 +154,11 @@ func solveRevisedWarm(p *Problem, opts Options, g *guard) (*Solution, error, boo
 	case Optimal:
 		// Proceed to extraction below.
 	default:
-		// Unbounded, IterationLimit or numerical failure from a stale
-		// basis: distrust it and re-derive from a cold start.
+		// The dual phase could not start or finish (basis not dual
+		// feasible, empty ratio test, tiny pivot, iteration limit,
+		// numerical failure), or the primal phase ended Unbounded or at
+		// the iteration limit: distrust the basis and re-derive from a
+		// cold start, which also owns the Infeasible verdict.
 		mWarmPivots.Add(int64(rs.iters))
 		return nil, nil, false
 	}
@@ -460,11 +488,12 @@ func (rs *revisedSolver) move(dir, delta float64) {
 }
 
 // applyWarmBasis reconstitutes the solver at the supplied basis: statuses
-// restored, the basis refactorized (LU instead of the dense Gauss-Jordan),
-// basic values recomputed as xb = B⁻¹(b − Σ u_j A_j over nonbasic-at-upper
-// columns) and checked for primal feasibility — the revised counterpart of
-// boundedTableau.applyWarmBasis, accepting bases from either method (the
-// column layouts are identical by construction).
+// restored, the basis refactorized (LU instead of the dense Gauss-Jordan)
+// and basic values recomputed as xb = B⁻¹(b − Σ u_j A_j over
+// nonbasic-at-upper columns). It rejects only structurally unusable bases;
+// basic values outside their perturbed bounds are dualSimplex's to repair.
+// Bases from either bounded-layout method are accepted (the column layouts
+// are identical by construction).
 func (rs *revisedSolver) applyWarmBasis(b *Basis) bool {
 	sf := rs.sf
 	if b == nil || (b.method != MethodBounded && b.method != MethodRevised) ||
@@ -527,32 +556,198 @@ func (rs *revisedSolver) applyWarmBasis(b *Basis) bool {
 	}
 	rs.lu.ftranInto(rs.xb, rs.y)
 	rs.cFtran++
+	return true
+}
 
-	// Primal feasibility under the current bounds, with the same
-	// scale-aware tolerance the dense warm path uses.
+// dualSimplex is the warm re-entry's bounded dual simplex. A perturbation
+// that only moves bounds — an outage cutting a capacity to zero — leaves
+// the reduced costs of the parent's optimal basis untouched, so the basis
+// stays dual feasible while its basic values break their new bounds. Each
+// dual pivot removes the worst violation, leaving the basis at the violated
+// bound, and keeps every reduced cost on its feasible side. It returns
+// Optimal once the basis is primal feasible (at once when it already was),
+// with the basic values clamped into their bounds; the caller finishes with
+// the primal simplex, whose fresh pricing confirms optimality. Any other
+// status sends the caller to the cold path: statusNotDualFeasible, Infeasible
+// (empty ratio test: no vertex satisfies the violated row), statusNumerical,
+// IterationLimit, or a cancellation.
+func (rs *revisedSolver) dualSimplex() Status {
+	r := rs.leavingRow()
+	if r < 0 {
+		return Optimal
+	}
+	nTotal := rs.sf.nTotal
+	d := make([]float64, nTotal)     // reduced costs, carried across pivots
+	alpha := make([]float64, nTotal) // pivot row e_rᵀB⁻¹A over nonbasic columns
+	// ρ = e_rᵀB⁻¹ lives in rs.y, whose pricing duals are spent once d is
+	// priced; e_r is built in the all-zero scatter buffer rs.colBuf.
+	rho := rs.y
+	rs.reducedCosts(d)
+	for j, st := range rs.status {
+		if rs.movable(j) &&
+			(st == atLower && d[j] < -rs.tol || st == atUpper && d[j] > rs.tol) {
+			return statusNotDualFeasible
+		}
+	}
+	for ; r >= 0; r = rs.leavingRow() {
+		if rs.iters >= rs.max {
+			return IterationLimit
+		}
+		if rs.g.due(rs.iters) {
+			if st, stop := rs.g.at("lp.pivot"); stop {
+				return st
+			}
+		}
+		leaveCol := rs.basis[r]
+		toUpper := rs.xb[r] > 0 // above its upper bound; else below zero
+		target, sgn := 0.0, -1.0
+		if toUpper {
+			target, sgn = rs.upper[leaveCol], 1
+		}
+
+		rs.colBuf[r] = 1
+		rs.lu.btranInto(rho, rs.colBuf)
+		rs.colBuf[r] = 0
+		rs.cBtran++
+
+		// Ratio test: among columns whose move pushes x_r toward the
+		// violated bound, the smallest |d_j/α_j| keeps every other reduced
+		// cost feasible. Ties go to the larger |α_j|, then the lower index.
+		enter := -1
+		best, bestAbs := math.Inf(1), 0.0
+		for j := 0; j < nTotal; j++ {
+			if !rs.movable(j) {
+				continue
+			}
+			rows, vals := rs.sf.a.col(j)
+			a := 0.0
+			for k, i := range rows {
+				a += rho[i] * vals[k]
+			}
+			alpha[j] = a
+			s := sgn * a
+			if rs.status[j] == atUpper {
+				s = -s
+			}
+			if s <= rs.tol {
+				continue
+			}
+			ratio := math.Abs(d[j]) / s
+			if ratio < best-rs.tol || (ratio < best+rs.tol && s > bestAbs) {
+				enter, best, bestAbs = j, ratio, s
+			}
+		}
+		if enter < 0 {
+			return Infeasible
+		}
+		rs.ftranCol(enter)
+		wr := rs.w[r]
+		if math.Abs(wr) < rs.tol || wr*alpha[enter] <= 0 {
+			return statusNumerical
+		}
+
+		// Primal step: x_enter moves by t, which lands x_r on its bound.
+		t := (rs.xb[r] - target) / wr
+		enterValue := t
+		if rs.status[enter] == atUpper {
+			enterValue += rs.upper[enter]
+		}
+		rs.move(1, t)
+		rs.iters++
+
+		// Dual step: d −= θ·α with θ = d_q/α_q zeroes the entering reduced
+		// cost; the leaving column's becomes −θ.
+		theta := d[enter] / alpha[enter]
+		for j := 0; j < nTotal; j++ {
+			if rs.movable(j) {
+				d[j] -= theta * alpha[j]
+			}
+		}
+		d[enter] = 0
+		d[leaveCol] = -theta
+
+		if toUpper && rs.upper[leaveCol] > 0 {
+			rs.status[leaveCol] = atUpper
+		} else {
+			rs.status[leaveCol] = atLower
+		}
+		rs.basis[r] = enter
+		rs.xb[r] = enterValue
+		rs.status[enter] = inBasis
+
+		if rs.lu.update(r, rs.w) {
+			rs.cEta++
+			if !rs.lu.needsRefactor() {
+				continue
+			}
+		}
+		rs.cRefactor++
+		if !rs.refactorNow() {
+			return statusNumerical
+		}
+		rs.reducedCosts(d)
+	}
+	return Optimal
+}
+
+// movable reports whether column j is nonbasic with room to move: basic
+// columns and columns fixed at zero (clamped artificials, outaged
+// capacities) never enter a dual pivot.
+func (rs *revisedSolver) movable(j int) bool {
+	return rs.status[j] != inBasis && rs.upper[j] != 0
+}
+
+// leavingRow returns the slot whose basic value breaks its bounds by the
+// most, or -1 when the basis is primal feasible. Violations within the
+// scale-aware tolerance of the cold phase-1 verdict do not count; on the
+// feasible exit they are clamped onto the bound they graze.
+func (rs *revisedSolver) leavingRow() int {
 	scale := 1.0
 	for _, v := range rs.xb {
 		if a := math.Abs(v); a > scale {
 			scale = a
 		}
 	}
-	eps := rs.tol * scale * float64(sf.m+1) * 100
-	for i := 0; i < sf.m; i++ {
-		v := rs.xb[i]
-		if v < -eps {
-			return false
+	eps := rs.tol * scale * float64(rs.sf.m+1) * 100
+	r, worst := -1, eps
+	for i, v := range rs.xb {
+		viol := -v
+		if over := v - rs.upper[rs.basis[i]]; over > viol {
+			viol = over
 		}
-		u := rs.upper[rs.basis[i]]
-		if !math.IsInf(u, 1) && v > u+eps {
-			return false
+		if viol > worst {
+			r, worst = i, viol
 		}
-		if v < 0 {
+	}
+	if r >= 0 {
+		return r
+	}
+	for i, v := range rs.xb {
+		if u := rs.upper[rs.basis[i]]; v < 0 {
 			rs.xb[i] = 0
 		} else if v > u {
 			rs.xb[i] = u
 		}
 	}
-	return true
+	return -1
+}
+
+// reducedCosts prices every column at the current basis from scratch:
+// d_j = c_j − yᵀA_j with y = B⁻ᵀc_B, and 0 for basic columns.
+func (rs *revisedSolver) reducedCosts(d []float64) {
+	c := rs.sf.cost
+	for i, bc := range rs.basis {
+		rs.cb[i] = c[bc]
+	}
+	rs.lu.btranInto(rs.y, rs.cb)
+	rs.cBtran++
+	for j := range d {
+		if rs.status[j] == inBasis {
+			d[j] = 0
+		} else {
+			d[j] = c[j] - rs.priceDot(j)
+		}
+	}
 }
 
 // captureBasis snapshots the solver's final basis for reuse. The layout is

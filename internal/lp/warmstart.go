@@ -11,15 +11,30 @@
 //	base, _ := p.SolveOpts(lp.Options{})
 //	perturbed.SolveOpts(lp.Options{WarmStart: base.Basis()})
 //
-// The warm path refactorizes the basis against the perturbed matrix
-// (Gauss-Jordan with partial pivoting), recomputes the basic values, and
-// verifies primal feasibility under the perturbed bounds. When the stale
-// basis is singular, dimensionally incompatible, or primal infeasible for
-// the new problem, the solver falls back to the cold two-phase method, so a
-// warm-started solve is never less correct than a cold one — only cheaper
-// when the basis survives. Solution.WarmStarted reports which path produced
-// the result, and the lp.warm_*/lp.cold_pivots counters attribute pivot
-// work to each path.
+// Both re-entries refactorize the basis against the perturbed matrix and
+// recompute the basic values; they differ in what they do when those values
+// break the perturbed bounds:
+//
+//   - MethodBounded (this file) refactorizes by Gauss-Jordan with partial
+//     pivoting and requires primal feasibility. It falls back to the cold
+//     two-phase method when the basis is singular, dimensionally
+//     incompatible or primal infeasible, or when the warm phase 2 ends
+//     Unbounded or at the iteration limit.
+//   - MethodRevised above its dense crossover (revised.go; below it the
+//     whole solve, warm start included, is MethodBounded's) refactorizes
+//     by sparse LU and repairs
+//     primal infeasibility with a bounded dual simplex, which a pure bound
+//     change (an outage) never makes dual infeasible. It falls back when
+//     the basis is singular or dimensionally incompatible; when it is
+//     neither primal nor dual feasible; when the dual ratio test is empty
+//     (the problem is infeasible, and the cold path says so); on a tiny
+//     dual pivot, a numerical failure or the iteration limit; or when the
+//     primal finish ends Unbounded.
+//
+// Either way a warm-started solve is never less correct than a cold one —
+// only cheaper when the basis survives. Solution.WarmStarted reports which
+// path produced the result, and the lp.warm_*/lp.cold_pivots counters
+// attribute pivot work to each path.
 //
 // Only the bounded-layout methods — MethodBounded and MethodRevised, which
 // share the standard-form column layout by construction — export a reusable

@@ -271,31 +271,47 @@ func perturbProblem(p *Problem, rs *rng.Stream) *Problem {
 // start) with a fuzzer-mutated problem and requires the safety contract: a
 // warm start from any basis — matching, stale, or from an unrelated problem
 // — never panics, never loops (iteration caps hold), and never reports
-// Optimal with an objective that disagrees with the cold solve.
+// Optimal with an objective that disagrees with the cold solve. Mode 3
+// tightens bounds and re-solves under MethodRevised with the dense
+// crossover forced off, so it drives the sparse dual re-entry; there the
+// warm status must match the dense cold one too.
 func FuzzWarmStart(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(0))
 	f.Add(uint64(7), uint64(7), uint8(1))
 	f.Add(uint64(42), uint64(9), uint8(2))
+	f.Add(uint64(5), uint64(3), uint8(3))
+	old := revisedFinishMaxRows
+	revisedFinishMaxRows = -1
+	f.Cleanup(func() { revisedFinishMaxRows = old })
 	f.Fuzz(func(t *testing.T, seedA, seedB uint64, mode uint8) {
 		rsA := rng.New(seedA)
 		donor := randomBoundedProblem(rsA)
-		base, err := donor.SolveOpts(Options{Method: MethodBounded})
+		method := MethodBounded
+		if mode%4 == 3 {
+			method = MethodRevised
+		}
+		base, err := donor.SolveOpts(Options{Method: method})
 		if err != nil {
 			return
 		}
 		var target *Problem
-		switch mode % 3 {
+		switch mode % 4 {
 		case 0: // same structure, perturbed numbers
 			target = perturbProblem(donor, rng.New(seedB))
 		case 1: // unrelated problem: dimensions usually mismatch
 			target = randomBoundedProblem(rng.New(seedB))
-		default: // identical problem
+		case 2: // identical problem
 			target = donor
+		default: // bounds tightened, cut to zero or made finite
+			target = tightenBounds(donor, rng.New(seedB))
 		}
-		warm, errW := target.SolveOpts(Options{Method: MethodBounded, WarmStart: base.Basis()})
+		warm, errW := target.SolveOpts(Options{Method: method, WarmStart: base.Basis()})
 		cold, errC := target.SolveOpts(Options{Method: MethodBounded})
 		if errW != nil || errC != nil {
 			return // reported errors are within contract; panics are not
+		}
+		if method == MethodRevised && warm.Status != cold.Status {
+			t.Fatalf("warm status %v, cold %v (warmstarted=%v)", warm.Status, cold.Status, warm.WarmStarted)
 		}
 		if warm.Status == Optimal && cold.Status == Optimal {
 			scale := 1 + math.Abs(cold.Objective)
@@ -305,4 +321,28 @@ func FuzzWarmStart(f *testing.F) {
 			}
 		}
 	})
+}
+
+// tightenBounds returns a copy of p with some upper bounds lowered: cut to
+// zero, scaled down, or made finite — perturbations that move only bounds.
+func tightenBounds(p *Problem, rs *rng.Stream) *Problem {
+	q := NewProblem()
+	for j := 0; j < p.NumVariables(); j++ {
+		u := p.Upper(j)
+		switch rs.Intn(4) {
+		case 0:
+			u = 0
+		case 1:
+			if math.IsInf(u, 1) {
+				u = rs.Float64() * 10
+			} else {
+				u *= rs.Float64()
+			}
+		}
+		q.AddVariable(p.VariableName(j), p.Cost(j), u)
+	}
+	for i := 0; i < p.NumConstraints(); i++ {
+		q.AddConstraint(p.ConstraintAt(i))
+	}
+	return q
 }
