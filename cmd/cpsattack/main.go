@@ -140,8 +140,8 @@ func main() {
 	if plan.Anticipated > 0 {
 		cli.MustPrintf("realization ratio:  %12.1f%%\n", 100*realized/plan.Anticipated)
 	}
-	if !plan.Proven {
-		cli.MustPrintln("(search node limit hit; plan is best-found, not proven optimal)")
+	if !plan.Proven && len(plan.Fallbacks) == 0 {
+		cli.MustPrintf("(search node limit hit; plan is best-found, not proven optimal; gap ≤ %.2f)\n", plan.Gap)
 	}
 	for _, fb := range plan.Fallbacks {
 		cli.MustPrintf("(degraded: %s)\n", fb)

@@ -8,11 +8,17 @@
 //
 // (the paper's Eq. 8–11). For any fixed T the optimal A is closed-form —
 // include actor j iff its captured sum is positive — so target selection
-// reduces to a set search, which Plan solves exactly by depth-first branch
-// and bound with a subadditive upper bound, falling back to the greedy
-// incumbent if the node budget is exhausted. PlanGreedy exposes the greedy
-// heuristic directly, and PlanMILP solves the textbook linearization on the
-// generic MILP engine as a correctness oracle.
+// reduces to a set search, which Solve solves exactly by depth-first branch
+// and bound. A node with target set S is bounded by its exact value plus
+// the positive optimistic values of the best targets left in the search
+// order that still fit the remaining budget: value is subadditive over
+// targets, and at most ⌊(MA − spent)/min Catk⌋ more of them are affordable
+// (with the paper's uniform costs, the top (MA − |S|) tail values). If the
+// node budget is exhausted anyway, the best incumbent (at least as good as
+// greedy) is returned unproven, with Plan.Gap bounding its distance to the
+// optimum. SolveGreedy exposes the greedy heuristic directly, and SolveMILP
+// solves the textbook linearization on the generic MILP engine as a
+// correctness oracle.
 package adversary
 
 import (
@@ -62,7 +68,7 @@ type Config struct {
 	Budget float64
 	// MaxNodes caps the exact search (default 2_000_000 nodes); on
 	// exhaustion the best incumbent found so far (at least as good as
-	// greedy) is returned with Proven=false.
+	// greedy) is returned with Proven=false and Plan.Gap set.
 	MaxNodes int
 	// Ctx, when non-nil, is checked every CheckEvery search nodes;
 	// cancellation aborts the search and Solve returns the context error
@@ -109,6 +115,12 @@ type Plan struct {
 	Anticipated float64
 	// Proven reports whether the exact search completed.
 	Proven bool
+	// Gap bounds how far Anticipated can fall short of the optimum when
+	// Solve stops at MaxNodes: the largest bound over the subtrees the
+	// search left unexplored, minus Anticipated, clamped at 0. It is 0 for
+	// a Proven plan and is left 0 by the other solvers, which carry no
+	// bound.
+	Gap float64
 	// Nodes counts search nodes explored.
 	Nodes int
 	// Fallbacks records resilience degradations applied by SolveResilient
@@ -268,16 +280,13 @@ func Solve(cfg Config) (plan *Plan, err error) {
 		bestVal, bestSet = 0, nil
 	}
 
-	// Suffix sums of positive optimistic values for bounding: ubTail[k]
-	// bounds the value addable by targets order[k:] ignoring budget.
-	ubTail := make([]float64, len(order)+1)
-	for k := len(order) - 1; k >= 0; k-- {
-		v := in.opt[order[k]]
-		if v < 0 {
-			v = 0
-		}
-		ubTail[k] = ubTail[k+1] + v
-	}
+	bound := newTailBound(in, order)
+	// pending[k] bounds the exclude branch of the frame at search position
+	// k while that frame is inside its include branch (−Inf otherwise): the
+	// subtrees a node-capped search leaves unexplored are exactly these
+	// plus the node that hit the cap, which is what Plan.Gap is built from.
+	pending := make([]float64, len(order)+1)
+	gapBound := math.Inf(-1)
 
 	nodes := 0
 	exhausted := false
@@ -324,14 +333,18 @@ func Solve(cfg Config) (plan *Plan, err error) {
 		return obj
 	}
 
-	var dfs func(k int, spent float64, curOpt float64)
-	dfs = func(k int, spent float64, curOpt float64) {
+	var dfs func(k int, spent float64)
+	dfs = func(k int, spent float64) {
 		if exhausted {
 			return
 		}
 		nodes++
 		if nodes > maxNodes {
 			exhausted = true
+			gapBound = nodeValue() + bound.tail(k, spent)
+			for _, b := range pending[:k] {
+				gapBound = math.Max(gapBound, b)
+			}
 			return
 		}
 		if nodes%every == 0 {
@@ -349,35 +362,79 @@ func Solve(cfg Config) (plan *Plan, err error) {
 			}
 		}
 		// Evaluate the current set exactly; it is always feasible.
-		if val := nodeValue(); val > bestVal+1e-12 {
+		val := nodeValue()
+		if val > bestVal+1e-12 {
 			bestVal = val
 			bestSet = append(bestSet[:0], cur...)
 		}
 		if k >= len(order) {
 			return
 		}
-		// Bound: optimistic value of chosen ∪ best possible tail.
-		if curOpt+ubTail[k] <= bestVal+1e-12 {
+		// Bound: the node's exact value plus the best tail that still fits
+		// the budget. The relative margin keeps rounding in an exactly
+		// tight bound from pruning a node that would strictly improve.
+		if val+bound.tail(k, spent) <= bestVal+1e-12-1e-9*math.Abs(bestVal) {
 			return
 		}
 		i := order[k]
 		// Branch 1: include target i (if affordable).
 		if spent+in.cost[i] <= in.budget+1e-12 {
+			pending[k] = val + bound.tail(k+1, spent)
 			cur = append(cur, i)
 			push(i)
-			dfs(k+1, spent+in.cost[i], curOpt+math.Max(in.opt[i], 0)+math.Min(in.opt[i], 0))
+			dfs(k+1, spent+in.cost[i])
 			pop()
 			cur = cur[:len(cur)-1]
 		}
 		// Branch 2: exclude target i.
-		dfs(k+1, spent, curOpt)
+		pending[k] = math.Inf(-1)
+		dfs(k+1, spent)
 	}
-	dfs(0, 0, 0)
+	dfs(0, 0)
 	if abortErr != nil {
 		return nil, abortErr
 	}
 
-	return in.plan(bestSet, nodes, !exhausted), nil
+	plan = in.plan(bestSet, nodes, !exhausted)
+	if exhausted {
+		plan.Gap = math.Max(gapBound-plan.Anticipated, 0)
+	}
+	return plan, nil
+}
+
+// tailBound bounds what the targets order[k:] can still add to a set.
+// Value is subadditive — Value(S ∪ T) ≤ Value(S) + Σ_{t∈T} max(opt[t], 0),
+// because max(0, a+b) ≤ max(0, a) + max(0, b) per actor — and no more than
+// r = ⌊(budget − spent)/minCost⌋ further targets fit the budget. Since the
+// search order is sorted best optimistic value first (and the screen filter
+// keeps that order), the best r tail values are the first r, so the bound
+// is one prefix-sum difference. With uniform costs it is exactly the top
+// (budget − |S|) tail values; with mixed costs it stays valid, only looser.
+type tailBound struct {
+	prefix  []float64 // prefix[k] = Σ_{k' < k} max(opt[order[k']], 0)
+	minCost float64   // smallest cost among the searched targets
+	budget  float64
+}
+
+func newTailBound(in *instance, order []int) tailBound {
+	b := tailBound{prefix: make([]float64, len(order)+1), minCost: math.Inf(1), budget: in.budget}
+	for k, i := range order {
+		b.prefix[k+1] = b.prefix[k] + math.Max(in.opt[i], 0)
+		b.minCost = math.Min(b.minCost, in.cost[i])
+	}
+	return b
+}
+
+// tail is the bound at search position k with spend spent.
+func (b tailBound) tail(k int, spent float64) float64 {
+	r := len(b.prefix) - 1 - k
+	if b.minCost > 0 {
+		// Compared as floats first: an infinite budget must not reach int().
+		if fit := math.Floor((b.budget - spent + 1e-12) / b.minCost); fit < float64(r) {
+			r = max(int(fit), 0)
+		}
+	}
+	return b.prefix[k+r] - b.prefix[k]
 }
 
 // SolveResilient is Solve with the fallback chain of the resilience layer:

@@ -40,7 +40,7 @@ func incrementalFixture(nTargets, nActors int, seed uint64) Config {
 // stays bounded by the greedy warm-up while the node counter scales with the
 // search tree.
 func TestIncrementalEvaluationCounters(t *testing.T) {
-	cfg := incrementalFixture(14, 5, 3)
+	cfg := incrementalFixture(18, 5, 3)
 	evals0, nodes0 := mEvaluations.Value(), mNodes.Value()
 	plan, err := Solve(cfg)
 	if err != nil {

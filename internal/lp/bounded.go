@@ -7,10 +7,12 @@
 // the classic bounded-variable simplex in which nonbasic variables may sit
 // at either bound and bound-to-bound "flips" avoid pivots entirely. On the
 // six-state model it shrinks the basis from ~150 rows to ~50, and it prices
-// each pivot from a carried reduced-cost row instead of recomputing it. On
-// the stressed westgrid dispatch it runs ~18× faster than MethodRows
-// (BenchmarkLPMethodRows vs BenchmarkLPMethodBounded, 2-vCPU x86-64;
-// ablations in DESIGN.md §6).
+// each pivot from a carried reduced-cost row instead of recomputing it.
+// Each pivot eliminates only the columns where the normalized pivot row is
+// nonzero (~45 of 186 on the stressed westgrid dispatch), which leaves the
+// tableau bit-identical to a full-row sweep. On the stressed westgrid
+// dispatch it runs ~18× faster than MethodRows (BenchmarkLPMethodRows vs
+// BenchmarkLPMethodBounded, 2-vCPU x86-64; ablations in DESIGN.md §6).
 //
 // Select it with Options{Method: MethodBounded}. Results (objective,
 // primal values, row duals, bound duals) agree with the default method to
@@ -122,6 +124,7 @@ type boundedTableau struct {
 	cost  []float64 // phase-2 cost per column
 
 	backing []float64 // storage of a and d, returned to backingPool by release
+	nz      []int32   // pivot's nonzero-column buffer, returned to nzPool by release
 
 	basis  []int  // column basic in each row
 	status []int8 // per column
@@ -149,13 +152,26 @@ func getBacking(n int) []float64 {
 	return make([]float64, n)
 }
 
-// release hands the tableau's storage back to backingPool. The tableau
-// must not be used afterwards; nothing a solve returns refers to it
+// nzPool recycles pivot's nonzero-column index buffers (*[]int32) the same
+// way, so a figure sweep does not allocate one per solve.
+var nzPool sync.Pool
+
+// getNZ returns an empty index buffer with capacity at least n.
+func getNZ(n int) []int32 {
+	if b, ok := nzPool.Get().(*[]int32); ok && cap(*b) >= n {
+		return (*b)[:0]
+	}
+	return make([]int32, 0, n)
+}
+
+// release hands the tableau's storage back to backingPool and nzPool. The
+// tableau must not be used afterwards; nothing a solve returns refers to it
 // (extract allocates the Solution's slices and captureBasis copies).
 func (t *boundedTableau) release() {
-	b := t.backing
-	t.backing, t.a, t.d = nil, nil, nil
+	b, nz := t.backing, t.nz
+	t.backing, t.a, t.d, t.nz = nil, nil, nil, nil
 	backingPool.Put(&b)
+	nzPool.Put(&nz)
 }
 
 // solveBounded is the entry point used by Problem.SolveOpts for
@@ -195,6 +211,7 @@ func newBoundedTableau(p *Problem, opts Options) *boundedTableau {
 		t.a[i] = backing[i*maxCols : (i+1)*maxCols]
 	}
 	t.d = backing[t.m*maxCols:]
+	t.nz = getNZ(maxCols)
 	t.rhs = make([]float64, t.m)
 	t.upper = make([]float64, 0, maxCols)
 	t.cost = make([]float64, 0, maxCols)
@@ -329,6 +346,15 @@ func (t *boundedTableau) value(j int) float64 {
 	}
 	return 0
 }
+
+// pivotOverride and enteringOverride, when non-nil, replace the pivot and
+// pricing kernels. Only tests set them (export_test.go keeps the full-row
+// reference kernel the nonzero-only one is checked against); they are nil
+// in every other solve.
+var (
+	pivotOverride    func(t *boundedTableau, row, col int, enterValue float64)
+	enteringOverride func(t *boundedTableau, bland bool) (enter int, enterDir float64)
+)
 
 // pricingHook, when non-nil, observes the tableau after every pivot and
 // bound flip of simplex, with the cost row c being minimized. Only tests set
@@ -490,17 +516,25 @@ func (t *boundedTableau) reducedCosts(c, d []float64) {
 // with d < −tol (increase) and at upper with d > tol (decrease). Returns
 // enter < 0 when no column improves.
 func (t *boundedTableau) entering(bland bool) (enter int, enterDir float64) {
+	if enteringOverride != nil {
+		return enteringOverride(t, bland)
+	}
 	enter = -1
 	enterDir = 1 // +1 increasing from lower, −1 decreasing from upper
 	best := t.tol
 	for j := 0; j < t.nTotal; j++ {
+		// A candidate improves by |d_j|, so anything not above the best
+		// so far is skipped before its status and bound are read.
+		r := t.d[j]
+		if math.Abs(r) <= best {
+			continue
+		}
 		if t.status[j] == inBasis {
 			continue
 		}
 		if t.upper[j] == 0 && t.status[j] == atLower {
 			continue // fixed at zero (clamped artificials)
 		}
-		r := t.d[j]
 		var imp float64
 		var dir float64
 		if t.status[j] == atLower && r < 0 {
@@ -552,30 +586,42 @@ func (t *boundedTableau) move(j int, dir, delta float64) {
 // *values*, which are unchanged for rows other than `row` by a basis swap;
 // only row `row` is rewritten to the entering variable's value (enterValue,
 // computed by the caller from the ratio-test limit).
+//
+// Only the columns where the normalized pivot row is nonzero are
+// eliminated: elsewhere the update would subtract f·0, which leaves every
+// nonzero entry as it is, so the result is bit-identical to a full-row sweep
+// (a zero entry may differ in sign only) at a fraction of the work.
 func (t *boundedTableau) pivot(row, col int, enterValue float64) {
-	piv := t.a[row][col]
-	inv := 1 / piv
-	ar := t.a[row]
-	for j := 0; j < t.nTotal; j++ {
+	if pivotOverride != nil {
+		pivotOverride(t, row, col, enterValue)
+		return
+	}
+	inv := 1 / t.a[row][col]
+	ar := t.a[row][:t.nTotal]
+	nz := t.nz[:0]
+	for j := range ar {
 		ar[j] *= inv
+		if ar[j] != 0 {
+			nz = append(nz, int32(j))
+		}
 	}
 	t.rhs[row] = enterValue
 	for i := 0; i < t.m; i++ {
 		if i == row {
 			continue
 		}
-		f := t.a[i][col]
+		ai := t.a[i]
+		f := ai[col]
 		if f == 0 {
 			continue
 		}
-		ai := t.a[i]
-		for j := 0; j < t.nTotal; j++ {
+		for _, j := range nz {
 			ai[j] -= f * ar[j]
 		}
 	}
 	// The carried reduced-cost row is eliminated like any other row.
 	if f := t.d[col]; f != 0 {
-		for j := 0; j < t.nTotal; j++ {
+		for _, j := range nz {
 			t.d[j] -= f * ar[j]
 		}
 	}

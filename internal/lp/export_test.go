@@ -25,6 +25,8 @@ type PricingState struct {
 	Phase1  bool      // minimizing the artificial sum, not the real objective
 	Carried []float64 // the live carried reduced-cost row: writes reach the solver
 	Fresh   []float64 // the same row priced from scratch at the same basis
+	Basis   []int     // the live basic column of each row
+	Status  []int8    // the live per-column status (at lower, at upper, basic)
 }
 
 // SetPricingHook installs fn to run after every pivot and bound flip of the
@@ -41,9 +43,89 @@ func SetPricingHook(fn func(PricingState)) (restore func()) {
 			Phase1:  &c[0] != &t.cost[0],
 			Carried: t.d[:t.nTotal],
 			Fresh:   fresh,
+			Basis:   t.basis,
+			Status:  t.status,
 		})
 	}
 	return func() { pricingHook = old }
+}
+
+// UseReferenceKernel makes the dense bounded simplex pivot and price with
+// the full-row reference kernel below instead of the nonzero-only one, and
+// returns a function restoring the production kernel. It affects every
+// bounded solve while installed, so tests that use it must not run in
+// parallel.
+func UseReferenceKernel() (restore func()) {
+	oldPivot, oldEntering := pivotOverride, enteringOverride
+	pivotOverride, enteringOverride = referencePivot, referenceEntering
+	return func() { pivotOverride, enteringOverride = oldPivot, oldEntering }
+}
+
+// referencePivot is the full-row Gauss-Jordan pivot: it scales and
+// eliminates every column of the tableau and of the carried row.
+func referencePivot(t *boundedTableau, row, col int, enterValue float64) {
+	piv := t.a[row][col]
+	inv := 1 / piv
+	ar := t.a[row]
+	for j := 0; j < t.nTotal; j++ {
+		ar[j] *= inv
+	}
+	t.rhs[row] = enterValue
+	for i := 0; i < t.m; i++ {
+		if i == row {
+			continue
+		}
+		f := t.a[i][col]
+		if f == 0 {
+			continue
+		}
+		ai := t.a[i]
+		for j := 0; j < t.nTotal; j++ {
+			ai[j] -= f * ar[j]
+		}
+	}
+	if f := t.d[col]; f != 0 {
+		for j := 0; j < t.nTotal; j++ {
+			t.d[j] -= f * ar[j]
+		}
+	}
+	t.d[col] = 0
+	t.basis[row] = col
+}
+
+// referenceEntering is the pricing loop that reads each column's status
+// and bound before its reduced cost.
+func referenceEntering(t *boundedTableau, bland bool) (enter int, enterDir float64) {
+	enter = -1
+	enterDir = 1
+	best := t.tol
+	for j := 0; j < t.nTotal; j++ {
+		if t.status[j] == inBasis {
+			continue
+		}
+		if t.upper[j] == 0 && t.status[j] == atLower {
+			continue
+		}
+		r := t.d[j]
+		var imp float64
+		var dir float64
+		if t.status[j] == atLower && r < 0 {
+			imp, dir = -r, 1
+		} else if t.status[j] == atUpper && r > 0 {
+			imp, dir = r, -1
+		} else {
+			continue
+		}
+		if imp > best {
+			best = imp
+			enter = j
+			enterDir = dir
+			if bland {
+				break
+			}
+		}
+	}
+	return enter, enterDir
 }
 
 // GenRandomProblem builds seeded random LP #seed for the differential
