@@ -46,9 +46,6 @@ bench:
 bench-warm:
 	BENCH_WARM_OUT=BENCH_warmstart.json $(GO) test -run '^TestBenchWarmstart$$' -count=1 -v .
 
-# Shard-merge throughput report: times the full merge path (discovery,
-# CRC/partition validation, replay union) over an 8-way fleet and writes
-# BENCH_shard.json pairing ns/op with the merge validation counters.
 # Revised-simplex speedup report: benchmarks the sparse revised simplex
 # against the dense oracle on the dispatch and national-scale instances and
 # writes BENCH_revised.json pairing ns/op with the lp.revised.* pivot and
@@ -56,6 +53,9 @@ bench-warm:
 bench-revised:
 	BENCH_REVISED_OUT=BENCH_revised.json $(GO) test -run '^TestBenchRevised$$' -count=1 -v .
 
+# Shard-merge throughput report: times the full merge path (discovery,
+# CRC/partition validation, replay union) over an 8-way fleet and writes
+# BENCH_shard.json pairing ns/op with the merge validation counters.
 bench-shard:
 	BENCH_SHARD_OUT=BENCH_shard.json $(GO) test -run '^TestBenchShard$$' -count=1 -v .
 

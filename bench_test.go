@@ -297,27 +297,18 @@ func BenchmarkTrialsParallel(b *testing.B) {
 	}
 }
 
-// --- Ablation: LP simplex methods (rows vs implicit bounds).
-
-func benchLPMethod(b *testing.B, m lp.Method) {
-	b.Helper()
+// BenchmarkLPMethodBounded dispatches the stressed westgrid with the
+// bounded-variable simplex.
+func BenchmarkLPMethodBounded(b *testing.B) {
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: m}})
+		_, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodBounded}})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkLPMethodRows dispatches westgrid with upper bounds lowered onto
-// explicit rows.
-func BenchmarkLPMethodRows(b *testing.B) { benchLPMethod(b, lp.MethodRows) }
-
-// BenchmarkLPMethodBounded dispatches westgrid with the bounded-variable
-// simplex.
-func BenchmarkLPMethodBounded(b *testing.B) { benchLPMethod(b, lp.MethodBounded) }
 
 // --- Scaling with system size (Section II-E4's computational-difficulty
 // discussion), on synthetic systems from internal/gridgen.

@@ -38,7 +38,7 @@ func main() {
 	solveCache := flag.Int("solve-cache", 0, "memoize dispatch solves in an N-entry LRU cache (0 = off); results are unchanged")
 	warmStart := flag.Bool("warm-start", false, "warm-start perturbed dispatch solves from the baseline basis")
 	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth: prints the worst contingencies and accelerates the adversary search (0 = off; the plan is byte-identical either way)")
-	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense, rows, bounded, or revised")
+	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense or bounded (all the dense bounded tableau), or revised (sparse)")
 	flag.Parse()
 
 	logger := obs.New("cpsattack", obs.Sink{W: os.Stderr, Format: obs.Text, Min: obs.LevelInfo})

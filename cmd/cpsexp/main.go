@@ -118,7 +118,7 @@ func main() {
 	interventions := flag.Bool("interventions", false, "run the defense-as-redesign sweep (equivalent to -fig interventions)")
 	solveCache := flag.Int("solve-cache", 0, "share an N-entry LRU dispatch-solve memo across all trials (0 = off); results are unchanged")
 	warmStart := flag.Bool("warm-start", false, "warm-start perturbed dispatch solves from each scenario's baseline basis")
-	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense, rows, bounded, or revised")
+	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense or bounded (all the dense bounded tableau), or revised (sparse)")
 	shardSpec := flag.String("shard", "", "run only shard i/n of the sweep (0-based, e.g. 0/4), journaling into -shard-dir")
 	shardDir := flag.String("shard-dir", "shards", "parent directory for per-shard journals, manifests, and snapshots")
 	shardSupervise := flag.Int("shard-supervise", 0, "run the sweep as n supervised child-process shards into -shard-dir")

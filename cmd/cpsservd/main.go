@@ -73,7 +73,7 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 15*time.Second, "open-circuit cooldown before a probe is admitted")
 	solveCache := flag.Int("solve-cache", 4096, "shared N-entry LRU dispatch-solve memo across all requests (0 = off)")
 	warmStart := flag.Bool("warm-start", false, "warm-start perturbed dispatch solves from baseline bases")
-	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense, rows, bounded, or revised")
+	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense or bounded (all the dense bounded tableau), or revised (sparse)")
 	runWorkers := flag.Int("run-workers", 0, "trial fan-out inside each run (0 = GOMAXPROCS)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful-drain budget on SIGTERM before in-flight runs are canceled")
 	chaosRate := flag.Float64("chaos", 0, "fail this fraction of trials with an injected transient error (resilience testing)")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cpsguard/internal/graph"
+	"cpsguard/internal/westgrid"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -149,5 +150,19 @@ func TestUnprofitableStaysDark(t *testing.T) {
 	}
 	if r.Welfare != 0 || r.Flow["l"] != 0 {
 		t.Fatalf("uneconomic dispatch ran: %+v", r)
+	}
+}
+
+// TestStressedWestgridSolves pins the degenerate case: on the stressed
+// westgrid the first Dantzig attempt runs into the iteration limit, and the
+// solve must still finish at the optimum the bounds-as-rows simplex found
+// (235516.7573616602) instead of returning an error.
+func TestStressedWestgridSolves(t *testing.T) {
+	r, err := Solve(westgrid.Build(westgrid.Options{Stress: true}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 235516.7573616602; !approx(r.Welfare, want, 1e-6*want) {
+		t.Fatalf("welfare = %v, want %v", r.Welfare, want)
 	}
 }

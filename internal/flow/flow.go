@@ -48,10 +48,9 @@ type Result struct {
 	CapacityRent map[string]float64
 	// Iterations counts simplex pivots (for performance diagnostics).
 	Iterations int
-	// Basis is the optimal simplex basis (nil for solver methods that do
-	// not export one). Feed it to Options.LP.WarmStart on a structurally
-	// identical dispatch — e.g. the same grid with an edge knocked out —
-	// to skip phase 1.
+	// Basis is the optimal simplex basis. Feed it to Options.LP.WarmStart
+	// on a structurally identical dispatch — e.g. the same grid with an
+	// edge knocked out — to skip phase 1.
 	Basis *lp.Basis
 	// WarmStarted reports whether this dispatch was solved on the LP
 	// warm path.

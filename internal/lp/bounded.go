@@ -1,22 +1,20 @@
-// Bounded-variable primal simplex.
+// Bounded-variable primal simplex, the dense solver behind MethodAuto and
+// MethodBounded.
 //
-// The default solver (lp.go) lowers every finite upper bound onto an
-// explicit ≤ row, which keeps the pivot logic textbook-simple but grows the
-// basis by one row per bound. Energy dispatch LPs are bound-dominated —
-// every flow, generation and load variable is boxed — so this file provides
-// the classic bounded-variable simplex in which nonbasic variables may sit
-// at either bound and bound-to-bound "flips" avoid pivots entirely. On the
-// six-state model it shrinks the basis from ~150 rows to ~50, and it prices
-// each pivot from a carried reduced-cost row instead of recomputing it.
-// Each pivot eliminates only the columns where the normalized pivot row is
-// nonzero (~45 of 186 on the stressed westgrid dispatch), which leaves the
-// tableau bit-identical to a full-row sweep. On the stressed westgrid
-// dispatch it runs ~18× faster than MethodRows (BenchmarkLPMethodRows vs
-// BenchmarkLPMethodBounded, 2-vCPU x86-64; ablations in DESIGN.md §6).
+// Energy dispatch LPs are bound-dominated — every flow, generation and load
+// variable is boxed — so this is the classic bounded-variable simplex: upper
+// bounds stay implicit, nonbasic variables may sit at either bound, and
+// bound-to-bound "flips" avoid pivots entirely. The basis holds one row per
+// constraint, never one per bound (~50 rows instead of ~150 on the six-state
+// model), and each pivot is priced from a carried reduced-cost row instead
+// of recomputing it. Each pivot eliminates only the columns where the
+// normalized pivot row is nonzero (~45 of 186 on the stressed westgrid
+// dispatch), which leaves the tableau bit-identical to a full-row sweep.
 //
-// Select it with Options{Method: MethodBounded}. Results (objective,
-// primal values, row duals, bound duals) agree with the default method to
-// solver tolerance; the cross-check is TestMethodsAgree in bounded_test.go.
+// Results (objective, primal values, row duals, bound duals) agree with an
+// independent bounds-as-rows reference tableau to solver tolerance; that
+// reference lives in rows_reference_test.go, and TestMethodsAgree in
+// bounded_test.go is the cross-check.
 package lp
 
 import (
@@ -29,16 +27,13 @@ import (
 type Method int8
 
 const (
-	// MethodAuto (the zero value) picks MethodBounded for bound-dominated
-	// problems (at least 8 finite upper bounds and more bounds than
-	// constraint rows) and MethodRows otherwise.
+	// MethodAuto (the zero value) is MethodBounded.
 	MethodAuto Method = iota
-	// MethodRows lowers upper bounds onto explicit rows (the most
-	// battle-tested path; quadratically slower when bounds dominate).
-	MethodRows
+	// Value 1 was the retired bounds-as-rows method. It stays unused
+	// because impact salts solve-cache keys with the numeric method.
+	_
 	// MethodBounded keeps upper bounds implicit in the pivot rules
-	// (smaller basis, carried pricing; ~18× faster on the westgrid
-	// dispatch LP).
+	// (smaller basis, carried pricing).
 	MethodBounded
 	// MethodRevised is the sparse revised simplex (revised.go): CSC column
 	// storage, LU-factorized basis with product-form eta updates, sparse
@@ -48,9 +43,8 @@ const (
 	MethodRevised
 )
 
-// MethodDense is an alias for MethodAuto: the dense solver family (rows or
-// bounded tableau, auto-selected). It names the differential oracle the
-// revised method is tested against.
+// MethodDense is an alias for MethodAuto: the dense bounded tableau. It
+// names the differential oracle the revised method is tested against.
 const MethodDense = MethodAuto
 
 // String implements fmt.Stringer.
@@ -58,8 +52,6 @@ func (m Method) String() string {
 	switch m {
 	case MethodAuto:
 		return "auto"
-	case MethodRows:
-		return "rows"
 	case MethodBounded:
 		return "bounded"
 	case MethodRevised:
@@ -70,30 +62,17 @@ func (m Method) String() string {
 }
 
 // ParseMethod maps a CLI flag value to a Method. The empty string, "auto"
-// and "dense" all select the dense auto-picked family.
+// and "dense" all select the dense bounded tableau.
 func ParseMethod(s string) (Method, error) {
 	switch s {
 	case "", "auto", "dense":
 		return MethodAuto, nil
-	case "rows":
-		return MethodRows, nil
 	case "bounded":
 		return MethodBounded, nil
 	case "revised":
 		return MethodRevised, nil
 	}
-	return MethodAuto, fmt.Errorf("lp: unknown method %q (want auto|dense|rows|bounded|revised)", s)
-}
-
-// resolve maps MethodAuto to a concrete method for problem p.
-func (m Method) resolve(p *Problem) Method {
-	if m != MethodAuto {
-		return m
-	}
-	if p.bounds >= 8 && p.bounds > len(p.rows) {
-		return MethodBounded
-	}
-	return MethodRows
+	return MethodAuto, fmt.Errorf("lp: unknown method %q (want auto|dense|bounded|revised)", s)
 }
 
 // nonbasic status markers.
@@ -296,6 +275,7 @@ func (t *boundedTableau) run() Status {
 		}
 	}
 	if hasArt {
+		mPhase1.Inc()
 		c1 := make([]float64, t.nTotal)
 		for j, isArt := range t.art {
 			if isArt {
@@ -582,7 +562,7 @@ func (t *boundedTableau) move(j int, dir, delta float64) {
 }
 
 // pivot performs the Gauss-Jordan elimination making column col basic in
-// row `row`. Unlike the rows-method tableau, rhs stores basic-variable
+// row `row`. Unlike a textbook tableau, rhs stores basic-variable
 // *values*, which are unchanged for rows other than `row` by a basis swap;
 // only row `row` is rewritten to the entering variable's value (enterValue,
 // computed by the caller from the ratio-test limit).
@@ -680,14 +660,20 @@ func (t *boundedTableau) extract(p *Problem) (*Solution, error) {
 		sol.Duals[i] = d
 	}
 	// Bound duals: reduced cost of structural variables nonbasic at their
-	// upper bound (relaxing u_j by δ changes the optimum by r_j·δ ≤ 0).
+	// upper bound (relaxing u_j by δ changes the optimum by r_j·δ ≤ 0). A
+	// nonbasic variable fixed at u_j = 0 rests at both bounds; the negative
+	// part of its reduced cost belongs to the upper one.
 	for j := 0; j < t.n; j++ {
-		if t.status[j] != atUpper {
+		fixed := t.upper[j] == 0
+		if t.status[j] == inBasis || (t.status[j] == atLower && !fixed) {
 			continue
 		}
 		r := t.cost[j]
 		for i := 0; i < t.m; i++ {
 			r -= y[i] * orig[i][j]
+		}
+		if fixed {
+			r = math.Min(r, 0)
 		}
 		sol.BoundDuals[j] = r
 	}

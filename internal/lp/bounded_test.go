@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -117,9 +119,10 @@ func TestBoundedDualsTransportation(t *testing.T) {
 	}
 }
 
-// TestMethodsAgree is the central cross-check: both simplex implementations
-// must produce identical objectives (and equally feasible solutions) on
-// randomized bound-rich problems.
+// TestMethodsAgree is the central cross-check: the bounded tableau and the
+// bounds-as-rows reference must produce identical objectives on randomized
+// bound-rich problems, and every optimal result of either must pass the KKT
+// certificate.
 func TestMethodsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -149,7 +152,7 @@ func TestMethodsAgree(t *testing.T) {
 				RHS:   rng.NormFloat64() * 5,
 			})
 		}
-		rows, err1 := p.SolveOpts(Options{Method: MethodRows})
+		rows, err1 := solveRows(p, Options{})
 		bounded, err2 := p.SolveOpts(Options{Method: MethodBounded})
 		if (err1 == nil) != (err2 == nil) {
 			// Dual extraction may fail on redundant rows in one method
@@ -169,31 +172,10 @@ func TestMethodsAgree(t *testing.T) {
 		if math.Abs(rows.Objective-bounded.Objective) > 1e-6*scale {
 			return false
 		}
-		// Bounded solution must satisfy all constraints and bounds.
-		for j, x := range bounded.X {
-			if x < -1e-7 || x > p.upper[j]+1e-7 {
+		for _, sol := range []*Solution{rows, bounded} {
+			if err := CheckKKT(p, sol, false); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
 				return false
-			}
-		}
-		for _, row := range p.rows {
-			lhs := 0.0
-			for _, co := range row.Coefs {
-				lhs += co.Value * bounded.X[co.Var]
-			}
-			tol := 1e-6 * (1 + math.Abs(row.RHS))
-			switch row.Sense {
-			case LE:
-				if lhs > row.RHS+tol {
-					return false
-				}
-			case GE:
-				if lhs < row.RHS-tol {
-					return false
-				}
-			case EQ:
-				if math.Abs(lhs-row.RHS) > tol {
-					return false
-				}
 			}
 		}
 		return true
@@ -221,7 +203,7 @@ func TestBoundedDualsAgree(t *testing.T) {
 			}
 			p.AddConstraint(Constraint{Coefs: coefs, Sense: GE, RHS: 1 + rng.Float64()*3})
 		}
-		r1, err1 := p.SolveOpts(Options{Method: MethodRows})
+		r1, err1 := solveRows(p, Options{})
 		r2, err2 := p.SolveOpts(Options{Method: MethodBounded})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: err1=%v err2=%v", trial, err1, err2)
@@ -245,11 +227,119 @@ func TestBoundedDualsAgree(t *testing.T) {
 }
 
 func TestMethodString(t *testing.T) {
-	if MethodAuto.String() != "auto" || MethodRows.String() != "rows" || MethodBounded.String() != "bounded" {
+	if MethodAuto.String() != "auto" || MethodBounded.String() != "bounded" || MethodRevised.String() != "revised" {
 		t.Fatal("method strings wrong")
 	}
 	if Method(9).String() == "" {
 		t.Fatal("unknown method should render")
+	}
+}
+
+// TestParseMethod pins the -lp-method spellings: the retired "rows" is an
+// error that names every valid spelling.
+func TestParseMethod(t *testing.T) {
+	for s, want := range map[string]Method{
+		"": MethodAuto, "auto": MethodAuto, "dense": MethodAuto,
+		"bounded": MethodBounded, "revised": MethodRevised,
+	} {
+		if got, err := ParseMethod(s); err != nil || got != want {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	_, err := ParseMethod("rows")
+	if err == nil {
+		t.Fatal(`ParseMethod("rows") accepted the retired method`)
+	}
+	for _, s := range []string{"auto", "dense", "bounded", "revised"} {
+		if !strings.Contains(err.Error(), s) {
+			t.Errorf("error %q does not name %q", err, s)
+		}
+	}
+}
+
+// TestAutoIsBounded covers the shapes the retired Auto heuristic (fewer
+// than 8 bounds, or no more bounds than rows) sent to the rows method: Auto
+// now solves them on the bounded tableau, bit for bit, exports a basis, and
+// agrees with the rows reference.
+func TestAutoIsBounded(t *testing.T) {
+	tiny := func() *Problem {
+		// min −2x − y s.t. x + y ≤ 4, x ≤ 3, y ≤ 10 → x = 3, y = 1.
+		p := NewProblem()
+		x := p.AddVariable("x", -2, 3)
+		y := p.AddVariable("y", -1, 10)
+		p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: LE, RHS: 4})
+		return p
+	}
+	relaxation := func() *Problem {
+		// The LP relaxation of a 0/1 selection: three [0,1] columns and
+		// four rows across all senses, as branch and bound solves it.
+		p := NewProblem()
+		a := p.AddVariable("a", -5, 1)
+		b := p.AddVariable("b", -4, 1)
+		c := p.AddVariable("c", -3, 1)
+		p.AddConstraint(Constraint{Coefs: []Coef{{a, 2}, {b, 3}, {c, 1}}, Sense: LE, RHS: 5})
+		p.AddConstraint(Constraint{Coefs: []Coef{{a, 4}, {b, 1}, {c, 2}}, Sense: LE, RHS: 6})
+		p.AddConstraint(Constraint{Coefs: []Coef{{a, 1}, {b, 1}, {c, 1}}, Sense: GE, RHS: 1})
+		p.AddConstraint(Constraint{Coefs: []Coef{{a, 1}, {c, -1}}, Sense: EQ, RHS: 0})
+		return p
+	}
+	for _, c := range []struct {
+		name      string
+		build     func() *Problem
+		skipDuals bool
+	}{
+		{"1-row-2-var", tiny, false},
+		{"milp-relaxation", relaxation, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.build()
+			if p.bounds >= 8 && p.bounds > len(p.rows) {
+				t.Fatal("shape is one the retired heuristic already sent to the bounded tableau")
+			}
+			opts := Options{SkipDuals: c.skipDuals}
+			auto, err := p.SolveOpts(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Method = MethodBounded
+			bounded, err := p.SolveOpts(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(auto, bounded) {
+				t.Fatalf("auto %+v differs from bounded %+v", auto, bounded)
+			}
+			if auto.Status != Optimal || auto.Basis() == nil {
+				t.Fatalf("status %v, basis %v: want an optimal solve with a basis", auto.Status, auto.Basis())
+			}
+			if err := CheckKKT(p, auto, c.skipDuals); err != nil {
+				t.Fatal(err)
+			}
+			ref, err := solveRows(p, Options{SkipDuals: c.skipDuals})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Status != Optimal || !approx(auto.Objective, ref.Objective, eps) {
+				t.Fatalf("objective %v, reference %v (%v)", auto.Objective, ref.Objective, ref.Status)
+			}
+			for j := range ref.X {
+				if !approx(auto.X[j], ref.X[j], eps) {
+					t.Fatalf("x[%d] = %v, reference %v", j, auto.X[j], ref.X[j])
+				}
+			}
+			if !c.skipDuals {
+				for i := range ref.Duals {
+					if !approx(auto.Duals[i], ref.Duals[i], eps) {
+						t.Fatalf("dual[%d] = %v, reference %v", i, auto.Duals[i], ref.Duals[i])
+					}
+				}
+				for j := range ref.BoundDuals {
+					if !approx(auto.BoundDuals[j], ref.BoundDuals[j], eps) {
+						t.Fatalf("bound dual[%d] = %v, reference %v", j, auto.BoundDuals[j], ref.BoundDuals[j])
+					}
+				}
+			}
+		})
 	}
 }
 

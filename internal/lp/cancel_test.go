@@ -40,7 +40,7 @@ func TestExpiredContextReturnsFast(t *testing.T) {
 		{"canceled", ctx, Canceled},
 		{"deadline", dctx, DeadlineExceeded},
 	}
-	for _, method := range []Method{MethodRows, MethodBounded} {
+	for _, method := range []Method{MethodBounded, MethodRevised} {
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("%v/%s", method, c.name), func(t *testing.T) {
 				start := time.Now()
@@ -85,7 +85,7 @@ func TestMidSolveCancellation(t *testing.T) {
 }
 
 func TestIterationLimitPartialSolution(t *testing.T) {
-	for _, method := range []Method{MethodRows, MethodBounded} {
+	for _, method := range []Method{MethodBounded, MethodRevised} {
 		sol, err := trivialLP().SolveOpts(Options{Method: method, MaxIter: 1})
 		if err != nil {
 			t.Fatalf("method %v: err = %v", method, err)

@@ -1,6 +1,6 @@
 // Failure semantics of the solve pipeline: structured errors, cancellation
-// checkpoints, and fault-injection hooks shared by both simplex
-// implementations. See DESIGN.md "Failure semantics".
+// checkpoints, and fault-injection hooks shared by every simplex
+// implementation. See DESIGN.md "Failure semantics".
 package lp
 
 import (
@@ -14,9 +14,6 @@ import (
 // singular basis — typically redundant equality rows or split free
 // variables. Match with errors.Is.
 var ErrSingularBasis = errors.New("lp: singular basis during dual extraction")
-
-// errSingularBasis is the historical unexported alias.
-var errSingularBasis = ErrSingularBasis
 
 // SolveError is the structured error taxonomy of the solve pipeline. Every
 // failure escaping a solver carries the problem name, the stage that failed,

@@ -18,6 +18,20 @@ func SetRevisedFinishMaxRows(n int) int {
 	return old
 }
 
+// CertifySolves runs CheckKKT on every Optimal result SolveOpts returns and
+// hands fn the problem and the verdict (nil when certified), until the
+// returned function is called. It affects every solve while installed, so
+// tests that use it must not run in parallel.
+func CertifySolves(fn func(p *Problem, err error)) (restore func()) {
+	old := solveObserver
+	solveObserver = func(p *Problem, opts Options, sol *Solution) {
+		if sol.Status == Optimal {
+			fn(p, CheckKKT(p, sol, opts.SkipDuals))
+		}
+	}
+	return func() { solveObserver = old }
+}
+
 // PricingState is what a pricing hook sees after one pivot or bound flip of
 // the dense bounded simplex.
 type PricingState struct {

@@ -9,9 +9,10 @@ import (
 )
 
 // FuzzSolveAgreement decodes a byte string into a small random LP, solves
-// it with both simplex methods, and checks: no panics, statuses agree, and
-// optimal objectives match — an adversarial extension of TestMethodsAgree
-// driven by the fuzzer's corpus evolution.
+// it with the bounded tableau and the rows reference, and checks: no panics,
+// statuses agree, optimal objectives match, and both optimal results pass
+// the KKT certificate — an adversarial extension of TestMethodsAgree driven
+// by the fuzzer's corpus evolution.
 func FuzzSolveAgreement(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(2))
 	f.Add(uint64(42), uint8(1), uint8(0))
@@ -44,7 +45,7 @@ func FuzzSolveAgreement(f *testing.F) {
 				RHS:   (rs.Float64() - 0.5) * 10,
 			})
 		}
-		r1, err1 := p.SolveOpts(Options{Method: MethodRows})
+		r1, err1 := solveRows(p, Options{})
 		r2, err2 := p.SolveOpts(Options{Method: MethodBounded})
 		if err1 != nil || err2 != nil {
 			// Dual-extraction failures on degenerate bases are
@@ -60,6 +61,11 @@ func FuzzSolveAgreement(f *testing.F) {
 		scale := 1 + math.Abs(r1.Objective)
 		if math.Abs(r1.Objective-r2.Objective) > 1e-5*scale {
 			t.Fatalf("objective mismatch: %v vs %v", r1.Objective, r2.Objective)
+		}
+		for _, sol := range []*Solution{r1, r2} {
+			if err := CheckKKT(p, sol, false); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
@@ -108,7 +114,7 @@ func FuzzHostileInputs(f *testing.F) {
 			}
 			p.AddConstraint(Constraint{Coefs: coefs, Sense: Sense(rs.Intn(3)), RHS: rhs})
 		}
-		for _, m := range [2]Method{MethodRows, MethodBounded} {
+		for _, m := range [2]Method{MethodBounded, MethodRevised} {
 			sol, err := p.SolveOpts(Options{Method: m})
 			if corrupted {
 				if err == nil || !errors.Is(err, ErrBadProblem) {

@@ -228,6 +228,7 @@ func (rs *revisedSolver) run() Status {
 		}
 	}
 	if hasArt {
+		mPhase1.Inc()
 		c1 := make([]float64, sf.nTotal)
 		for j, isArt := range sf.art {
 			if isArt {
@@ -492,12 +493,11 @@ func (rs *revisedSolver) move(dir, delta float64) {
 // and basic values recomputed as xb = B⁻¹(b − Σ u_j A_j over
 // nonbasic-at-upper columns). It rejects only structurally unusable bases;
 // basic values outside their perturbed bounds are dualSimplex's to repair.
-// Bases from either bounded-layout method are accepted (the column layouts
-// are identical by construction).
+// Bases from either method are accepted (the column layouts are identical
+// by construction).
 func (rs *revisedSolver) applyWarmBasis(b *Basis) bool {
 	sf := rs.sf
-	if b == nil || (b.method != MethodBounded && b.method != MethodRevised) ||
-		b.n != sf.n || b.m != sf.m || b.nTotal != sf.nTotal ||
+	if b == nil || b.n != sf.n || b.m != sf.m || b.nTotal != sf.nTotal ||
 		len(b.rows) != sf.m || len(b.status) != sf.nTotal {
 		return false
 	}
@@ -754,7 +754,6 @@ func (rs *revisedSolver) reducedCosts(d []float64) {
 // identical to the dense bounded tableau's, so either warm path accepts it.
 func (rs *revisedSolver) captureBasis() *Basis {
 	return &Basis{
-		method: MethodRevised,
 		n:      rs.sf.n,
 		m:      rs.sf.m,
 		nTotal: rs.sf.nTotal,
@@ -831,12 +830,18 @@ func (rs *revisedSolver) extractSparse(p *Problem) (*Solution, error) {
 		sol.Duals[i] = d
 	}
 	// Bound duals: reduced cost of structural variables nonbasic at their
-	// upper bound.
+	// upper bound, or the negative part of it for a nonbasic variable fixed
+	// at u_j = 0 (see boundedTableau.extract).
 	for j := 0; j < sf.n; j++ {
-		if rs.status[j] != atUpper {
+		fixed := rs.upper[j] == 0
+		if rs.status[j] == inBasis || (rs.status[j] == atLower && !fixed) {
 			continue
 		}
-		sol.BoundDuals[j] = sf.cost[j] - rs.priceDot(j)
+		r := sf.cost[j] - rs.priceDot(j)
+		if fixed {
+			r = math.Min(r, 0)
+		}
+		sol.BoundDuals[j] = r
 	}
 	return sol, nil
 }

@@ -108,9 +108,18 @@ func compareDispatch(t *testing.T, label string, g *graph.Graph) {
 // TestRevisedVsDenseDifferential is the acceptance battery: grid fixtures,
 // full single-edge outage sweeps, ≥200 seeded random LPs, and the
 // SolveError/status taxonomy, all under the forced sparse extraction path.
+// Every optimal solve either method makes in it, dispatches included, must
+// also pass the KKT certificate.
 func TestRevisedVsDenseDifferential(t *testing.T) {
 	old := lp.SetRevisedFinishMaxRows(-1)
 	defer lp.SetRevisedFinishMaxRows(old)
+	certified := 0
+	defer lp.CertifySolves(func(p *lp.Problem, err error) {
+		certified++
+		if err != nil {
+			t.Errorf("certificate: %d×%d LP: %v", p.NumConstraints(), p.NumVariables(), err)
+		}
+	})()
 
 	t.Run("fixtures", func(t *testing.T) {
 		grids := loadGrids(t)
@@ -210,6 +219,10 @@ func TestRevisedVsDenseDifferential(t *testing.T) {
 			}
 		}
 	})
+	// random-lps alone makes at least 2×100 optimal solves.
+	if certified < 200 {
+		t.Fatalf("certificate too weak: only %d optimal solves certified", certified)
+	}
 }
 
 func statusOf(sol *lp.Solution) lp.Status {

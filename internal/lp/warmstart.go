@@ -1,4 +1,4 @@
-// Warm-start support for the bounded-variable simplex.
+// Warm-start support for the dense bounded tableau.
 //
 // The evaluation workloads of this repository solve thousands of dispatch
 // LPs that differ from a baseline by a handful of edge perturbations
@@ -15,42 +15,40 @@
 // recompute the basic values; they differ in what they do when those values
 // break the perturbed bounds:
 //
-//   - MethodBounded (this file) refactorizes by Gauss-Jordan with partial
-//     pivoting and requires primal feasibility. It falls back to the cold
-//     two-phase method when the basis is singular, dimensionally
-//     incompatible or primal infeasible, or when the warm phase 2 ends
-//     Unbounded or at the iteration limit.
+//   - The dense bounded tableau (MethodAuto and MethodBounded; this file)
+//     refactorizes by Gauss-Jordan with partial pivoting and requires
+//     primal feasibility. It falls back to the cold two-phase method when
+//     the basis is singular, dimensionally incompatible or primal
+//     infeasible, or when the warm phase 2 ends Unbounded or at the
+//     iteration limit.
 //   - MethodRevised above its dense crossover (revised.go; below it the
-//     whole solve, warm start included, is MethodBounded's) refactorizes
-//     by sparse LU and repairs
-//     primal infeasibility with a bounded dual simplex, which a pure bound
-//     change (an outage) never makes dual infeasible. It falls back when
-//     the basis is singular or dimensionally incompatible; when it is
-//     neither primal nor dual feasible; when the dual ratio test is empty
-//     (the problem is infeasible, and the cold path says so); on a tiny
-//     dual pivot, a numerical failure or the iteration limit; or when the
-//     primal finish ends Unbounded.
+//     whole solve, warm start included, is the dense tableau's)
+//     refactorizes by sparse LU and repairs primal infeasibility with a
+//     bounded dual simplex, which a pure bound change (an outage) never
+//     makes dual infeasible. It falls back when the basis is singular or
+//     dimensionally incompatible; when it is neither primal nor dual
+//     feasible; when the dual ratio test is empty (the problem is
+//     infeasible, and the cold path says so); on a tiny dual pivot, a
+//     numerical failure or the iteration limit; or when the primal finish
+//     ends Unbounded.
 //
 // Either way a warm-started solve is never less correct than a cold one —
 // only cheaper when the basis survives. Solution.WarmStarted reports which
 // path produced the result, and the lp.warm_*/lp.cold_pivots counters
 // attribute pivot work to each path.
 //
-// Only the bounded-layout methods — MethodBounded and MethodRevised, which
-// share the standard-form column layout by construction — export a reusable
-// basis (the rows method lowers bounds onto rows, so its basis does not
-// transfer across bound changes). Bases transfer freely between the two
-// bounded-layout methods; a basis from another method or with mismatched
-// dimensions is rejected into the cold path rather than erroring.
+// Both methods share the standard-form column layout by construction, so
+// every optimal solve exports a basis and bases transfer freely between
+// them; a basis with mismatched dimensions is rejected into the cold path
+// rather than erroring.
 package lp
 
 import "math"
 
-// Basis is an exported simplex basis: which columns are basic and, for the
-// bounded-variable method, at which bound every nonbasic column rests. It is
-// immutable after creation and safe to share across concurrent solves.
+// Basis is an exported simplex basis: which columns are basic and at which
+// bound every nonbasic column rests. It is immutable after creation and safe
+// to share across concurrent solves.
 type Basis struct {
-	method Method
 	n      int // structural variables
 	m      int // constraint rows
 	nTotal int // total columns incl. slack/artificial
@@ -58,22 +56,17 @@ type Basis struct {
 	status []int8
 }
 
-// Method reports which simplex implementation produced the basis.
-func (b *Basis) Method() Method { return b.method }
-
 // Size returns the (rows, columns) dimensions the basis was extracted from.
 func (b *Basis) Size() (rows, cols int) { return b.m, b.nTotal }
 
 // Basis returns the optimal basis of a solved problem, or nil when the
-// solve did not finish at an optimal basis or used a method that does not
-// export one (MethodRows). The result is immutable; reuse it freely across
-// concurrent warm-started solves.
+// solve did not finish at an optimal basis. The result is immutable; reuse
+// it freely across concurrent warm-started solves.
 func (s *Solution) Basis() *Basis { return s.basis }
 
 // captureBasis snapshots the bounded tableau's final basis for reuse.
 func (t *boundedTableau) captureBasis() *Basis {
 	return &Basis{
-		method: MethodBounded,
 		n:      t.n,
 		m:      t.m,
 		nTotal: t.nTotal,
@@ -128,8 +121,7 @@ func solveBoundedWarm(p *Problem, opts Options, g *guard) (*Solution, error, boo
 // feasibility under the current bounds. Returns false when the basis cannot
 // be applied; the tableau must then be discarded.
 func (t *boundedTableau) applyWarmBasis(b *Basis) bool {
-	if b == nil || (b.method != MethodBounded && b.method != MethodRevised) ||
-		b.n != t.n || b.m != t.m || b.nTotal != t.nTotal ||
+	if b == nil || b.n != t.n || b.m != t.m || b.nTotal != t.nTotal ||
 		len(b.rows) != t.m || len(b.status) != t.nTotal {
 		return false
 	}

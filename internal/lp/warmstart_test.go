@@ -136,7 +136,7 @@ func TestWarmStartStaleBasisFallsBack(t *testing.T) {
 	})
 
 	t.Run("corrupt-rows", func(t *testing.T) {
-		bad := &Basis{method: good.method, n: good.n, m: good.m, nTotal: good.nTotal,
+		bad := &Basis{n: good.n, m: good.m, nTotal: good.nTotal,
 			rows:   make([]int, len(good.rows)),
 			status: append([]int8(nil), good.status...)}
 		for i := range bad.rows {
@@ -154,33 +154,6 @@ func TestWarmStartStaleBasisFallsBack(t *testing.T) {
 			t.Fatalf("fallback status %v", sol.Status)
 		}
 	})
-
-	t.Run("rows-method-basis-rejected", func(t *testing.T) {
-		rows := &Basis{method: MethodRows, n: good.n, m: good.m, nTotal: good.nTotal,
-			rows: good.rows, status: good.status}
-		sol, err := dispatchLikeProblem().SolveOpts(Options{Method: MethodBounded, WarmStart: rows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.WarmStarted {
-			t.Fatal("accepted a rows-method basis on the bounded path")
-		}
-	})
-}
-
-// TestRowsMethodExportsNoBasis pins the contract that only the bounded
-// method exports a reusable basis.
-func TestRowsMethodExportsNoBasis(t *testing.T) {
-	p := NewProblem()
-	p.AddVariable("x", -1, math.Inf(1))
-	p.AddConstraint(Constraint{Coefs: []Coef{{0, 1}}, Sense: LE, RHS: 3})
-	sol, err := p.SolveOpts(Options{Method: MethodRows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Basis() != nil {
-		t.Fatal("rows method exported a basis")
-	}
 }
 
 // TestWarmStartRandomAgreement sweeps seeded random problems and
