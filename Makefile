@@ -41,8 +41,9 @@ benchmark:
 bench:
 	BENCH_OUT=BENCH_telemetry.json $(GO) test -run '^TestBenchTelemetry$$' -count=1 -v .
 
-# Warm-start and cache speedup report: runs the cold/warm benchmark pairs and
-# writes BENCH_warmstart.json pairing ns/op with warm vs cold pivot counts.
+# Warm re-solve and cache report: times the impact-matrix build and the
+# uncached/cached adversary rounds and writes BENCH_warmstart.json pairing
+# ns/op with warm vs cold pivot counts.
 bench-warm:
 	BENCH_WARM_OUT=BENCH_warmstart.json $(GO) test -run '^TestBenchWarmstart$$' -count=1 -v .
 

@@ -57,7 +57,6 @@ func screenBenchInstance(tb testing.TB) (*impact.Analysis, []string) {
 		Graph:     g,
 		Ownership: actors.RandomOwnership(g, 4, rng.Derive(3, 0x5C12)),
 		Cache:     solvecache.New(16384),
-		WarmStart: true,
 		LPMethod:  lp.MethodRevised,
 	}
 	return an, corridor[:screenBenchTargets]
@@ -100,9 +99,9 @@ func TestBenchScreen(t *testing.T) {
 	reg.Reset()
 
 	report := benchTelemetryReport{
-		Schema:     benchSchema,
-		GoVersion:  runtime.Version(),
-		Platform:   runtime.GOOS + "/" + runtime.GOARCH,
+		Schema:    benchSchema,
+		GoVersion: runtime.Version(),
+		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
 		Benchmarks: map[string]benchTelemetryEntry{
 			"ScreenNational": {
 				Iterations:  r.N,

@@ -1,9 +1,10 @@
-// Warm-start and solve-cache benchmark report: `make bench-warm` runs
-// TestBenchWarmstart with BENCH_WARM_OUT set, which times the cold/warm
-// benchmark pairs programmatically and writes BENCH_warmstart.json (same
-// cpsguard-bench/v1 envelope as BENCH_telemetry.json) pairing each ns/op
-// with the warm vs cold pivot counters and cache hit/miss counts, so the
-// speedup and the pivot-count delta that produces it live in one file.
+// Warm re-solve and solve-cache benchmark report: `make bench-warm` runs
+// TestBenchWarmstart with BENCH_WARM_OUT set, which times the impact-matrix
+// build (every outage re-solved warm from the baseline basis) and the
+// uncached/cached adversary-round pair programmatically and writes
+// BENCH_warmstart.json (same cpsguard-bench/v1 envelope as
+// BENCH_telemetry.json) pairing each ns/op with the warm and cold pivot
+// counters and cache hit/miss counts that explain it.
 package cpsguard
 
 import (
@@ -12,34 +13,13 @@ import (
 	"runtime"
 	"testing"
 
-	"cpsguard/internal/actors"
 	"cpsguard/internal/adversary"
 	"cpsguard/internal/atomicio"
 	"cpsguard/internal/core"
-	"cpsguard/internal/impact"
-	"cpsguard/internal/rng"
 	"cpsguard/internal/solvecache"
 	"cpsguard/internal/telemetry"
 	"cpsguard/internal/westgrid"
 )
-
-// BenchmarkImpactMatrixWarm is BenchmarkImpactMatrix with the solve memo and
-// baseline-basis warm starting on, the configuration the experiment harness
-// uses when -solve-cache/-warm-start are set: iteration 1 fills the cache
-// with warm-started solves, iterations 2+ are pure cache hits — the steady
-// state of a Monte-Carlo sweep revisiting the same scenario.
-func BenchmarkImpactMatrixWarm(b *testing.B) {
-	g := westgrid.Build(westgrid.Options{Stress: true})
-	o := actors.RandomOwnership(g, 6, rng.New(1))
-	an := &impact.Analysis{Graph: g, Ownership: o,
-		Cache: solvecache.New(4096), WarmStart: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := an.ComputeMatrix(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // benchAdversaryRound builds the ground-truth matrix from scratch and runs
 // the exact SA search on it — the per-trial unit of the experiment sweeps —
@@ -51,7 +31,6 @@ func benchAdversaryRound(b *testing.B, cache *solvecache.Cache) {
 	for i := 0; i < b.N; i++ {
 		s := core.NewScenario(g, 6, 3)
 		s.Cache = cache
-		s.WarmStart = cache != nil
 		m, err := s.Truth()
 		if err != nil {
 			b.Fatal(err)
@@ -66,7 +45,7 @@ func benchAdversaryRound(b *testing.B, cache *solvecache.Cache) {
 }
 
 // BenchmarkAdversaryCold rebuilds the impact matrix and solves the SA each
-// iteration with no cache — the pre-cache per-trial cost.
+// iteration with no cache — the uncached per-trial cost.
 func BenchmarkAdversaryCold(b *testing.B) { benchAdversaryRound(b, nil) }
 
 // BenchmarkAdversaryCached is the same round with one solve cache shared
@@ -76,20 +55,19 @@ func BenchmarkAdversaryCached(b *testing.B) {
 }
 
 // TestBenchWarmstart is gated by BENCH_WARM_OUT: unset, it skips; set, it
-// runs the cold/warm pairs, writes the JSON report to that path, and fails
-// unless the warm impact-matrix build is at least 2x faster than the cold
-// baseline recorded in the same file.
+// runs the benchmarks, writes the JSON report to that path, and fails if
+// any impact-matrix re-solve fell back cold or the cached adversary round
+// is not at least 2x faster than the uncached one.
 func TestBenchWarmstart(t *testing.T) {
 	out := os.Getenv("BENCH_WARM_OUT")
 	if out == "" {
-		t.Skip("set BENCH_WARM_OUT=path to run the warm-start benchmark pairs")
+		t.Skip("set BENCH_WARM_OUT=path to run the warm re-solve and cache benchmarks")
 	}
 	benches := []struct {
 		name string
 		fn   func(*testing.B)
 	}{
 		{"ImpactMatrix", BenchmarkImpactMatrix},
-		{"ImpactMatrixWarm", BenchmarkImpactMatrixWarm},
 		{"AdversaryCold", BenchmarkAdversaryCold},
 		{"AdversaryCached", BenchmarkAdversaryCached},
 	}
@@ -121,13 +99,16 @@ func TestBenchWarmstart(t *testing.T) {
 	}
 	reg.Reset()
 
-	cold := report.Benchmarks["ImpactMatrix"].NsPerOp
-	warm := report.Benchmarks["ImpactMatrixWarm"].NsPerOp
-	if warm <= 0 || cold < 2*warm {
-		t.Errorf("ImpactMatrixWarm %d ns/op is not ≥2x faster than ImpactMatrix %d ns/op", warm, cold)
+	if n := report.Benchmarks["ImpactMatrix"].Counters["lp.warm_fallbacks"]; n != 0 {
+		t.Errorf("ImpactMatrix: %d warm re-solves fell back cold", n)
+	}
+	uncached := report.Benchmarks["AdversaryCold"].NsPerOp
+	cached := report.Benchmarks["AdversaryCached"].NsPerOp
+	if cached <= 0 || uncached < 2*cached {
+		t.Errorf("AdversaryCached %d ns/op is not ≥2x faster than AdversaryCold %d ns/op", cached, uncached)
 	} else {
-		t.Logf("impact matrix speedup: %.1fx (cold %d → warm %d ns/op)",
-			float64(cold)/float64(warm), cold, warm)
+		t.Logf("solve-cache speedup: %.1fx (uncached %d → cached %d ns/op)",
+			float64(uncached)/float64(cached), uncached, cached)
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")

@@ -36,7 +36,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = no limit)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics/prom, /debug/vars and /debug/pprof on this address")
 	solveCache := flag.Int("solve-cache", 0, "memoize dispatch solves in an N-entry LRU cache (0 = off); results are unchanged")
-	warmStart := flag.Bool("warm-start", false, "warm-start perturbed dispatch solves from the baseline basis")
 	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth: prints the worst contingencies and accelerates the adversary search (0 = off; the plan is byte-identical either way)")
 	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense or bounded (all the dense bounded tableau), or revised (sparse)")
 	flag.Parse()
@@ -66,7 +65,6 @@ func main() {
 	s.Parallel = parallel.Options{Context: ctx, Log: logger}
 	s.Targets = adversary.UniformTargets(g.AssetIDs(), *catk, *ps)
 	s.Cache = solvecache.New(*solveCache)
-	s.WarmStart = *warmStart
 	s.LPMethod = method
 	s.ScreenK = *screenK
 	defer func() {

@@ -117,7 +117,6 @@ func main() {
 	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth threaded into every adversary solve as a pruning front-end (0 = off; results are byte-identical either way, see DESIGN.md §17)")
 	interventions := flag.Bool("interventions", false, "run the defense-as-redesign sweep (equivalent to -fig interventions)")
 	solveCache := flag.Int("solve-cache", 0, "share an N-entry LRU dispatch-solve memo across all trials (0 = off); results are unchanged")
-	warmStart := flag.Bool("warm-start", false, "warm-start perturbed dispatch solves from each scenario's baseline basis")
 	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense or bounded (all the dense bounded tableau), or revised (sparse)")
 	shardSpec := flag.String("shard", "", "run only shard i/n of the sweep (0-based, e.g. 0/4), journaling into -shard-dir")
 	shardDir := flag.String("shard-dir", "shards", "parent directory for per-shard journals, manifests, and snapshots")
@@ -227,15 +226,14 @@ func main() {
 	}
 	cache := solvecache.New(*solveCache)
 	cfg := experiments.Config{
-		Trials:    *trials,
-		Seed:      *seed,
-		Parallel:  parallel.Options{Context: ctx, Log: logger},
-		Faults:    experiments.FaultPolicy{MaxFailureRate: *faultRate, Hook: chaosHook, Log: faultLog},
-		Log:       logger,
-		Cache:     cache,
-		WarmStart: *warmStart,
-		LPMethod:  method,
-		ScreenK:   *screenK,
+		Trials:   *trials,
+		Seed:     *seed,
+		Parallel: parallel.Options{Context: ctx, Log: logger},
+		Faults:   experiments.FaultPolicy{MaxFailureRate: *faultRate, Hook: chaosHook, Log: faultLog},
+		Log:      logger,
+		Cache:    cache,
+		LPMethod: method,
+		ScreenK:  *screenK,
 	}
 	// grid is the effective system whether or not -grid was given, so the
 	// interventions digest and the screen.json artifact always describe the

@@ -240,7 +240,7 @@ func childArgs(index, count int, parentDir, reportURL string) []string {
 	}
 	for _, name := range []string{"fig", "trials", "seed", "mode", "quick", "max-fault-rate", "chaos",
 		"screen-k", "interventions", "grid",
-		"retries", "trial-timeout", "solve-cache", "warm-start", "log-level"} {
+		"retries", "trial-timeout", "solve-cache", "log-level"} {
 		f := flag.Lookup(name)
 		if f == nil || f.Value.String() == f.DefValue {
 			continue

@@ -10,7 +10,7 @@
 //	cpsservd -store DIR [-addr :8780] [-workers N] [-queue N]
 //	         [-deadline D] [-max-deadline D] [-retries N]
 //	         [-breaker-fails N] [-breaker-cooldown D]
-//	         [-solve-cache N] [-warm-start] [-lp-method M] [-run-workers N]
+//	         [-solve-cache N] [-lp-method M] [-run-workers N]
 //	         [-drain-timeout D] [-chaos RATE] [-trace]
 //	         [-debug-addr ADDR] [-log-level LEVEL]
 //
@@ -72,7 +72,6 @@ func main() {
 	breakerFails := flag.Int("breaker-fails", 3, "consecutive failures that open a scenario's circuit")
 	breakerCooldown := flag.Duration("breaker-cooldown", 15*time.Second, "open-circuit cooldown before a probe is admitted")
 	solveCache := flag.Int("solve-cache", 4096, "shared N-entry LRU dispatch-solve memo across all requests (0 = off)")
-	warmStart := flag.Bool("warm-start", false, "warm-start perturbed dispatch solves from baseline bases")
 	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense or bounded (all the dense bounded tableau), or revised (sparse)")
 	runWorkers := flag.Int("run-workers", 0, "trial fan-out inside each run (0 = GOMAXPROCS)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful-drain budget on SIGTERM before in-flight runs are canceled")
@@ -132,7 +131,6 @@ func main() {
 	}
 	runner := &servd.ExperimentRunner{
 		Cache:       solvecache.New(*solveCache),
-		WarmStart:   *warmStart,
 		LPMethod:    method,
 		Hook:        chaosHook,
 		StderrLevel: obs.LevelWarn,

@@ -2,6 +2,7 @@ package cpsguard
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,10 +10,12 @@ import (
 	"testing"
 
 	"cpsguard/internal/actors"
+	"cpsguard/internal/flow"
 	"cpsguard/internal/graph"
 	"cpsguard/internal/impact"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/solvecache"
+	"cpsguard/internal/telemetry"
 )
 
 // loadTestGrids reads every committed grid fixture under testdata/grids.
@@ -113,13 +116,74 @@ func profitsDiff(t *testing.T, label string, cold, got actors.Profits, tol float
 	}
 }
 
-// TestDifferentialWarmAndCached is the differential harness locking down the
-// warm-started solve path and the memo cache against the cold solver. For
-// every committed grid and a battery of seeded random perturbation sets it
-// requires:
+// coldOracle prices ps the way the pipeline did before dispatch LPs were
+// compiled once and re-solved warm: clone and re-validate the graph
+// (impact.Apply), build and solve its dispatch LP two-phase from scratch
+// (flow.DispatchOpts with no basis), divide the profits, and subtract the
+// baseline priced the same way. It shares no state with impact.Analysis.
+func coldOracle(t *testing.T, g *graph.Graph, own actors.Ownership, ps []impact.Perturbation) (actors.Profits, float64) {
+	t.Helper()
+	divide := func(g *graph.Graph) (actors.Profits, float64) {
+		r, err := flow.DispatchOpts(g, flow.Options{})
+		if err != nil {
+			t.Fatalf("oracle dispatch: %v", err)
+		}
+		if r.WarmStarted {
+			t.Fatal("oracle dispatch ran warm")
+		}
+		p, err := actors.LMPDivision{}.Divide(g, r, own)
+		if err != nil {
+			t.Fatalf("oracle divide: %v", err)
+		}
+		return p, r.Welfare
+	}
+	gp, err := impact.Apply(g, ps...)
+	if err != nil {
+		t.Fatalf("oracle apply: %v", err)
+	}
+	base, baseW := divide(g)
+	p, w := divide(gp)
+	delta := actors.Profits{}
+	for a, v := range p {
+		delta[a] = v - base[a]
+	}
+	for a, v := range base {
+		if _, ok := p[a]; !ok {
+			delta[a] = -v
+		}
+	}
+	return delta, w - baseW
+}
+
+// fixedPerturbationSets lists one set of each perturbation shape per grid:
+// an outage, a half-capacity derating, a cost change, a loss change, and
+// multi-edge sets mixing the three fields.
+func fixedPerturbationSets(g *graph.Graph) map[string][]impact.Perturbation {
+	ids := g.AssetIDs()
+	e0, e1, e2 := g.Edge(ids[0]), g.Edge(ids[len(ids)/2]), g.Edge(ids[len(ids)-1])
+	return map[string][]impact.Perturbation{
+		"outage":        {impact.Outage(e1.ID)},
+		"half-capacity": {{EdgeID: e1.ID, Field: impact.Capacity, Value: e1.Capacity / 2}},
+		"cost":          {{EdgeID: e0.ID, Field: impact.Cost, Value: 2*e0.Cost + 5}},
+		"loss":          {{EdgeID: e2.ID, Field: impact.Loss, Value: 0.5}},
+		"multi-outage":  {impact.Outage(e0.ID), impact.Outage(e1.ID), impact.Outage(e2.ID)},
+		"multi-mixed": {
+			{EdgeID: e0.ID, Field: impact.Capacity, Value: e0.Capacity / 2},
+			{EdgeID: e1.ID, Field: impact.Cost, Value: e1.Cost + 3},
+			{EdgeID: e2.ID, Field: impact.Loss, Value: 0.3},
+			impact.Outage(e2.ID),
+		},
+	}
+}
+
+// TestDifferentialWarmAndCached is the differential harness locking down
+// the production solve path — the dispatch LP compiled once per Analysis,
+// every perturbation re-solved warm from the baseline basis — and the memo
+// cache against coldOracle. For every committed grid, the fixed perturbation
+// shapes and a battery of seeded random sets it requires:
 //
-//   - warm-started objective (welfare delta) and per-actor profit deltas
-//     agree with the cold two-phase solve within 1e-9 (relative at scale);
+//   - the welfare delta and per-actor profit deltas of Analysis.Of agree
+//     with the cold oracle within 1e-9 (relative at scale);
 //   - cached Analysis.Of — both the filling miss and the subsequent hit —
 //     is bit-identical to the uncached computation.
 func TestDifferentialWarmAndCached(t *testing.T) {
@@ -139,59 +203,56 @@ func TestDifferentialWarmAndCached(t *testing.T) {
 		g := grids[name]
 		t.Run(name, func(t *testing.T) {
 			own := actors.RandomOwnership(g, 4, rng.New(42))
-			cold := &impact.Analysis{Graph: g, Ownership: own}
+			prod := &impact.Analysis{Graph: g, Ownership: own}
 			cached := &impact.Analysis{Graph: g, Ownership: own,
 				Cache: solvecache.New(4096)}
-			warm := &impact.Analysis{Graph: g, Ownership: own,
-				Cache: solvecache.New(4096), WarmStart: true}
 
+			check := func(label string, ps []impact.Perturbation) {
+				t.Helper()
+				oracleP, oracleDW := coldOracle(t, g, own, ps)
+				gotP, gotDW, err := prod.Of(ps...)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !agreeWithin(oracleDW, gotDW, 1e-9) {
+					t.Errorf("%s: welfare delta %v vs cold oracle %v exceeds 1e-9", label, gotDW, oracleDW)
+				}
+				profitsDiff(t, label, oracleP, gotP, 1e-9)
+
+				// Cache fill (miss) and hit must be bit-identical to uncached.
+				for _, pass := range []string{"cached miss", "cached hit"} {
+					cp, cdw, err := cached.Of(ps...)
+					if err != nil {
+						t.Fatalf("%s: %s: %v", label, pass, err)
+					}
+					if cdw != gotDW {
+						t.Errorf("%s: %s welfare %v != uncached %v", label, pass, cdw, gotDW)
+					}
+					profitsDiff(t, label+": "+pass, gotP, cp, 0)
+				}
+			}
+
+			fixed := fixedPerturbationSets(g)
+			shapes := make([]string, 0, len(fixed))
+			for shape := range fixed {
+				shapes = append(shapes, shape)
+			}
+			sort.Strings(shapes)
+			for _, shape := range shapes {
+				check(shape, fixed[shape])
+			}
 			rs := rng.New(0xD1FF ^ uint64(len(name)))
 			for i := 0; i < setsPerGrid; i++ {
-				ps := randomPerturbationSet(g, rs)
-
-				coldP, coldDW, err := cold.Of(ps...)
-				if err != nil {
-					t.Fatalf("set %d: cold: %v", i, err)
-				}
-
-				// Cache fill (miss) must be bit-identical to uncached.
-				missP, missDW, err := cached.Of(ps...)
-				if err != nil {
-					t.Fatalf("set %d: cached miss: %v", i, err)
-				}
-				if missDW != coldDW {
-					t.Errorf("set %d: cached miss welfare %v != cold %v", i, missDW, coldDW)
-				}
-				profitsDiff(t, "cached miss", coldP, missP, 0)
-
-				// Cache hit must reproduce the same bits again.
-				hitP, hitDW, err := cached.Of(ps...)
-				if err != nil {
-					t.Fatalf("set %d: cached hit: %v", i, err)
-				}
-				if hitDW != coldDW {
-					t.Errorf("set %d: cached hit welfare %v != cold %v", i, hitDW, coldDW)
-				}
-				profitsDiff(t, "cached hit", coldP, hitP, 0)
-
-				// Warm start may land on an alternate optimal basis; the
-				// optimum itself must agree to 1e-9.
-				warmP, warmDW, err := warm.Of(ps...)
-				if err != nil {
-					t.Fatalf("set %d: warm: %v", i, err)
-				}
-				if !agreeWithin(coldDW, warmDW, 1e-9) {
-					t.Errorf("set %d: warm welfare delta %v vs cold %v exceeds 1e-9", i, warmDW, coldDW)
-				}
-				profitsDiff(t, "warm", coldP, warmP, 1e-9)
+				check(fmt.Sprintf("set %d", i), randomPerturbationSet(g, rs))
 			}
 		})
 	}
 }
 
 // TestDifferentialOutageColumns sweeps every single-edge outage (the paper's
-// attack model) on every grid — the exact solves the impact matrix is built
-// from — comparing warm to cold and cached to uncached.
+// attack model) and half-capacity derating on every grid — the exact solves
+// the impact matrix is built from — comparing the production path to the
+// cold oracle, and requires every one of those re-solves to stay warm.
 func TestDifferentialOutageColumns(t *testing.T) {
 	grids := loadTestGrids(t)
 	names := make([]string, 0, len(grids))
@@ -208,23 +269,85 @@ func TestDifferentialOutageColumns(t *testing.T) {
 				ids = ids[:12]
 			}
 			own := actors.RandomOwnership(g, 3, rng.New(7))
-			cold := &impact.Analysis{Graph: g, Ownership: own}
-			warm := &impact.Analysis{Graph: g, Ownership: own,
-				Cache: solvecache.New(4096), WarmStart: true}
+			prod := &impact.Analysis{Graph: g, Ownership: own,
+				Cache: solvecache.New(4096)}
+			fallbacks := telemetry.Default().Counter("lp.warm_fallbacks")
+			before := fallbacks.Value()
 			for _, id := range ids {
-				coldP, coldDW, err := cold.Of(impact.Outage(id))
-				if err != nil {
-					t.Fatalf("outage %s: cold: %v", id, err)
+				half := g.Edge(id).Capacity / 2
+				for _, ps := range [][]impact.Perturbation{
+					{impact.Outage(id)},
+					{{EdgeID: id, Field: impact.Capacity, Value: half}},
+				} {
+					label := fmt.Sprintf("%s capacity %v", id, ps[0].Value)
+					oracleP, oracleDW := coldOracle(t, g, own, ps)
+					gotP, gotDW, err := prod.Of(ps...)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !agreeWithin(oracleDW, gotDW, 1e-9) {
+						t.Errorf("%s: welfare delta %v vs cold oracle %v", label, gotDW, oracleDW)
+					}
+					profitsDiff(t, label, oracleP, gotP, 1e-9)
 				}
-				warmP, warmDW, err := warm.Of(impact.Outage(id))
-				if err != nil {
-					t.Fatalf("outage %s: warm: %v", id, err)
-				}
-				if !agreeWithin(coldDW, warmDW, 1e-9) {
-					t.Errorf("outage %s: warm welfare delta %v vs cold %v", id, warmDW, coldDW)
-				}
-				profitsDiff(t, "outage "+id, coldP, warmP, 1e-9)
+			}
+			if n := fallbacks.Value() - before; n != 0 {
+				t.Errorf("%d capacity re-solves fell back cold", n)
 			}
 		})
+	}
+}
+
+// TestDifferentialInvalidPerturbations requires the compiled path to reject
+// exactly what impact.Apply rejects, with the same error: unknown edges,
+// unknown fields, and capacities, losses or costs outside what Validate
+// accepts. A rejected set must leave no trace: the next valid set still
+// prices bit-identically.
+func TestDifferentialInvalidPerturbations(t *testing.T) {
+	g := loadTestGrids(t)["westgrid_stressed"]
+	own := actors.RandomOwnership(g, 4, rng.New(42))
+	an := &impact.Analysis{Graph: g, Ownership: own}
+	ids := g.AssetIDs()
+	a, b := ids[0], ids[1]
+	probe := []impact.Perturbation{impact.Outage(ids[2])}
+	wantP, wantDW, err := an.Of(probe...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]impact.Perturbation{
+		"unknown-edge":      {impact.Outage("no-such-edge")},
+		"unknown-field":     {{EdgeID: a, Field: impact.Field(9), Value: 1}},
+		"negative-capacity": {{EdgeID: a, Field: impact.Capacity, Value: -1}},
+		"nan-capacity":      {{EdgeID: a, Field: impact.Capacity, Value: math.NaN()}},
+		"inf-capacity":      {{EdgeID: a, Field: impact.Capacity, Value: math.Inf(1)}},
+		"loss-one":          {{EdgeID: a, Field: impact.Loss, Value: 1}},
+		"loss-above-one":    {{EdgeID: a, Field: impact.Loss, Value: 1.5}},
+		"nan-cost":          {{EdgeID: a, Field: impact.Cost, Value: math.NaN()}},
+		// Apply edits every edge before validating, so a later unknown
+		// edge wins over an earlier bad value, and among bad values the
+		// first edge in edge order is reported.
+		"bad-then-unknown": {{EdgeID: a, Field: impact.Capacity, Value: -1}, impact.Outage("no-such-edge")},
+		"edge-order": {
+			{EdgeID: b, Field: impact.Loss, Value: 2},
+			{EdgeID: a, Field: impact.Capacity, Value: -1},
+		},
+	}
+	for name, ps := range cases {
+		_, applyErr := impact.Apply(g, ps...)
+		if applyErr == nil {
+			t.Fatalf("%s: Apply accepted the set", name)
+		}
+		_, _, err := an.Of(ps...)
+		if err == nil || err.Error() != applyErr.Error() {
+			t.Errorf("%s: Of error %v, Apply error %v", name, err, applyErr)
+		}
+		gotP, gotDW, err := an.Of(probe...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotDW != wantDW {
+			t.Errorf("after %s: probe welfare delta %v, want %v", name, gotDW, wantDW)
+		}
+		profitsDiff(t, "after "+name, wantP, gotP, 0)
 	}
 }

@@ -112,26 +112,24 @@ func TestGoldenFig5WithObservability(t *testing.T) {
 	}
 }
 
-// TestGoldenFig5CachedWarm re-runs the golden configuration with the solve
-// cache and baseline-basis warm starting enabled — the accelerated
-// configuration cpsexp exposes as -solve-cache/-warm-start — and requires
-// the CSV to stay byte-identical to the committed fixture. This is the
-// enforcement of DESIGN.md §12's determinism statement: the cache is a pure
-// memo and warm starting only changes how the baseline basis is reached,
-// never which profits are reported.
-func TestGoldenFig5CachedWarm(t *testing.T) {
+// TestGoldenFig5Cached re-runs the golden configuration with the solve
+// cache enabled — the accelerated configuration cpsexp exposes as
+// -solve-cache — and requires the CSV to stay byte-identical to the
+// committed fixture. This is the enforcement of DESIGN.md §12's determinism
+// statement: the cache is a pure memo, so a cached re-solve never changes
+// which profits are reported.
+func TestGoldenFig5Cached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline golden test")
 	}
 	cfg := goldenCfg()
 	cfg.Cache = solvecache.New(4096)
-	cfg.WarmStart = true
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_fig5.csv"))
 	if err != nil {
 		t.Fatalf("missing fixture (run TestGoldenFig5CSV with -update to create): %v", err)
 	}
 	// Two passes over one shared cache, as `cpsexp -fig all` shares one
-	// across figures: the first fills it (warm-started misses), the second
+	// across figures: the first fills it (misses), the second
 	// replays the same scenarios from it. Both must render the fixture's
 	// exact bytes.
 	for pass := 1; pass <= 2; pass++ {
@@ -140,7 +138,7 @@ func TestGoldenFig5CachedWarm(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := tb.CSV(); got != string(want) {
-			t.Fatalf("pass %d: solve cache / warm start perturbed the golden CSV\n--- want ---\n%s\n--- got ---\n%s",
+			t.Fatalf("pass %d: solve cache perturbed the golden CSV\n--- want ---\n%s\n--- got ---\n%s",
 				pass, want, got)
 		}
 	}
@@ -159,11 +157,11 @@ func TestGoldenFig5CachedWarm(t *testing.T) {
 // the full-pipeline enforcement of the revised method's determinism
 // contract (DESIGN.md §15): instances at or below the dense crossover are
 // delegated wholesale to the dense bounded solver, so switching methods may
-// not move a single digit. A second phase re-runs with the solve cache and warm
-// starting on (two passes over one shared cache, as cpsexp -solve-cache
-// -warm-start -lp-method=revised would), which must also render the
-// fixture's exact bytes — method-salted cache keys keep the revised
-// entries from aliasing dense ones.
+// not move a single digit. A second phase re-runs with the solve cache on
+// (two passes over one shared cache, as cpsexp -solve-cache
+// -lp-method=revised would), which must also render the fixture's exact
+// bytes — method-salted cache keys keep the revised entries from aliasing
+// dense ones.
 func TestGoldenFig5Revised(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline golden test")
@@ -186,14 +184,13 @@ func TestGoldenFig5Revised(t *testing.T) {
 	cfg = goldenCfg()
 	cfg.LPMethod = lp.MethodRevised
 	cfg.Cache = solvecache.New(4096)
-	cfg.WarmStart = true
 	for pass := 1; pass <= 2; pass++ {
 		tb, err := experiments.Fig5(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := tb.CSV(); got != string(want) {
-			t.Fatalf("pass %d: revised + cache/warm perturbed the golden CSV\n--- want ---\n%s\n--- got ---\n%s",
+			t.Fatalf("pass %d: revised + cache perturbed the golden CSV\n--- want ---\n%s\n--- got ---\n%s",
 				pass, want, got)
 		}
 	}
@@ -209,8 +206,8 @@ func TestGoldenFig5Revised(t *testing.T) {
 // TestGoldenFig5Screened re-runs the golden configuration with N-k
 // vulnerability screening threaded into every adversary solve (cpsexp
 // -screen-k 2) and requires the CSV to stay byte-identical to the committed
-// fixture in all three execution strategies: cold, accelerated (solve cache +
-// warm start, two passes over one shared cache), and as a 2-way sharded sweep
+// fixture in all three execution strategies: uncached, cached (two passes
+// over one shared cache), and as a 2-way sharded sweep
 // merged and strict-replayed. This is the full-pipeline enforcement of the
 // screen's exact-mode contract (DESIGN.md §17): the ranking may only filter
 // certified-zero targets and never changes a reported digit.
@@ -243,14 +240,13 @@ func TestGoldenFig5Screened(t *testing.T) {
 
 	cfg := screenedCfg()
 	cfg.Cache = solvecache.New(4096)
-	cfg.WarmStart = true
 	for pass := 1; pass <= 2; pass++ {
 		tb, err := experiments.Fig5(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := tb.CSV(); got != string(want) {
-			t.Fatalf("pass %d: screen + cache/warm perturbed the golden CSV\n--- want ---\n%s\n--- got ---\n%s",
+			t.Fatalf("pass %d: screen + cache perturbed the golden CSV\n--- want ---\n%s\n--- got ---\n%s",
 				pass, want, got)
 		}
 	}

@@ -83,8 +83,6 @@ type Scenario struct {
 	// one cache — see impact/cache.go). Purely an accelerator: results
 	// are unchanged.
 	Cache *solvecache.Cache
-	// WarmStart re-enters dispatch solves from the baseline basis.
-	WarmStart bool
 	// LPMethod selects the dispatch simplex implementation
 	// (lp.MethodAuto, the zero value, keeps the solver's own choice;
 	// lp.MethodRevised selects the sparse revised simplex).
@@ -147,7 +145,7 @@ func (s *Scenario) Truth() (*impact.Matrix, error) {
 	an := &impact.Analysis{
 		Graph: s.Graph, Ownership: s.Ownership,
 		Model: s.ProfitModel, Parallel: s.Parallel,
-		Cache: s.Cache, WarmStart: s.WarmStart, LPMethod: s.LPMethod,
+		Cache: s.Cache, LPMethod: s.LPMethod,
 	}
 	m, err := an.ComputeMatrix(s.targetIDs())
 	if err != nil {
@@ -171,7 +169,7 @@ func (s *Scenario) ScreenRanking() (*screen.Ranking, error) {
 	an := &impact.Analysis{
 		Graph: s.Graph, Ownership: s.Ownership,
 		Model: s.ProfitModel, Parallel: s.Parallel,
-		Cache: s.Cache, WarmStart: s.WarmStart, LPMethod: s.LPMethod,
+		Cache: s.Cache, LPMethod: s.LPMethod,
 	}
 	r, err := screen.Run(screen.Config{Analysis: an, Targets: s.targetIDs(), K: s.ScreenK})
 	if err != nil {
@@ -200,7 +198,7 @@ func (s *Scenario) View(sigma float64, mode NoiseMode, rs *rng.Stream) (*impact.
 		an := &impact.Analysis{
 			Graph: ng, Ownership: s.Ownership,
 			Model: s.ProfitModel, Parallel: s.Parallel,
-			Cache: s.Cache, WarmStart: s.WarmStart, LPMethod: s.LPMethod,
+			Cache: s.Cache, LPMethod: s.LPMethod,
 		}
 		return an.ComputeMatrix(s.targetIDs())
 	default:

@@ -95,8 +95,10 @@ type Config struct {
 	// under trial parallelism (solvecache is concurrency-safe) and
 	// result-neutral: entries are keyed by full scenario fingerprints.
 	Cache *solvecache.Cache
-	// WarmStart makes every scenario warm-start perturbed dispatches
-	// from its baseline basis.
+	// WarmStart is ignored: every scenario re-solves its perturbed
+	// dispatches from the baseline basis.
+	//
+	// Deprecated: ignored.
 	WarmStart bool
 	// LPMethod selects the dispatch simplex implementation for every
 	// trial's scenario (zero value lp.MethodAuto keeps the solver's own
@@ -176,7 +178,6 @@ func (c Config) scenarioFor(n int, trial int) *core.Scenario {
 	s := core.NewScenario(g, n, seed)
 	s.Parallel = parallel.Options{Workers: 1} // trials already parallel
 	s.Cache = c.Cache
-	s.WarmStart = c.WarmStart
 	s.LPMethod = c.LPMethod
 	s.ScreenK = c.ScreenK
 	return s

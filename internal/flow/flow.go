@@ -82,21 +82,72 @@ type Options struct {
 	FixedFlow map[string]float64
 }
 
-// DispatchOpts solves the social-welfare optimum with explicit options.
+// DispatchOpts solves the social-welfare optimum with explicit options: one
+// Compile and one Solve.
 func DispatchOpts(g *graph.Graph, opts Options) (*Result, error) {
+	d, err := Compile(g, opts.FixedFlow)
+	if err != nil {
+		return nil, err
+	}
+	return d.Solve(opts.LP)
+}
+
+// Dispatcher is the dispatch LP of one graph, compiled once: the graph is
+// validated and the LP's variables and rows are built a single time, so
+// re-solving it under parameter edits (SolveEdited) costs a copy of the
+// bound and objective vectors rather than a rebuild. A Dispatcher is safe
+// for concurrent use; the compiled graph must not be mutated while it is in
+// use.
+type Dispatcher struct {
+	b     *builder
+	p     *lp.Problem
+	fixed map[string]float64
+}
+
+// Compile validates g and builds its dispatch LP, pinning the edges in fixed
+// to exact flows (see Options.FixedFlow).
+func Compile(g *graph.Graph, fixed map[string]float64) (*Dispatcher, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	b := newBuilder(g)
-	p := b.build(opts.FixedFlow)
-	sol, err := p.SolveOpts(opts.LP)
+	return &Dispatcher{b: b, p: b.build(fixed), fixed: fixed}, nil
+}
+
+// Solve dispatches the compiled graph.
+func (d *Dispatcher) Solve(opts lp.Options) (*Result, error) {
+	return d.solve(d.p, opts)
+}
+
+// SolveEdited dispatches ge, a parameter edit of the compiled graph: the
+// same vertices and the same edges (IDs and endpoints, in the same order),
+// whose capacities, costs and losses may differ. Capacities become upper
+// bounds and costs objective coefficients of a Variant of the compiled LP,
+// whose rows are shared. A loss edit changes matrix coefficients, so ge is
+// then compiled afresh. The caller validates the edited values; a capacity
+// the LP cannot take (negative or NaN) fails with lp.ErrBadProblem.
+func (d *Dispatcher) SolveEdited(ge *graph.Graph, opts lp.Options) (*Result, error) {
+	p := d.p.Variant()
+	for i := range ge.Edges {
+		e := &ge.Edges[i]
+		if e.Loss != d.b.g.Edges[i].Loss {
+			return DispatchOpts(ge, Options{LP: opts, FixedFlow: d.fixed})
+		}
+		p.SetUpper(d.b.fVar[i], e.Capacity)
+		p.SetCost(d.b.fVar[i], e.Cost)
+	}
+	return d.solve(p, opts)
+}
+
+func (d *Dispatcher) solve(p *lp.Problem, opts lp.Options) (*Result, error) {
+	sol, err := p.SolveOpts(opts)
 	if err != nil {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
 		return nil, &InfeasibleError{Status: sol.Status}
 	}
-	return b.result(sol), nil
+	return d.b.result(sol), nil
 }
 
 // builder maps graph entities to LP variable/constraint indices.

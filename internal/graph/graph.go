@@ -256,15 +256,24 @@ func (g *Graph) Validate() error {
 		if e.From == e.To {
 			return fmt.Errorf("%w: edge %q is a self-loop", ErrValidation, e.ID)
 		}
-		if math.IsNaN(e.Capacity) || e.Capacity < 0 || math.IsInf(e.Capacity, 0) {
-			return fmt.Errorf("%w: edge %q capacity %v", ErrValidation, e.ID, e.Capacity)
+		if err := e.ValidateParams(); err != nil {
+			return err
 		}
-		if math.IsNaN(e.Loss) || e.Loss < 0 || e.Loss >= 1 {
-			return fmt.Errorf("%w: edge %q loss %v outside [0,1)", ErrValidation, e.ID, e.Loss)
-		}
-		if math.IsNaN(e.Cost) || math.IsInf(e.Cost, 0) {
-			return fmt.Errorf("%w: edge %q cost %v", ErrValidation, e.ID, e.Cost)
-		}
+	}
+	return nil
+}
+
+// ValidateParams checks the edge's parameters as Validate does: a finite
+// nonnegative capacity, a loss in [0,1) and a finite cost.
+func (e *Edge) ValidateParams() error {
+	if math.IsNaN(e.Capacity) || e.Capacity < 0 || math.IsInf(e.Capacity, 0) {
+		return fmt.Errorf("%w: edge %q capacity %v", ErrValidation, e.ID, e.Capacity)
+	}
+	if math.IsNaN(e.Loss) || e.Loss < 0 || e.Loss >= 1 {
+		return fmt.Errorf("%w: edge %q loss %v outside [0,1)", ErrValidation, e.ID, e.Loss)
+	}
+	if math.IsNaN(e.Cost) || math.IsInf(e.Cost, 0) {
+		return fmt.Errorf("%w: edge %q cost %v", ErrValidation, e.ID, e.Cost)
 	}
 	return nil
 }

@@ -1,25 +1,32 @@
-// Solve memoization and warm starting for impact analyses.
+// Solve memoization and compiled, warm-started re-solves for impact
+// analyses.
 //
 // Cache keys canonicalize the perturbation set — duplicates collapse
 // last-wins per (edge, field), order is normalized — and are salted with a
 // fingerprint of everything else the result depends on: the graph bytes,
-// the ownership assignment, the profit model, and whether warm starting is
-// in effect. Two Analyses over identical scenarios therefore share entries,
-// and any difference in scenario content changes the salt rather than
-// silently aliasing.
+// the ownership assignment, the profit model and the simplex method. Two
+// Analyses over identical scenarios therefore share entries, and any
+// difference in scenario content changes the salt rather than silently
+// aliasing.
 //
 // The memo stores absolute per-actor profits, not deltas, so hits replay
 // the exact delta arithmetic of a fresh solve against the caller's
-// baseline; with warm starting off, cached results are bit-identical to
-// uncached ones.
+// baseline: cached results are bit-identical to uncached ones.
+//
+// A miss re-solves the analysis's compiled dispatch LP (see compiled):
+// capacity and cost perturbations edit only its bound and objective
+// vectors, and every perturbed solve re-enters the simplex from the
+// baseline's optimal basis.
 package impact
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"cpsguard/internal/actors"
 	"cpsguard/internal/flow"
@@ -85,17 +92,10 @@ func (a *Analysis) salt() string {
 		h.Write([]byte{1})
 	}
 	h.Write([]byte(a.model().Name()))
-	if a.WarmStart {
-		// Warm-started optima agree with cold within tolerance but not
-		// necessarily in the last ulp; keep the entry families apart so a
-		// cache shared across differently configured Analyses stays exact.
-		h.Write([]byte{2})
-	}
 	if a.LPMethod != lp.MethodAuto {
-		// Same reasoning per simplex implementation: methods agree within
-		// tolerance, not bit for bit, so each gets its own entry family.
-		// MethodAuto writes nothing, keeping pre-existing cache keys (and
-		// the stores built on them) byte-identical.
+		// Simplex methods agree within tolerance, not bit for bit, so each
+		// gets its own entry family and a cache shared across differently
+		// configured Analyses stays exact. MethodAuto writes nothing.
 		h.Write([]byte{3, byte(a.LPMethod)})
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -131,6 +131,61 @@ func (a *Analysis) baseline(salt string) (baselineState, error) {
 	return st, nil
 }
 
+// compiled is an analysis's dispatch LP, compiled once from its graph, plus
+// a pool of scratch clones of that graph. A perturbed solve edits a clone,
+// re-solves the compiled LP on it and hands it to the profit model, then
+// restores it, so pricing an attack neither rebuilds the LP nor clones or
+// re-validates the graph.
+type compiled struct {
+	graph *graph.Graph
+	disp  *flow.Dispatcher
+	views sync.Pool // *graph.Graph clones of graph, restored between uses
+}
+
+// compile returns the analysis's compiled dispatch LP, building it on the
+// first solve (and again if Graph has been replaced since); a run served
+// entirely from the cache never builds it.
+func (a *Analysis) compile() (*compiled, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.comp == nil || a.comp.graph != a.Graph {
+		d, err := flow.Compile(a.Graph, nil)
+		if err != nil {
+			return nil, err
+		}
+		a.comp = &compiled{graph: a.Graph, disp: d}
+	}
+	return a.comp, nil
+}
+
+// edit returns a scratch clone of the compiled graph with ps applied, or the
+// error Apply would return for ps. Hand the clone back with release.
+func (c *compiled) edit(ps []Perturbation) (*graph.Graph, error) {
+	v, ok := c.views.Get().(*graph.Graph)
+	if !ok {
+		v = c.graph.Clone()
+	}
+	if err := set(v, ps); err != nil {
+		c.release(v)
+		return nil, err
+	}
+	// The compiled graph is valid, so only edited parameters can fail, and
+	// the first failing edge in edge order is the one Validate reports.
+	for i := range v.Edges {
+		if err := v.Edges[i].ValidateParams(); err != nil {
+			c.release(v)
+			return nil, fmt.Errorf("impact: perturbed graph invalid: %w", err)
+		}
+	}
+	return v, nil
+}
+
+// release restores a clone from edit to the compiled graph and pools it.
+func (c *compiled) release(v *graph.Graph) {
+	copy(v.Edges, c.graph.Edges)
+	c.views.Put(v)
+}
+
 // supportOf lists the edges carrying nonzero flow in r, in g.Edges index
 // order — a deterministic dominance certificate for the N-k screen. The
 // exact-zero test is intentional: nonbasic flow variables sit exactly at
@@ -147,9 +202,9 @@ func supportOf(g *graph.Graph, r *flow.Result) []string {
 }
 
 // ofCached prices one perturbation set against the baseline, consulting the
-// memo first and warm-starting the dispatch from the baseline basis when
-// enabled. The delta arithmetic is shared between hit and miss paths so a
-// hit reproduces a fresh solve bit for bit.
+// memo first and warm-starting the dispatch from the baseline basis. The
+// delta arithmetic is shared between hit and miss paths so a hit reproduces
+// a fresh solve bit for bit.
 func (a *Analysis) ofCached(salt string, base baselineState, ps []Perturbation) (actors.Profits, float64, error) {
 	e, err := a.ofCachedEntry(salt, base, ps)
 	if err != nil {
@@ -171,16 +226,16 @@ func (a *Analysis) ofCachedEntry(salt string, base baselineState, ps []Perturbat
 			return e, nil
 		}
 	}
-	gp, err := Apply(a.Graph, ps...)
+	c, err := a.compile()
 	if err != nil {
 		return solvecache.Entry{}, err
 	}
-	var opts flow.Options
-	opts.LP.Method = a.LPMethod
-	if a.WarmStart {
-		opts.LP.WarmStart = base.basis
+	gp, err := c.edit(ps)
+	if err != nil {
+		return solvecache.Entry{}, err
 	}
-	r, err := flow.DispatchOpts(gp, opts)
+	defer c.release(gp)
+	r, err := c.disp.SolveEdited(gp, lp.Options{Method: a.LPMethod, WarmStart: base.basis})
 	if err != nil {
 		return solvecache.Entry{}, err
 	}

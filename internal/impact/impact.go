@@ -14,6 +14,7 @@ package impact
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"cpsguard/internal/actors"
 	"cpsguard/internal/flow"
@@ -67,10 +68,21 @@ func Outage(edgeID string) Perturbation {
 // IDs return an error (attacking a non-existent asset is a modeling bug).
 func Apply(g *graph.Graph, ps ...Perturbation) (*graph.Graph, error) {
 	c := g.Clone()
+	if err := set(c, ps); err != nil {
+		return nil, err
+	}
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("impact: perturbed graph invalid: %w", err)
+	}
+	return c, nil
+}
+
+// set writes each perturbation's value into its edge of g, in order.
+func set(g *graph.Graph, ps []Perturbation) error {
 	for _, p := range ps {
-		e := c.Edge(p.EdgeID)
+		e := g.Edge(p.EdgeID)
 		if e == nil {
-			return nil, fmt.Errorf("impact: unknown edge %q", p.EdgeID)
+			return fmt.Errorf("impact: unknown edge %q", p.EdgeID)
 		}
 		switch p.Field {
 		case Capacity:
@@ -80,16 +92,19 @@ func Apply(g *graph.Graph, ps ...Perturbation) (*graph.Graph, error) {
 		case Loss:
 			e.Loss = p.Value
 		default:
-			return nil, fmt.Errorf("impact: unknown field %v", p.Field)
+			return fmt.Errorf("impact: unknown field %v", p.Field)
 		}
 	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("impact: perturbed graph invalid: %w", err)
-	}
-	return c, nil
+	return nil
 }
 
 // Analysis bundles the pieces needed to measure impacts on one scenario.
+//
+// The dispatch LP of Graph is compiled once, on first use, and every
+// perturbed dispatch re-solves it from the baseline's optimal basis. Graph
+// must therefore not be mutated after the first call, and Model must not
+// retain the graph it is handed after Divide returns. An Analysis is safe
+// for concurrent use and must not be copied.
 type Analysis struct {
 	// Graph is the ground-truth (or believed) model.
 	Graph *graph.Graph
@@ -105,9 +120,10 @@ type Analysis struct {
 	// skip the dispatch entirely. The cache is a pure memo: results are
 	// bit-identical with and without it. See cache.go for the key scheme.
 	Cache *solvecache.Cache
-	// WarmStart re-enters the dispatch simplex from the baseline optimal
-	// basis instead of solving two-phase from scratch. Results agree with
-	// cold solves within solver tolerance.
+	// WarmStart is ignored: every perturbed dispatch re-enters the simplex
+	// from the baseline's optimal basis.
+	//
+	// Deprecated: ignored.
 	WarmStart bool
 	// LPMethod selects the simplex implementation for every dispatch this
 	// analysis performs (lp.MethodAuto lets the solver pick, as before).
@@ -116,6 +132,9 @@ type Analysis struct {
 	// entries are salted per method so differently configured Analyses
 	// sharing one cache never alias.
 	LPMethod lp.Method
+
+	mu   sync.Mutex
+	comp *compiled // the dispatch LP of Graph, built on first use
 }
 
 func (a *Analysis) model() actors.ProfitModel {
@@ -128,7 +147,11 @@ func (a *Analysis) model() actors.ProfitModel {
 // Baseline dispatches the unperturbed system and returns its per-actor
 // profits and welfare.
 func (a *Analysis) Baseline() (actors.Profits, *flow.Result, error) {
-	r, err := flow.DispatchOpts(a.Graph, flow.Options{LP: lp.Options{Method: a.LPMethod}})
+	c, err := a.compile()
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := c.disp.Solve(lp.Options{Method: a.LPMethod})
 	if err != nil {
 		return nil, nil, err
 	}

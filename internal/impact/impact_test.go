@@ -7,7 +7,9 @@ import (
 
 	"cpsguard/internal/actors"
 	"cpsguard/internal/graph"
+	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
+	"cpsguard/internal/westgrid"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -219,5 +221,39 @@ func TestMatrixDeterministic(t *testing.T) {
 				t.Fatalf("nondeterministic IM[%s][%s]", a, tg)
 			}
 		}
+	}
+}
+
+// TestMatrixWorkersBitIdentical builds the stressed westgrid's outage matrix
+// on one worker and on four sharing one compiled dispatch LP, and requires
+// every entry to match bit for bit: the pooled graph clones and the shared
+// problem may not leak state between concurrent re-solves.
+func TestMatrixWorkersBitIdentical(t *testing.T) {
+	g := westgrid.Build(westgrid.Options{Stress: true})
+	o := actors.RandomOwnership(g, 6, rng.New(5))
+	matrix := func(workers int) *Matrix {
+		an := &Analysis{Graph: g, Ownership: o, Parallel: parallel.Options{Workers: workers}}
+		m, err := an.ComputeMatrix(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m1, m4 := matrix(1), matrix(4)
+	if m1.BaselineWelfare != m4.BaselineWelfare {
+		t.Fatalf("baseline welfare %v vs %v", m1.BaselineWelfare, m4.BaselineWelfare)
+	}
+	for _, tg := range m1.Targets {
+		if m1.WelfareDelta[tg] != m4.WelfareDelta[tg] {
+			t.Errorf("welfare delta of %s: %v on one worker, %v on four", tg, m1.WelfareDelta[tg], m4.WelfareDelta[tg])
+		}
+		for _, a := range m1.Actors {
+			if m1.Get(a, tg) != m4.Get(a, tg) {
+				t.Errorf("IM[%s][%s]: %v on one worker, %v on four", a, tg, m1.Get(a, tg), m4.Get(a, tg))
+			}
+		}
+	}
+	if len(m1.Actors) != len(m4.Actors) {
+		t.Fatalf("actors %v vs %v", m1.Actors, m4.Actors)
 	}
 }

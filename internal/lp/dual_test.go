@@ -22,29 +22,55 @@ func cutBounds(seed uint64) *Problem {
 	return p
 }
 
-// dualPhase runs only the warm re-entry's dual phase of p from b and
+// dualMethods are the two warm re-entries the dual-phase battery covers:
+// the dense bounded tableau and the sparse revised solver (with its dense
+// crossover forced off by forceSparseExtract).
+var dualMethods = []Method{MethodBounded, MethodRevised}
+
+// dualPhase runs only method m's warm re-entry dual phase of p from b and
 // reports its status and pivot count. A dual phase that pivots to Optimal
 // must leave the basis optimal, not merely primal feasible: it starts dual
 // feasible and its pivots keep every reduced cost on its feasible side, so
 // a fresh pricing pass at the final basis finds no improving column.
-func dualPhase(t *testing.T, p *Problem, b *Basis) (Status, int) {
+func dualPhase(t *testing.T, m Method, p *Problem, b *Basis) (Status, int) {
 	t.Helper()
-	rs := newRevisedSolver(p, Options{}, newGuard(Options{}))
-	if !rs.applyWarmBasis(b) {
-		t.Fatal("basis rejected")
-	}
-	st := rs.dualSimplex()
-	if st == Optimal && rs.iters > 0 {
-		d := make([]float64, rs.sf.nTotal)
+	var (
+		st     Status
+		iters  int
+		d      []float64
+		status []int8
+		upper  []float64
+	)
+	if m == MethodRevised {
+		rs := newRevisedSolver(p, Options{}, newGuard(Options{}))
+		if !rs.applyWarmBasis(b) {
+			t.Fatal("basis rejected")
+		}
+		st, iters = rs.dualSimplex(), rs.iters
+		d = make([]float64, rs.sf.nTotal)
 		rs.reducedCosts(d)
+		status, upper = rs.status, rs.upper
+	} else {
+		tb := newBoundedTableau(p, Options{})
+		defer tb.release()
+		tb.g = newGuard(Options{})
+		if !tb.applyWarmBasis(b) {
+			t.Fatal("basis rejected")
+		}
+		st, iters = tb.dualSimplex(), tb.iters
+		d = make([]float64, tb.nTotal)
+		tb.reducedCosts(tb.cost, d)
+		status, upper = tb.status, tb.upper
+	}
+	if st == Optimal && iters > 0 {
 		for j, dj := range d {
-			if rs.movable(j) && (rs.status[j] == atLower && dj < -1e-7 || rs.status[j] == atUpper && dj > 1e-7) {
-				t.Errorf("dual phase lost dual feasibility: column %d (status %d) has d = %v", j, rs.status[j], dj)
+			if movable(status[j], upper[j]) && (status[j] == atLower && dj < -1e-7 || status[j] == atUpper && dj > 1e-7) {
+				t.Errorf("%v dual phase lost dual feasibility: column %d (status %d) has d = %v", m, j, status[j], dj)
 				break
 			}
 		}
 	}
-	return st, rs.iters
+	return st, iters
 }
 
 // checkFeasible asserts x satisfies p's bounds and rows to tol (scaled).
@@ -72,60 +98,67 @@ func checkFeasible(t *testing.T, label string, p *Problem, x []float64) {
 }
 
 // TestDualReentryRandomBoundCuts is the seeded battery for the dual
-// re-entry: random LPs of every size forced through the sparse solver,
-// upper bounds cut to zero, each re-solved warm from the uncut optimal
-// basis and cold. Warm and cold agree on status, on the optimum and on
-// primal feasibility; at least nine in ten solvable cuts stay warm, and
-// every dual phase that pivots ends at an optimal basis.
+// re-entry of both methods: random LPs of every size (forced through the
+// sparse solver under MethodRevised), upper bounds cut to zero, each
+// re-solved warm from the uncut optimal basis and cold. Warm and cold agree
+// on status, on the optimum and on primal feasibility; every warm optimum
+// passes the KKT certificate; at least nine in ten solvable cuts stay warm,
+// and every dual phase that pivots ends at an optimal basis.
 func TestDualReentryRandomBoundCuts(t *testing.T) {
 	forceSparseExtract(t)
-	solvable, warm, repaired := 0, 0, 0
-	for seed := uint64(0); seed < 3000; seed++ {
-		base, err := GenRandomProblem(seed).SolveOpts(Options{Method: MethodRevised})
-		if err != nil || base.Status != Optimal {
-			continue
-		}
-		p := cutBounds(seed)
-		cold, errC := p.SolveOpts(Options{Method: MethodRevised})
-		w, errW := p.SolveOpts(Options{Method: MethodRevised, WarmStart: base.Basis()})
-		if errC != nil || errW != nil {
-			// Dual extraction may fail on a degenerate final basis; a
-			// one-sided failure on a solvable problem may not.
-			if errC == nil && cold.Status == Optimal || errW == nil && w.Status == Optimal {
-				t.Errorf("seed %d: one-sided error: cold=%v warm=%v", seed, errC, errW)
+	for _, m := range dualMethods {
+		solvable, warm, repaired := 0, 0, 0
+		for seed := uint64(0); seed < 3000; seed++ {
+			base, err := GenRandomProblem(seed).SolveOpts(Options{Method: m})
+			if err != nil || base.Status != Optimal {
+				continue
 			}
-			continue
+			p := cutBounds(seed)
+			cold, errC := p.SolveOpts(Options{Method: m})
+			w, errW := p.SolveOpts(Options{Method: m, WarmStart: base.Basis()})
+			if errC != nil || errW != nil {
+				// Dual extraction may fail on a degenerate final basis; a
+				// one-sided failure on a solvable problem may not.
+				if errC == nil && cold.Status == Optimal || errW == nil && w.Status == Optimal {
+					t.Errorf("%v seed %d: one-sided error: cold=%v warm=%v", m, seed, errC, errW)
+				}
+				continue
+			}
+			if w.Status != cold.Status {
+				t.Errorf("%v seed %d: status warm %v, cold %v", m, seed, w.Status, cold.Status)
+				continue
+			}
+			if cold.Status != Optimal {
+				continue
+			}
+			solvable++
+			if w.WarmStarted {
+				warm++
+			}
+			scale := math.Max(1, math.Abs(cold.Objective))
+			if math.Abs(w.Objective-cold.Objective) > 1e-9*scale {
+				t.Errorf("%v seed %d: objective warm %v, cold %v", m, seed, w.Objective, cold.Objective)
+			}
+			checkFeasible(t, "warm", p, w.X)
+			if err := CheckKKT(p, w, false); err != nil {
+				t.Errorf("%v seed %d: warm optimum: %v", m, seed, err)
+			}
+			if st, n := dualPhase(t, m, p, base.Basis()); st == Optimal && n > 0 {
+				repaired++
+			}
 		}
-		if w.Status != cold.Status {
-			t.Errorf("seed %d: status warm %v, cold %v", seed, w.Status, cold.Status)
-			continue
+		t.Logf("%v: %d solvable: %d re-entered warm, %d through dual pivots", m, solvable, warm, repaired)
+		if solvable < 600 || repaired < 100 {
+			t.Fatalf("%v: battery too weak: %d solvable, %d through dual pivots", m, solvable, repaired)
 		}
-		if cold.Status != Optimal {
-			continue
+		if warm < solvable*9/10 {
+			t.Fatalf("%v: only %d of %d solvable cuts re-entered warm", m, warm, solvable)
 		}
-		solvable++
-		if w.WarmStarted {
-			warm++
-		}
-		scale := math.Max(1, math.Abs(cold.Objective))
-		if math.Abs(w.Objective-cold.Objective) > 1e-9*scale {
-			t.Errorf("seed %d: objective warm %v, cold %v", seed, w.Objective, cold.Objective)
-		}
-		checkFeasible(t, "warm", p, w.X)
-		if st, n := dualPhase(t, p, base.Basis()); st == Optimal && n > 0 {
-			repaired++
-		}
-	}
-	t.Logf("%d solvable: %d re-entered warm, %d through dual pivots", solvable, warm, repaired)
-	if solvable < 600 || repaired < 100 {
-		t.Fatalf("battery too weak: %d solvable, %d through dual pivots", solvable, repaired)
-	}
-	if warm < solvable*9/10 {
-		t.Fatalf("only %d of %d solvable cuts re-entered warm", warm, solvable)
 	}
 }
 
-// TestDualReentryGuards covers the dual phase's exits other than success.
+// TestDualReentryGuards covers the dual phase's exits other than success,
+// for both methods.
 func TestDualReentryGuards(t *testing.T) {
 	forceSparseExtract(t)
 
@@ -134,53 +167,58 @@ func TestDualReentryGuards(t *testing.T) {
 	// together with a bound cut neither phase can start, and the solve
 	// falls back cold. Either way it must agree with a cold solve.
 	t.Run("cost-change", func(t *testing.T) {
-		notDual := 0
-		for seed := uint64(0); seed < 1500; seed++ {
-			base, err := GenRandomProblem(seed).SolveOpts(Options{Method: MethodRevised})
-			if err != nil || base.Status != Optimal {
-				continue
-			}
-			for _, cut := range []bool{false, true} {
-				p := GenRandomProblem(seed)
-				if cut {
-					p = cutBounds(seed)
+		for _, m := range dualMethods {
+			notDual := 0
+			for seed := uint64(0); seed < 1500; seed++ {
+				base, err := GenRandomProblem(seed).SolveOpts(Options{Method: m})
+				if err != nil || base.Status != Optimal {
+					continue
 				}
-				rs := rng.New(seed ^ 0xC057)
-				for j := 0; j < p.NumVariables(); j++ {
-					if rs.Intn(2) == 0 {
-						p.SetCost(j, -p.Cost(j))
+				for _, cut := range []bool{false, true} {
+					p := GenRandomProblem(seed)
+					if cut {
+						p = cutBounds(seed)
+					}
+					rs := rng.New(seed ^ 0xC057)
+					for j := 0; j < p.NumVariables(); j++ {
+						if rs.Intn(2) == 0 {
+							p.SetCost(j, -p.Cost(j))
+						}
+					}
+					st, _ := dualPhase(t, m, p, base.Basis())
+					if st == statusNotDualFeasible {
+						notDual++
+					}
+					cold, errC := p.SolveOpts(Options{Method: m})
+					w, errW := p.SolveOpts(Options{Method: m, WarmStart: base.Basis()})
+					if errC != nil || errW != nil {
+						continue
+					}
+					if w.Status != cold.Status {
+						t.Fatalf("%v seed %d cut=%v: status warm %v, cold %v", m, seed, cut, w.Status, cold.Status)
+					}
+					if cold.Status != Optimal {
+						continue
+					}
+					if !cut && !w.WarmStarted {
+						t.Errorf("%v seed %d: cost-only change fell back cold", m, seed)
+					}
+					if st == statusNotDualFeasible && w.WarmStarted {
+						t.Errorf("%v seed %d: basis neither primal nor dual feasible stayed warm", m, seed)
+					}
+					scale := math.Max(1, math.Abs(cold.Objective))
+					if math.Abs(w.Objective-cold.Objective) > 1e-9*scale {
+						t.Fatalf("%v seed %d cut=%v: objective warm %v, cold %v", m, seed, cut, w.Objective, cold.Objective)
+					}
+					checkFeasible(t, "warm", p, w.X)
+					if err := CheckKKT(p, w, false); err != nil {
+						t.Errorf("%v seed %d cut=%v: warm optimum: %v", m, seed, cut, err)
 					}
 				}
-				st, _ := dualPhase(t, p, base.Basis())
-				if st == statusNotDualFeasible {
-					notDual++
-				}
-				cold, errC := p.SolveOpts(Options{Method: MethodRevised})
-				w, errW := p.SolveOpts(Options{Method: MethodRevised, WarmStart: base.Basis()})
-				if errC != nil || errW != nil {
-					continue
-				}
-				if w.Status != cold.Status {
-					t.Fatalf("seed %d cut=%v: status warm %v, cold %v", seed, cut, w.Status, cold.Status)
-				}
-				if cold.Status != Optimal {
-					continue
-				}
-				if !cut && !w.WarmStarted {
-					t.Errorf("seed %d: cost-only change fell back cold", seed)
-				}
-				if st == statusNotDualFeasible && w.WarmStarted {
-					t.Errorf("seed %d: basis neither primal nor dual feasible stayed warm", seed)
-				}
-				scale := math.Max(1, math.Abs(cold.Objective))
-				if math.Abs(w.Objective-cold.Objective) > 1e-9*scale {
-					t.Fatalf("seed %d cut=%v: objective warm %v, cold %v", seed, cut, w.Objective, cold.Objective)
-				}
-				checkFeasible(t, "warm", p, w.X)
 			}
-		}
-		if notDual < 50 {
-			t.Fatalf("only %d bases neither primal nor dual feasible; guard untested", notDual)
+			if notDual < 50 {
+				t.Fatalf("%v: only %d bases neither primal nor dual feasible; guard untested", m, notDual)
+			}
 		}
 	})
 
@@ -195,54 +233,59 @@ func TestDualReentryGuards(t *testing.T) {
 			p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: GE, RHS: 3})
 			return p
 		}
-		base, err := build(4, 4).SolveOpts(Options{Method: MethodRevised})
-		if err != nil || base.Status != Optimal {
-			t.Fatalf("base: %v %v", statusOr(base), err)
-		}
-		if st, _ := dualPhase(t, build(1, 1), base.Basis()); st != Infeasible {
-			t.Fatalf("dual phase status %v, want Infeasible", st)
-		}
-		sol, err := build(1, 1).SolveOpts(Options{Method: MethodRevised, WarmStart: base.Basis()})
-		if err != nil || sol.Status != Infeasible || sol.WarmStarted {
-			t.Fatalf("status %v warm=%v err=%v, want a cold Infeasible", statusOr(sol), sol != nil && sol.WarmStarted, err)
+		for _, m := range dualMethods {
+			base, err := build(4, 4).SolveOpts(Options{Method: m})
+			if err != nil || base.Status != Optimal {
+				t.Fatalf("%v base: %v %v", m, statusOr(base), err)
+			}
+			if st, _ := dualPhase(t, m, build(1, 1), base.Basis()); st != Infeasible {
+				t.Fatalf("%v dual phase status %v, want Infeasible", m, st)
+			}
+			sol, err := build(1, 1).SolveOpts(Options{Method: m, WarmStart: base.Basis()})
+			if err != nil || sol.Status != Infeasible || sol.WarmStarted {
+				t.Fatalf("%v: status %v warm=%v err=%v, want a cold Infeasible", m, statusOr(sol), sol != nil && sol.WarmStarted, err)
+			}
 		}
 	})
 
 	// Cancellation inside the dual phase surfaces as Canceled on the warm
 	// path, carrying the pivots made so far (mirrors cancel_test.go).
 	t.Run("cancel", func(t *testing.T) {
-		for seed := uint64(0); seed < 3000; seed++ {
-			base, err := GenRandomProblem(seed).SolveOpts(Options{Method: MethodRevised})
-			if err != nil || base.Status != Optimal {
-				continue
-			}
-			if st, n := dualPhase(t, cutBounds(seed), base.Basis()); st != Optimal || n < 3 {
-				continue
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			calls := 0
-			hook := func(site string) error {
-				if site == "lp.pivot" {
-					if calls++; calls == 2 {
-						cancel()
-					}
+	methods:
+		for _, m := range dualMethods {
+			for seed := uint64(0); seed < 3000; seed++ {
+				base, err := GenRandomProblem(seed).SolveOpts(Options{Method: m})
+				if err != nil || base.Status != Optimal {
+					continue
 				}
-				return nil
+				if st, n := dualPhase(t, m, cutBounds(seed), base.Basis()); st != Optimal || n < 3 {
+					continue
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				calls := 0
+				hook := func(site string) error {
+					if site == "lp.pivot" {
+						if calls++; calls == 2 {
+							cancel()
+						}
+					}
+					return nil
+				}
+				sol, err := cutBounds(seed).SolveOpts(Options{
+					Method: m, WarmStart: base.Basis(), Ctx: ctx, Hook: hook, CheckEvery: 1,
+				})
+				cancel()
+				if err != nil {
+					t.Fatalf("%v seed %d: err = %v", m, seed, err)
+				}
+				if sol.Status != Canceled || !sol.WarmStarted || sol.Iterations != 2 {
+					t.Fatalf("%v seed %d: status %v warm=%v iterations %d, want Canceled warm after 2",
+						m, seed, sol.Status, sol.WarmStarted, sol.Iterations)
+				}
+				continue methods
 			}
-			sol, err := cutBounds(seed).SolveOpts(Options{
-				Method: MethodRevised, WarmStart: base.Basis(), Ctx: ctx, Hook: hook, CheckEvery: 1,
-			})
-			cancel()
-			if err != nil {
-				t.Fatalf("seed %d: err = %v", seed, err)
-			}
-			if sol.Status != Canceled || !sol.WarmStarted || sol.Iterations != 2 {
-				t.Fatalf("seed %d: status %v warm=%v iterations %d, want Canceled warm after 2",
-					seed, sol.Status, sol.WarmStarted, sol.Iterations)
-			}
-			return
+			t.Fatalf("%v: no seed needs three dual pivots", m)
 		}
-		t.Fatal("no seed needs three dual pivots")
 	})
 }
 

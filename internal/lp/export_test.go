@@ -219,3 +219,7 @@ func GenRandomProblem(seed uint64) *Problem {
 // WarmFallbacks reads the lp.warm_fallbacks counter: warm attempts the
 // solver rejected into the cold two-phase path.
 func WarmFallbacks() int64 { return mWarmFallbacks.Value() }
+
+// WarmSolves reads the lp.warm_solves counter: solves that finished on the
+// warm path.
+func WarmSolves() int64 { return mWarmSolves.Value() }

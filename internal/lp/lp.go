@@ -170,6 +170,21 @@ func (p *Problem) SetUpper(v int, upper float64) {
 	p.upper[v] = upper
 }
 
+// Variant returns a problem that shares p's constraint rows and owns copies
+// of its costs and upper bounds, so SetCost and SetUpper re-parameterize it
+// without touching p or rebuilding the rows. Many variants of one problem
+// may be built and solved concurrently. The shared rows must not change
+// while a variant is in use; AddVariable and AddConstraint on a variant
+// leave p untouched.
+func (p *Problem) Variant() *Problem {
+	v := *p
+	v.obj = append([]float64(nil), p.obj...)
+	v.upper = append([]float64(nil), p.upper...)
+	v.names = p.names[:len(p.names):len(p.names)]
+	v.rows = p.rows[:len(p.rows):len(p.rows)]
+	return &v
+}
+
 // NumVariables reports the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.obj) }
 

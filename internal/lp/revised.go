@@ -572,7 +572,7 @@ func (rs *revisedSolver) applyWarmBasis(b *Basis) bool {
 // (empty ratio test: no vertex satisfies the violated row), statusNumerical,
 // IterationLimit, or a cancellation.
 func (rs *revisedSolver) dualSimplex() Status {
-	r := rs.leavingRow()
+	r := leavingRow(rs.xb, rs.basis, rs.upper, rs.tol)
 	if r < 0 {
 		return Optimal
 	}
@@ -583,13 +583,10 @@ func (rs *revisedSolver) dualSimplex() Status {
 	// priced; e_r is built in the all-zero scatter buffer rs.colBuf.
 	rho := rs.y
 	rs.reducedCosts(d)
-	for j, st := range rs.status {
-		if rs.movable(j) &&
-			(st == atLower && d[j] < -rs.tol || st == atUpper && d[j] > rs.tol) {
-			return statusNotDualFeasible
-		}
+	if !dualFeasible(d, rs.status, rs.upper, rs.tol) {
+		return statusNotDualFeasible
 	}
-	for ; r >= 0; r = rs.leavingRow() {
+	for ; r >= 0; r = leavingRow(rs.xb, rs.basis, rs.upper, rs.tol) {
 		if rs.iters >= rs.max {
 			return IterationLimit
 		}
@@ -600,9 +597,9 @@ func (rs *revisedSolver) dualSimplex() Status {
 		}
 		leaveCol := rs.basis[r]
 		toUpper := rs.xb[r] > 0 // above its upper bound; else below zero
-		target, sgn := 0.0, -1.0
+		target := 0.0
 		if toUpper {
-			target, sgn = rs.upper[leaveCol], 1
+			target = rs.upper[leaveCol]
 		}
 
 		rs.colBuf[r] = 1
@@ -610,13 +607,9 @@ func (rs *revisedSolver) dualSimplex() Status {
 		rs.colBuf[r] = 0
 		rs.cBtran++
 
-		// Ratio test: among columns whose move pushes x_r toward the
-		// violated bound, the smallest |d_j/α_j| keeps every other reduced
-		// cost feasible. Ties go to the larger |α_j|, then the lower index.
-		enter := -1
-		best, bestAbs := math.Inf(1), 0.0
+		// α_j = ρ·A_j over the movable columns; dualRatio skips the rest.
 		for j := 0; j < nTotal; j++ {
-			if !rs.movable(j) {
+			if !movable(rs.status[j], rs.upper[j]) {
 				continue
 			}
 			rows, vals := rs.sf.a.col(j)
@@ -625,18 +618,8 @@ func (rs *revisedSolver) dualSimplex() Status {
 				a += rho[i] * vals[k]
 			}
 			alpha[j] = a
-			s := sgn * a
-			if rs.status[j] == atUpper {
-				s = -s
-			}
-			if s <= rs.tol {
-				continue
-			}
-			ratio := math.Abs(d[j]) / s
-			if ratio < best-rs.tol || (ratio < best+rs.tol && s > bestAbs) {
-				enter, best, bestAbs = j, ratio, s
-			}
 		}
+		enter := dualRatio(alpha, d, rs.status, rs.upper, toUpper, rs.tol)
 		if enter < 0 {
 			return Infeasible
 		}
@@ -659,7 +642,7 @@ func (rs *revisedSolver) dualSimplex() Status {
 		// cost; the leaving column's becomes −θ.
 		theta := d[enter] / alpha[enter]
 		for j := 0; j < nTotal; j++ {
-			if rs.movable(j) {
+			if movable(rs.status[j], rs.upper[j]) {
 				d[j] -= theta * alpha[j]
 			}
 		}
@@ -688,48 +671,6 @@ func (rs *revisedSolver) dualSimplex() Status {
 		rs.reducedCosts(d)
 	}
 	return Optimal
-}
-
-// movable reports whether column j is nonbasic with room to move: basic
-// columns and columns fixed at zero (clamped artificials, outaged
-// capacities) never enter a dual pivot.
-func (rs *revisedSolver) movable(j int) bool {
-	return rs.status[j] != inBasis && rs.upper[j] != 0
-}
-
-// leavingRow returns the slot whose basic value breaks its bounds by the
-// most, or -1 when the basis is primal feasible. Violations within the
-// scale-aware tolerance of the cold phase-1 verdict do not count; on the
-// feasible exit they are clamped onto the bound they graze.
-func (rs *revisedSolver) leavingRow() int {
-	scale := 1.0
-	for _, v := range rs.xb {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	eps := rs.tol * scale * float64(rs.sf.m+1) * 100
-	r, worst := -1, eps
-	for i, v := range rs.xb {
-		viol := -v
-		if over := v - rs.upper[rs.basis[i]]; over > viol {
-			viol = over
-		}
-		if viol > worst {
-			r, worst = i, viol
-		}
-	}
-	if r >= 0 {
-		return r
-	}
-	for i, v := range rs.xb {
-		if u := rs.upper[rs.basis[i]]; v < 0 {
-			rs.xb[i] = 0
-		} else if v > u {
-			rs.xb[i] = u
-		}
-	}
-	return -1
 }
 
 // reducedCosts prices every column at the current basis from scratch:

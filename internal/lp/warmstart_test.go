@@ -244,23 +244,27 @@ func perturbProblem(p *Problem, rs *rng.Stream) *Problem {
 // start) with a fuzzer-mutated problem and requires the safety contract: a
 // warm start from any basis — matching, stale, or from an unrelated problem
 // — never panics, never loops (iteration caps hold), and never reports
-// Optimal with an objective that disagrees with the cold solve. Mode 3
-// tightens bounds and re-solves under MethodRevised with the dense
-// crossover forced off, so it drives the sparse dual re-entry; there the
-// warm status must match the dense cold one too.
+// Optimal with an objective that disagrees with the cold solve. Modes 3
+// and 4 tighten bounds, which drives the dual re-entry: mode 3 re-solves
+// under MethodRevised with the dense crossover forced off (the sparse dual
+// simplex), mode 4 under MethodBounded (the dense one). There the warm
+// status must match the dense cold one too, and a warm optimum must pass
+// the KKT certificate.
 func FuzzWarmStart(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(0))
 	f.Add(uint64(7), uint64(7), uint8(1))
 	f.Add(uint64(42), uint64(9), uint8(2))
 	f.Add(uint64(5), uint64(3), uint8(3))
+	f.Add(uint64(11), uint64(4), uint8(4))
 	old := revisedFinishMaxRows
 	revisedFinishMaxRows = -1
 	f.Cleanup(func() { revisedFinishMaxRows = old })
 	f.Fuzz(func(t *testing.T, seedA, seedB uint64, mode uint8) {
 		rsA := rng.New(seedA)
 		donor := randomBoundedProblem(rsA)
+		mode %= 5
 		method := MethodBounded
-		if mode%4 == 3 {
+		if mode == 3 {
 			method = MethodRevised
 		}
 		base, err := donor.SolveOpts(Options{Method: method})
@@ -268,7 +272,7 @@ func FuzzWarmStart(f *testing.F) {
 			return
 		}
 		var target *Problem
-		switch mode % 4 {
+		switch mode {
 		case 0: // same structure, perturbed numbers
 			target = perturbProblem(donor, rng.New(seedB))
 		case 1: // unrelated problem: dimensions usually mismatch
@@ -283,8 +287,15 @@ func FuzzWarmStart(f *testing.F) {
 		if errW != nil || errC != nil {
 			return // reported errors are within contract; panics are not
 		}
-		if method == MethodRevised && warm.Status != cold.Status {
-			t.Fatalf("warm status %v, cold %v (warmstarted=%v)", warm.Status, cold.Status, warm.WarmStarted)
+		if mode >= 3 {
+			if warm.Status != cold.Status {
+				t.Fatalf("warm status %v, cold %v (warmstarted=%v)", warm.Status, cold.Status, warm.WarmStarted)
+			}
+			if warm.Status == Optimal {
+				if err := CheckKKT(target, warm, false); err != nil {
+					t.Fatalf("warm optimum (warmstarted=%v): %v", warm.WarmStarted, err)
+				}
+			}
 		}
 		if warm.Status == Optimal && cold.Status == Optimal {
 			scale := 1 + math.Abs(cold.Objective)

@@ -51,11 +51,9 @@ type ExperimentRunner struct {
 	// request, so overlapping scenarios (same grid, same ownership draws)
 	// stay hot between runs. Nil disables memoization.
 	Cache *solvecache.Cache
-	// WarmStart re-enters perturbed dispatch solves from baseline bases.
-	WarmStart bool
 	// LPMethod selects the dispatch simplex implementation for every run
-	// (zero value lp.MethodAuto keeps the solver's own choice). Like
-	// WarmStart it is server configuration, not scenario content: it does
+	// (zero value lp.MethodAuto keeps the solver's own choice). It is
+	// server configuration, not scenario content: it does
 	// not enter the scenario key, and the dispatch-solve cache salts its
 	// entries per method so mixed-method processes never alias.
 	LPMethod lp.Method
@@ -96,7 +94,6 @@ func (r *ExperimentRunner) Run(ctx context.Context, sc ScenarioConfig, dir strin
 		Faults:              experiments.FaultPolicy{Hook: r.Hook},
 		Log:                 run.Log,
 		Cache:               r.Cache,
-		WarmStart:           r.WarmStart,
 		LPMethod:            r.LPMethod,
 	}
 	if sc.Quick {
