@@ -77,7 +77,7 @@ func BenchmarkDenseNationalOracle(b *testing.B) {
 	if os.Getenv("BENCH_REVISED_OUT") == "" {
 		b.Skip("dense national solve costs seconds per op; set BENCH_REVISED_OUT (make bench-revised) to run")
 	}
-	benchNationalDispatch(b, 64, lp.MethodBounded)
+	benchNationalDispatch(b, 64, lp.MethodDense)
 }
 
 // TestBenchRevised is gated by BENCH_REVISED_OUT: unset, it skips; set, it

@@ -57,10 +57,11 @@ type Result struct {
 	WarmStarted bool
 }
 
-// Infeasible reports whether a dispatch failed because no feasible flow
-// exists (typically after validation was skipped on a broken model — the
-// base LP with zero lower bounds is always feasible at f=g=x=0, so this only
-// occurs with user-added side constraints).
+// InfeasibleError reports a dispatch LP that ended without an optimum,
+// carrying the LP status: typically no feasible flow exists, after
+// validation was skipped on a broken model (the base LP with zero lower
+// bounds is always feasible at f=g=x=0, so this only occurs with user-added
+// side constraints).
 type InfeasibleError struct{ Status lp.Status }
 
 func (e *InfeasibleError) Error() string {

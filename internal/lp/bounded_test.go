@@ -10,7 +10,7 @@ import (
 	"testing/quick"
 )
 
-func boundedOpts() Options { return Options{Method: MethodBounded} }
+func boundedOpts() Options { return Options{Method: MethodDense} }
 
 func TestBoundedSimpleMaximization(t *testing.T) {
 	p := NewProblem()
@@ -153,7 +153,7 @@ func TestMethodsAgree(t *testing.T) {
 			})
 		}
 		rows, err1 := solveRows(p, Options{})
-		bounded, err2 := p.SolveOpts(Options{Method: MethodBounded})
+		bounded, err2 := p.SolveOpts(Options{Method: MethodDense})
 		if (err1 == nil) != (err2 == nil) {
 			// Dual extraction may fail on redundant rows in one method
 			// but not the other; tolerate only that asymmetry.
@@ -204,7 +204,7 @@ func TestBoundedDualsAgree(t *testing.T) {
 			p.AddConstraint(Constraint{Coefs: coefs, Sense: GE, RHS: 1 + rng.Float64()*3})
 		}
 		r1, err1 := solveRows(p, Options{})
-		r2, err2 := p.SolveOpts(Options{Method: MethodBounded})
+		r2, err2 := p.SolveOpts(Options{Method: MethodDense})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: err1=%v err2=%v", trial, err1, err2)
 		}
@@ -227,7 +227,7 @@ func TestBoundedDualsAgree(t *testing.T) {
 }
 
 func TestMethodString(t *testing.T) {
-	if MethodAuto.String() != "auto" || MethodBounded.String() != "bounded" || MethodRevised.String() != "revised" {
+	if MethodAuto.String() != "auto" || MethodRevised.String() != "revised" {
 		t.Fatal("method strings wrong")
 	}
 	if Method(9).String() == "" {
@@ -235,12 +235,13 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-// TestParseMethod pins the -lp-method spellings: the retired "rows" is an
-// error that names every valid spelling.
+// TestParseMethod pins the -lp-method spellings: "bounded" stays an alias
+// for auto, and the retired "rows" is an error that names every valid
+// spelling.
 func TestParseMethod(t *testing.T) {
 	for s, want := range map[string]Method{
 		"": MethodAuto, "auto": MethodAuto, "dense": MethodAuto,
-		"bounded": MethodBounded, "revised": MethodRevised,
+		"bounded": MethodAuto, "revised": MethodRevised,
 	} {
 		if got, err := ParseMethod(s); err != nil || got != want {
 			t.Errorf("ParseMethod(%q) = %v, %v; want %v", s, got, err, want)
@@ -293,7 +294,13 @@ func TestAutoIsBounded(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := c.build()
-			if p.bounds >= 8 && p.bounds > len(p.rows) {
+			bounds := 0
+			for _, u := range p.upper {
+				if !math.IsInf(u, 1) {
+					bounds++
+				}
+			}
+			if bounds >= 8 && bounds > len(p.rows) {
 				t.Fatal("shape is one the retired heuristic already sent to the bounded tableau")
 			}
 			opts := Options{SkipDuals: c.skipDuals}
@@ -301,7 +308,7 @@ func TestAutoIsBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Method = MethodBounded
+			opts.Method = MethodDense
 			bounded, err := p.SolveOpts(opts)
 			if err != nil {
 				t.Fatal(err)

@@ -3,7 +3,6 @@ package lp
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -40,9 +39,9 @@ func TestExpiredContextReturnsFast(t *testing.T) {
 		{"canceled", ctx, Canceled},
 		{"deadline", dctx, DeadlineExceeded},
 	}
-	for _, method := range []Method{MethodBounded, MethodRevised} {
+	for _, method := range []Method{MethodDense, MethodRevised} {
 		for _, c := range cases {
-			t.Run(fmt.Sprintf("%v/%s", method, c.name), func(t *testing.T) {
+			t.Run(kernelNames[method]+"/"+c.name, func(t *testing.T) {
 				start := time.Now()
 				sol, err := trivialLP().SolveOpts(Options{Method: method, Ctx: c.ctx, CheckEvery: 1})
 				if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
@@ -85,7 +84,7 @@ func TestMidSolveCancellation(t *testing.T) {
 }
 
 func TestIterationLimitPartialSolution(t *testing.T) {
-	for _, method := range []Method{MethodBounded, MethodRevised} {
+	for _, method := range []Method{MethodDense, MethodRevised} {
 		sol, err := trivialLP().SolveOpts(Options{Method: method, MaxIter: 1})
 		if err != nil {
 			t.Fatalf("method %v: err = %v", method, err)

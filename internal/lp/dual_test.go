@@ -25,7 +25,7 @@ func cutBounds(seed uint64) *Problem {
 // dualMethods are the two warm re-entries the dual-phase battery covers:
 // the dense bounded tableau and the sparse revised solver (with its dense
 // crossover forced off by forceSparseExtract).
-var dualMethods = []Method{MethodBounded, MethodRevised}
+var dualMethods = []Method{MethodDense, MethodRevised}
 
 // dualPhase runs only method m's warm re-entry dual phase of p from b and
 // reports its status and pivot count. A dual phase that pivots to Optimal
@@ -34,34 +34,13 @@ var dualMethods = []Method{MethodBounded, MethodRevised}
 // a fresh pricing pass at the final basis finds no improving column.
 func dualPhase(t *testing.T, m Method, p *Problem, b *Basis) (Status, int) {
 	t.Helper()
-	var (
-		st     Status
-		iters  int
-		d      []float64
-		status []int8
-		upper  []float64
-	)
-	if m == MethodRevised {
-		rs := newRevisedSolver(p, Options{}, newGuard(Options{}))
-		if !rs.applyWarmBasis(b) {
-			t.Fatal("basis rejected")
-		}
-		st, iters = rs.dualSimplex(), rs.iters
-		d = make([]float64, rs.sf.nTotal)
-		rs.reducedCosts(d)
-		status, upper = rs.status, rs.upper
-	} else {
-		tb := newBoundedTableau(p, Options{})
-		defer tb.release()
-		tb.g = newGuard(Options{})
-		if !tb.applyWarmBasis(b) {
-			t.Fatal("basis rejected")
-		}
-		st, iters = tb.dualSimplex(), tb.iters
-		d = make([]float64, tb.nTotal)
-		tb.reducedCosts(tb.cost, d)
-		status, upper = tb.status, tb.upper
+	s := newSimplex(p, Options{}, newGuard(Options{}), m == MethodRevised)
+	defer s.k.release()
+	if !s.applyWarmBasis(b) {
+		t.Fatal("basis rejected")
 	}
+	st, iters := s.dual(), s.iters
+	d, status, upper := s.k.dualPrices(), s.status, s.upper
 	if st == Optimal && iters > 0 {
 		for j, dj := range d {
 			if movable(status[j], upper[j]) && (status[j] == atLower && dj < -1e-7 || status[j] == atUpper && dj > 1e-7) {

@@ -479,7 +479,7 @@ func TestSkipDuals(t *testing.T) {
 		})
 		return p
 	}
-	for _, m := range []Method{MethodBounded, MethodRevised} {
+	for _, m := range []Method{MethodDense, MethodRevised} {
 		sol, err := build().SolveOpts(Options{Method: m, SkipDuals: true})
 		if err != nil {
 			t.Fatalf("method %v: %v", m, err)

@@ -29,9 +29,11 @@ func SolveResilient(p *Problem, opts Options) (*Solution, error) {
 	mBlandRestarts.Inc()
 	retryOpts := opts
 	retryOpts.ForceBland = true
-	// Budget the restart from the problem-size default, not the caller's
-	// (possibly exhausted) MaxIter — the point is to outlast the failure.
-	retryOpts.MaxIter = 2 * (Options{}).maxIter(len(p.rows)+p.bounds, len(p.obj)+2*(len(p.rows)+p.bounds))
+	// Budget the restart from the problem-size default for the bounded
+	// form (m rows, n + 2m columns), not the caller's (possibly exhausted)
+	// MaxIter — the point is to outlast the failure.
+	m := len(p.rows)
+	retryOpts.MaxIter = 2 * (Options{}).maxIter(m, len(p.obj)+2*m)
 	sol2, err2 := p.SolveOpts(retryOpts)
 	if err2 != nil {
 		return nil, p.solveErr("fallback", Optimal, 0,

@@ -264,7 +264,7 @@ func TestRevisedWarmAcrossMethods(t *testing.T) {
 		if !agree(dense.Welfare, rw.Welfare) {
 			t.Errorf("%s: revised-warm welfare %v vs %v", name, rw.Welfare, dense.Welfare)
 		}
-		dw, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodBounded, WarmStart: rev.Basis}})
+		dw, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodDense, WarmStart: rev.Basis}})
 		if err != nil {
 			t.Fatalf("%s: dense warm from revised basis: %v", name, err)
 		}

@@ -8,6 +8,9 @@ import (
 	"cpsguard/internal/rng"
 )
 
+// kernelNames names each method's kernel in subtest names.
+var kernelNames = map[Method]string{MethodDense: "bounded", MethodRevised: "revised"}
+
 // forceSparseExtract makes the revised method run its sparse solver on
 // instances of every size for the duration of one test.
 func forceSparseExtract(t *testing.T) {
@@ -38,8 +41,8 @@ func TestWarmStartDegenerateArtificialBasis(t *testing.T) {
 		p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: EQ, RHS: 3})
 		return p
 	}
-	for _, m := range []Method{MethodBounded, MethodRevised} {
-		t.Run(m.String(), func(t *testing.T) {
+	for _, m := range []Method{MethodDense, MethodRevised} {
+		t.Run(kernelNames[m], func(t *testing.T) {
 			cold, err := build().SolveOpts(Options{Method: m})
 			if err != nil {
 				t.Fatal(err)
@@ -53,10 +56,10 @@ func TestWarmStartDegenerateArtificialBasis(t *testing.T) {
 			}
 			// The regression is only meaningful if the captured basis
 			// really contains an artificial column.
-			tab := newBoundedTableau(build(), Options{})
+			f := newForm(build())
 			hasArt := false
 			for _, col := range b.rows {
-				if tab.art[col] {
+				if f.art[col] {
 					hasArt = true
 				}
 			}
@@ -87,8 +90,8 @@ func TestWarmStartDegenerateArtificialBasis(t *testing.T) {
 // must take the warm path, for every problem in the seeded battery and for
 // both bounded-layout methods.
 func TestWarmStartIdenticalResolveNeverFallsBack(t *testing.T) {
-	for _, m := range []Method{MethodBounded, MethodRevised} {
-		t.Run(m.String(), func(t *testing.T) {
+	for _, m := range []Method{MethodDense, MethodRevised} {
+		t.Run(kernelNames[m], func(t *testing.T) {
 			fellBack := 0
 			for seed := uint64(0); seed < 120; seed++ {
 				p := GenRandomProblem(seed)
@@ -129,7 +132,7 @@ func TestRevisedCyclingBland(t *testing.T) {
 		p.AddConstraint(Constraint{Coefs: []Coef{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, Sense: LE, RHS: 0})
 		return p
 	}
-	for _, m := range []Method{MethodBounded, MethodRevised} {
+	for _, m := range []Method{MethodDense, MethodRevised} {
 		for _, bland := range []bool{false, true} {
 			sol, err := build().SolveOpts(Options{Method: m, ForceBland: bland})
 			if err != nil {
@@ -160,7 +163,7 @@ func TestRevisedDegeneratePivots(t *testing.T) {
 		p.AddConstraint(Constraint{Coefs: []Coef{{y, 1}, {z, 1}}, Sense: LE, RHS: 0})
 		return p
 	}
-	dense, err := p().SolveOpts(Options{Method: MethodBounded})
+	dense, err := p().SolveOpts(Options{Method: MethodDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func FuzzRevisedSimplex(f *testing.F) {
 				q.AddConstraint(Constraint{Coefs: row.Coefs, Sense: row.Sense, RHS: rhs})
 			}
 			if corrupted {
-				_, errD := q.SolveOpts(Options{Method: MethodBounded})
+				_, errD := q.SolveOpts(Options{Method: MethodDense})
 				_, errR := q.SolveOpts(Options{Method: MethodRevised})
 				if !errors.Is(errD, ErrBadProblem) || !errors.Is(errR, ErrBadProblem) {
 					t.Fatalf("corrupted problem accepted: dense err=%v revised err=%v", errD, errR)
@@ -233,7 +236,7 @@ func FuzzRevisedSimplex(f *testing.F) {
 			p = q
 		}
 
-		dense, errD := p.SolveOpts(Options{Method: MethodBounded})
+		dense, errD := p.SolveOpts(Options{Method: MethodDense})
 		rev, errR := p.SolveOpts(Options{Method: MethodRevised})
 		if errD != nil || errR != nil {
 			// Reported errors (e.g. singular dual extraction on degenerate

@@ -58,7 +58,11 @@ func newTableau(p *Problem, opts Options) (*tableau, error) {
 	t := &tableau{p: p, opts: opts, tol: opts.tol()}
 	t.n = len(p.obj)
 	t.mUser = len(p.rows)
-	t.mBound = p.bounds
+	for _, u := range p.upper {
+		if !math.IsInf(u, 1) {
+			t.mBound++
+		}
+	}
 	t.m = t.mUser + t.mBound
 
 	// Column layout: [structural | one slack/surplus per non-EQ row |

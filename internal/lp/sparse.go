@@ -3,16 +3,10 @@
 // The revised method (revised.go) never materializes the dense B⁻¹A tableau;
 // it works from the original standard-form constraint matrix held here in
 // compressed sparse column (CSC) form, plus a factorization of the current
-// basis (lu.go). The column layout is byte-for-byte the same as the dense
-// bounded tableau's (bounded.go): structural variables first, then per
-// constraint row a slack (LE), surplus+artificial (GE), or artificial (EQ)
-// column, with the same RHS-sign normalization. Identical layout is what
-// makes a Basis captured by one method directly applicable to the other —
-// the warm-start and solve-cache machinery of warmstart.go carries over
-// unchanged.
+// basis (lu.go). The column layout is the form both kernels share
+// (simplex.go), so a Basis captured under one kernel applies directly to
+// the other.
 package lp
-
-import "math"
 
 // cscMatrix is an m-row sparse matrix in compressed sparse column form.
 // Row indices within each column are strictly ascending.
@@ -23,9 +17,6 @@ type cscMatrix struct {
 	val    []float64
 }
 
-// cols reports the number of columns.
-func (a *cscMatrix) cols() int { return len(a.colPtr) - 1 }
-
 // col returns the row indices and values of column j.
 func (a *cscMatrix) col(j int) ([]int32, []float64) {
 	lo, hi := a.colPtr[j], a.colPtr[j+1]
@@ -35,31 +26,19 @@ func (a *cscMatrix) col(j int) ([]int32, []float64) {
 // colNNZ reports the number of stored entries in column j.
 func (a *cscMatrix) colNNZ(j int) int { return int(a.colPtr[j+1] - a.colPtr[j]) }
 
-// standardForm is the bounded-variable standard form of a Problem in sparse
-// column storage: minimize cost·x subject to A·x = rhs, 0 ≤ x ≤ upper, with
-// slack/surplus/artificial columns appended exactly as newBoundedTableau
-// lays them out.
+// standardForm is a form with its constraint matrix in sparse column
+// storage.
 type standardForm struct {
-	n      int // structural variables
-	m      int // constraint rows
-	nTotal int // total columns
-
-	a     *cscMatrix
-	rhs   []float64 // normalized b ≥ 0
-	upper []float64 // per column
-	cost  []float64 // phase-2 cost per column
-	art   []bool    // per column: is artificial
-	// startBasis[i] is the column initially basic in row i (its slack or
-	// artificial), mirroring the bounded tableau's starting basis.
-	startBasis []int
+	form
+	a *cscMatrix
 }
 
-// newStandardForm lowers p into sparse standard form. The normalization
-// (flip rows with negative RHS, aggregate duplicate coefficients in
-// encounter order) replicates newBoundedTableau exactly so that both
-// methods price the same matrix.
+// newStandardForm lowers p into sparse standard form: newForm's layout,
+// loadMatrix's entries, duplicate coefficients summed in encounter order
+// exactly as the dense kernel sums them, so both kernels price the same
+// matrix.
 func newStandardForm(p *Problem) *standardForm {
-	s := &standardForm{n: len(p.obj), m: len(p.rows)}
+	s := &standardForm{form: *newForm(p)}
 
 	// Pass 1: structural column counts (duplicate (row, var) coefficients
 	// aggregate, so count distinct slots conservatively by occurrences —
@@ -70,57 +49,39 @@ func newStandardForm(p *Problem) *standardForm {
 			counts[co.Var]++
 		}
 	}
-	// Extra columns: one slack or surplus per non-EQ row plus one
-	// artificial per GE/EQ row. Sized exactly below; allocate the column
-	// pointer for the worst case (2 per row) and trim.
-	maxCols := s.n + 2*s.m
-	colPtr := make([]int32, maxCols+1)
+	colPtr := make([]int32, s.nTotal+1)
 	nnzStruct := int32(0)
 	for j := 0; j < s.n; j++ {
 		colPtr[j] = nnzStruct
 		nnzStruct += counts[j]
 	}
-	rowIdx := make([]int32, nnzStruct, nnzStruct+int32(2*s.m))
-	val := make([]float64, nnzStruct, nnzStruct+int32(2*s.m))
+	units := int32(s.nTotal - s.n)
+	rowIdx := make([]int32, nnzStruct, nnzStruct+units)
+	val := make([]float64, nnzStruct, nnzStruct+units)
 
 	// Pass 2: fill structural entries row-by-row; within each column,
 	// entries arrive in ascending row order because rows are visited in
-	// order. Duplicate (row, var) pairs within one row aggregate in place,
-	// matching the dense builder's `a[i][v] += value`.
+	// order. Duplicate (row, var) pairs within one row aggregate in place.
+	// The unit columns, one entry each, are set aside until the structural
+	// columns are compacted.
 	fill := make([]int32, s.n)
 	copy(fill, colPtr[:s.n])
-	s.rhs = make([]float64, s.m)
-	senses := make([]Sense, s.m)
-	for i, row := range p.rows {
-		sense, rhs := row.Sense, row.RHS
-		flip := rhs < 0
-		if flip {
-			rhs = -rhs
-			switch sense {
-			case LE:
-				sense = GE
-			case GE:
-				sense = LE
-			}
+	unitRow := make([]int32, 0, units)
+	unitVal := make([]float64, 0, units)
+	loadMatrix(p, &s.form, func(i, j int, v float64) {
+		if j >= s.n {
+			unitRow = append(unitRow, int32(i))
+			unitVal = append(unitVal, v)
+			return
 		}
-		for _, co := range row.Coefs {
-			v := co.Value
-			if flip {
-				v = -v
-			}
-			j := co.Var
-			// Aggregate a duplicate of the same row within this column.
-			if fill[j] > colPtr[j] && rowIdx[fill[j]-1] == int32(i) {
-				val[fill[j]-1] += v
-				continue
-			}
-			rowIdx[fill[j]] = int32(i)
-			val[fill[j]] = v
-			fill[j]++
+		if fill[j] > colPtr[j] && rowIdx[fill[j]-1] == int32(i) {
+			val[fill[j]-1] += v
+			return
 		}
-		s.rhs[i] = rhs
-		senses[i] = sense
-	}
+		rowIdx[fill[j]] = int32(i)
+		val[fill[j]] = v
+		fill[j]++
+	})
 	// Compact out the slots freed by duplicate aggregation.
 	w := int32(0)
 	for j := 0; j < s.n; j++ {
@@ -134,43 +95,12 @@ func newStandardForm(p *Problem) *standardForm {
 	}
 	rowIdx = rowIdx[:w]
 	val = val[:w]
-
-	// Column metadata for structural variables.
-	s.upper = make([]float64, 0, maxCols)
-	s.cost = make([]float64, 0, maxCols)
-	s.art = make([]bool, 0, maxCols)
-	for j := 0; j < s.n; j++ {
-		s.upper = append(s.upper, p.upper[j])
-		s.cost = append(s.cost, p.obj[j])
-		s.art = append(s.art, false)
+	for k, r := range unitRow {
+		colPtr[s.n+k] = int32(len(rowIdx))
+		rowIdx = append(rowIdx, r)
+		val = append(val, unitVal[k])
 	}
-
-	// Slack / surplus / artificial columns in the bounded tableau's order.
-	s.startBasis = make([]int, s.m)
-	col := s.n
-	addUnit := func(rowI int, coef float64, isArt bool) int {
-		colPtr[col] = int32(len(rowIdx))
-		rowIdx = append(rowIdx, int32(rowI))
-		val = append(val, coef)
-		s.upper = append(s.upper, math.Inf(1))
-		s.cost = append(s.cost, 0)
-		s.art = append(s.art, isArt)
-		col++
-		return col - 1
-	}
-	for i := 0; i < s.m; i++ {
-		switch senses[i] {
-		case LE:
-			s.startBasis[i] = addUnit(i, 1, false)
-		case GE:
-			addUnit(i, -1, false) // surplus
-			s.startBasis[i] = addUnit(i, 1, true)
-		case EQ:
-			s.startBasis[i] = addUnit(i, 1, true)
-		}
-	}
-	s.nTotal = col
-	colPtr[col] = int32(len(rowIdx))
-	s.a = &cscMatrix{m: s.m, colPtr: colPtr[:col+1], rowIdx: rowIdx, val: val}
+	colPtr[s.nTotal] = int32(len(rowIdx))
+	s.a = &cscMatrix{m: s.m, colPtr: colPtr, rowIdx: rowIdx, val: val}
 	return s
 }

@@ -22,11 +22,11 @@ func dispatchLikeProblem() *Problem {
 
 func solveBoth(t *testing.T, p *Problem, b *Basis) (warm, cold *Solution) {
 	t.Helper()
-	warm, err := p.SolveOpts(Options{Method: MethodBounded, WarmStart: b})
+	warm, err := p.SolveOpts(Options{Method: MethodDense, WarmStart: b})
 	if err != nil {
 		t.Fatalf("warm solve: %v", err)
 	}
-	cold, err = p.SolveOpts(Options{Method: MethodBounded})
+	cold, err = p.SolveOpts(Options{Method: MethodDense})
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
@@ -38,7 +38,7 @@ func solveBoth(t *testing.T, p *Problem, b *Basis) (warm, cold *Solution) {
 // reproduce the optimum.
 func TestWarmStartResolve(t *testing.T) {
 	p := dispatchLikeProblem()
-	base, err := p.SolveOpts(Options{Method: MethodBounded})
+	base, err := p.SolveOpts(Options{Method: MethodDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestWarmStartResolve(t *testing.T) {
 	if base.Basis() == nil {
 		t.Fatal("optimal bounded solve exported no basis")
 	}
-	re, err := p.SolveOpts(Options{Method: MethodBounded, WarmStart: base.Basis()})
+	re, err := p.SolveOpts(Options{Method: MethodDense, WarmStart: base.Basis()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestWarmStartResolve(t *testing.T) {
 // bumps, capacity cuts including to zero, RHS shifts) and checks the warm
 // solve agrees with cold within 1e-9 on objective and primals.
 func TestWarmStartPerturbations(t *testing.T) {
-	base, err := dispatchLikeProblem().SolveOpts(Options{Method: MethodBounded})
+	base, err := dispatchLikeProblem().SolveOpts(Options{Method: MethodDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestWarmStartPerturbations(t *testing.T) {
 // TestWarmStartStaleBasisFallsBack feeds deliberately unusable bases and
 // requires a silent cold fallback with correct results.
 func TestWarmStartStaleBasisFallsBack(t *testing.T) {
-	base, err := dispatchLikeProblem().SolveOpts(Options{Method: MethodBounded})
+	base, err := dispatchLikeProblem().SolveOpts(Options{Method: MethodDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestWarmStartStaleBasisFallsBack(t *testing.T) {
 	t.Run("dimension-mismatch", func(t *testing.T) {
 		other := NewProblem()
 		other.AddVariable("x", -1, 1)
-		sol, err := other.SolveOpts(Options{Method: MethodBounded, WarmStart: good})
+		sol, err := other.SolveOpts(Options{Method: MethodDense, WarmStart: good})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestWarmStartStaleBasisFallsBack(t *testing.T) {
 			bad.rows[i] = -7
 		}
 		p := dispatchLikeProblem()
-		sol, err := p.SolveOpts(Options{Method: MethodBounded, WarmStart: bad})
+		sol, err := p.SolveOpts(Options{Method: MethodDense, WarmStart: bad})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,16 +163,16 @@ func TestWarmStartRandomAgreement(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rs := rng.New(seed)
 		p := randomBoundedProblem(rs)
-		base, err := p.SolveOpts(Options{Method: MethodBounded})
+		base, err := p.SolveOpts(Options{Method: MethodDense})
 		if err != nil || base.Status != Optimal {
 			continue
 		}
 		q := perturbProblem(p, rs)
-		warm, err := q.SolveOpts(Options{Method: MethodBounded, WarmStart: base.Basis()})
+		warm, err := q.SolveOpts(Options{Method: MethodDense, WarmStart: base.Basis()})
 		if err != nil {
 			continue // reported error (e.g. singular dual basis) is acceptable
 		}
-		cold, err := q.SolveOpts(Options{Method: MethodBounded})
+		cold, err := q.SolveOpts(Options{Method: MethodDense})
 		if err != nil || cold.Status != Optimal || warm.Status != Optimal {
 			continue
 		}
@@ -247,7 +247,7 @@ func perturbProblem(p *Problem, rs *rng.Stream) *Problem {
 // Optimal with an objective that disagrees with the cold solve. Modes 3
 // and 4 tighten bounds, which drives the dual re-entry: mode 3 re-solves
 // under MethodRevised with the dense crossover forced off (the sparse dual
-// simplex), mode 4 under MethodBounded (the dense one). There the warm
+// simplex), mode 4 under MethodDense (the dense one). There the warm
 // status must match the dense cold one too, and a warm optimum must pass
 // the KKT certificate.
 func FuzzWarmStart(f *testing.F) {
@@ -263,7 +263,7 @@ func FuzzWarmStart(f *testing.F) {
 		rsA := rng.New(seedA)
 		donor := randomBoundedProblem(rsA)
 		mode %= 5
-		method := MethodBounded
+		method := MethodDense
 		if mode == 3 {
 			method = MethodRevised
 		}
@@ -283,7 +283,7 @@ func FuzzWarmStart(f *testing.F) {
 			target = tightenBounds(donor, rng.New(seedB))
 		}
 		warm, errW := target.SolveOpts(Options{Method: method, WarmStart: base.Basis()})
-		cold, errC := target.SolveOpts(Options{Method: MethodBounded})
+		cold, errC := target.SolveOpts(Options{Method: MethodDense})
 		if errW != nil || errC != nil {
 			return // reported errors are within contract; panics are not
 		}
