@@ -4,8 +4,10 @@ GO ?= go
 
 ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke
 
+# go vet, and a gofmt check that fails when any file is not formatted.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -97,10 +99,12 @@ fuzz-smoke:
 	$(GO) test ./internal/screen/ -run=^$$ -fuzz=FuzzScreenPrune -fuzztime=5s
 
 # Revised-vs-dense differential smoke: the dense-oracle battery (fixtures,
-# outage sweeps, seeded random LPs, error taxonomy) plus the golden Fig. 5
-# byte-identity check under -lp-method=revised. Part of ci.
+# outage sweeps, seeded random LPs, error taxonomy), the pivot-path locks of
+# both kernels, plus the golden Fig. 5 byte-identity check under
+# -lp-method=revised. Part of ci.
 revised-smoke:
 	$(GO) test ./internal/lp/ -run 'TestRevisedVsDenseDifferential|TestRevisedWarmAcrossMethods' -count=1
+	$(GO) test ./internal/lp/ -run 'TestBoundedPivotPathLocked|TestRevisedPivotPathLocked' -count=1
 	$(GO) test -run '^TestGoldenFig5Revised$$' -count=1 .
 
 # Crash-resume acceptance: a sweep killed mid-run and resumed from its
