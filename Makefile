@@ -98,14 +98,12 @@ fuzz-smoke:
 	$(GO) test ./internal/lp/ -run=^$$ -fuzz=FuzzRevisedSimplex -fuzztime=5s
 	$(GO) test ./internal/screen/ -run=^$$ -fuzz=FuzzScreenPrune -fuzztime=5s
 
-# Revised-vs-dense differential smoke: the dense-oracle battery (fixtures,
-# outage sweeps, seeded random LPs, error taxonomy), the pivot-path locks of
-# both kernels, plus the golden Fig. 5 byte-identity check under
-# -lp-method=revised. Part of ci.
+# Sparse-vs-dense differential smoke: the dense-oracle battery (fixtures,
+# outage sweeps, seeded random LPs, error taxonomy) and the pivot-path locks
+# of both kernels, which also pin the kernel the size rule picks. Part of ci.
 revised-smoke:
 	$(GO) test ./internal/lp/ -run 'TestRevisedVsDenseDifferential|TestRevisedWarmAcrossMethods' -count=1
 	$(GO) test ./internal/lp/ -run 'TestBoundedPivotPathLocked|TestRevisedPivotPathLocked' -count=1
-	$(GO) test -run '^TestGoldenFig5Revised$$' -count=1 .
 
 # Crash-resume acceptance: a sweep killed mid-run and resumed from its
 # journal — including over a deliberately torn journal tail — must render
@@ -115,23 +113,33 @@ crash-resume:
 	$(GO) test ./internal/experiments/ -run 'TestResume|TestRetries' -count=1
 	$(GO) test ./internal/repeated/ -run 'TestResume' -count=1
 
+# fig5-cmp runs the quick seed-7 Fig. 5 sweep with a freshly built cpsexp,
+# once plainly into $(SMOKE)/run/plain and once through the commands given
+# as its argument, which must render the same sweep into $(SMOKE)/run/check;
+# the two fig5.csv files must be byte-identical. $(CPSEXP) is the binary
+# with the sweep's flags.
+shard-smoke screen-smoke: SMOKE = /tmp/cpsguard-$@
+CPSEXP = $(SMOKE)/cpsexp -quick -fig 5 -seed 7 -log-level warn
+define fig5-cmp
+	$(GO) build -o $(SMOKE)/cpsexp ./cmd/cpsexp
+	rm -rf $(SMOKE)/run
+	$(CPSEXP) -csv $(SMOKE)/run/plain >/dev/null
+	$(1)
+	cmp $(SMOKE)/run/plain/fig5.csv $(SMOKE)/run/check/fig5.csv
+endef
+
 # Sharded-sweep acceptance: the shard/supervisor/merge unit and integration
 # tests, then an end-to-end binary check — a supervised 2-shard run, merged,
 # must produce a CSV with the same checksum as a single-process run of the
 # same seeded sweep.
+define shard-run
+	$(CPSEXP) -shard-supervise 2 -shard-dir $(SMOKE)/run/shards >/dev/null
+	$(CPSEXP) -shard-merge $(SMOKE)/run/shards -csv $(SMOKE)/run/check >/dev/null
+endef
 shard-smoke:
 	$(GO) test ./internal/shard/ -count=1
 	$(GO) test ./internal/experiments/ -run 'TestShard|TestStrictReplay' -count=1
-	$(GO) build -o /tmp/cpsguard-shard-smoke/cpsexp ./cmd/cpsexp
-	rm -rf /tmp/cpsguard-shard-smoke/run
-	/tmp/cpsguard-shard-smoke/cpsexp -quick -fig 5 -seed 7 -log-level warn \
-		-csv /tmp/cpsguard-shard-smoke/run/single >/dev/null
-	/tmp/cpsguard-shard-smoke/cpsexp -quick -fig 5 -seed 7 -log-level warn \
-		-shard-supervise 2 -shard-dir /tmp/cpsguard-shard-smoke/run/shards >/dev/null
-	/tmp/cpsguard-shard-smoke/cpsexp -quick -fig 5 -seed 7 -log-level warn \
-		-shard-merge /tmp/cpsguard-shard-smoke/run/shards \
-		-csv /tmp/cpsguard-shard-smoke/run/merged >/dev/null
-	cmp /tmp/cpsguard-shard-smoke/run/single/fig5.csv /tmp/cpsguard-shard-smoke/run/merged/fig5.csv
+	$(call fig5-cmp,$(shard-run))
 	@echo "shard-smoke: merged CSV byte-identical to single-process run"
 
 # Scenario-service acceptance: the servd unit/integration battery (dedup,
@@ -160,23 +168,17 @@ obs-smoke:
 screen-smoke:
 	$(GO) test ./internal/screen/ -count=1
 	$(GO) test ./internal/defense/ -run 'TestPlanRedesign' -count=1
-	$(GO) build -o /tmp/cpsguard-screen-smoke/cpsexp ./cmd/cpsexp
-	rm -rf /tmp/cpsguard-screen-smoke/run
-	/tmp/cpsguard-screen-smoke/cpsexp -quick -fig 5 -seed 7 -log-level warn \
-		-csv /tmp/cpsguard-screen-smoke/run/plain >/dev/null
-	/tmp/cpsguard-screen-smoke/cpsexp -quick -fig 5 -seed 7 -log-level warn -screen-k 2 \
-		-csv /tmp/cpsguard-screen-smoke/run/screened \
-		-metrics /tmp/cpsguard-screen-smoke/run/metrics.json >/dev/null
-	cmp /tmp/cpsguard-screen-smoke/run/plain/fig5.csv /tmp/cpsguard-screen-smoke/run/screened/fig5.csv
-	grep -q '"screen.pruned": [1-9]' /tmp/cpsguard-screen-smoke/run/metrics.json
+	$(call fig5-cmp,$(CPSEXP) -screen-k 2 -csv $(SMOKE)/run/check -metrics $(SMOKE)/run/metrics.json >/dev/null)
+	grep -q '"screen.pruned": [1-9]' $(SMOKE)/run/metrics.json
 	@echo "screen-smoke: screened CSV byte-identical to unscreened run, pruning active"
 
 # Remove build and scratch artifacts. The reference CSVs committed under
-# results/ are deliberately preserved: they are reviewed outputs, not
-# build products.
+# results/ and the committed bench reports (BENCH_revised.json,
+# BENCH_warmstart.json) are deliberately preserved: they are reviewed
+# outputs, not build products.
 clean:
 	$(GO) clean ./...
-	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsservd BENCH_telemetry.json BENCH_warmstart.json BENCH_revised.json BENCH_shard.json BENCH_servd.json BENCH_obs.json BENCH_screen.json
+	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsservd BENCH_telemetry.json BENCH_shard.json BENCH_servd.json BENCH_obs.json BENCH_screen.json
 	rm -rf /tmp/cpsguard-shard-smoke /tmp/cpsguard-screen-smoke .bench_build
 	find . -name '*.journal' -not -path './results/*' -delete
 	find . -name '*.test' -delete

@@ -42,32 +42,34 @@ func benchNationalDispatch(b *testing.B, regions int, m lp.Method) {
 }
 
 // BenchmarkRevisedSimplex dispatches the stressed six-state evaluation
-// model with the revised method — the production small-instance path,
-// which the dense crossover delegates to the dense bounded solver.
+// model with the default options — the production small-instance path,
+// which the size rule keeps on the dense kernel.
 func BenchmarkRevisedSimplex(b *testing.B) {
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodRevised}}); err != nil {
+		if _, err := flow.DispatchOpts(g, flow.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkRevisedNationalGrid dispatches a 256-region national-tier
-// system (~2000 buses, ~3800 assets) with the revised method — the
-// sparse-LU regime the method exists for.
+// system (~2000 buses, ~3800 assets) with the default options, which the
+// size rule sends to the sparse kernel — the sparse-LU regime it exists
+// for.
 func BenchmarkRevisedNationalGrid(b *testing.B) {
-	benchNationalDispatch(b, 256, lp.MethodRevised)
+	benchNationalDispatch(b, 256, lp.MethodAuto)
 }
 
 // The oracle comparison pair shares one 64-region national instance, the
 // largest where the dense tableau's quadratic per-pivot cost stays
 // benchmarkable (seconds, not minutes, per solve).
 
-// BenchmarkRevisedNationalOracle is the revised half of the pair.
+// BenchmarkRevisedNationalOracle is the sparse half of the pair: the
+// default options, above the dense crossover.
 func BenchmarkRevisedNationalOracle(b *testing.B) {
-	benchNationalDispatch(b, 64, lp.MethodRevised)
+	benchNationalDispatch(b, 64, lp.MethodAuto)
 }
 
 // BenchmarkDenseNationalOracle is the dense half. It costs seconds per
@@ -191,8 +193,8 @@ func TestBenchRevisedSchema(t *testing.T) {
 		t.Errorf("round trip mangled report: %+v", back)
 	}
 
-	// The counter names themselves: one forced-sparse revised solve must
-	// populate every counter family §15 documents.
+	// The counter names themselves: one dispatch above the dense crossover
+	// must populate every counter family §15 documents.
 	reg := telemetry.Default()
 	reg.Reset()
 	defer reg.Reset()
@@ -200,7 +202,7 @@ func TestBenchRevisedSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodRevised}}); err != nil {
+	if _, err := flow.DispatchOpts(g, flow.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot(telemetry.SnapshotOptions{})

@@ -19,7 +19,6 @@ import (
 	"cpsguard/internal/atomicio"
 	"cpsguard/internal/gridgen"
 	"cpsguard/internal/impact"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/screen"
 	"cpsguard/internal/solvecache"
@@ -57,7 +56,6 @@ func screenBenchInstance(tb testing.TB) (*impact.Analysis, []string) {
 		Graph:     g,
 		Ownership: actors.RandomOwnership(g, 4, rng.Derive(3, 0x5C12)),
 		Cache:     solvecache.New(16384),
-		LPMethod:  lp.MethodRevised,
 	}
 	return an, corridor[:screenBenchTargets]
 }

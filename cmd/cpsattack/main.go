@@ -17,7 +17,6 @@ import (
 	"cpsguard/internal/adversary"
 	"cpsguard/internal/cli"
 	"cpsguard/internal/core"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
@@ -37,18 +36,12 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics/prom, /debug/vars and /debug/pprof on this address")
 	solveCache := flag.Int("solve-cache", 0, "memoize dispatch solves in an N-entry LRU cache (0 = off); results are unchanged")
 	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth: prints the worst contingencies and accelerates the adversary search (0 = off; the plan is byte-identical either way)")
-	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense or bounded (all the dense bounded tableau), or revised (sparse)")
 	flag.Parse()
 
 	logger := obs.New("cpsattack", obs.Sink{W: os.Stderr, Format: obs.Text, Min: obs.LevelInfo})
 	fatal := func(err error) {
 		logger.Error("fatal", obs.F("err", err))
 		os.Exit(1)
-	}
-
-	method, err := lp.ParseMethod(*lpMethod)
-	if err != nil {
-		fatal(err)
 	}
 
 	stopDebug := cli.StartDebug(*debugAddr, logger)
@@ -65,7 +58,6 @@ func main() {
 	s.Parallel = parallel.Options{Context: ctx, Log: logger}
 	s.Targets = adversary.UniformTargets(g.AssetIDs(), *catk, *ps)
 	s.Cache = solvecache.New(*solveCache)
-	s.LPMethod = method
 	s.ScreenK = *screenK
 	defer func() {
 		if st := s.Cache.Stats(); st.Capacity > 0 {
@@ -97,7 +89,7 @@ func main() {
 	}
 	plan, err := adversary.SolveResilient(adversary.Config{
 		Matrix: view, Targets: s.Targets, Budget: *budget,
-		Ctx: ctx, LPMethod: method, Screen: rank,
+		Ctx: ctx, Screen: rank,
 	})
 	if err != nil {
 		cli.ExitCanceled(ctx, err, "impact matrices done; interrupted during the target-selection search")

@@ -77,7 +77,6 @@ import (
 	"cpsguard/internal/experiments"
 	"cpsguard/internal/faultinject"
 	"cpsguard/internal/gridgen"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/shard"
@@ -117,7 +116,6 @@ func main() {
 	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth threaded into every adversary solve as a pruning front-end (0 = off; results are byte-identical either way, see DESIGN.md §17)")
 	interventions := flag.Bool("interventions", false, "run the defense-as-redesign sweep (equivalent to -fig interventions)")
 	solveCache := flag.Int("solve-cache", 0, "share an N-entry LRU dispatch-solve memo across all trials (0 = off); results are unchanged")
-	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense or bounded (all the dense bounded tableau), or revised (sparse)")
 	shardSpec := flag.String("shard", "", "run only shard i/n of the sweep (0-based, e.g. 0/4), journaling into -shard-dir")
 	shardDir := flag.String("shard-dir", "shards", "parent directory for per-shard journals, manifests, and snapshots")
 	shardSupervise := flag.Int("shard-supervise", 0, "run the sweep as n supervised child-process shards into -shard-dir")
@@ -128,11 +126,6 @@ func main() {
 	flag.Parse()
 
 	lvl, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cpsexp: %v\n", err)
-		os.Exit(exitUsage)
-	}
-	method, err := lp.ParseMethod(*lpMethod)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cpsexp: %v\n", err)
 		os.Exit(exitUsage)
@@ -232,7 +225,6 @@ func main() {
 		Faults:   experiments.FaultPolicy{MaxFailureRate: *faultRate, Hook: chaosHook, Log: faultLog},
 		Log:      logger,
 		Cache:    cache,
-		LPMethod: method,
 		ScreenK:  *screenK,
 	}
 	// grid is the effective system whether or not -grid was given, so the
@@ -396,7 +388,7 @@ func main() {
 	// run's other artifacts so cpsreport can render it. The ranking is the
 	// same deterministic screen every trial scenario reuses internally.
 	if *screenK > 0 && *obsDir != "" && sr == nil {
-		data, err := screenArtifact(grid, *screenK, *seed, cache, method)
+		data, err := screenArtifact(grid, *screenK, *seed, cache)
 		if err != nil {
 			fatal(fmt.Errorf("screen artifact: %w", err))
 		}

@@ -11,7 +11,6 @@ import (
 	"cpsguard/internal/actors"
 	"cpsguard/internal/graph"
 	"cpsguard/internal/impact"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/screen"
 	"cpsguard/internal/solvecache"
@@ -20,13 +19,11 @@ import (
 // screenTop is how many worst contingencies the artifact retains.
 const screenTop = 16
 
-func screenArtifact(g *graph.Graph, k int, seed uint64,
-	cache *solvecache.Cache, method lp.Method) ([]byte, error) {
+func screenArtifact(g *graph.Graph, k int, seed uint64, cache *solvecache.Cache) ([]byte, error) {
 	an := &impact.Analysis{
 		Graph:     g,
 		Ownership: actors.RandomOwnership(g, 4, rng.Derive(seed, 0x5C12)),
 		Cache:     cache,
-		LPMethod:  method,
 	}
 	r, err := screen.Run(screen.Config{Analysis: an, K: k, Top: screenTop})
 	if err != nil {

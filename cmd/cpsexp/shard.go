@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,6 +33,10 @@ import (
 // because they never change which trials run or what they produce.
 var sweepKeyFlags = []string{"fig", "trials", "seed", "mode", "quick", "max-fault-rate", "chaos",
 	"screen-k", "interventions", "grid"}
+
+// runFlags are the flags a supervisor forwards to its shards besides
+// sweepKeyFlags: they shape how a shard runs, never what it produces.
+var runFlags = []string{"retries", "trial-timeout", "solve-cache", "log-level"}
 
 // sweepKeyExtra holds result-affecting facts that no flag value captures —
 // today the interventions candidate-menu digest, which depends on the
@@ -238,9 +243,7 @@ func childArgs(index, count int, parentDir, reportURL string) []string {
 	if reportURL != "" {
 		args = append(args, "-shard-report", reportURL)
 	}
-	for _, name := range []string{"fig", "trials", "seed", "mode", "quick", "max-fault-rate", "chaos",
-		"screen-k", "interventions", "grid",
-		"retries", "trial-timeout", "solve-cache", "log-level"} {
+	for _, name := range slices.Concat(sweepKeyFlags, runFlags) {
 		f := flag.Lookup(name)
 		if f == nil || f.Value.String() == f.DefValue {
 			continue

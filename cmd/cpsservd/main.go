@@ -10,7 +10,7 @@
 //	cpsservd -store DIR [-addr :8780] [-workers N] [-queue N]
 //	         [-deadline D] [-max-deadline D] [-retries N]
 //	         [-breaker-fails N] [-breaker-cooldown D]
-//	         [-solve-cache N] [-lp-method M] [-run-workers N]
+//	         [-solve-cache N] [-run-workers N]
 //	         [-drain-timeout D] [-chaos RATE] [-trace]
 //	         [-debug-addr ADDR] [-log-level LEVEL]
 //
@@ -49,7 +49,6 @@ import (
 
 	"cpsguard/internal/cli"
 	"cpsguard/internal/faultinject"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/servd"
 	"cpsguard/internal/solvecache"
@@ -72,7 +71,6 @@ func main() {
 	breakerFails := flag.Int("breaker-fails", 3, "consecutive failures that open a scenario's circuit")
 	breakerCooldown := flag.Duration("breaker-cooldown", 15*time.Second, "open-circuit cooldown before a probe is admitted")
 	solveCache := flag.Int("solve-cache", 4096, "shared N-entry LRU dispatch-solve memo across all requests (0 = off)")
-	lpMethod := flag.String("lp-method", "auto", "dispatch simplex implementation: auto, dense or bounded (all the dense bounded tableau), or revised (sparse)")
 	runWorkers := flag.Int("run-workers", 0, "trial fan-out inside each run (0 = GOMAXPROCS)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful-drain budget on SIGTERM before in-flight runs are canceled")
 	chaosRate := flag.Float64("chaos", 0, "fail this fraction of trials with an injected transient error (resilience testing)")
@@ -89,11 +87,6 @@ func main() {
 	}
 	if *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "cpsservd: -store DIR is required")
-		os.Exit(exitUsage)
-	}
-	method, err := lp.ParseMethod(*lpMethod)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cpsservd: %v\n", err)
 		os.Exit(exitUsage)
 	}
 	logger := obs.New("cpsservd", obs.Sink{W: os.Stderr, Format: obs.Text, Min: lvl})
@@ -131,7 +124,6 @@ func main() {
 	}
 	runner := &servd.ExperimentRunner{
 		Cache:       solvecache.New(*solveCache),
-		LPMethod:    method,
 		Hook:        chaosHook,
 		StderrLevel: obs.LevelWarn,
 		Workers:     *runWorkers,

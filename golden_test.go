@@ -10,7 +10,6 @@ import (
 	"cpsguard/internal/cli"
 	"cpsguard/internal/core"
 	"cpsguard/internal/experiments"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/shard"
 	"cpsguard/internal/solvecache"
@@ -148,58 +147,6 @@ func TestGoldenFig5Cached(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Errorf("second pass never hit the solve cache (misses %d): scenario salts are not stable", st.Misses)
-	}
-}
-
-// TestGoldenFig5Revised re-runs the golden configuration with the sparse
-// revised simplex selected for every dispatch (cpsexp -lp-method=revised)
-// and requires the CSV to stay byte-identical to the committed fixture —
-// the full-pipeline enforcement of the revised method's determinism
-// contract (DESIGN.md §15): instances at or below the dense crossover are
-// delegated wholesale to the dense bounded solver, so switching methods may
-// not move a single digit. A second phase re-runs with the solve cache on
-// (two passes over one shared cache, as cpsexp -solve-cache
-// -lp-method=revised would), which must also render the fixture's exact
-// bytes — method-salted cache keys keep the revised entries from aliasing
-// dense ones.
-func TestGoldenFig5Revised(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-pipeline golden test")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_fig5.csv"))
-	if err != nil {
-		t.Fatalf("missing fixture (run TestGoldenFig5CSV with -update to create): %v", err)
-	}
-
-	cfg := goldenCfg()
-	cfg.LPMethod = lp.MethodRevised
-	tb, err := experiments.Fig5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tb.CSV(); got != string(want) {
-		t.Fatalf("revised-method golden CSV drifted from fixture\n--- want ---\n%s\n--- got ---\n%s", want, got)
-	}
-
-	cfg = goldenCfg()
-	cfg.LPMethod = lp.MethodRevised
-	cfg.Cache = solvecache.New(4096)
-	for pass := 1; pass <= 2; pass++ {
-		tb, err := experiments.Fig5(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tb.CSV(); got != string(want) {
-			t.Fatalf("pass %d: revised + cache perturbed the golden CSV\n--- want ---\n%s\n--- got ---\n%s",
-				pass, want, got)
-		}
-	}
-	st := cfg.Cache.Stats()
-	if st.Misses == 0 {
-		t.Error("revised golden run never reached the solve cache")
-	}
-	if st.Hits == 0 {
-		t.Errorf("second revised pass never hit the solve cache (misses %d): method salting broke key stability", st.Misses)
 	}
 }
 

@@ -82,10 +82,6 @@ type Config struct {
 	// "adversary.node" alongside the Ctx check; a returned error aborts
 	// the search, a panic exercises SolveResilient's recovery.
 	Hook func(site string) error
-	// LPMethod selects the simplex implementation for the MILP oracle's
-	// relaxations (SolveMILP and the SolveResilient fallback chain). The
-	// exact and greedy searches are combinatorial and unaffected.
-	LPMethod lp.Method
 	// Screen, when non-nil, is an N-k vulnerability ranking used as a
 	// candidate-pruning front-end: targets the screen certified as unable
 	// to change the dispatch optimum AND whose optimistic net value is
@@ -568,7 +564,7 @@ func SolveMILP(cfg Config) (*Plan, error) {
 	p.AddConstraint(lp.Constraint{Coefs: budgetCoefs, Sense: lp.LE, RHS: in.budget})
 
 	sol, err := milp.Solve(milp.Problem{LP: p, Binary: binary},
-		milp.Options{Ctx: cfg.Ctx, LP: lp.Options{Method: cfg.LPMethod}})
+		milp.Options{Ctx: cfg.Ctx})
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,6 @@ import (
 	"cpsguard/internal/defense"
 	"cpsguard/internal/graph"
 	"cpsguard/internal/impact"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/noise"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
@@ -83,10 +82,6 @@ type Scenario struct {
 	// one cache — see impact/cache.go). Purely an accelerator: results
 	// are unchanged.
 	Cache *solvecache.Cache
-	// LPMethod selects the dispatch simplex implementation
-	// (lp.MethodAuto, the zero value, keeps the solver's own choice;
-	// lp.MethodRevised selects the sparse revised simplex).
-	LPMethod lp.Method
 	// ScreenK, when > 0, runs an N-k vulnerability screen of this depth
 	// over the ground-truth system and threads the resulting ranking into
 	// every adversary solve (plan search and Pa sampling alike) as a
@@ -145,7 +140,7 @@ func (s *Scenario) Truth() (*impact.Matrix, error) {
 	an := &impact.Analysis{
 		Graph: s.Graph, Ownership: s.Ownership,
 		Model: s.ProfitModel, Parallel: s.Parallel,
-		Cache: s.Cache, LPMethod: s.LPMethod,
+		Cache: s.Cache,
 	}
 	m, err := an.ComputeMatrix(s.targetIDs())
 	if err != nil {
@@ -169,7 +164,7 @@ func (s *Scenario) ScreenRanking() (*screen.Ranking, error) {
 	an := &impact.Analysis{
 		Graph: s.Graph, Ownership: s.Ownership,
 		Model: s.ProfitModel, Parallel: s.Parallel,
-		Cache: s.Cache, LPMethod: s.LPMethod,
+		Cache: s.Cache,
 	}
 	r, err := screen.Run(screen.Config{Analysis: an, Targets: s.targetIDs(), K: s.ScreenK})
 	if err != nil {
@@ -198,7 +193,7 @@ func (s *Scenario) View(sigma float64, mode NoiseMode, rs *rng.Stream) (*impact.
 		an := &impact.Analysis{
 			Graph: ng, Ownership: s.Ownership,
 			Model: s.ProfitModel, Parallel: s.Parallel,
-			Cache: s.Cache, LPMethod: s.LPMethod,
+			Cache: s.Cache,
 		}
 		return an.ComputeMatrix(s.targetIDs())
 	default:
@@ -300,7 +295,7 @@ func PlayRound(s *Scenario, cfg GameConfig) (*GameResult, error) {
 	}
 	plan, err := adversary.SolveResilient(adversary.Config{
 		Matrix: atkView, Targets: targets, Budget: cfg.AttackBudget,
-		Ctx: cfg.Ctx, LPMethod: s.LPMethod, Screen: rank,
+		Ctx: cfg.Ctx, Screen: rank,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: adversary: %w", err)

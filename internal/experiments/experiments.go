@@ -21,7 +21,6 @@ import (
 	"cpsguard/internal/checkpoint"
 	"cpsguard/internal/core"
 	"cpsguard/internal/graph"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
@@ -100,10 +99,6 @@ type Config struct {
 	//
 	// Deprecated: ignored.
 	WarmStart bool
-	// LPMethod selects the dispatch simplex implementation for every
-	// trial's scenario (zero value lp.MethodAuto keeps the solver's own
-	// choice; lp.MethodRevised selects the sparse revised simplex).
-	LPMethod lp.Method
 	// ScreenK, when > 0, runs an N-k vulnerability screen of this depth
 	// per scenario and threads the ranking into every adversary solve as
 	// a pruning front-end. Purely an accelerator: screened figures are
@@ -178,7 +173,6 @@ func (c Config) scenarioFor(n int, trial int) *core.Scenario {
 	s := core.NewScenario(g, n, seed)
 	s.Parallel = parallel.Options{Workers: 1} // trials already parallel
 	s.Cache = c.Cache
-	s.LPMethod = c.LPMethod
 	s.ScreenK = c.ScreenK
 	return s
 }
@@ -261,7 +255,7 @@ func Fig3(cfg Config) (*stats.Table, error) {
 					}
 					plan, err := adversary.SolveResilient(adversary.Config{
 						Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
-						Ctx: ctx, LPMethod: cfg.LPMethod, Screen: rank,
+						Ctx: ctx, Screen: rank,
 					})
 					if err != nil {
 						return 0, err
@@ -314,7 +308,7 @@ func Fig4(cfg Config) (*stats.Table, error) {
 				}
 				plan, err := adversary.SolveResilient(adversary.Config{
 					Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
-					Ctx: ctx, LPMethod: cfg.LPMethod, Screen: rank,
+					Ctx: ctx, Screen: rank,
 				})
 				if err != nil {
 					return pair{}, err

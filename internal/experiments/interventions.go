@@ -46,7 +46,6 @@ func (c Config) interventionScreen(g *graph.Graph, targets []string) (float64, e
 		Ownership: actors.RandomOwnership(g, 4, rng.Derive(c.seed(), 0x1F)),
 		Cache:     solvecache.New(8192),
 		Parallel:  parallel.Options{Workers: 1}, // trials already parallel
-		LPMethod:  c.LPMethod,
 	}
 	r, err := screen.Run(screen.Config{Analysis: an, Targets: targets, K: c.screenK()})
 	if err != nil {

@@ -34,8 +34,9 @@ const (
 	// long-haul chords), the topology of a continent-scale interconnect.
 	// Average hub degree stays bounded as Regions grows, so a
 	// thousand-region system produces LPs whose constraint matrices are
-	// overwhelmingly sparse — the regime the revised simplex
-	// (lp.MethodRevised) is built for. A Regions count in the hundreds
+	// overwhelmingly sparse — the regime the sparse revised simplex is built
+	// for, which the solver picks on its own above 512 constraint rows (one
+	// per bus; 64 regions make 513). A Regions count in the hundreds
 	// yields several thousand buses (each region contributes two hubs,
 	// two loads, an import terminal, and 2–4 generators).
 	TierNational

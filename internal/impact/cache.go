@@ -4,10 +4,9 @@
 // Cache keys canonicalize the perturbation set — duplicates collapse
 // last-wins per (edge, field), order is normalized — and are salted with a
 // fingerprint of everything else the result depends on: the graph bytes,
-// the ownership assignment, the profit model and the simplex method. Two
-// Analyses over identical scenarios therefore share entries, and any
-// difference in scenario content changes the salt rather than silently
-// aliasing.
+// the ownership assignment and the profit model. Two Analyses over
+// identical scenarios therefore share entries, and any difference in
+// scenario content changes the salt rather than silently aliasing.
 //
 // The memo stores absolute per-actor profits, not deltas, so hits replay
 // the exact delta arithmetic of a fresh solve against the caller's
@@ -92,12 +91,6 @@ func (a *Analysis) salt() string {
 		h.Write([]byte{1})
 	}
 	h.Write([]byte(a.model().Name()))
-	if a.LPMethod != lp.MethodAuto {
-		// Simplex methods agree within tolerance, not bit for bit, so each
-		// gets its own entry family and a cache shared across differently
-		// configured Analyses stays exact. MethodAuto writes nothing.
-		h.Write([]byte{3, byte(a.LPMethod)})
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -235,7 +228,7 @@ func (a *Analysis) ofCachedEntry(salt string, base baselineState, ps []Perturbat
 		return solvecache.Entry{}, err
 	}
 	defer c.release(gp)
-	r, err := c.disp.SolveEdited(gp, lp.Options{Method: a.LPMethod, WarmStart: base.basis})
+	r, err := c.disp.SolveEdited(gp, lp.Options{WarmStart: base.basis})
 	if err != nil {
 		return solvecache.Entry{}, err
 	}

@@ -125,12 +125,10 @@ type Analysis struct {
 	//
 	// Deprecated: ignored.
 	WarmStart bool
-	// LPMethod selects the simplex implementation for every dispatch this
-	// analysis performs (lp.MethodAuto lets the solver pick, as before).
-	// lp.MethodRevised switches to the sparse revised simplex; results
-	// agree with the dense method within solver tolerance, and cache
-	// entries are salted per method so differently configured Analyses
-	// sharing one cache never alias.
+	// LPMethod is ignored: the solver picks its kernel from the size of
+	// the dispatch LP.
+	//
+	// Deprecated: ignored.
 	LPMethod lp.Method
 
 	mu   sync.Mutex
@@ -151,7 +149,7 @@ func (a *Analysis) Baseline() (actors.Profits, *flow.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := c.disp.Solve(lp.Options{Method: a.LPMethod})
+	r, err := c.disp.Solve(lp.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

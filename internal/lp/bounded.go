@@ -1,5 +1,6 @@
-// The dense tableau kernel of the bounded simplex (simplex.go), behind
-// MethodAuto.
+// The dense tableau kernel of the bounded simplex (simplex.go): what
+// MethodAuto runs at or below the dense crossover, and MethodDense at every
+// size.
 //
 // It keeps B⁻¹A for every column as a dense tableau, updated by one
 // Gauss-Jordan pivot per basis change, and carries the reduced-cost row
@@ -130,7 +131,7 @@ func (k *denseKernel) price(_ []float64, bland bool) (int, float64) {
 	if enteringOverride != nil {
 		return enteringOverride(k, bland)
 	}
-	e := newPick(k.tol, bland)
+	e := newPick(bland)
 	status, upper := k.status, k.upper
 	for j, r := range k.d[:k.nTotal] {
 		if math.Abs(r) > e.best && canEnter(status[j], upper[j]) && e.offer(j, status[j], r) {
@@ -212,7 +213,7 @@ func (k *denseKernel) pivot(row, col int) {
 func (k *denseKernel) refactorAt(rows []int) bool {
 	assigned := make([]bool, k.m)
 	for _, col := range rows {
-		row, rowAbs := -1, k.tol
+		row, rowAbs := -1, tol
 		for i, ai := range k.a {
 			if assigned[i] {
 				continue

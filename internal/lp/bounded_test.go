@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -227,34 +226,11 @@ func TestBoundedDualsAgree(t *testing.T) {
 }
 
 func TestMethodString(t *testing.T) {
-	if MethodAuto.String() != "auto" || MethodRevised.String() != "revised" {
+	if MethodAuto.String() != "auto" || MethodDense.String() != "dense" {
 		t.Fatal("method strings wrong")
 	}
 	if Method(9).String() == "" {
 		t.Fatal("unknown method should render")
-	}
-}
-
-// TestParseMethod pins the -lp-method spellings: "bounded" stays an alias
-// for auto, and the retired "rows" is an error that names every valid
-// spelling.
-func TestParseMethod(t *testing.T) {
-	for s, want := range map[string]Method{
-		"": MethodAuto, "auto": MethodAuto, "dense": MethodAuto,
-		"bounded": MethodAuto, "revised": MethodRevised,
-	} {
-		if got, err := ParseMethod(s); err != nil || got != want {
-			t.Errorf("ParseMethod(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	_, err := ParseMethod("rows")
-	if err == nil {
-		t.Fatal(`ParseMethod("rows") accepted the retired method`)
-	}
-	for _, s := range []string{"auto", "dense", "bounded", "revised"} {
-		if !strings.Contains(err.Error(), s) {
-			t.Errorf("error %q does not name %q", err, s)
-		}
 	}
 }
 

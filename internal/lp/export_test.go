@@ -114,7 +114,7 @@ func referencePivot(k *denseKernel, row, col int) {
 func referenceEntering(k *denseKernel, bland bool) (enter int, enterDir float64) {
 	enter = -1
 	enterDir = 1
-	best := k.tol
+	best := tol
 	for j := 0; j < k.nTotal; j++ {
 		if k.status[j] == inBasis {
 			continue

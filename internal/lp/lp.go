@@ -3,9 +3,10 @@
 //
 // It targets the problem sizes that arise in energy-dispatch models
 // (hundreds of variables and constraints). One simplex (simplex.go) owns the
-// pivot rules; two kernels do its linear algebra. The dense tableau
-// (bounded.go) solves every problem up to the national tier; the sparse
-// revised LU/eta kernel (revised.go) takes over above its dense crossover.
+// pivot rules; two kernels do its linear algebra, and the problem's size
+// picks between them: the dense tableau (bounded.go) at or below 512
+// constraint rows, the sparse revised LU/eta kernel (revised.go) above,
+// which is what the national gridgen tier needs.
 // Both favor numerical robustness and auditability over asymptotic speed:
 // pivoting is Dantzig-rule with an automatic switch to Bland's rule to break
 // cycling, and dual values are recovered by solving Bᵀy = c_B against the
@@ -234,12 +235,10 @@ type Solution struct {
 
 // Options tunes the solver. The zero value selects defaults.
 type Options struct {
-	// Tol is the feasibility/optimality tolerance (default 1e-9).
-	Tol float64
 	// MaxIter caps total pivots (default 50·(m+n), at least 10_000).
 	MaxIter int
-	// Method selects the simplex kernel (default MethodAuto, the dense
-	// bounded tableau).
+	// Method selects the simplex kernel (default MethodAuto: dense at or
+	// below 512 constraint rows, sparse above).
 	Method Method
 	// SkipDuals skips dual extraction. Use for formulations with split
 	// free variables (x = x⁺ − x⁻), where both halves can legitimately
@@ -268,13 +267,6 @@ type Options struct {
 	// back to the cold two-phase path, so results are never affected, only
 	// cost. See warmstart.go.
 	WarmStart *Basis
-}
-
-func (o Options) tol() float64 {
-	if o.Tol > 0 {
-		return o.Tol
-	}
-	return 1e-9
 }
 
 func (o Options) maxIter(m, n int) int {

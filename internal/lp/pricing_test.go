@@ -17,6 +17,7 @@ import (
 	"cpsguard/internal/graph"
 	"cpsguard/internal/gridgen"
 	"cpsguard/internal/lp"
+	"cpsguard/internal/telemetry"
 )
 
 // pricingCase is one solve of the carried-pricing battery. run returns the
@@ -238,21 +239,27 @@ func TestCarriedPricingUnboundedGuard(t *testing.T) {
 	}
 }
 
-// TestBoundedPivotPathLocked pins Solution.Iterations of MethodDense on
-// the stressed westgrid baseline dispatch and on the first 50 seeded random
-// LPs. A change to pricing or tie-breaking that moves the vertex path fails
-// here before it moves any benchmark counter.
+// TestBoundedPivotPathLocked pins Solution.Iterations of the dense kernel
+// on the stressed westgrid baseline dispatch, under MethodDense and under
+// the zero-value options (the size rule keeps it dense), and on the first 50
+// seeded random LPs. A change to pricing or tie-breaking that moves the
+// vertex path fails here before it moves any benchmark counter.
 func TestBoundedPivotPathLocked(t *testing.T) {
 	g := loadGrids(t)["westgrid_stressed"]
 	if g == nil {
 		t.Fatal("westgrid_stressed fixture missing")
 	}
-	r, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodDense}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Iterations != 135 {
-		t.Errorf("westgrid_stressed baseline dispatch: %d pivots, want 135", r.Iterations)
+	sparse := telemetry.Default().Counter("lp.revised.solves")
+	for _, opts := range []lp.Options{{Method: lp.MethodDense}, {}} {
+		before := sparse.Value()
+		r, err := flow.DispatchOpts(g, flow.Options{LP: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Iterations != 135 || sparse.Value() != before {
+			t.Errorf("%v westgrid_stressed baseline dispatch: %d pivots, %d sparse solves; want 135 dense pivots",
+				opts.Method, r.Iterations, sparse.Value()-before)
+		}
 	}
 
 	wantIters := [50]int{
@@ -278,32 +285,37 @@ func TestBoundedPivotPathLocked(t *testing.T) {
 	}
 }
 
-// TestRevisedPivotPathLocked pins Solution.Iterations of MethodRevised with
-// its dense crossover forced off, so every solve runs the sparse LU/eta
-// kernel: the 64-region national baseline dispatch, the first 50 seeded
-// random LPs, and a bound-cut warm re-solve of each optimal seed under both
-// kernels. The cut halves every structural value strictly inside its
-// bounds, which leaves the cold basis dual feasible but primal infeasible,
-// so the warm solve re-enters through the dual phase (or, when the cut
-// leaves no feasible point, falls back to the cold path that says so).
+// TestRevisedPivotPathLocked pins Solution.Iterations of the sparse LU/eta
+// kernel: the 64-region national baseline dispatch under the zero-value
+// options (above the dense crossover, so the size rule picks the sparse
+// kernel), then, with the crossover forced off so every solve runs sparse,
+// the first 50 seeded random LPs and a bound-cut warm re-solve of each
+// optimal seed under both kernels. The cut halves every structural value
+// strictly inside its bounds, which leaves the cold basis dual feasible but
+// primal infeasible, so the warm solve re-enters through the dual phase (or,
+// when the cut leaves no feasible point, falls back to the cold path that
+// says so).
 func TestRevisedPivotPathLocked(t *testing.T) {
-	old := lp.SetRevisedFinishMaxRows(-1)
-	defer lp.SetRevisedFinishMaxRows(old)
-	revised := lp.Options{Method: lp.MethodRevised}
-
 	g, err := gridgen.Build(gridgen.Config{
 		Regions: 64, Seed: 3, Tier: gridgen.TierNational, Stress: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := flow.DispatchOpts(g, flow.Options{LP: revised})
+	sparse := telemetry.Default().Counter("lp.revised.solves")
+	before := sparse.Value()
+	r, err := flow.DispatchOpts(g, flow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Iterations != 1726 {
-		t.Errorf("national baseline dispatch: %d pivots, want 1726", r.Iterations)
+	if r.Iterations != 1726 || sparse.Value()-before != 1 {
+		t.Errorf("national baseline dispatch: %d pivots, %d sparse solves; want 1726 pivots, 1 sparse solve",
+			r.Iterations, sparse.Value()-before)
 	}
+
+	old := lp.SetRevisedFinishMaxRows(-1)
+	defer lp.SetRevisedFinishMaxRows(old)
+	revised := lp.Options{Method: lp.MethodRevised}
 
 	wantIters := [50]int{
 		5, 3, 15, 7, 10, 12, 1, 7, 5, 2,

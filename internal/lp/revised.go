@@ -1,5 +1,5 @@
-// The sparse revised kernel of the bounded simplex (simplex.go), behind
-// MethodRevised.
+// The sparse revised kernel of the bounded simplex (simplex.go), which
+// MethodAuto runs above the dense crossover.
 //
 // It never materializes the dense B⁻¹A tableau. It keeps the constraint
 // matrix in CSC form (sparse.go), represents B⁻¹ as a sparse LU
@@ -16,13 +16,11 @@
 // tableau row). Sparse arithmetic therefore agrees with the oracle to 1e-9
 // but not to the last ulp — refactorization rounds differently than
 // accumulated pivoting, the same reason §12 calls warm starts
-// tolerance-pure. Byte-identity on small instances is achieved the only way
-// it can be: problems at or below revisedFinishMaxRows are solved on the
-// dense kernel outright (the sparse machinery has nothing to win there
-// anyway), which is what lets -lp-method=revised reproduce the golden
-// fixture bit for bit (TestGoldenFig5Revised). Above the crossover the
-// solve and its extraction are fully sparse and agreement is
-// 1e-9-differential, proven by TestRevisedVsDenseDifferential.
+// tolerance-pure. So the kernel is a function of the problem's size alone:
+// problems at or below revisedFinishMaxRows are solved on the dense kernel
+// outright (the sparse machinery has nothing to win there), above it the
+// solve and its extraction are fully sparse, and agreement with the dense
+// kernel is 1e-9-differential, proven by TestRevisedVsDenseDifferential.
 //
 // In the warm re-entry's dual phase (warmstart.go) the pivot row
 // α = e_rᵀB⁻¹A comes from one BTRAN and a dot product per movable CSC
@@ -31,11 +29,10 @@
 package lp
 
 // revisedFinishMaxRows is the dense crossover: at or below this many
-// constraint rows MethodRevised solves on the dense kernel (byte-identical
-// results to MethodAuto by construction; dense is at least as fast at these
-// sizes); above it, the sparse kernel runs end to end. A package variable
-// so the differential battery can force the sparse path on instances of
-// every size.
+// constraint rows MethodAuto solves on the dense kernel (dense is at least
+// as fast at these sizes); above it, the sparse kernel runs end to end. A
+// package variable so the differential battery can force the sparse path
+// on instances of every size.
 var revisedFinishMaxRows = 512
 
 const (
@@ -140,7 +137,7 @@ func (k *revisedKernel) price(c []float64, bland bool) (int, float64) {
 // priceRange prices the columns lo..hi-1 that can enter and offers them
 // to the entering rule.
 func (k *revisedKernel) priceRange(c []float64, lo, hi int, bland bool) (int, float64) {
-	e := newPick(k.tol, bland)
+	e := newPick(bland)
 	status, upper := k.status, k.upper
 	for j := lo; j < hi; j++ {
 		if canEnter(status[j], upper[j]) && e.offer(j, status[j], c[j]-k.priceDot(j)) {
@@ -175,8 +172,16 @@ func (k *revisedKernel) column(j int) {
 	}
 }
 
+// failUpdate, when non-nil, runs before each eta update of the primal
+// simplex and true makes the update report a singular basis. Only tests set
+// it, to reach the dense fallback; it is nil in every other solve.
+var failUpdate func() bool
+
 // update absorbs the basis change as an eta.
 func (k *revisedKernel) update(row, _ int) bool {
+	if failUpdate != nil && failUpdate() {
+		return false
+	}
 	_, ok := k.absorb(row)
 	return ok
 }

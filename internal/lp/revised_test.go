@@ -179,6 +179,54 @@ func TestRevisedDegeneratePivots(t *testing.T) {
 	}
 }
 
+// TestNumericalFallbackSolvesDense makes the sparse kernel report a
+// singular eta update on a problem above the dense crossover. The solve must
+// hand the problem to a cold solve on the dense kernel, not back to the size
+// rule (which would pick the sparse kernel again), and finish at the dense
+// kernel's optimum.
+func TestNumericalFallbackSolvesDense(t *testing.T) {
+	build := func() *Problem {
+		p := NewProblem()
+		n := revisedFinishMaxRows + 1
+		for j := 0; j < n; j++ {
+			p.AddVariable("x", -1-float64(j%7), math.Inf(1))
+		}
+		for i := 0; i < n; i++ {
+			p.AddConstraint(Constraint{Coefs: []Coef{{i, 1}, {(i + 1) % n, 1}}, Sense: LE, RHS: 1 + float64(i%3)})
+		}
+		return p
+	}
+	dense, err := build().SolveOpts(Options{Method: MethodDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := false
+	failUpdate = func() bool {
+		first := !failed
+		failed = true
+		return first
+	}
+	defer func() { failUpdate = nil }()
+	solves, fallbacks := mRevSolves.Value(), mRevDenseFallbacks.Value()
+	sol, err := build().SolveOpts(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !failed {
+		t.Fatal("the solve never reached a sparse eta update")
+	}
+	if d := mRevDenseFallbacks.Value() - fallbacks; d != 1 {
+		t.Errorf("lp.revised.dense_fallbacks rose by %d, want 1", d)
+	}
+	if d := mRevSolves.Value() - solves; d != 1 {
+		t.Errorf("lp.revised.solves rose by %d, want 1: the fallback re-entered the sparse kernel", d)
+	}
+	if sol.Status != Optimal || sol.Objective != dense.Objective || sol.Iterations <= dense.Iterations {
+		t.Errorf("fallback solve: %v, objective %v, %d pivots; want Optimal, %v (the dense kernel's), more than its %d",
+			sol.Status, sol.Objective, sol.Iterations, dense.Objective, dense.Iterations)
+	}
+}
+
 // FuzzRevisedSimplex cross-checks the revised method against the dense
 // oracle on fuzzer-evolved random LPs, with the sparse extraction path
 // forced, and verifies hostile NaN/Inf inputs are rejected with

@@ -55,7 +55,7 @@ type tableau struct {
 }
 
 func newTableau(p *Problem, opts Options) (*tableau, error) {
-	t := &tableau{p: p, opts: opts, tol: opts.tol()}
+	t := &tableau{p: p, opts: opts, tol: tol}
 	t.n = len(p.obj)
 	t.mUser = len(p.rows)
 	for _, u := range p.upper {

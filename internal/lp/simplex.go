@@ -11,60 +11,46 @@
 // value updates, status and basis bookkeeping, the warm re-entry's dual
 // phase (warmstart.go) and the readout of the solution. What differs
 // between the two methods is only linear algebra, behind the kernel
-// interface: the dense tableau (bounded.go) for MethodAuto, and the sparse
-// LU/eta core (revised.go) for MethodRevised above its dense crossover.
+// interface: the dense tableau (bounded.go) at or below the dense crossover
+// or under MethodDense, and the sparse LU/eta core (revised.go) above it.
 package lp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Method selects the simplex kernel.
 type Method int8
 
 const (
-	// MethodAuto (the zero value) is the dense bounded tableau.
+	// MethodAuto (the zero value) lets the problem's size pick the kernel:
+	// the dense tableau at or below revisedFinishMaxRows constraint rows,
+	// the sparse revised simplex (revised.go) above. The sparse kernel
+	// keeps CSC column storage, an LU-factorized basis with product-form
+	// eta updates, sparse FTRAN/BTRAN and partial pricing: O(nnz) per
+	// pivot instead of O(m·nTotal), which is what scales to the national
+	// gridgen tier.
 	MethodAuto Method = iota
-	// Values 1 and 2 were the retired bounds-as-rows and bounded methods.
-	// They stay unused because impact salts solve-cache keys with the
-	// numeric method.
-	_
-	_
-	// MethodRevised is the sparse revised simplex (revised.go): CSC column
-	// storage, LU-factorized basis with product-form eta updates, sparse
-	// FTRAN/BTRAN and partial pricing. Same standard form and pivot rules
-	// as MethodAuto, O(nnz) per pivot instead of O(m·nTotal) — the only
-	// method that scales to the national gridgen tier.
-	MethodRevised
+	// MethodDense forces the dense tableau at every size. It is the
+	// differential oracle the sparse kernel is tested against, and the
+	// kernel a numerically singular sparse solve falls back to.
+	MethodDense
 )
 
-// MethodDense is an alias for MethodAuto: the dense bounded tableau. It
-// names the differential oracle the revised method is tested against.
-const MethodDense = MethodAuto
+// MethodRevised is MethodAuto, which runs the sparse revised simplex above
+// the dense crossover.
+//
+// Deprecated: use MethodAuto.
+const MethodRevised = MethodAuto
 
 // String implements fmt.Stringer.
 func (m Method) String() string {
 	switch m {
 	case MethodAuto:
 		return "auto"
-	case MethodRevised:
-		return "revised"
+	case MethodDense:
+		return "dense"
 	default:
 		return "Method(?)"
 	}
-}
-
-// ParseMethod maps a CLI flag value to a Method. The empty string, "auto",
-// "dense" and "bounded" all select the dense bounded tableau.
-func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "", "auto", "dense", "bounded":
-		return MethodAuto, nil
-	case "revised":
-		return MethodRevised, nil
-	}
-	return MethodAuto, fmt.Errorf("lp: unknown method %q (want auto|dense|bounded|revised)", s)
 }
 
 // nonbasic status markers.
@@ -76,6 +62,10 @@ const (
 
 // Tolerances the pivot rules share. The phase-1 threshold is phase1Tol.
 const (
+	// tol is the feasibility and optimality tolerance: the smallest
+	// improvement a reduced cost must promise, the smallest pivot the ratio
+	// tests accept, and the width of their ties.
+	tol = 1e-9
 	// clampNegative is how far below zero a basic value may drift through
 	// rounding before move stops snapping it back to zero.
 	clampNegative = 1e-11
@@ -86,7 +76,7 @@ const (
 // phase1Tol is the scale-aware threshold below which a sum of artificial
 // values, or a basic value's bound violation, counts as rounding: tol
 // scaled by the largest basic value (at least 1) and the row count m.
-func phase1Tol(tol, scale float64, m int) float64 {
+func phase1Tol(scale float64, m int) float64 {
 	return tol * scale * float64(m+1) * 100
 }
 
@@ -220,7 +210,6 @@ type simplex struct {
 	*form
 	k          kernel
 	carried    bool // k carries its prices across pivots (dense); else it re-prices every pivot
-	tol        float64
 	skipDuals  bool
 	forceBland bool
 	g          *guard
@@ -248,7 +237,6 @@ func newSimplex(p *Problem, opts Options, g *guard, sparse bool) *simplex {
 	}
 	s := &simplex{
 		form:       f,
-		tol:        opts.tol(),
 		skipDuals:  opts.SkipDuals,
 		forceBland: opts.ForceBland,
 		g:          g,
@@ -270,18 +258,14 @@ func newSimplex(p *Problem, opts Options, g *guard, sparse bool) *simplex {
 	return s
 }
 
-// solve is the entry point used by Problem.SolveOpts. MethodRevised at or
-// below its dense crossover solves on the dense kernel (warm basis and
-// all); above it, on the sparse one, which hands a basis it finds
-// numerically singular to a cold dense solve.
+// solve is the entry point used by Problem.SolveOpts. Above the dense
+// crossover it solves on the sparse kernel, which hands a basis it finds
+// numerically singular to a cold solve on the dense one; at or below it, or
+// under MethodDense, on the dense kernel (warm basis and all).
 func solve(p *Problem, opts Options, g *guard) (*Solution, error) {
-	sparse := false
-	if opts.Method == MethodRevised {
-		if sparse = len(p.rows) > revisedFinishMaxRows; sparse {
-			mRevSolves.Inc()
-		} else {
-			mRevDenseFinishes.Inc()
-		}
+	sparse := opts.Method != MethodDense && len(p.rows) > revisedFinishMaxRows
+	if sparse {
+		mRevSolves.Inc()
 	}
 	if opts.WarmStart != nil {
 		if sol, err, ok := solveWarm(p, opts, g, sparse); ok {
@@ -341,7 +325,7 @@ func (s *simplex) run() Status {
 				scale = v
 			}
 		}
-		if artSum > phase1Tol(s.tol, scale, s.m) {
+		if artSum > phase1Tol(scale, s.m) {
 			return Infeasible
 		}
 		s.clampArtificials()
@@ -397,7 +381,7 @@ func (s *simplex) primal(c []float64) Status {
 		for i, bc := range s.basis {
 			obj += c[bc] * s.x[i]
 		}
-		if obj < lastObj-s.tol {
+		if obj < lastObj-tol {
 			lastObj = obj
 			noProgress = 0
 		} else if noProgress++; noProgress > 2*(s.m+10) {
@@ -481,7 +465,7 @@ type pick struct {
 	bland bool
 }
 
-func newPick(tol float64, bland bool) pick {
+func newPick(bland bool) pick {
 	return pick{enter: -1, dir: 1, best: tol, bland: bland}
 }
 
@@ -518,7 +502,7 @@ func (s *simplex) ratioTest(enter int, enterDir float64) (limit float64, leave i
 		limit = u // case (c): full flip distance
 	}
 	leave = -1
-	tol, basis, x := s.tol, s.basis, s.x
+	basis, x := s.basis, s.x
 	for i, wi := range s.w {
 		coef := enterDir * wi
 		bc := basis[i]

@@ -31,19 +31,16 @@ var (
 	mWarmPivots    = telemetry.NewCounter("lp.warm_pivots")
 	mColdPivots    = telemetry.NewCounter("lp.cold_pivots")
 
-	// Revised-method attribution: sparse solves entered through
-	// MethodRevised, the factorization/eta/solve work they performed, and
-	// the two dense hand-offs — dense finishes (below-crossover solves
-	// delegated wholesale to the dense bounded solver, the byte-identity
-	// path) and dense fallbacks (numerical failure mid-sparse-solve handed
-	// to the dense method).
+	// Sparse-kernel attribution: solves the size rule sent to the sparse
+	// revised kernel (above the dense crossover), the factorization/eta/solve
+	// work they performed, and dense fallbacks (a numerical failure
+	// mid-sparse-solve handed to a cold dense solve).
 	mRevSolves           = telemetry.NewCounter("lp.revised.solves")
 	mRevFactorizations   = telemetry.NewCounter("lp.revised.factorizations")
 	mRevEtaUpdates       = telemetry.NewCounter("lp.revised.eta_updates")
 	mRevRefactorTriggers = telemetry.NewCounter("lp.revised.refactor_triggers")
 	mRevFtranSolves      = telemetry.NewCounter("lp.revised.ftran_solves")
 	mRevBtranSolves      = telemetry.NewCounter("lp.revised.btran_solves")
-	mRevDenseFinishes    = telemetry.NewCounter("lp.revised.dense_finishes")
 	mRevDenseFallbacks   = telemetry.NewCounter("lp.revised.dense_fallbacks")
 
 	mStatus = func() map[Status]*telemetry.Counter {

@@ -28,9 +28,8 @@
 // the simplex (simplex.go) and serve both kernels. Only the linear algebra
 // is the kernel's: the dense tableau (bounded.go) refactorizes by Gauss-Jordan
 // with partial pivoting and reads each dual pivot row straight off the
-// tableau; the sparse revised kernel (revised.go; MethodRevised above its
-// dense crossover) refactorizes by sparse LU and computes the pivot row by
-// BTRAN.
+// tableau; the sparse revised kernel (revised.go; above the dense
+// crossover) refactorizes by sparse LU and computes the pivot row by BTRAN.
 //
 // The re-entry falls back to the cold two-phase method when the basis is
 // singular or dimensionally incompatible; when it is neither primal nor dual
@@ -195,15 +194,15 @@ func (s *simplex) applyWarmBasis(b *Basis) bool {
 // statusNotDualFeasible, Infeasible (empty ratio test: no vertex satisfies
 // the violated row), statusNumerical, IterationLimit, or a cancellation.
 func (s *simplex) dual() Status {
-	r := leavingRow(s.x, s.basis, s.upper, s.tol)
+	r := leavingRow(s.x, s.basis, s.upper)
 	if r < 0 {
 		return Optimal
 	}
 	d := s.k.dualPrices()
-	if !dualFeasible(d, s.status, s.upper, s.tol) {
+	if !dualFeasible(d, s.status, s.upper) {
 		return statusNotDualFeasible
 	}
-	for ; r >= 0; r = leavingRow(s.x, s.basis, s.upper, s.tol) {
+	for ; r >= 0; r = leavingRow(s.x, s.basis, s.upper) {
 		if s.iters >= s.max {
 			return IterationLimit
 		}
@@ -219,7 +218,7 @@ func (s *simplex) dual() Status {
 			target = s.upper[leaveCol]
 		}
 		alpha := s.k.pivotRow(r)
-		enter := dualRatio(alpha, d, s.status, s.upper, toUpper, s.tol)
+		enter := dualRatio(alpha, d, s.status, s.upper, toUpper)
 		if enter < 0 {
 			return Infeasible
 		}
@@ -229,7 +228,7 @@ func (s *simplex) dual() Status {
 		// kernel they are the same number, and dualRatio already required
 		// |α_q| > tol.)
 		wr := s.w[r]
-		if math.Abs(wr) < s.tol || wr*alpha[enter] <= 0 {
+		if math.Abs(wr) < tol || wr*alpha[enter] <= 0 {
 			return statusNumerical
 		}
 
@@ -268,7 +267,7 @@ func movable(status int8, upper float64) bool {
 
 // dualFeasible reports whether every movable column's reduced cost d_j sits
 // on its optimal side: d_j ≥ −tol at the lower bound, d_j ≤ tol at the upper.
-func dualFeasible(d []float64, status []int8, upper []float64, tol float64) bool {
+func dualFeasible(d []float64, status []int8, upper []float64) bool {
 	for j, st := range status {
 		if movable(st, upper[j]) &&
 			(st == atLower && d[j] < -tol || st == atUpper && d[j] > tol) {
@@ -283,14 +282,14 @@ func dualFeasible(d []float64, status []int8, upper []float64, tol float64) bool
 // feasible. Violations within the scale-aware tolerance of the cold phase-1
 // verdict (phase1Tol) do not count; on the feasible exit they are clamped
 // onto the bound they graze.
-func leavingRow(x []float64, basis []int, upper []float64, tol float64) int {
+func leavingRow(x []float64, basis []int, upper []float64) int {
 	scale := 1.0
 	for _, v := range x {
 		if a := math.Abs(v); a > scale {
 			scale = a
 		}
 	}
-	eps := phase1Tol(tol, scale, len(x))
+	eps := phase1Tol(scale, len(x))
 	r, worst := -1, eps
 	for i, v := range x {
 		viol := -v
@@ -321,7 +320,7 @@ func leavingRow(x []float64, basis []int, upper []float64, tol float64) int {
 // keeps every other reduced cost feasible. Ties go to the larger |α_j|,
 // then the lower index. Returns -1 when no column qualifies: no vertex
 // satisfies the violated row.
-func dualRatio(alpha, d []float64, status []int8, upper []float64, toUpper bool, tol float64) int {
+func dualRatio(alpha, d []float64, status []int8, upper []float64, toUpper bool) int {
 	sgn := -1.0
 	if toUpper {
 		sgn = 1

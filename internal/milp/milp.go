@@ -28,18 +28,18 @@ type Problem struct {
 	Binary []int
 }
 
+// intTol is the integrality tolerance: a binary within it of 0 or 1 counts
+// as integral.
+const intTol = 1e-6
+
 // Options tunes the search.
 type Options struct {
 	// MaxNodes caps explored branch-and-bound nodes (default 200_000).
 	MaxNodes int
-	// Tol is the integrality tolerance (default 1e-6).
-	Tol float64
-	// LP forwards options to the relaxation solver.
-	LP lp.Options
 	// Ctx, when non-nil, is checked before the root solve and every
 	// CheckEvery nodes; cancellation stops the search with status
 	// Canceled or DeadlineExceeded, carrying the best incumbent found so
-	// far. It is also forwarded to relaxation solves when LP.Ctx is nil.
+	// far. It is also forwarded to the relaxation solves.
 	Ctx context.Context
 	// CheckEvery is the node interval between Ctx/Hook checkpoints
 	// (default 16).
@@ -54,13 +54,6 @@ func (o Options) maxNodes() int {
 		return o.MaxNodes
 	}
 	return 200_000
-}
-
-func (o Options) tol() float64 {
-	if o.Tol > 0 {
-		return o.Tol
-	}
-	return 1e-6
 }
 
 func (o Options) checkEvery() int {
@@ -135,17 +128,11 @@ func Solve(p Problem, opts Options) (sol *Solution, err error) {
 	}
 	sp, _ := telemetry.Default().StartSpanCtx(opts.Ctx, "milp.solve", p.LP.Name())
 	defer func() { recordSolve(sp, sol, err) }()
-	tol := opts.tol()
-	lpOpts := opts.LP
-	if lpOpts.Ctx == nil {
-		lpOpts.Ctx = opts.Ctx
-	}
 	// Relaxation solves parent under this MILP span in the trace tree.
-	lpOpts.Ctx = telemetry.ContextWithSpan(lpOpts.Ctx, sp)
 	// Branch and bound consumes only primal values and objectives; skip
 	// dual extraction (an O(m³) solve per relaxation) and with it the
 	// spurious singular-basis failures degenerate fixings can produce.
-	lpOpts.SkipDuals = true
+	lpOpts := lp.Options{Ctx: telemetry.ContextWithSpan(opts.Ctx, sp), SkipDuals: true}
 
 	// partial assembles the degraded-termination solution around the best
 	// incumbent found so far (if any).
@@ -252,7 +239,7 @@ func Solve(p Problem, opts Options) (sol *Solution, err error) {
 		}
 		// Find the most fractional binary variable.
 		branchVar := -1
-		worst := tol
+		worst := intTol
 		for _, v := range p.Binary {
 			frac := math.Abs(sol.X[v] - math.Round(sol.X[v]))
 			if frac > worst {

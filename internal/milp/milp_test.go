@@ -188,9 +188,9 @@ func TestNodeLimit(t *testing.T) {
 	}
 }
 
-func TestCustomToleranceAndUnprovenIncumbent(t *testing.T) {
+func TestNodeLimitIncumbent(t *testing.T) {
 	// A knapsack large enough that MaxNodes stops the search after an
-	// incumbent exists: Proven must be false and the incumbent valid.
+	// incumbent exists: the incumbent must be binary and within budget.
 	values := make([]float64, 16)
 	weights := make([]float64, 16)
 	rs := rng.New(12)
@@ -198,7 +198,7 @@ func TestCustomToleranceAndUnprovenIncumbent(t *testing.T) {
 		values[i] = 1 + rs.Float64()*5
 		weights[i] = 1 + rs.Float64()*3
 	}
-	sol, err := Solve(knapsack(values, weights, 12), Options{MaxNodes: 40, Tol: 1e-7})
+	sol, err := Solve(knapsack(values, weights, 12), Options{MaxNodes: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,8 @@ const damageTol = 1e-6
 
 // Config states one screening run.
 type Config struct {
-	// Analysis is the evaluation stack: graph, profit model, cache and LP
-	// method. Its Parallel options drive the per-level fan-out.
+	// Analysis is the evaluation stack: graph, profit model and cache. Its
+	// Parallel options drive the per-level fan-out.
 	Analysis *impact.Analysis
 	// Targets lists the candidate target IDs (default: every asset edge).
 	Targets []string

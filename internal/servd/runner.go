@@ -16,7 +16,6 @@ import (
 	"cpsguard/internal/cli"
 	"cpsguard/internal/core"
 	"cpsguard/internal/experiments"
-	"cpsguard/internal/lp"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/solvecache"
@@ -51,12 +50,6 @@ type ExperimentRunner struct {
 	// request, so overlapping scenarios (same grid, same ownership draws)
 	// stay hot between runs. Nil disables memoization.
 	Cache *solvecache.Cache
-	// LPMethod selects the dispatch simplex implementation for every run
-	// (zero value lp.MethodAuto keeps the solver's own choice). It is
-	// server configuration, not scenario content: it does
-	// not enter the scenario key, and the dispatch-solve cache salts its
-	// entries per method so mixed-method processes never alias.
-	LPMethod lp.Method
 	// Hook, when non-nil, is the fault-injection site consulted before
 	// every trial ("experiments.trial") — the chaos path through the
 	// HTTP API.
@@ -94,7 +87,6 @@ func (r *ExperimentRunner) Run(ctx context.Context, sc ScenarioConfig, dir strin
 		Faults:              experiments.FaultPolicy{Hook: r.Hook},
 		Log:                 run.Log,
 		Cache:               r.Cache,
-		LPMethod:            r.LPMethod,
 	}
 	if sc.Quick {
 		// Identical to cpsexp -quick, so quick scenarios served here are
