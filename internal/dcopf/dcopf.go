@@ -172,12 +172,10 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 		})
 	}
 
-	lpOpts := opts.LP
-	lpOpts.SkipDuals = true // split θ variables make the dual basis singular
 	// The split θ± and f± pairs make the LP highly degenerate: on the
 	// stressed westgrid the Dantzig pass stalls into the iteration limit,
 	// and the resilient chain's Bland restart finishes it.
-	sol, err := lp.SolveResilient(p, lpOpts)
+	sol, err := lp.SolveResilient(p, opts.LP)
 	if err != nil {
 		return nil, err
 	}

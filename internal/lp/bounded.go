@@ -8,8 +8,8 @@
 // verdict against a fresh pricing pass). Each pivot eliminates only the
 // columns where the normalized pivot row is nonzero (~45 of 186 on the
 // stressed westgrid dispatch), which leaves the tableau bit-identical to a
-// full-row sweep. Row duals come from solving Bᵀy = c_B against the
-// original matrix rather than off the (sign-fragile) tableau.
+// full-row sweep. The duals are read off the carried row at the optimum,
+// which the simplex has just priced afresh.
 //
 // Results (objective, primal values, row duals, bound duals) agree with an
 // independent bounds-as-rows reference tableau to solver tolerance; that
@@ -77,15 +77,8 @@ func newDense(s *simplex) *denseKernel {
 	k.d = k.backing[s.m*maxCols : (s.m+1)*maxCols]
 	s.w = k.backing[(s.m+1)*maxCols:]
 	k.nz = getNZ(maxCols)
-	k.load()
+	loadMatrix(s.p, s.form, func(i, j int, v float64) { k.a[i][j] += v })
 	return k
-}
-
-// load adds the original standard-form matrix into the tableau rows, which
-// must be zero.
-func (k *denseKernel) load() {
-	a := k.a
-	loadMatrix(k.p, k.form, func(i, j int, v float64) { a[i][j] += v })
 }
 
 // release hands the tableau's storage back to backingPool and nzPool. The
@@ -287,35 +280,18 @@ func (k *denseKernel) dualUpdate(r, enter, _ int, _, _ []float64) bool {
 	return true
 }
 
-// rowDuals solves Bᵀy = c_B by dense elimination against the original
-// matrix, reloaded into the tableau rows, which are spent once the primal
-// values and the basis have been read out.
+// rowDuals reads the row duals off the carried row, which the simplex
+// priced afresh for the phase-2 cost before it returned Optimal. Row i's
+// start column is e_i with zero cost, so d there is −y_i.
 func (k *denseKernel) rowDuals() ([]float64, bool) {
-	for _, row := range k.a {
-		clear(row[:k.nTotal])
-	}
-	k.load()
-	m := k.m
-	bt := make([][]float64, m)
-	for i := range bt {
-		bt[i] = make([]float64, m+1)
-	}
-	for r, bc := range k.basis {
-		btr := bt[r]
-		for i, ai := range k.a {
-			btr[i] = ai[bc]
+	y := make([]float64, k.m)
+	for i, c := range k.start {
+		if v := k.d[c]; v != 0 {
+			y[i] = -v
 		}
-		btr[m] = k.cost[bc]
 	}
-	return solveDense(bt)
+	return y, true
 }
 
-// reducedCost is c_j − yᵀA_j over the reloaded original column, summed in
-// row order.
-func (k *denseKernel) reducedCost(j int, y []float64) float64 {
-	r := k.cost[j]
-	for i, ai := range k.a {
-		r -= y[i] * ai[j]
-	}
-	return r
-}
+// reducedCost is the carried row's d_j.
+func (k *denseKernel) reducedCost(j int) float64 { return k.d[j] }

@@ -39,7 +39,7 @@ func TestExpiredContextReturnsFast(t *testing.T) {
 		{"canceled", ctx, Canceled},
 		{"deadline", dctx, DeadlineExceeded},
 	}
-	for _, method := range []Method{MethodDense, MethodRevised} {
+	for _, method := range []Method{MethodDense, MethodAuto} {
 		for _, c := range cases {
 			t.Run(kernelNames[method]+"/"+c.name, func(t *testing.T) {
 				start := time.Now()
@@ -84,7 +84,7 @@ func TestMidSolveCancellation(t *testing.T) {
 }
 
 func TestIterationLimitPartialSolution(t *testing.T) {
-	for _, method := range []Method{MethodDense, MethodRevised} {
+	for _, method := range []Method{MethodDense, MethodAuto} {
 		sol, err := trivialLP().SolveOpts(Options{Method: method, MaxIter: 1})
 		if err != nil {
 			t.Fatalf("method %v: err = %v", method, err)

@@ -16,7 +16,7 @@ import (
 // instance under capacity-zero outages of its first 32 corridor targets —
 // every single outage and a seeded sample of 32 pairs, the screen
 // benchmark's perturbations — warm from the baseline basis under
-// MethodRevised. An outage makes that basis primal infeasible but leaves
+// MethodAuto. An outage makes that basis primal infeasible but leaves
 // it dual feasible, so every solve must re-enter through the dual phase
 // (WarmStarted, no lp.warm_fallbacks) and agree with a cold solve on
 // status, welfare and primal feasibility.
@@ -40,7 +40,7 @@ func TestDualReentryMatchesColdNational(t *testing.T) {
 		t.Fatalf("national grid has %d corridor targets, want ≥ 32", len(targets))
 	}
 	targets = targets[:32]
-	revised := lp.Options{Method: lp.MethodRevised}
+	revised := lp.Options{Method: lp.MethodAuto}
 	base, err := flow.DispatchOpts(g, flow.Options{LP: revised})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestDualReentryMatchesColdNational(t *testing.T) {
 		}
 		cold, errC := flow.DispatchOpts(out, flow.Options{LP: revised})
 		warm, errW := flow.DispatchOpts(out, flow.Options{LP: lp.Options{
-			Method: lp.MethodRevised, WarmStart: base.Basis,
+			Method: lp.MethodAuto, WarmStart: base.Basis,
 		}})
 		if (errC == nil) != (errW == nil) {
 			t.Fatalf("%s: cold err %v, warm err %v", label, errC, errW)

@@ -25,7 +25,7 @@ func cutBounds(seed uint64) *Problem {
 // dualMethods are the two warm re-entries the dual-phase battery covers:
 // the dense bounded tableau and the sparse revised solver (with its dense
 // crossover forced off by forceSparseExtract).
-var dualMethods = []Method{MethodDense, MethodRevised}
+var dualMethods = []Method{MethodDense, MethodAuto}
 
 // dualPhase runs only method m's warm re-entry dual phase of p from b and
 // reports its status and pivot count. A dual phase that pivots to Optimal
@@ -34,7 +34,7 @@ var dualMethods = []Method{MethodDense, MethodRevised}
 // a fresh pricing pass at the final basis finds no improving column.
 func dualPhase(t *testing.T, m Method, p *Problem, b *Basis) (Status, int) {
 	t.Helper()
-	s := newSimplex(p, Options{}, newGuard(Options{}), m == MethodRevised)
+	s := newSimplex(p, Options{}, newGuard(Options{}), m == MethodAuto)
 	defer s.k.release()
 	if !s.applyWarmBasis(b) {
 		t.Fatal("basis rejected")
@@ -78,7 +78,7 @@ func checkFeasible(t *testing.T, label string, p *Problem, x []float64) {
 
 // TestDualReentryRandomBoundCuts is the seeded battery for the dual
 // re-entry of both methods: random LPs of every size (forced through the
-// sparse solver under MethodRevised), upper bounds cut to zero, each
+// sparse solver under MethodAuto), upper bounds cut to zero, each
 // re-solved warm from the uncut optimal basis and cold. Warm and cold agree
 // on status, on the optimum and on primal feasibility; every warm optimum
 // passes the KKT certificate; at least nine in ten solvable cuts stay warm,
@@ -119,7 +119,7 @@ func TestDualReentryRandomBoundCuts(t *testing.T) {
 				t.Errorf("%v seed %d: objective warm %v, cold %v", m, seed, w.Objective, cold.Objective)
 			}
 			checkFeasible(t, "warm", p, w.X)
-			if err := CheckKKT(p, w, false); err != nil {
+			if err := CheckKKT(p, w); err != nil {
 				t.Errorf("%v seed %d: warm optimum: %v", m, seed, err)
 			}
 			if st, n := dualPhase(t, m, p, base.Basis()); st == Optimal && n > 0 {
@@ -190,7 +190,7 @@ func TestDualReentryGuards(t *testing.T) {
 						t.Fatalf("%v seed %d cut=%v: objective warm %v, cold %v", m, seed, cut, w.Objective, cold.Objective)
 					}
 					checkFeasible(t, "warm", p, w.X)
-					if err := CheckKKT(p, w, false); err != nil {
+					if err := CheckKKT(p, w); err != nil {
 						t.Errorf("%v seed %d cut=%v: warm optimum: %v", m, seed, cut, err)
 					}
 				}

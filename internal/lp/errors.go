@@ -10,9 +10,9 @@ import (
 )
 
 // ErrSingularBasis is returned (wrapped in a *SolveError carrying the
-// problem name and pivot count) when dual extraction meets a numerically
-// singular basis — typically redundant equality rows or split free
-// variables. Match with errors.Is.
+// problem name and pivot count) when the sparse kernel cannot refactor its
+// final basis to extract the duals. The dense kernel reads its duals off the
+// carried reduced-cost row and never returns it. Match with errors.Is.
 var ErrSingularBasis = errors.New("lp: singular basis during dual extraction")
 
 // SolveError is the structured error taxonomy of the solve pipeline. Every
@@ -23,8 +23,8 @@ type SolveError struct {
 	// Problem is the Problem.Name of the failing problem (may be empty).
 	Problem string
 	// Stage names where the failure occurred: "lp.enter", "lp.pivot",
-	// "pivot-loop" (recovered panic), "dual-extraction", "milp.node",
-	// "fallback", ...
+	// "pivot-loop" (recovered panic), "dual-extraction" (sparse kernel
+	// only), "milp.node", "fallback", ...
 	Stage string
 	// Status is the last status observed before the failure.
 	Status Status

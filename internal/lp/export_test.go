@@ -24,9 +24,9 @@ func SetRevisedFinishMaxRows(n int) int {
 // tests that use it must not run in parallel.
 func CertifySolves(fn func(p *Problem, err error)) (restore func()) {
 	old := solveObserver
-	solveObserver = func(p *Problem, opts Options, sol *Solution) {
+	solveObserver = func(p *Problem, sol *Solution) {
 		if sol.Status == Optimal {
-			fn(p, CheckKKT(p, sol, opts.SkipDuals))
+			fn(p, CheckKKT(p, sol))
 		}
 	}
 	return func() { solveObserver = old }

@@ -22,12 +22,12 @@ var kktTol = struct{ abs, rel float64 }{abs: 1e-9, rel: 1e-9}
 func kktOK(r, scale float64) bool { return math.Abs(r) <= kktTol.abs+kktTol.rel*scale }
 
 // CheckKKT certifies an Optimal solution of p. It checks primal feasibility
-// (rows and 0 ≤ x ≤ u) and that Objective is cᵀx; unless skipDuals, it also
-// checks dual feasibility (row-dual signs by sense, BoundDuals ≤ 0 and zero
+// (rows and 0 ≤ x ≤ u) and that Objective is cᵀx; it also checks dual
+// feasibility (row-dual signs by sense, BoundDuals ≤ 0 and zero
 // on infinite bounds, reduced costs c − Aᵀy − w ≥ 0), complementary
 // slackness on every row, bound and column, and a zero duality gap
 // cᵀx = bᵀy + uᵀw. It returns nil or an error naming the first violation.
-func CheckKKT(p *Problem, sol *Solution, skipDuals bool) error {
+func CheckKKT(p *Problem, sol *Solution) error {
 	n := len(p.obj)
 	if sol.Status != Optimal {
 		return fmt.Errorf("kkt: status %v is not optimal", sol.Status)
@@ -47,19 +47,16 @@ func CheckKKT(p *Problem, sol *Solution, skipDuals bool) error {
 		return fmt.Errorf("kkt: objective %v but cᵀx = %v", sol.Objective, cx)
 	}
 
-	// One pass over the rows: primal residuals, then (with duals) each
-	// row's sign, slackness and share of Aᵀy.
-	var aty, atyScale []float64
+	// One pass over the rows: primal residuals, then each row's dual sign,
+	// slackness and share of Aᵀy.
+	if len(sol.Duals) != len(p.rows) || len(sol.BoundDuals) != n {
+		return fmt.Errorf("kkt: %d row duals and %d bound duals for %d rows and %d variables",
+			len(sol.Duals), len(sol.BoundDuals), len(p.rows), n)
+	}
+	aty, atyScale := make([]float64, n), make([]float64, n)
 	var by, byScale, dualScale float64
-	if !skipDuals {
-		if len(sol.Duals) != len(p.rows) || len(sol.BoundDuals) != n {
-			return fmt.Errorf("kkt: %d row duals and %d bound duals for %d rows and %d variables",
-				len(sol.Duals), len(sol.BoundDuals), len(p.rows), n)
-		}
-		aty, atyScale = make([]float64, n), make([]float64, n)
-		for _, c := range p.obj {
-			dualScale = math.Max(dualScale, math.Abs(c))
-		}
+	for _, c := range p.obj {
+		dualScale = math.Max(dualScale, math.Abs(c))
 	}
 	for i, row := range p.rows {
 		lhs, lhsScale := 0.0, math.Abs(row.RHS)
@@ -80,9 +77,6 @@ func CheckKKT(p *Problem, sol *Solution, skipDuals bool) error {
 		if !kktOK(viol, lhsScale) {
 			return fmt.Errorf("kkt: row %d (%s): lhs %v %v %v", i, row.Name, lhs, row.Sense, row.RHS)
 		}
-		if skipDuals {
-			continue
-		}
 		y := sol.Duals[i]
 		if (row.Sense == LE && !kktOK(math.Max(y, 0), dualScale)) ||
 			(row.Sense == GE && !kktOK(math.Min(y, 0), dualScale)) {
@@ -98,10 +92,6 @@ func CheckKKT(p *Problem, sol *Solution, skipDuals bool) error {
 			atyScale[co.Var] += math.Abs(co.Value * y)
 		}
 	}
-	if skipDuals {
-		return nil
-	}
-
 	uw, uwScale := 0.0, 0.0
 	for j, x := range sol.X {
 		u, w := p.upper[j], sol.BoundDuals[j]

@@ -9,9 +9,10 @@
 // which is what the national gridgen tier needs.
 // Both favor numerical robustness and auditability over asymptotic speed:
 // pivoting is Dantzig-rule with an automatic switch to Bland's rule to break
-// cycling, and dual values are recovered by solving Bᵀy = c_B against the
-// original constraint matrix rather than read out of the (sign-fragile)
-// tableau.
+// cycling. Every optimum is confirmed by a fresh pricing pass, and its dual
+// values come from that pass: the dense kernel reads them off its carried
+// reduced-cost row, the sparse kernel from one BTRAN against a fresh LU
+// factorization of the final basis.
 //
 // Problems are stated as
 //
@@ -240,11 +241,6 @@ type Options struct {
 	// Method selects the simplex kernel (default MethodAuto: dense at or
 	// below 512 constraint rows, sparse above).
 	Method Method
-	// SkipDuals skips dual extraction. Use for formulations with split
-	// free variables (x = x⁺ − x⁻), where both halves can legitimately
-	// end up basic and the basis matrix is singular even though the
-	// primal optimum is exact.
-	SkipDuals bool
 	// Ctx, when non-nil, is checked on entry and every CheckEvery pivots;
 	// cancellation stops the solve with status Canceled or
 	// DeadlineExceeded (an already-expired context returns before any
@@ -301,7 +297,7 @@ func (p *Problem) SolveOpts(opts Options) (sol *Solution, err error) {
 	defer func() {
 		recordSolve(sp, sol, err)
 		if solveObserver != nil && err == nil {
-			solveObserver(p, opts, sol)
+			solveObserver(p, sol)
 		}
 	}()
 	g := newGuard(opts)
@@ -322,7 +318,7 @@ func (p *Problem) SolveOpts(opts Options) (sol *Solution, err error) {
 // solveObserver, when non-nil, sees every solve SolveOpts returns without
 // error. Only tests set it (export_test.go certifies each Optimal result);
 // it is nil in every other solve.
-var solveObserver func(p *Problem, opts Options, sol *Solution)
+var solveObserver func(p *Problem, sol *Solution)
 
 // solveErr builds the structured error for a failed solve of p.
 func (p *Problem) solveErr(stage string, st Status, iters int, cause error) error {
@@ -355,46 +351,4 @@ func (p *Problem) validate() error {
 		}
 	}
 	return nil
-}
-
-// solveDense solves the square augmented system rows[i] = [A | b] in place
-// via Gaussian elimination with partial pivoting. Returns the solution and
-// whether the matrix was nonsingular.
-func solveDense(rows [][]float64) ([]float64, bool) {
-	n := len(rows)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(rows[r][col]) > math.Abs(rows[p][col]) {
-				p = r
-			}
-		}
-		if math.Abs(rows[p][col]) < 1e-12 {
-			return nil, false
-		}
-		rows[col], rows[p] = rows[p], rows[col]
-		pivRow := rows[col]
-		inv := 1 / pivRow[col]
-		for j := col; j <= n; j++ {
-			pivRow[j] *= inv
-		}
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := rows[r][col]
-			if f == 0 {
-				continue
-			}
-			for j := col; j <= n; j++ {
-				rows[r][j] -= f * pivRow[j]
-			}
-		}
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = rows[i][n]
-	}
-	return x, true
 }

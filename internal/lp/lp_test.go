@@ -463,33 +463,41 @@ func TestIterationLimit(t *testing.T) {
 	}
 }
 
-func TestSkipDuals(t *testing.T) {
-	// A free variable split as x = x⁺ − x⁻ leaves the dual basis
-	// singular when both halves go basic; SkipDuals must still deliver
-	// the primal optimum for every method.
+func TestSplitFreeVariableDuals(t *testing.T) {
+	// A free variable split as x = x⁺ − x⁻ (as DC-OPF splits its angles
+	// and flows) gives the split pair opposite columns. Both kernels must
+	// still return duals that certify the optimum.
 	build := func() *Problem {
+		// min |x| − 2y with x = x⁺ − x⁻ = y − 2 and y ≤ 5: y = 5, x = 3,
+		// objective −7. Relaxing the row to x = y − 2 + δ costs +δ, and
+		// relaxing y's bound gains 2 − 1 per unit.
 		p := NewProblem()
-		xp := p.AddVariable("x+", 0, 10)
-		xn := p.AddVariable("x-", 0, 10)
-		y := p.AddVariable("y", -1, 5)
-		// x⁺ − x⁻ = y − 2 (ties the split pair to y).
+		xp := p.AddVariable("x+", 1, 10)
+		xn := p.AddVariable("x-", 1, 10)
+		y := p.AddVariable("y", -2, 5)
 		p.AddConstraint(Constraint{
 			Coefs: []Coef{{xp, 1}, {xn, -1}, {y, -1}},
 			Sense: EQ, RHS: -2,
 		})
 		return p
 	}
-	for _, m := range []Method{MethodDense, MethodRevised} {
-		sol, err := build().SolveOpts(Options{Method: m, SkipDuals: true})
+	for _, sparse := range []bool{false, true} {
+		if sparse {
+			forceSparseExtract(t)
+		}
+		p := build()
+		sol, err := p.Solve()
 		if err != nil {
-			t.Fatalf("method %v: %v", m, err)
+			t.Fatalf("sparse=%v: %v", sparse, err)
 		}
-		if sol.Status != Optimal || !approx(sol.Objective, -5, eps) {
-			t.Fatalf("method %v: status=%v obj=%v", m, sol.Status, sol.Objective)
+		if sol.Status != Optimal || !approx(sol.Objective, -7, eps) {
+			t.Fatalf("sparse=%v: status=%v obj=%v", sparse, sol.Status, sol.Objective)
 		}
-		if sol.Duals != nil && len(sol.Duals) > 0 && sol.Duals[0] != 0 {
-			// Duals untouched (zero-valued) when skipped.
-			t.Fatalf("method %v: duals filled despite SkipDuals", m)
+		if !approx(sol.Duals[0], 1, eps) || !approx(sol.BoundDuals[2], -1, eps) {
+			t.Fatalf("sparse=%v: row dual %v, bound duals %v; want 1 and y's −1", sparse, sol.Duals[0], sol.BoundDuals)
+		}
+		if err := CheckKKT(p, sol); err != nil {
+			t.Fatalf("sparse=%v: %v", sparse, err)
 		}
 	}
 }

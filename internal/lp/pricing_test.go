@@ -315,7 +315,7 @@ func TestRevisedPivotPathLocked(t *testing.T) {
 
 	old := lp.SetRevisedFinishMaxRows(-1)
 	defer lp.SetRevisedFinishMaxRows(old)
-	revised := lp.Options{Method: lp.MethodRevised}
+	revised := lp.Options{Method: lp.MethodAuto}
 
 	wantIters := [50]int{
 		5, 3, 15, 7, 10, 12, 1, 7, 5, 2,

@@ -308,6 +308,6 @@ func (k *revisedKernel) rowDuals() ([]float64, bool) {
 }
 
 // reducedCost is c_j − yᵀA_j, the dot product summed first.
-func (k *revisedKernel) reducedCost(j int, _ []float64) float64 {
+func (k *revisedKernel) reducedCost(j int) float64 {
 	return k.cost[j] - k.priceDot(j)
 }

@@ -76,7 +76,7 @@ func compareDispatch(t *testing.T, label string, g *graph.Graph) {
 	if err != nil {
 		t.Fatalf("%s: dense: %v", label, err)
 	}
-	rev, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodRevised}})
+	rev, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodAuto}})
 	if err != nil {
 		t.Fatalf("%s: revised: %v", label, err)
 	}
@@ -149,7 +149,7 @@ func TestRevisedVsDenseDifferential(t *testing.T) {
 		for seed := uint64(0); seed < 250; seed++ {
 			p := lp.GenRandomProblem(seed)
 			dense, errD := p.SolveOpts(lp.Options{Method: lp.MethodDense})
-			rev, errR := lp.GenRandomProblem(seed).SolveOpts(lp.Options{Method: lp.MethodRevised})
+			rev, errR := lp.GenRandomProblem(seed).SolveOpts(lp.Options{Method: lp.MethodAuto})
 			if (errD == nil) != (errR == nil) {
 				// Dual-extraction singularities may be basis-dependent;
 				// only a one-sided *solve* failure is a bug.
@@ -186,7 +186,7 @@ func TestRevisedVsDenseDifferential(t *testing.T) {
 	})
 
 	t.Run("taxonomy", func(t *testing.T) {
-		methods := []lp.Method{lp.MethodDense, lp.MethodRevised}
+		methods := []lp.Method{lp.MethodDense, lp.MethodAuto}
 
 		// Infeasible: upper bound 1 vs a ≥ 2 row.
 		infeasible := func() *lp.Problem {
@@ -246,7 +246,7 @@ func TestRevisedWarmAcrossMethods(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rev, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodRevised}})
+		rev, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodAuto}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestRevisedWarmAcrossMethods(t *testing.T) {
 			t.Fatalf("%s: missing exported basis (dense=%v revised=%v)", name, dense.Basis != nil, rev.Basis != nil)
 		}
 		// Dense basis → revised warm solve; revised basis → dense warm.
-		rw, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodRevised, WarmStart: dense.Basis}})
+		rw, err := flow.DispatchOpts(g, flow.Options{LP: lp.Options{Method: lp.MethodAuto, WarmStart: dense.Basis}})
 		if err != nil {
 			t.Fatalf("%s: revised warm from dense basis: %v", name, err)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // kernelNames names each method's kernel in subtest names.
-var kernelNames = map[Method]string{MethodDense: "bounded", MethodRevised: "revised"}
+var kernelNames = map[Method]string{MethodDense: "bounded", MethodAuto: "revised"}
 
 // forceSparseExtract makes the revised method run its sparse solver on
 // instances of every size for the duration of one test.
@@ -41,7 +41,7 @@ func TestWarmStartDegenerateArtificialBasis(t *testing.T) {
 		p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: EQ, RHS: 3})
 		return p
 	}
-	for _, m := range []Method{MethodDense, MethodRevised} {
+	for _, m := range []Method{MethodDense, MethodAuto} {
 		t.Run(kernelNames[m], func(t *testing.T) {
 			cold, err := build().SolveOpts(Options{Method: m})
 			if err != nil {
@@ -90,7 +90,7 @@ func TestWarmStartDegenerateArtificialBasis(t *testing.T) {
 // must take the warm path, for every problem in the seeded battery and for
 // both bounded-layout methods.
 func TestWarmStartIdenticalResolveNeverFallsBack(t *testing.T) {
-	for _, m := range []Method{MethodDense, MethodRevised} {
+	for _, m := range []Method{MethodDense, MethodAuto} {
 		t.Run(kernelNames[m], func(t *testing.T) {
 			fellBack := 0
 			for seed := uint64(0); seed < 120; seed++ {
@@ -132,7 +132,7 @@ func TestRevisedCyclingBland(t *testing.T) {
 		p.AddConstraint(Constraint{Coefs: []Coef{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, Sense: LE, RHS: 0})
 		return p
 	}
-	for _, m := range []Method{MethodDense, MethodRevised} {
+	for _, m := range []Method{MethodDense, MethodAuto} {
 		for _, bland := range []bool{false, true} {
 			sol, err := build().SolveOpts(Options{Method: m, ForceBland: bland})
 			if err != nil {
@@ -167,7 +167,7 @@ func TestRevisedDegeneratePivots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := p().SolveOpts(Options{Method: MethodRevised})
+	rev, err := p().SolveOpts(Options{Method: MethodAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func FuzzRevisedSimplex(f *testing.F) {
 			}
 			if corrupted {
 				_, errD := q.SolveOpts(Options{Method: MethodDense})
-				_, errR := q.SolveOpts(Options{Method: MethodRevised})
+				_, errR := q.SolveOpts(Options{Method: MethodAuto})
 				if !errors.Is(errD, ErrBadProblem) || !errors.Is(errR, ErrBadProblem) {
 					t.Fatalf("corrupted problem accepted: dense err=%v revised err=%v", errD, errR)
 				}
@@ -285,7 +285,7 @@ func FuzzRevisedSimplex(f *testing.F) {
 		}
 
 		dense, errD := p.SolveOpts(Options{Method: MethodDense})
-		rev, errR := p.SolveOpts(Options{Method: MethodRevised})
+		rev, errR := p.SolveOpts(Options{Method: MethodAuto})
 		if errD != nil || errR != nil {
 			// Reported errors (e.g. singular dual extraction on degenerate
 			// bases) are tolerated; panics are not, and the harness catches

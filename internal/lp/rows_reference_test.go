@@ -11,8 +11,8 @@ package lp
 import "math"
 
 // solveRows solves p on the reference tableau. It validates p like
-// Problem.SolveOpts and honors Options' tolerance, iteration, Bland, SkipDuals,
-// context and hook settings, but records no telemetry.
+// Problem.SolveOpts and honors Options' iteration, Bland, context and hook
+// settings, but records no telemetry.
 func solveRows(p *Problem, opts Options) (*Solution, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -393,9 +393,6 @@ func (t *tableau) extract() (*Solution, error) {
 	}
 	sol.Objective = obj
 
-	if t.opts.SkipDuals {
-		return sol, nil
-	}
 	if st, stop := t.g.at("lp.extract"); stop {
 		if st == statusAborted {
 			return nil, t.p.solveErr("lp.extract", Optimal, t.iters, t.g.err)
@@ -516,4 +513,46 @@ func (t *tableau) slackSign(i int) float64 {
 		return -1
 	}
 	return 1
+}
+
+// solveDense solves the square augmented system rows[i] = [A | b] in place
+// via Gaussian elimination with partial pivoting. Returns the solution and
+// whether the matrix was nonsingular.
+func solveDense(rows [][]float64) ([]float64, bool) {
+	n := len(rows)
+	for col := 0; col < n; col++ {
+		// Partial pivot.
+		p := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(rows[r][col]) > math.Abs(rows[p][col]) {
+				p = r
+			}
+		}
+		if math.Abs(rows[p][col]) < 1e-12 {
+			return nil, false
+		}
+		rows[col], rows[p] = rows[p], rows[col]
+		pivRow := rows[col]
+		inv := 1 / pivRow[col]
+		for j := col; j <= n; j++ {
+			pivRow[j] *= inv
+		}
+		for r := 0; r < n; r++ {
+			if r == col {
+				continue
+			}
+			f := rows[r][col]
+			if f == 0 {
+				continue
+			}
+			for j := col; j <= n; j++ {
+				rows[r][j] -= f * pivRow[j]
+			}
+		}
+	}
+	x := make([]float64, n)
+	for i := 0; i < n; i++ {
+		x[i] = rows[i][n]
+	}
+	return x, true
 }

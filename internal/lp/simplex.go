@@ -108,10 +108,11 @@ type kernel interface {
 	// column that left row r, and carries the dual phase's reduced costs d
 	// across it, given the pivot row alpha.
 	dualUpdate(r, enter, leaveCol int, alpha, d []float64) bool
-	// rowDuals solves Bᵀy = c_B at the final basis; false if singular.
+	// rowDuals returns the row duals y = B⁻ᵀc_B at the optimal basis the
+	// phase-2 primal just confirmed; false if the basis is singular.
 	rowDuals() ([]float64, bool)
-	// reducedCost is c_j − yᵀA_j for the row duals y of rowDuals.
-	reducedCost(j int, y []float64) float64
+	// reducedCost is c_j − yᵀA_j at that basis; call it after rowDuals.
+	reducedCost(j int) float64
 	// release returns pooled storage and flushes counters; the kernel is
 	// not used afterwards.
 	release()
@@ -210,7 +211,6 @@ type simplex struct {
 	*form
 	k          kernel
 	carried    bool // k carries its prices across pivots (dense); else it re-prices every pivot
-	skipDuals  bool
 	forceBland bool
 	g          *guard
 	p          *Problem
@@ -237,7 +237,6 @@ func newSimplex(p *Problem, opts Options, g *guard, sparse bool) *simplex {
 	}
 	s := &simplex{
 		form:       f,
-		skipDuals:  opts.SkipDuals,
 		forceBland: opts.ForceBland,
 		g:          g,
 		p:          p,
@@ -547,8 +546,8 @@ func (s *simplex) move(dir, delta float64) {
 }
 
 // extract reads out the solution: primal values from the basis, row duals
-// from the kernel's solve of Bᵀy = c_B at the final basis, in the caller's
-// row signs, and bound duals from the reduced costs.
+// from the kernel at the final basis, in the caller's row signs, and bound
+// duals from the reduced costs.
 func (s *simplex) extract() (*Solution, error) {
 	sol := &Solution{
 		Status:     Optimal,
@@ -577,9 +576,6 @@ func (s *simplex) extract() (*Solution, error) {
 	sol.Objective = obj
 	sol.basis = s.captureBasis()
 
-	if s.skipDuals {
-		return sol, nil
-	}
 	y, ok := s.k.rowDuals()
 	if !ok {
 		return nil, s.p.solveErr("dual-extraction", Optimal, s.iters, ErrSingularBasis)
@@ -597,7 +593,7 @@ func (s *simplex) extract() (*Solution, error) {
 		if s.status[j] == inBasis || (s.status[j] == atLower && !fixed) {
 			continue
 		}
-		r := s.k.reducedCost(j, y)
+		r := s.k.reducedCost(j)
 		if fixed {
 			r = math.Min(r, 0)
 		}

@@ -117,8 +117,9 @@ func solveWarm(p *Problem, opts Options, g *guard, sparse bool) (*Solution, erro
 	}
 	sol, err := s.extract()
 	if err != nil {
-		// e.g. a singular basis during dual extraction; the cold path may
-		// land on a better-conditioned optimal basis.
+		// The sparse kernel's refactorization for the duals found the
+		// basis singular; the cold path may land on a better-conditioned
+		// optimal basis. Dense extraction cannot fail.
 		mWarmPivots.Add(int64(s.iters))
 		return nil, nil, false
 	}

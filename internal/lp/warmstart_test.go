@@ -246,7 +246,7 @@ func perturbProblem(p *Problem, rs *rng.Stream) *Problem {
 // — never panics, never loops (iteration caps hold), and never reports
 // Optimal with an objective that disagrees with the cold solve. Modes 3
 // and 4 tighten bounds, which drives the dual re-entry: mode 3 re-solves
-// under MethodRevised with the dense crossover forced off (the sparse dual
+// under MethodAuto with the dense crossover forced off (the sparse dual
 // simplex), mode 4 under MethodDense (the dense one). There the warm
 // status must match the dense cold one too, and a warm optimum must pass
 // the KKT certificate.
@@ -265,7 +265,7 @@ func FuzzWarmStart(f *testing.F) {
 		mode %= 5
 		method := MethodDense
 		if mode == 3 {
-			method = MethodRevised
+			method = MethodAuto
 		}
 		base, err := donor.SolveOpts(Options{Method: method})
 		if err != nil {
@@ -292,7 +292,7 @@ func FuzzWarmStart(f *testing.F) {
 				t.Fatalf("warm status %v, cold %v (warmstarted=%v)", warm.Status, cold.Status, warm.WarmStarted)
 			}
 			if warm.Status == Optimal {
-				if err := CheckKKT(target, warm, false); err != nil {
+				if err := CheckKKT(target, warm); err != nil {
 					t.Fatalf("warm optimum (warmstarted=%v): %v", warm.WarmStarted, err)
 				}
 			}

@@ -90,34 +90,38 @@ func TestMaxNodesNoIncumbent(t *testing.T) {
 	}
 }
 
-func TestMaxNodesWithIncumbentIsUnproven(t *testing.T) {
-	// Find the true optimum first, then rerun with a node budget large
-	// enough to find some incumbent but too small to prove it.
+func TestCancellationWithIncumbentIsUnproven(t *testing.T) {
+	// Cancellation is the one exit that returns an incumbent unproven:
+	// stop the search at every node checkpoint in turn until one stop
+	// lands after the first incumbent and before the proof.
 	full, err := Solve(knapsackMILP(12), Options{})
 	if err != nil || full.Status != lp.Optimal || !full.Proven {
 		t.Fatalf("reference solve: %+v, %v", full, err)
 	}
-	for budget := 2; budget < full.Nodes; budget++ {
-		sol, err := Solve(knapsackMILP(12), Options{MaxNodes: budget})
-		if err == ErrNoIncumbent {
+	for stop := 1; stop <= full.Nodes; stop++ {
+		calls := 0
+		hook := func(string) error {
+			if calls++; calls > stop {
+				return context.Canceled
+			}
+			return nil
+		}
+		sol, err := Solve(knapsackMILP(12), Options{Hook: hook, CheckEvery: 1})
+		if err != nil {
+			t.Fatalf("stop %d: err = %v", stop, err)
+		}
+		if sol.Status != lp.Canceled || sol.X == nil {
 			continue
 		}
-		if err != nil {
-			t.Fatalf("budget %d: err = %v", budget, err)
-		}
 		if sol.Proven {
-			continue // pq drained early or bound closed: legitimately proven
-		}
-		// Degraded result: incumbent in hand, optimality not proven.
-		if sol.X == nil {
-			t.Fatalf("budget %d: unproven incumbent with nil X", budget)
+			t.Fatalf("stop %d: canceled incumbent claims proven optimality", stop)
 		}
 		if sol.Objective < full.Objective-1e-9 {
-			t.Fatalf("budget %d: incumbent %v better than optimum %v", budget, sol.Objective, full.Objective)
+			t.Fatalf("stop %d: incumbent %v better than optimum %v", stop, sol.Objective, full.Objective)
 		}
 		return
 	}
-	t.Skip("no budget produced an unproven incumbent for this instance")
+	t.Fatal("no cancellation point left an incumbent in hand")
 }
 
 func TestHookErrorAbortsWithSolveError(t *testing.T) {

@@ -63,18 +63,20 @@ func (o Options) checkEvery() int {
 	return 16
 }
 
-// Solution is an optimal (or best-found) integer solution. Degraded
-// terminations keep partial results: on lp.NodeLimit or a cancellation
-// status (lp.Canceled / lp.DeadlineExceeded) the X/Objective fields carry
-// the best incumbent found so far when one exists, with Proven=false.
+// Solution is an optimal (or best-found) integer solution. A cancellation
+// status (lp.Canceled / lp.DeadlineExceeded) keeps a partial result: the
+// X/Objective fields carry the best incumbent found so far when one exists,
+// with Proven=false. Best-first search proves the first incumbent it finds,
+// so a node limit either returns a proven optimum or, before any
+// incumbent, lp.NodeLimit with ErrNoIncumbent.
 type Solution struct {
 	Status    lp.Status
 	Objective float64
 	X         []float64
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
-	// Proven reports whether optimality was proven (false when MaxNodes
-	// was exhausted with an incumbent in hand).
+	// Proven reports whether optimality was proven (false only when a
+	// cancellation stopped the search with an incumbent in hand).
 	Proven bool
 }
 
@@ -129,10 +131,7 @@ func Solve(p Problem, opts Options) (sol *Solution, err error) {
 	sp, _ := telemetry.Default().StartSpanCtx(opts.Ctx, "milp.solve", p.LP.Name())
 	defer func() { recordSolve(sp, sol, err) }()
 	// Relaxation solves parent under this MILP span in the trace tree.
-	// Branch and bound consumes only primal values and objectives; skip
-	// dual extraction (an O(m³) solve per relaxation) and with it the
-	// spurious singular-basis failures degenerate fixings can produce.
-	lpOpts := lp.Options{Ctx: telemetry.ContextWithSpan(opts.Ctx, sp), SkipDuals: true}
+	lpOpts := lp.Options{Ctx: telemetry.ContextWithSpan(opts.Ctx, sp)}
 
 	// partial assembles the degraded-termination solution around the best
 	// incumbent found so far (if any).

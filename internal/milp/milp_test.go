@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -189,8 +190,10 @@ func TestNodeLimit(t *testing.T) {
 }
 
 func TestNodeLimitIncumbent(t *testing.T) {
-	// A knapsack large enough that MaxNodes stops the search after an
-	// incumbent exists: the incumbent must be binary and within budget.
+	// Best-first search proves the first incumbent it finds, so a node
+	// limit ends the search in one of two ways: with no incumbent
+	// (NodeLimit and ErrNoIncumbent), or with a proven, binary, in-budget
+	// optimum. Sweep the limit across both outcomes on one knapsack.
 	values := make([]float64, 16)
 	weights := make([]float64, 16)
 	rs := rng.New(12)
@@ -198,21 +201,32 @@ func TestNodeLimitIncumbent(t *testing.T) {
 		values[i] = 1 + rs.Float64()*5
 		weights[i] = 1 + rs.Float64()*3
 	}
-	sol, err := Solve(knapsack(values, weights, 12), Options{MaxNodes: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != lp.Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	w := 0.0
-	for i := 0; i < 16; i++ {
-		if sol.X[i] != 0 && sol.X[i] != 1 {
-			t.Fatalf("non-binary solution: %v", sol.X[i])
+	var limited, proven int
+	for maxNodes := 1; maxNodes <= 45; maxNodes++ {
+		sol, err := Solve(knapsack(values, weights, 12), Options{MaxNodes: maxNodes})
+		if err != nil {
+			if !errors.Is(err, ErrNoIncumbent) || sol == nil || sol.Status != lp.NodeLimit || sol.Nodes != maxNodes {
+				t.Fatalf("MaxNodes %d: err %v, solution %+v", maxNodes, err, sol)
+			}
+			limited++
+			continue
 		}
-		w += weights[i] * sol.X[i]
+		if sol.Status != lp.Optimal || !sol.Proven {
+			t.Fatalf("MaxNodes %d: status %v, proven %v", maxNodes, sol.Status, sol.Proven)
+		}
+		w := 0.0
+		for i := 0; i < 16; i++ {
+			if sol.X[i] != 0 && sol.X[i] != 1 {
+				t.Fatalf("MaxNodes %d: non-binary solution: %v", maxNodes, sol.X[i])
+			}
+			w += weights[i] * sol.X[i]
+		}
+		if w > 12+1e-6 {
+			t.Fatalf("MaxNodes %d: budget violated: %v", maxNodes, w)
+		}
+		proven++
 	}
-	if w > 12+1e-6 {
-		t.Fatalf("budget violated: %v", w)
+	if limited == 0 || proven == 0 {
+		t.Fatalf("%d node-limit and %d proven exits: the sweep must reach both", limited, proven)
 	}
 }
