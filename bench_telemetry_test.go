@@ -30,8 +30,9 @@ type benchTelemetryReport struct {
 	Benchmarks map[string]benchTelemetryEntry `json:"benchmarks"`
 }
 
-// benchTelemetryEntry is one benchmark's timing plus the deterministic work
-// counters accumulated across all its iterations.
+// benchTelemetryEntry is one benchmark's timing plus its deterministic work
+// counters: BENCH_telemetry.json sums them over all its iterations,
+// BENCH_warmstart.json counts one op.
 type benchTelemetryEntry struct {
 	Iterations  int              `json:"iterations"`
 	NsPerOp     int64            `json:"ns_per_op"`

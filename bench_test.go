@@ -54,15 +54,16 @@ func BenchmarkWestgridDispatch(b *testing.B) {
 // BenchmarkImpactMatrix measures a full ground-truth impact matrix on the
 // stressed model (86 single-asset outages), the inner loop of every
 // experiment.
-func BenchmarkImpactMatrix(b *testing.B) {
+func BenchmarkImpactMatrix(b *testing.B) { runOp(b, impactMatrixOp()) }
+
+// impactMatrixOp returns one impact-matrix build of the stressed westgrid.
+func impactMatrixOp() func() error {
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	o := actors.RandomOwnership(g, 6, rng.New(1))
 	an := &impact.Analysis{Graph: g, Ownership: o}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := an.ComputeMatrix(nil); err != nil {
-			b.Fatal(err)
-		}
+	return func() error {
+		_, err := an.ComputeMatrix(nil)
+		return err
 	}
 }
 

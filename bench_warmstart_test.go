@@ -4,7 +4,9 @@
 // uncached/cached adversary-round pair programmatically and writes
 // BENCH_warmstart.json (same cpsguard-bench/v1 envelope as
 // BENCH_telemetry.json) pairing each ns/op with the warm and cold pivot
-// counters and cache hit/miss counts that explain it.
+// counters and cache hit/miss counts that explain it. The counters are per
+// op: those of one op counted after a warm-up op on the same state, so a
+// cached round reads its steady state, and they do not move with b.N.
 package cpsguard
 
 import (
@@ -21,38 +23,49 @@ import (
 	"cpsguard/internal/westgrid"
 )
 
-// benchAdversaryRound builds the ground-truth matrix from scratch and runs
-// the exact SA search on it — the per-trial unit of the experiment sweeps —
-// optionally sharing a solve cache across rounds.
-func benchAdversaryRound(b *testing.B, cache *solvecache.Cache) {
-	b.Helper()
+// adversaryRoundOp returns one round — build the ground-truth matrix from
+// scratch and run the exact SA search on it, the per-trial unit of the
+// experiment sweeps — with every round sharing cache (nil for none).
+func adversaryRoundOp(cache *solvecache.Cache) func() error {
 	g := westgrid.Build(westgrid.Options{Stress: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		s := core.NewScenario(g, 6, 3)
 		s.Cache = cache
 		m, err := s.Truth()
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		_, err = adversary.Solve(adversary.Config{
 			Matrix: m, Targets: s.Targets, Budget: 6,
 		})
-		if err != nil {
+		return err
+	}
+}
+
+// adversaryColdOp is a round with no cache — the uncached per-trial cost.
+func adversaryColdOp() func() error { return adversaryRoundOp(nil) }
+
+// adversaryCachedOp is a round whose solve cache is shared across rounds,
+// as experiments share one across trials.
+func adversaryCachedOp() func() error { return adversaryRoundOp(solvecache.New(8192)) }
+
+// runOp times op as a benchmark.
+func runOp(b *testing.B, op func() error) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkAdversaryCold rebuilds the impact matrix and solves the SA each
-// iteration with no cache — the uncached per-trial cost.
-func BenchmarkAdversaryCold(b *testing.B) { benchAdversaryRound(b, nil) }
+// iteration with no cache.
+func BenchmarkAdversaryCold(b *testing.B) { runOp(b, adversaryColdOp()) }
 
 // BenchmarkAdversaryCached is the same round with one solve cache shared
-// across iterations, as experiments share one across trials.
-func BenchmarkAdversaryCached(b *testing.B) {
-	benchAdversaryRound(b, solvecache.New(8192))
-}
+// across iterations.
+func BenchmarkAdversaryCached(b *testing.B) { runOp(b, adversaryCachedOp()) }
 
 // TestBenchWarmstart is gated by BENCH_WARM_OUT: unset, it skips; set, it
 // runs the benchmarks, writes the JSON report to that path, and fails if
@@ -64,12 +77,12 @@ func TestBenchWarmstart(t *testing.T) {
 		t.Skip("set BENCH_WARM_OUT=path to run the warm re-solve and cache benchmarks")
 	}
 	benches := []struct {
-		name string
-		fn   func(*testing.B)
+		name  string
+		newOp func() func() error
 	}{
-		{"ImpactMatrix", BenchmarkImpactMatrix},
-		{"AdversaryCold", BenchmarkAdversaryCold},
-		{"AdversaryCached", BenchmarkAdversaryCached},
+		{"ImpactMatrix", impactMatrixOp},
+		{"AdversaryCold", adversaryColdOp},
+		{"AdversaryCached", adversaryCachedOp},
 	}
 	reg := telemetry.Default()
 	report := benchTelemetryReport{
@@ -79,8 +92,15 @@ func TestBenchWarmstart(t *testing.T) {
 		Benchmarks: make(map[string]benchTelemetryEntry, len(benches)),
 	}
 	for _, bench := range benches {
+		r := testing.Benchmark(func(b *testing.B) { runOp(b, bench.newOp()) })
+		op := bench.newOp()
+		if err := op(); err != nil { // warm-up: fills what ops share
+			t.Fatal(err)
+		}
 		reg.Reset()
-		r := testing.Benchmark(bench.fn)
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
 		snap := reg.Snapshot(telemetry.SnapshotOptions{})
 		counters := make(map[string]int64, len(snap.Counters))
 		for name, v := range snap.Counters {

@@ -16,9 +16,11 @@
 // DC welfare is never higher, and the gap is the value of the D-FACTS-style
 // controllability the paper assumes.
 //
-// Angles are free-signed; since the LP substrate uses x ≥ 0 variables,
-// each θ is modeled as θ⁺ − θ⁻, and each line flow as f⁺ − f⁻ coupled to
-// the angle difference by an equality row.
+// Angles are free-signed while the LP substrate's variables are boxed in
+// [0, u], so each bus carries one shifted angle θ' = θ + MaxAngle in
+// [0, 2·MaxAngle]; the shift cancels in every angle difference. Each line
+// flow is f⁺ − f⁻, so that a line's cost can apply to |f|, coupled to the
+// angle difference by an equality row.
 package dcopf
 
 import (
@@ -97,13 +99,11 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 
 	p := lp.NewProblem()
 	nV := len(g.Vertices)
-	thP := make([]int, nV)
-	thN := make([]int, nV)
+	th := make([]int, nV)
 	gVar := make([]int, nV)
 	xVar := make([]int, nV)
 	for i, v := range g.Vertices {
-		thP[i] = p.AddVariable("th+:"+v.ID, 0, maxA)
-		thN[i] = p.AddVariable("th-:"+v.ID, 0, maxA)
+		th[i] = p.AddVariable("th:"+v.ID, 0, 2*maxA)
 		if v.Supply > 0 {
 			gVar[i] = p.AddVariable("g:"+v.ID, v.SupplyCost, v.Supply)
 		} else {
@@ -115,11 +115,11 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 			xVar[i] = -1
 		}
 	}
-	// Reference bus: θ_0 = 0.
+	// Reference bus: θ_0 = 0, i.e. θ'_0 = MaxAngle.
 	if nV > 0 {
 		p.AddConstraint(lp.Constraint{
-			Coefs: []lp.Coef{{Var: thP[0], Value: 1}, {Var: thN[0], Value: -1}},
-			Sense: lp.EQ, RHS: 0, Name: "ref",
+			Coefs: []lp.Coef{{Var: th[0], Value: 1}},
+			Sense: lp.EQ, RHS: maxA, Name: "ref",
 		})
 	}
 	// Line flows: f = f⁺ − f⁻, f = B(θ_u − θ_v), |f| ≤ cap.
@@ -141,8 +141,7 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 		p.AddConstraint(lp.Constraint{
 			Coefs: []lp.Coef{
 				{Var: fP[j], Value: 1}, {Var: fN[j], Value: -1},
-				{Var: thP[u], Value: -b}, {Var: thN[u], Value: b},
-				{Var: thP[v], Value: b}, {Var: thN[v], Value: -b},
+				{Var: th[u], Value: -b}, {Var: th[v], Value: b},
 			},
 			Sense: lp.EQ, RHS: 0, Name: "kirchhoff:" + e.ID,
 		})
@@ -172,10 +171,9 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 		})
 	}
 
-	// The split θ± and f± pairs make the LP highly degenerate: on the
-	// stressed westgrid the Dantzig pass stalls into the iteration limit,
-	// and the resilient chain's Bland restart finishes it.
-	sol, err := lp.SolveResilient(p, opts.LP)
+	// The f± pairs leave the LP degenerate; the simplex's Harris ratio
+	// test keeps its pivots steady, so one Dantzig solve finishes it.
+	sol, err := p.SolveOpts(opts.LP)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +193,7 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 		res.Welfare -= e.Cost * (sol.X[fP[j]] + sol.X[fN[j]])
 	}
 	for i, v := range g.Vertices {
-		res.Angle[v.ID] = sol.X[thP[i]] - sol.X[thN[i]]
+		res.Angle[v.ID] = sol.X[th[i]] - maxA
 		if gVar[i] >= 0 {
 			res.Gen[v.ID] = sol.X[gVar[i]]
 			res.Welfare -= v.SupplyCost * res.Gen[v.ID]

@@ -153,10 +153,9 @@ func TestUnprofitableStaysDark(t *testing.T) {
 	}
 }
 
-// TestStressedWestgridSolves pins the degenerate case: on the stressed
-// westgrid the first Dantzig attempt runs into the iteration limit, and the
-// solve must still finish at the optimum the bounds-as-rows simplex found
-// (235516.7573616602) instead of returning an error.
+// TestStressedWestgridSolves pins the degenerate case: the stressed
+// westgrid's DC-OPF must solve in its one simplex call at the optimum the
+// bounds-as-rows simplex found (235516.7573616602).
 func TestStressedWestgridSolves(t *testing.T) {
 	r, err := Solve(westgrid.Build(westgrid.Options{Stress: true}), Options{})
 	if err != nil {

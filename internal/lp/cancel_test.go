@@ -98,48 +98,6 @@ func TestIterationLimitPartialSolution(t *testing.T) {
 	}
 }
 
-func TestSolveResilientBlandRestart(t *testing.T) {
-	p := trivialLP()
-	p.SetName("restart-test")
-	// MaxIter 1 exhausts immediately; SolveResilient must restart under
-	// Bland with a doubled default budget and succeed.
-	sol, err := SolveResilient(p, Options{MaxIter: 1})
-	if err != nil {
-		t.Fatalf("SolveResilient: %v", err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want Optimal after restart", sol.Status)
-	}
-	if len(sol.Fallbacks) != 1 {
-		t.Fatalf("Fallbacks = %v, want one bland-restart record", sol.Fallbacks)
-	}
-}
-
-func TestSolveResilientDoesNotRetryCleanAnswers(t *testing.T) {
-	p := NewProblem()
-	x := p.AddVariable("x", -1, math.Inf(1))
-	p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}}, Sense: GE, RHS: 1})
-	sol, err := SolveResilient(p, Options{})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if sol.Status != Unbounded || len(sol.Fallbacks) != 0 {
-		t.Fatalf("unbounded answer retried: %+v", sol)
-	}
-}
-
-func TestSolveResilientNeverMasksCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sol, err := SolveResilient(trivialLP(), Options{Ctx: ctx, CheckEvery: 1})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if sol.Status != Canceled || len(sol.Fallbacks) != 0 {
-		t.Fatalf("cancellation degraded into a retry: %+v", sol)
-	}
-}
-
 func TestSolveErrorCarriesProblemContext(t *testing.T) {
 	p := trivialLP()
 	p.SetName("ctx-carrier")

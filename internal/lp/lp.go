@@ -222,9 +222,6 @@ type Solution struct {
 	BoundDuals []float64
 	// Iterations is the total number of simplex pivots performed.
 	Iterations int
-	// Fallbacks records resilience degradations applied by SolveResilient
-	// ("bland-restart: ...", ...). Empty for a clean first-attempt solve.
-	Fallbacks []string
 	// WarmStarted reports that this solution was produced by the warm path
 	// (phase 2 re-entered from Options.WarmStart). False when no basis was
 	// supplied or the basis was rejected and the solver fell back to cold.
@@ -249,10 +246,6 @@ type Options struct {
 	// CheckEvery is the pivot interval between Ctx/Hook checkpoints
 	// (default 64).
 	CheckEvery int
-	// ForceBland starts pivoting under Bland's rule immediately instead
-	// of Dantzig's rule — slower but cycling-proof; used by the
-	// SolveResilient fallback chain.
-	ForceBland bool
 	// Hook is an optional fault-injection / instrumentation checkpoint;
 	// see the Hook type.
 	Hook Hook

@@ -256,8 +256,8 @@ func TestBoundedPivotPathLocked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Iterations != 135 || sparse.Value() != before {
-			t.Errorf("%v westgrid_stressed baseline dispatch: %d pivots, %d sparse solves; want 135 dense pivots",
+		if r.Iterations != 141 || sparse.Value() != before {
+			t.Errorf("%v westgrid_stressed baseline dispatch: %d pivots, %d sparse solves; want 141 dense pivots",
 				opts.Method, r.Iterations, sparse.Value()-before)
 		}
 	}
@@ -308,8 +308,8 @@ func TestRevisedPivotPathLocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Iterations != 1726 || sparse.Value()-before != 1 {
-		t.Errorf("national baseline dispatch: %d pivots, %d sparse solves; want 1726 pivots, 1 sparse solve",
+	if r.Iterations != 1689 || sparse.Value()-before != 1 {
+		t.Errorf("national baseline dispatch: %d pivots, %d sparse solves; want 1689 pivots, 1 sparse solve",
 			r.Iterations, sparse.Value()-before)
 	}
 

@@ -115,34 +115,58 @@ func TestWarmStartIdenticalResolveNeverFallsBack(t *testing.T) {
 	}
 }
 
-// TestRevisedCyclingBland pins anti-cycling behavior on Beale's classic
-// cycling example, which loops forever under naive Dantzig pivoting. Both
-// the automatic no-progress Bland switch and ForceBland must terminate at
-// the known optimum (−1/20), on the dense oracle and the revised method
-// alike — including the revised method's sparse extraction path.
+// TestRevisedCyclingBland pins anti-cycling behavior on two classic
+// examples that loop forever under naive Dantzig pivoting, on the dense
+// oracle and the revised method alike — including the revised method's
+// sparse extraction path. The Harris ratio test's largest-pivot choice
+// already breaks Beale's cycle (optimum −1/20); Kuhn's still cycles under
+// it, so there the automatic no-progress Bland switch must fire and finish
+// at the optimum (−2).
 func TestRevisedCyclingBland(t *testing.T) {
 	forceSparseExtract(t)
-	build := func() *Problem {
+	inf := math.Inf(1)
+	beale := func() *Problem {
 		p := NewProblem()
-		x1 := p.AddVariable("x1", -0.75, math.Inf(1))
-		x2 := p.AddVariable("x2", 150, math.Inf(1))
+		x1 := p.AddVariable("x1", -0.75, inf)
+		x2 := p.AddVariable("x2", 150, inf)
 		x3 := p.AddVariable("x3", -0.02, 1)
-		x4 := p.AddVariable("x4", 6, math.Inf(1))
+		x4 := p.AddVariable("x4", 6, inf)
 		p.AddConstraint(Constraint{Coefs: []Coef{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, Sense: LE, RHS: 0})
 		p.AddConstraint(Constraint{Coefs: []Coef{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, Sense: LE, RHS: 0})
 		return p
 	}
-	for _, m := range []Method{MethodDense, MethodAuto} {
-		for _, bland := range []bool{false, true} {
-			sol, err := build().SolveOpts(Options{Method: m, ForceBland: bland})
+	kuhn := func() *Problem {
+		p := NewProblem()
+		x1 := p.AddVariable("x1", -2, inf)
+		x2 := p.AddVariable("x2", -3, inf)
+		x3 := p.AddVariable("x3", 1, inf)
+		x4 := p.AddVariable("x4", 12, inf)
+		p.AddConstraint(Constraint{Coefs: []Coef{{x1, -2}, {x2, -9}, {x3, 1}, {x4, 9}}, Sense: LE, RHS: 0})
+		p.AddConstraint(Constraint{Coefs: []Coef{{x1, 1.0 / 3}, {x2, 1}, {x3, -1.0 / 3}, {x4, -2}}, Sense: LE, RHS: 0})
+		p.AddConstraint(Constraint{Coefs: []Coef{{x1, 2}, {x2, 3}, {x3, -1}, {x4, -12}}, Sense: LE, RHS: 2})
+		return p
+	}
+	cases := []struct {
+		name  string
+		build func() *Problem
+		want  float64
+		bland bool
+	}{
+		{"beale", beale, -0.05, false},
+		{"kuhn", kuhn, -2, true},
+	}
+	for _, c := range cases {
+		for _, m := range []Method{MethodDense, MethodAuto} {
+			switches := mBlandSwitch.Value()
+			sol, err := c.build().SolveOpts(Options{Method: m})
 			if err != nil {
-				t.Fatalf("%v bland=%v: %v", m, bland, err)
+				t.Fatalf("%s %v: %v", c.name, m, err)
 			}
-			if sol.Status != Optimal {
-				t.Fatalf("%v bland=%v: status %v", m, bland, sol.Status)
+			if sol.Status != Optimal || math.Abs(sol.Objective-c.want) > 1e-9 {
+				t.Fatalf("%s %v: status %v, objective %v; want optimal, %v", c.name, m, sol.Status, sol.Objective, c.want)
 			}
-			if math.Abs(sol.Objective-(-0.05)) > 1e-9 {
-				t.Fatalf("%v bland=%v: objective %v, want -0.05", m, bland, sol.Objective)
+			if fired := mBlandSwitch.Value() > switches; fired != c.bland {
+				t.Errorf("%s %v: Bland switch fired = %v, want %v", c.name, m, fired, c.bland)
 			}
 		}
 	}

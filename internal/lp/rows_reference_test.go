@@ -264,7 +264,7 @@ func (t *tableau) isArtificial(col int) bool {
 func (t *tableau) simplex(c []float64, phase1 bool) Status {
 	// Reduced costs are computed on demand: r_j = c_j − c_Bᵀ(B⁻¹A)_j,
 	// where the tableau columns already store B⁻¹A.
-	bland := t.opts.ForceBland
+	bland := false
 	noProgress := 0
 	lastObj := math.Inf(1)
 	for t.iters < t.max {

@@ -64,7 +64,8 @@ const (
 const (
 	// tol is the feasibility and optimality tolerance: the smallest
 	// improvement a reduced cost must promise, the smallest pivot the ratio
-	// tests accept, and the width of their ties.
+	// tests accept, the width of the dual ratio test's ties, and how far
+	// the primal one's Harris bound relaxes each basic value.
 	tol = 1e-9
 	// clampNegative is how far below zero a basic value may drift through
 	// rounding before move stops snapping it back to zero.
@@ -209,16 +210,16 @@ func loadMatrix(p *Problem, f *form, entry func(i, j int, v float64)) {
 // or at their upper bound, as status says).
 type simplex struct {
 	*form
-	k          kernel
-	carried    bool // k carries its prices across pivots (dense); else it re-prices every pivot
-	forceBland bool
-	g          *guard
-	p          *Problem
+	k       kernel
+	carried bool // k carries its prices across pivots (dense); else it re-prices every pivot
+	g       *guard
+	p       *Problem
 
 	x      []float64 // row → basic value; starts as rhs
 	basis  []int     // row → basic column
 	status []int8    // per column
 	w      []float64 // row space: column image of the entering variable
+	block  []int     // ratioTest's scratch (capacity m): the rows that can block
 
 	iters int
 	max   int
@@ -236,14 +237,13 @@ func newSimplex(p *Problem, opts Options, g *guard, sparse bool) *simplex {
 		f = newForm(p)
 	}
 	s := &simplex{
-		form:       f,
-		forceBland: opts.ForceBland,
-		g:          g,
-		p:          p,
-		x:          f.rhs,
-		basis:      append([]int(nil), f.start...),
-		status:     make([]int8, f.nTotal),
-		max:        opts.maxIter(f.m, f.nTotal),
+		form:   f,
+		g:      g,
+		p:      p,
+		x:      f.rhs,
+		basis:  append([]int(nil), f.start...),
+		status: make([]int8, f.nTotal),
+		max:    opts.maxIter(f.m, f.nTotal),
 	}
 	for _, c := range s.basis {
 		s.status[c] = inBasis
@@ -358,7 +358,7 @@ var pricingHook func(s *simplex, c []float64)
 // can cost a pivot but never a wrong Optimal or Unbounded. A kernel that
 // does not carry them re-prices at every pivot.
 func (s *simplex) primal(c []float64) Status {
-	bland := s.forceBland
+	bland := false
 	noProgress := 0
 	lastObj := math.Inf(1)
 	if s.carried {
@@ -490,44 +490,57 @@ func canEnter(status int8, upper float64) bool {
 }
 
 // ratioTest finds how far x_enter can move in direction enterDir: moving it
-// by Δ·enterDir changes basic values by −Δ·enterDir·w. The limit is the
-// first of (a) a basic variable reaching 0, (b) a basic variable reaching its
-// upper bound, and (c) x_enter reaching its own opposite bound; leave < 0
-// for (c), and limit = +Inf when nothing blocks. Ties go to the lowest
-// basic column index.
+// by Δ·enterDir changes basic values by −Δ·enterDir·w, so a basic value
+// blocks at 0 when it falls and at its upper bound when it rises. It is
+// Harris's two-pass test. Pass 1 bounds the step with every basic value's
+// bounds relaxed by tol. When x_enter's own opposite bound lies within that
+// bound, x_enter flips (leave < 0). Otherwise pass 2 takes, among the rows
+// that block within the bound, the largest |w_i| (ties to the lowest basic
+// column index), and steps to where that row blocks, never backwards: a
+// basic value that drifted outside its bounds leaves at step 0. So a
+// rounding-level entry never becomes the pivot just because it blocks
+// first. limit = +Inf when nothing blocks.
 func (s *simplex) ratioTest(enter int, enterDir float64) (limit float64, leave int, leaveToUpper bool) {
-	limit = math.Inf(1)
-	if u := s.upper[enter]; !math.IsInf(u, 1) {
-		limit = u // case (c): full flip distance
-	}
-	leave = -1
 	basis, x := s.basis, s.x
+	// ratio is the step at which row i blocks: at 0 when coef > 0, at its
+	// upper bound when coef < 0, relaxed by slack; +Inf when it never does.
+	ratio := func(i int, coef, slack float64) float64 {
+		switch {
+		case coef > tol:
+			return (x[i] + slack) / coef
+		case coef < -tol:
+			return (s.upper[basis[i]] - x[i] + slack) / -coef
+		}
+		return math.Inf(1)
+	}
+	if s.block == nil {
+		s.block = make([]int, 0, s.m)
+	}
+	block := s.block[:0]
+	bound := math.Inf(1)
 	for i, wi := range s.w {
-		coef := enterDir * wi
-		bc := basis[i]
-		if coef > tol {
-			// Basic value decreases toward 0.
-			ratio := x[i] / coef
-			if ratio < limit-tol ||
-				(ratio < limit+tol && leave >= 0 && bc < basis[leave]) {
-				limit = ratio
-				leave = i
-				leaveToUpper = false
-			}
-		} else if coef < -tol {
-			// Basic value increases toward its upper bound.
-			if ub := s.upper[bc]; !math.IsInf(ub, 1) {
-				ratio := (ub - x[i]) / -coef
-				if ratio < limit-tol ||
-					(ratio < limit+tol && leave >= 0 && bc < basis[leave]) {
-					limit = ratio
-					leave = i
-					leaveToUpper = true
-				}
-			}
+		if r := ratio(i, enterDir*wi, tol); r < math.Inf(1) {
+			block = append(block, i)
+			bound = min(bound, r)
 		}
 	}
-	return limit, leave, leaveToUpper
+	if u := s.upper[enter]; u <= bound {
+		return u, -1, false // a flip, or +Inf: nothing blocks
+	}
+	// The bound is finite, so the row that set it blocks within it.
+	leave = -1
+	best := 0.0
+	for _, i := range block {
+		coef := enterDir * s.w[i]
+		a := math.Abs(coef)
+		if a < best || a == best && leave >= 0 && basis[i] > basis[leave] {
+			continue
+		}
+		if r := ratio(i, coef, 0); r <= bound {
+			limit, leave, leaveToUpper, best = r, i, coef < 0, a
+		}
+	}
+	return max(limit, 0), leave, leaveToUpper
 }
 
 // move shifts the entering column, whose image is in w, by delta in

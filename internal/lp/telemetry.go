@@ -11,14 +11,12 @@ import (
 )
 
 var (
-	mSolves        = telemetry.NewCounter("lp.solves")
-	mErrors        = telemetry.NewCounter("lp.errors")
-	mPivots        = telemetry.NewCounter("lp.pivots")
-	mPhase1        = telemetry.NewCounter("lp.phase1_solves")
-	mBlandSwitch   = telemetry.NewCounter("lp.bland_switches")
-	mBlandRestarts = telemetry.NewCounter("lp.bland_restarts")
-	mFallbacks     = telemetry.NewCounter("lp.fallbacks")
-	mPivotsHist    = telemetry.NewHistogram("lp.pivots_per_solve", telemetry.WorkEdges)
+	mSolves      = telemetry.NewCounter("lp.solves")
+	mErrors      = telemetry.NewCounter("lp.errors")
+	mPivots      = telemetry.NewCounter("lp.pivots")
+	mPhase1      = telemetry.NewCounter("lp.phase1_solves")
+	mBlandSwitch = telemetry.NewCounter("lp.bland_switches")
+	mPivotsHist  = telemetry.NewHistogram("lp.pivots_per_solve", telemetry.WorkEdges)
 
 	// Warm-start attribution: attempts = solves entered with a basis,
 	// solves = attempts that finished on the warm path, fallbacks =

@@ -106,15 +106,22 @@ func TestCancellationWithIncumbentIsUnproven(t *testing.T) {
 			}
 			return nil
 		}
+		unproven := mUnproven.Value()
 		sol, err := Solve(knapsackMILP(12), Options{Hook: hook, CheckEvery: 1})
 		if err != nil {
 			t.Fatalf("stop %d: err = %v", stop, err)
 		}
 		if sol.Status != lp.Canceled || sol.X == nil {
+			if d := mUnproven.Value() - unproven; d != 0 {
+				t.Fatalf("stop %d: %v exit with no unproven incumbent counted %d unproven exits", stop, sol.Status, d)
+			}
 			continue
 		}
 		if sol.Proven {
 			t.Fatalf("stop %d: canceled incumbent claims proven optimality", stop)
+		}
+		if d := mUnproven.Value() - unproven; d != 1 {
+			t.Fatalf("stop %d: milp.unproven_exits moved by %d, want 1", stop, d)
 		}
 		if sol.Objective < full.Objective-1e-9 {
 			t.Fatalf("stop %d: incumbent %v better than optimum %v", stop, sol.Objective, full.Objective)

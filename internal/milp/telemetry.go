@@ -3,10 +3,7 @@
 // is deterministic), so they land in the deterministic snapshot sections.
 package milp
 
-import (
-	"cpsguard/internal/lp"
-	"cpsguard/internal/telemetry"
-)
+import "cpsguard/internal/telemetry"
 
 var (
 	mSolves     = telemetry.NewCounter("milp.solves")
@@ -29,7 +26,8 @@ func recordSolve(sp *telemetry.Span, sol *Solution, err error) {
 		mNodes.Add(int64(sol.Nodes))
 		mNodesHist.Observe(int64(sol.Nodes))
 		sp.SetWork(int64(sol.Nodes))
-		if sol.Status == lp.Optimal && !sol.Proven {
+		if sol.X != nil && !sol.Proven {
+			// An incumbent returned unproven: a canceled search.
 			mUnproven.Inc()
 		}
 	}

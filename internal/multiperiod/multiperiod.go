@@ -243,7 +243,7 @@ func Dispatch(cfg Config) (*Result, error) {
 		}
 	}
 
-	sol, err := lp.SolveResilient(prob, cfg.LP)
+	sol, err := prob.SolveOpts(cfg.LP)
 	if err != nil {
 		return nil, err
 	}

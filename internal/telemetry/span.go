@@ -44,7 +44,7 @@ type SpanRecord struct {
 	// nodes, or trials, depending on Stage.
 	Work int64 `json:"work"`
 	// Degradations lists resilience fallbacks applied during the span
-	// ("bland-restart: ...", "greedy: ...", "watchdog: ...").
+	// ("error: ...", "watchdog: ...").
 	Degradations []string `json:"degradations,omitempty"`
 	// Retries counts retry/requeue attempts consumed by the span.
 	Retries int `json:"retries,omitempty"`

@@ -129,7 +129,7 @@ func TestSpansDeterministicWithInjectedClock(t *testing.T) {
 	r.EnableTracing(true)
 	sp := r.StartSpan("lp.solve", "dispatch")
 	sp.SetWork(42)
-	sp.AddDegradations("bland-restart: test")
+	sp.AddDegradations("watchdog: test")
 	sp.SetRetries(1)
 	sp.End()
 	got := r.Snapshot(SnapshotOptions{Spans: true})

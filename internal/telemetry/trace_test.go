@@ -105,7 +105,7 @@ func TestChromeTraceExport(t *testing.T) {
 	root, ctx := r.StartSpanCtx(context.Background(), "experiments.trial", "t0")
 	child, _ := r.StartSpanCtx(ctx, "lp.solve", "dispatch")
 	child.SetWork(42)
-	child.AddDegradations("bland-restart: test")
+	child.AddDegradations("watchdog: test")
 	child.End()
 	root.SetRetries(1)
 	root.End()
