@@ -99,11 +99,14 @@ fuzz-smoke:
 	$(GO) test ./internal/screen/ -run=^$$ -fuzz=FuzzScreenPrune -fuzztime=5s
 
 # Sparse-vs-dense differential smoke: the dense-oracle battery (fixtures,
-# outage sweeps, seeded random LPs, error taxonomy) and the pivot-path locks
-# of both kernels, which also pin the kernel the size rule picks. Part of ci.
+# outage sweeps, seeded random LPs, error taxonomy), the pivot-path locks
+# of both kernels, which also pin the kernel the size rule picks, and the
+# sparse-dual guards: the KKT-certified DC-OPF up to the 64-region national
+# grid and the free-split duals on the forced sparse kernel. Part of ci.
 revised-smoke:
 	$(GO) test ./internal/lp/ -run 'TestRevisedVsDenseDifferential|TestRevisedWarmAcrossMethods' -count=1
 	$(GO) test ./internal/lp/ -run 'TestBoundedPivotPathLocked|TestRevisedPivotPathLocked' -count=1
+	$(GO) test ./internal/lp/ -run 'TestDCOPFCertified|TestSplitFreeVariableDuals' -count=1
 
 # Crash-resume acceptance: a sweep killed mid-run and resumed from its
 # journal — including over a deliberately torn journal tail — must render

@@ -1,9 +1,9 @@
 // Bench-with-telemetry harness: `make bench` runs TestBenchTelemetry with
 // BENCH_OUT set, which executes the solver-layer benchmarks programmatically
-// and pairs each timing with the telemetry counter deltas it produced
-// (pivots per LP solve, nodes per branch and bound, evaluations per SA
-// search, journal appends per trial). The result is a machine-readable
-// BENCH_telemetry.json for tracking cost regressions alongside work counts.
+// and pairs each timing with the telemetry counters of one op (pivots per LP
+// solve, nodes per branch and bound, evaluations per SA search, journal
+// appends per trial). The result is a machine-readable BENCH_telemetry.json
+// for tracking cost regressions alongside work counts.
 package cpsguard
 
 import (
@@ -31,8 +31,7 @@ type benchTelemetryReport struct {
 }
 
 // benchTelemetryEntry is one benchmark's timing plus its deterministic work
-// counters: BENCH_telemetry.json sums them over all its iterations,
-// BENCH_warmstart.json counts one op.
+// counters, those of one op (see benchOneOp), so they do not move with b.N.
 type benchTelemetryEntry struct {
 	Iterations  int              `json:"iterations"`
 	NsPerOp     int64            `json:"ns_per_op"`
@@ -41,25 +40,66 @@ type benchTelemetryEntry struct {
 	Counters    map[string]int64 `json:"counters,omitempty"`
 }
 
+// runOp times op as a benchmark.
+func runOp(b *testing.B, op func() error) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchOneOp times the ops newOp makes, then counts the telemetry of one op
+// run after a warm-up op on a fresh instance: a cached op reads its steady
+// state, and the counters do not move with b.N.
+func benchOneOp(t *testing.T, name string, newOp func() func() error) benchTelemetryEntry {
+	t.Helper()
+	r := testing.Benchmark(func(b *testing.B) { runOp(b, newOp()) })
+	op := newOp()
+	if err := op(); err != nil { // warm-up: fills what ops share
+		t.Fatal(err)
+	}
+	reg := telemetry.Default()
+	reg.Reset()
+	if err := op(); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot(telemetry.SnapshotOptions{})
+	reg.Reset()
+	counters := make(map[string]int64, len(snap.Counters))
+	for name, v := range snap.Counters {
+		if v != 0 {
+			counters[name] = v
+		}
+	}
+	t.Logf("%s: %d iter, %d ns/op, %d counters", name, r.N, r.NsPerOp(), len(counters))
+	return benchTelemetryEntry{
+		Iterations:  r.N,
+		NsPerOp:     r.NsPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		Counters:    counters,
+	}
+}
+
 // TestBenchTelemetry is gated by BENCH_OUT: unset, it skips (so plain
 // `go test ./...` stays fast); set, it benchmarks the solver layer and
-// writes the JSON report to that path. The registry is reset around each
-// benchmark so counters attribute to exactly one workload.
+// writes the JSON report to that path.
 func TestBenchTelemetry(t *testing.T) {
 	out := os.Getenv("BENCH_OUT")
 	if out == "" {
 		t.Skip("set BENCH_OUT=path to run the telemetry benchmark sweep")
 	}
 	benches := []struct {
-		name string
-		fn   func(*testing.B)
+		name  string
+		newOp func() func() error
 	}{
-		{"LPSolve", BenchmarkLPSolve},
-		{"MILPSolve", BenchmarkMILPSolve},
-		{"AdversaryResilient", BenchmarkAdversaryResilient},
-		{"ExperimentsTrial", BenchmarkExperimentsTrial},
+		{"LPSolve", lpSolveOp},
+		{"MILPSolve", milpSolveOp},
+		{"AdversaryResilient", func() func() error { return adversaryResilientOp(t) }},
+		{"ExperimentsTrial", experimentsTrialOp},
 	}
-	reg := telemetry.Default()
 	report := benchTelemetryReport{
 		Schema:     benchSchema,
 		GoVersion:  runtime.Version(),
@@ -67,25 +107,8 @@ func TestBenchTelemetry(t *testing.T) {
 		Benchmarks: make(map[string]benchTelemetryEntry, len(benches)),
 	}
 	for _, bench := range benches {
-		reg.Reset()
-		r := testing.Benchmark(bench.fn)
-		snap := reg.Snapshot(telemetry.SnapshotOptions{})
-		counters := make(map[string]int64, len(snap.Counters))
-		for name, v := range snap.Counters {
-			if v != 0 {
-				counters[name] = v
-			}
-		}
-		report.Benchmarks[bench.name] = benchTelemetryEntry{
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Counters:    counters,
-		}
-		t.Logf("%s: %d iter, %d ns/op, %d counters", bench.name, r.N, r.NsPerOp(), len(counters))
+		report.Benchmarks[bench.name] = benchOneOp(t, bench.name, bench.newOp)
 	}
-	reg.Reset()
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		t.Fatal(err)

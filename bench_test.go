@@ -9,6 +9,7 @@
 package cpsguard
 
 import (
+	"fmt"
 	"testing"
 
 	"cpsguard/internal/actors"
@@ -118,13 +119,13 @@ func BenchmarkExtHardening(b *testing.B) { benchFig(b, experiments.HardeningComp
 
 // --- Ablation: strategic adversary solvers (DESIGN.md §6).
 
-func adversaryBenchConfig(b *testing.B) adversary.Config {
-	b.Helper()
+func adversaryBenchConfig(tb testing.TB) adversary.Config {
+	tb.Helper()
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	s := core.NewScenario(g, 6, 3)
 	m, err := s.Truth()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return adversary.Config{
 		Matrix:  m,
@@ -385,23 +386,26 @@ func benchLPProblem() *lp.Problem {
 }
 
 // BenchmarkLPSolve measures one direct lp.Solve on the representative LP.
-func BenchmarkLPSolve(b *testing.B) {
+func BenchmarkLPSolve(b *testing.B) { runOp(b, lpSolveOp()) }
+
+// lpSolveOp returns one cold solve of benchLPProblem.
+func lpSolveOp() func() error {
 	p := benchLPProblem()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		sol, err := p.Solve()
-		if err != nil {
-			b.Fatal(err)
+		if err == nil && sol.Status != lp.Optimal {
+			err = fmt.Errorf("status %v", sol.Status)
 		}
-		if sol.Status != lp.Optimal {
-			b.Fatalf("status %v", sol.Status)
-		}
+		return err
 	}
 }
 
 // BenchmarkMILPSolve measures branch and bound on a 14-binary knapsack-style
 // problem over the same LP engine.
-func BenchmarkMILPSolve(b *testing.B) {
+func BenchmarkMILPSolve(b *testing.B) { runOp(b, milpSolveOp()) }
+
+// milpSolveOp returns one branch and bound of the knapsack.
+func milpSolveOp() func() error {
 	prob := milp.Problem{LP: lp.NewProblem()}
 	for j := 0; j < 14; j++ {
 		v := prob.LP.AddVariable("x", -float64((j*17)%9+1), 1)
@@ -412,38 +416,40 @@ func BenchmarkMILPSolve(b *testing.B) {
 		coefs[j] = lp.Coef{Var: j, Value: float64((j*5)%7 + 1)}
 	}
 	prob.LP.AddConstraint(lp.Constraint{Coefs: coefs, Sense: lp.LE, RHS: 18})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		sol, err := milp.Solve(prob, milp.Options{})
-		if err != nil {
-			b.Fatal(err)
+		if err == nil && sol.Status != lp.Optimal {
+			err = fmt.Errorf("status %v", sol.Status)
 		}
-		if sol.Status != lp.Optimal {
-			b.Fatalf("status %v", sol.Status)
-		}
+		return err
 	}
 }
 
 // BenchmarkAdversaryResilient measures the production SA entry point (the
 // fallback-chain wrapper around the exact search) on the full instance.
-func BenchmarkAdversaryResilient(b *testing.B) {
-	cfg := adversaryBenchConfig(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adversary.SolveResilient(cfg); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkAdversaryResilient(b *testing.B) { runOp(b, adversaryResilientOp(b)) }
+
+// adversaryResilientOp returns one SolveResilient call on the instance.
+func adversaryResilientOp(tb testing.TB) func() error {
+	cfg := adversaryBenchConfig(tb)
+	return func() error {
+		_, err := adversary.SolveResilient(cfg)
+		return err
 	}
 }
 
 // BenchmarkExperimentsTrial measures one full experiment trial — dispatch,
 // impact, Pa estimation, defense, and settlement — the unit the checkpoint
 // journal records.
-func BenchmarkExperimentsTrial(b *testing.B) {
+func BenchmarkExperimentsTrial(b *testing.B) { runOp(b, experimentsTrialOp()) }
+
+// experimentsTrialOp returns a trial op whose i-th call plays the round of
+// seed i.
+func experimentsTrialOp() func() error {
 	g := westgrid.Build(westgrid.Options{Stress: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := core.NewScenario(g, 4, uint64(i))
+	var seed uint64
+	return func() error {
+		s := core.NewScenario(g, 4, seed)
 		_, err := core.PlayRound(s, core.GameConfig{
 			AttackBudget:          1,
 			DefenderSigma:         0.2,
@@ -451,11 +457,10 @@ func BenchmarkExperimentsTrial(b *testing.B) {
 			DefenseBudgetPerActor: 3,
 			PaSamples:             4,
 			NoiseMode:             core.MatrixNoise,
-			Seed:                  uint64(i),
+			Seed:                  seed,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		seed++
+		return err
 	}
 }
 

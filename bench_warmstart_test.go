@@ -4,9 +4,7 @@
 // uncached/cached adversary-round pair programmatically and writes
 // BENCH_warmstart.json (same cpsguard-bench/v1 envelope as
 // BENCH_telemetry.json) pairing each ns/op with the warm and cold pivot
-// counters and cache hit/miss counts that explain it. The counters are per
-// op: those of one op counted after a warm-up op on the same state, so a
-// cached round reads its steady state, and they do not move with b.N.
+// counters and cache hit/miss counts that explain it, per op (benchOneOp).
 package cpsguard
 
 import (
@@ -19,7 +17,6 @@ import (
 	"cpsguard/internal/atomicio"
 	"cpsguard/internal/core"
 	"cpsguard/internal/solvecache"
-	"cpsguard/internal/telemetry"
 	"cpsguard/internal/westgrid"
 )
 
@@ -49,16 +46,6 @@ func adversaryColdOp() func() error { return adversaryRoundOp(nil) }
 // as experiments share one across trials.
 func adversaryCachedOp() func() error { return adversaryRoundOp(solvecache.New(8192)) }
 
-// runOp times op as a benchmark.
-func runOp(b *testing.B, op func() error) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := op(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAdversaryCold rebuilds the impact matrix and solves the SA each
 // iteration with no cache.
 func BenchmarkAdversaryCold(b *testing.B) { runOp(b, adversaryColdOp()) }
@@ -84,7 +71,6 @@ func TestBenchWarmstart(t *testing.T) {
 		{"AdversaryCold", adversaryColdOp},
 		{"AdversaryCached", adversaryCachedOp},
 	}
-	reg := telemetry.Default()
 	report := benchTelemetryReport{
 		Schema:     benchSchema,
 		GoVersion:  runtime.Version(),
@@ -92,32 +78,8 @@ func TestBenchWarmstart(t *testing.T) {
 		Benchmarks: make(map[string]benchTelemetryEntry, len(benches)),
 	}
 	for _, bench := range benches {
-		r := testing.Benchmark(func(b *testing.B) { runOp(b, bench.newOp()) })
-		op := bench.newOp()
-		if err := op(); err != nil { // warm-up: fills what ops share
-			t.Fatal(err)
-		}
-		reg.Reset()
-		if err := op(); err != nil {
-			t.Fatal(err)
-		}
-		snap := reg.Snapshot(telemetry.SnapshotOptions{})
-		counters := make(map[string]int64, len(snap.Counters))
-		for name, v := range snap.Counters {
-			if v != 0 {
-				counters[name] = v
-			}
-		}
-		report.Benchmarks[bench.name] = benchTelemetryEntry{
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Counters:    counters,
-		}
-		t.Logf("%s: %d iter, %d ns/op, %d counters", bench.name, r.N, r.NsPerOp(), len(counters))
+		report.Benchmarks[bench.name] = benchOneOp(t, bench.name, bench.newOp)
 	}
-	reg.Reset()
 
 	if n := report.Benchmarks["ImpactMatrix"].Counters["lp.warm_fallbacks"]; n != 0 {
 		t.Errorf("ImpactMatrix: %d warm re-solves fell back cold", n)

@@ -283,14 +283,14 @@ func (k *denseKernel) dualUpdate(r, enter, _ int, _, _ []float64) bool {
 // rowDuals reads the row duals off the carried row, which the simplex
 // priced afresh for the phase-2 cost before it returned Optimal. Row i's
 // start column is e_i with zero cost, so d there is −y_i.
-func (k *denseKernel) rowDuals() ([]float64, bool) {
+func (k *denseKernel) rowDuals() []float64 {
 	y := make([]float64, k.m)
 	for i, c := range k.start {
 		if v := k.d[c]; v != 0 {
 			y[i] = -v
 		}
 	}
-	return y, true
+	return y
 }
 
 // reducedCost is the carried row's d_j.

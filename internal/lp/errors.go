@@ -9,22 +9,18 @@ import (
 	"fmt"
 )
 
-// ErrSingularBasis is returned (wrapped in a *SolveError carrying the
-// problem name and pivot count) when the sparse kernel cannot refactor its
-// final basis to extract the duals. The dense kernel reads its duals off the
-// carried reduced-cost row and never returns it. Match with errors.Is.
-var ErrSingularBasis = errors.New("lp: singular basis during dual extraction")
-
 // SolveError is the structured error taxonomy of the solve pipeline. Every
 // failure escaping a solver carries the problem name, the stage that failed,
 // the last known status, and the iteration count at failure, so that a
 // single bad solve inside a million-trial Monte-Carlo run is attributable.
+// An LP solve returns one only when a Hook stops it or a panic is recovered;
+// a well-formed problem solved without a hook always returns a Solution
+// whose Status carries the outcome.
 type SolveError struct {
 	// Problem is the Problem.Name of the failing problem (may be empty).
 	Problem string
-	// Stage names where the failure occurred: "lp.enter", "lp.pivot",
-	// "pivot-loop" (recovered panic), "dual-extraction" (sparse kernel
-	// only), "milp.node", "fallback", ...
+	// Stage names where the failure occurred: "lp.enter", "lp.pivot"
+	// (hook errors), "pivot-loop" (recovered panic), "milp.node".
 	Stage string
 	// Status is the last status observed before the failure.
 	Status Status
@@ -49,8 +45,8 @@ func (e *SolveError) Error() string {
 func (e *SolveError) Unwrap() error { return e.Err }
 
 // Hook is a fault-injection / instrumentation checkpoint. When set on
-// Options, the solver invokes it at named sites ("lp.enter", "lp.pivot",
-// "lp.extract"). A returned error aborts the solve: errors wrapping
+// Options, the solver invokes it at named sites ("lp.enter", "lp.pivot").
+// A returned error aborts the solve: errors wrapping
 // context.Canceled or context.DeadlineExceeded surface as the matching
 // cancellation Status; any other error is wrapped in a *SolveError. A
 // panicking hook exercises the solver's panic recovery (the panic is

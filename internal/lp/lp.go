@@ -282,6 +282,10 @@ func (p *Problem) Solve() (*Solution, error) { return p.SolveOpts(Options{}) }
 // SolveOpts solves the problem with explicit options. Panics inside the
 // pivot loops are recovered and returned as a *SolveError; an expired
 // Options.Ctx returns a Canceled/DeadlineExceeded solution without pivoting.
+// Short of a recovered panic, a problem that passes validation and is
+// solved without a Hook never returns an error: every outcome, Infeasible
+// and IterationLimit included, is a Status, and every Optimal solution
+// carries its duals.
 func (p *Problem) SolveOpts(opts Options) (sol *Solution, err error) {
 	if err := p.validate(); err != nil {
 		return nil, err

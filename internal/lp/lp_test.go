@@ -383,21 +383,28 @@ func TestValidateRejectsBadInput(t *testing.T) {
 }
 
 func TestRedundantEqualityRows(t *testing.T) {
-	// Duplicate equality rows create a singular-looking phase-1 but must
-	// still solve: min x s.t. x + y = 2 (twice), y ≤ 1.
-	p := NewProblem()
-	x := p.AddVariable("x", 1, math.Inf(1))
-	y := p.AddVariable("y", 0, 1)
-	p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: EQ, RHS: 2})
-	p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: EQ, RHS: 2})
-	sol, err := p.Solve()
-	if err != nil {
-		// Redundant rows may make the dual basis singular; accept a
-		// clean error but not a wrong answer.
-		t.Skipf("redundant rows rejected at dual extraction: %v", err)
-	}
-	if sol.Status != Optimal || !approx(sol.X[x], 1, eps) {
-		t.Fatalf("status=%v x=%v, want optimal x=1", sol.Status, sol.X[x])
+	// Duplicate equality rows leave an artificial basic at zero after
+	// phase 1, but must still solve on both kernels, duals included:
+	// min x s.t. x + y = 2 (twice), y ≤ 1.
+	for _, sparse := range []bool{false, true} {
+		if sparse {
+			forceSparseExtract(t)
+		}
+		p := NewProblem()
+		x := p.AddVariable("x", 1, math.Inf(1))
+		y := p.AddVariable("y", 0, 1)
+		p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: EQ, RHS: 2})
+		p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: EQ, RHS: 2})
+		sol, err := p.Solve()
+		if err != nil {
+			t.Fatalf("sparse=%v: %v", sparse, err)
+		}
+		if sol.Status != Optimal || !approx(sol.X[x], 1, eps) {
+			t.Fatalf("sparse=%v: status=%v x=%v, want optimal x=1", sparse, sol.Status, sol.X[x])
+		}
+		if err := CheckKKT(p, sol); err != nil {
+			t.Fatalf("sparse=%v: %v", sparse, err)
+		}
 	}
 }
 

@@ -288,7 +288,8 @@ func TestBoundedPivotPathLocked(t *testing.T) {
 // TestRevisedPivotPathLocked pins Solution.Iterations of the sparse LU/eta
 // kernel: the 64-region national baseline dispatch under the zero-value
 // options (above the dense crossover, so the size rule picks the sparse
-// kernel), then, with the crossover forced off so every solve runs sparse,
+// kernel), with its LU factorization count and the KKT certificate of the
+// duals it reads off its last pricing pass, then, with the crossover forced off so every solve runs sparse,
 // the first 50 seeded random LPs and a bound-cut warm re-solve of each
 // optimal seed under both kernels. The cut halves every structural value
 // strictly inside its bounds, which leaves the cold basis dual feasible but
@@ -303,14 +304,24 @@ func TestRevisedPivotPathLocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	sparse := telemetry.Default().Counter("lp.revised.solves")
-	before := sparse.Value()
+	factors := telemetry.Default().Counter("lp.revised.factorizations")
+	before, beforeFactors := sparse.Value(), factors.Value()
+	certified := 0
+	restore := lp.CertifySolves(func(p *lp.Problem, err error) {
+		certified++
+		if err != nil {
+			t.Errorf("national baseline dispatch: eta-carried duals: %v", err)
+		}
+	})
 	r, err := flow.DispatchOpts(g, flow.Options{})
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Iterations != 1689 || sparse.Value()-before != 1 {
-		t.Errorf("national baseline dispatch: %d pivots, %d sparse solves; want 1689 pivots, 1 sparse solve",
-			r.Iterations, sparse.Value()-before)
+	if r.Iterations != 1689 || sparse.Value()-before != 1 || factors.Value()-beforeFactors != 25 || certified != 1 {
+		t.Errorf("national baseline dispatch: %d pivots, %d sparse solves, %d factorizations, %d certified; "+
+			"want 1689 pivots, 1 sparse solve, 25 factorizations, 1 certified",
+			r.Iterations, sparse.Value()-before, factors.Value()-beforeFactors, certified)
 	}
 
 	old := lp.SetRevisedFinishMaxRows(-1)

@@ -21,6 +21,8 @@
 // outright (the sparse machinery has nothing to win there), above it the
 // solve and its extraction are fully sparse, and agreement with the dense
 // kernel is 1e-9-differential, proven by TestRevisedVsDenseDifferential.
+// The duals are the y of the final pricing pass (rowDuals), so extraction
+// cannot fail.
 //
 // In the warm re-entry's dual phase (warmstart.go) the pivot row
 // α = e_rᵀB⁻¹A comes from one BTRAN and a dot product per movable CSC
@@ -297,15 +299,11 @@ func (k *revisedKernel) dualUpdate(r, enter, leaveCol int, alpha, d []float64) b
 	return ok
 }
 
-// rowDuals refactors at the final basis (dropping eta roundoff), then
-// solves for the row duals with one BTRAN.
-func (k *revisedKernel) rowDuals() ([]float64, bool) {
-	if !k.refactorNow() {
-		return nil, false
-	}
-	k.reprice(k.cost)
-	return k.y, true
-}
+// rowDuals returns y from the last pricing pass. The kernel does not carry
+// its prices, so primal re-priced the phase-2 cost by BTRAN at the final
+// basis right before it returned Optimal. pivotRow borrows y as scratch,
+// but only in the dual phase, which always runs before that primal.
+func (k *revisedKernel) rowDuals() []float64 { return k.y }
 
 // reducedCost is c_j − yᵀA_j, the dot product summed first.
 func (k *revisedKernel) reducedCost(j int) float64 {

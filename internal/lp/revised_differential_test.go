@@ -150,16 +150,8 @@ func TestRevisedVsDenseDifferential(t *testing.T) {
 			p := lp.GenRandomProblem(seed)
 			dense, errD := p.SolveOpts(lp.Options{Method: lp.MethodDense})
 			rev, errR := lp.GenRandomProblem(seed).SolveOpts(lp.Options{Method: lp.MethodAuto})
-			if (errD == nil) != (errR == nil) {
-				// Dual-extraction singularities may be basis-dependent;
-				// only a one-sided *solve* failure is a bug.
-				if errD == nil && dense.Status == lp.Optimal ||
-					errR == nil && rev.Status == lp.Optimal {
-					t.Errorf("seed %d: one-sided error: dense=%v revised=%v", seed, errD, errR)
-				}
-				continue
-			}
-			if errD != nil {
+			if errD != nil || errR != nil {
+				t.Errorf("seed %d: dense err=%v revised err=%v", seed, errD, errR)
 				continue
 			}
 			if dense.Status != rev.Status {

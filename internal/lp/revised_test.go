@@ -311,10 +311,7 @@ func FuzzRevisedSimplex(f *testing.F) {
 		dense, errD := p.SolveOpts(Options{Method: MethodDense})
 		rev, errR := p.SolveOpts(Options{Method: MethodAuto})
 		if errD != nil || errR != nil {
-			// Reported errors (e.g. singular dual extraction on degenerate
-			// bases) are tolerated; panics are not, and the harness catches
-			// those.
-			return
+			t.Fatalf("well-formed problem returned an error: dense err=%v revised err=%v", errD, errR)
 		}
 		if dense.Status != rev.Status {
 			t.Fatalf("status mismatch: dense %v revised %v", dense.Status, rev.Status)

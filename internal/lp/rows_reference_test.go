@@ -8,7 +8,14 @@ package lp
 // bounded tableau to: its standard form, basis size and pivot sequence all
 // differ from the production solvers, so a shared bug is unlikely to hide.
 
-import "math"
+import (
+	"errors"
+	"math"
+)
+
+// errRefSingularBasis is the reference's dual-recovery failure: its
+// Bᵀy = c_B elimination met a singular basis (redundant rows, say).
+var errRefSingularBasis = errors.New("lp: reference: singular basis during dual recovery")
 
 // solveRows solves p on the reference tableau. It validates p like
 // Problem.SolveOpts and honors Options' iteration, Bland, context and hook
@@ -448,7 +455,7 @@ func (t *tableau) duals() ([]float64, error) {
 	}
 	y, ok := solveDense(bt)
 	if !ok {
-		return nil, ErrSingularBasis
+		return nil, errRefSingularBasis
 	}
 	return y, nil
 }

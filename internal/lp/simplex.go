@@ -110,8 +110,8 @@ type kernel interface {
 	// across it, given the pivot row alpha.
 	dualUpdate(r, enter, leaveCol int, alpha, d []float64) bool
 	// rowDuals returns the row duals y = B⁻ᵀc_B at the optimal basis the
-	// phase-2 primal just confirmed; false if the basis is singular.
-	rowDuals() ([]float64, bool)
+	// phase-2 primal just confirmed.
+	rowDuals() []float64
 	// reducedCost is c_j − yᵀA_j at that basis; call it after rowDuals.
 	reducedCost(j int) float64
 	// release returns pooled storage and flushes counters; the kernel is
@@ -288,7 +288,7 @@ func solve(p *Problem, opts Options, g *guard) (*Solution, error) {
 	case Infeasible, Unbounded, IterationLimit, Canceled, DeadlineExceeded:
 		return &Solution{Status: st, Iterations: s.iters}, nil
 	}
-	return s.extract()
+	return s.extract(), nil
 }
 
 // run executes both phases. Returns Optimal on success.
@@ -561,7 +561,7 @@ func (s *simplex) move(dir, delta float64) {
 // extract reads out the solution: primal values from the basis, row duals
 // from the kernel at the final basis, in the caller's row signs, and bound
 // duals from the reduced costs.
-func (s *simplex) extract() (*Solution, error) {
+func (s *simplex) extract() *Solution {
 	sol := &Solution{
 		Status:     Optimal,
 		X:          make([]float64, s.n),
@@ -589,10 +589,7 @@ func (s *simplex) extract() (*Solution, error) {
 	sol.Objective = obj
 	sol.basis = s.captureBasis()
 
-	y, ok := s.k.rowDuals()
-	if !ok {
-		return nil, s.p.solveErr("dual-extraction", Optimal, s.iters, ErrSingularBasis)
-	}
+	y := s.k.rowDuals()
 	for i, row := range s.p.rows {
 		_, _, sign := standardRow(row)
 		sol.Duals[i] = sign * y[i]
@@ -612,5 +609,5 @@ func (s *simplex) extract() (*Solution, error) {
 		}
 		sol.BoundDuals[j] = r
 	}
-	return sol, nil
+	return sol
 }

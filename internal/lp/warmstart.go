@@ -115,14 +115,7 @@ func solveWarm(p *Problem, opts Options, g *guard, sparse bool) (*Solution, erro
 		mWarmPivots.Add(int64(s.iters))
 		return nil, nil, false
 	}
-	sol, err := s.extract()
-	if err != nil {
-		// The sparse kernel's refactorization for the duals found the
-		// basis singular; the cold path may land on a better-conditioned
-		// optimal basis. Dense extraction cannot fail.
-		mWarmPivots.Add(int64(s.iters))
-		return nil, nil, false
-	}
+	sol := s.extract()
 	mWarmSolves.Inc()
 	sol.WarmStarted = true
 	return sol, nil, true
