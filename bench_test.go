@@ -190,7 +190,7 @@ func BenchmarkProfitDivisionLMP(b *testing.B) {
 	g, r, o := profitBenchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (actors.LMPDivision{}).Divide(g, r, o); err != nil {
+		if _, err := actors.Divide(actors.LMPDivision{}, g, r, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func BenchmarkProfitDivisionIterative(b *testing.B) {
 	g, r, o := profitBenchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (actors.IterativeDivision{}).Divide(g, r, o); err != nil {
+		if _, err := actors.Divide(actors.IterativeDivision{}, g, r, o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,21 +58,22 @@ func main() {
 		r.Welfare, r.Served(), g.TotalDemand(), r.Iterations)
 
 	cli.MustPrintln("nodal prices (λ):")
-	ids := make([]string, 0, len(r.Price))
-	for id := range r.Price {
-		ids = append(ids, id)
+	ids := make([]string, 0, len(g.Vertices))
+	for _, v := range g.Vertices {
+		ids = append(ids, v.ID)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		cli.MustPrintf("  %-20s %8.2f\n", id, r.Price[id])
+		cli.MustPrintf("  %-20s %8.2f\n", id, r.Price[g.VertexIndex(id)])
 	}
 
 	cli.MustPrintln("\nnonzero flows:")
 	eids := g.AssetIDs()
 	for _, id := range eids {
-		if f := r.Flow[id]; f > 1e-9 {
-			e := g.Edge(id)
-			rent := r.CapacityRent[id]
+		j := g.EdgeIndex(id)
+		if f := r.Flow[j]; f > 1e-9 {
+			e := &g.Edges[j]
+			rent := r.CapacityRent[j]
 			mark := ""
 			if rent > 1e-9 {
 				mark = fmt.Sprintf("   (congested, rent %.2f)", rent)
@@ -83,7 +84,7 @@ func main() {
 
 	if *nActors > 0 {
 		o := actors.RandomOwnership(g, *nActors, rng.New(*seed))
-		p, err := actors.LMPDivision{}.Divide(g, r, o)
+		p, err := actors.Divide(actors.LMPDivision{}, g, r, o)
 		if err != nil {
 			fatal(err)
 		}

@@ -82,6 +82,8 @@ type (
 	Profits = actors.Profits
 	// ProfitModel divides system welfare among actors.
 	ProfitModel = actors.ProfitModel
+	// ProfitIndex lays out a graph's actors and edges for ProfitModel.Share.
+	ProfitIndex = actors.Index
 	// LMPDivision settles at locational marginal prices (default model).
 	LMPDivision = actors.LMPDivision
 	// IterativeDivision is the paper's literal marginal-cost relaxation.
@@ -90,6 +92,11 @@ type (
 
 // Dispatch solves the social-welfare optimum of g (Eqs. 1–7).
 func Dispatch(g *Graph) (*DispatchResult, error) { return flow.Dispatch(g) }
+
+// DivideProfits returns m's per-actor profits for g dispatched as r under o.
+func DivideProfits(m ProfitModel, g *Graph, r *DispatchResult, o Ownership) (Profits, error) {
+	return actors.Divide(m, g, r, o)
+}
 
 // RandomOwnership assigns each asset of g to one of n actors uniformly at
 // random, deterministically from seed.

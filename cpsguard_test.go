@@ -102,6 +102,21 @@ func TestProfitModelsExported(t *testing.T) {
 	if m.Name() != "iterative" {
 		t.Fatal("IterativeDivision not wired")
 	}
+	g := NewGraph("pair")
+	g.MustAddVertex(Vertex{ID: "gen", Supply: 10, SupplyCost: 1})
+	g.MustAddVertex(Vertex{ID: "city", Demand: 10, Price: 5})
+	g.MustAddEdge(Edge{ID: "line", From: "gen", To: "city", Capacity: 10})
+	r, err := Dispatch(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := DivideProfits(LMPDivision{}, g, r, Ownership{"line": "A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(p["A"]-r.Welfare) > 1e-9 || len(p) != 1 {
+		t.Fatalf("DivideProfits = %v, want all %v welfare to A", p, r.Welfare)
+	}
 }
 
 func TestFacadeExtensionsWired(t *testing.T) {

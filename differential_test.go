@@ -131,7 +131,7 @@ func coldOracle(t *testing.T, g *graph.Graph, own actors.Ownership, ps []impact.
 		if r.WarmStarted {
 			t.Fatal("oracle dispatch ran warm")
 		}
-		p, err := actors.LMPDivision{}.Divide(g, r, own)
+		p, err := actors.Divide(actors.LMPDivision{}, g, r, own)
 		if err != nil {
 			t.Fatalf("oracle divide: %v", err)
 		}

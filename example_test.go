@@ -27,8 +27,8 @@ func ExampleDispatch() {
 		panic(err)
 	}
 	fmt.Printf("welfare: %.0f\n", res.Welfare)
-	fmt.Printf("city price: %.0f\n", res.Price["city"])
-	fmt.Printf("flows: A=%.0f B=%.0f\n", res.Flow["lineA"], res.Flow["lineB"])
+	fmt.Printf("city price: %.0f\n", res.Price[g.VertexIndex("city")])
+	fmt.Printf("flows: A=%.0f B=%.0f\n", res.Flow[g.EdgeIndex("lineA")], res.Flow[g.EdgeIndex("lineB")])
 	// Output:
 	// welfare: 920
 	// city price: 3

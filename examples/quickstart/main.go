@@ -35,9 +35,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("welfare: %.0f   city price λ = %.1f\n", res.Welfare, res.Price["city"])
+	fmt.Printf("welfare: %.0f   city price λ = %.1f\n", res.Welfare, res.Price[g.VertexIndex("city")])
 	fmt.Printf("flows: hydro-line %.1f, gas-line %.1f\n\n",
-		res.Flow["hydro-line"], res.Flow["gas-line"])
+		res.Flow[g.EdgeIndex("hydro-line")], res.Flow[g.EdgeIndex("gas-line")])
 
 	// 2. Two actors: H owns the hydro chain, G the gas chain.
 	own := cpsguard.Ownership{"hydro-line": "H", "gas-line": "G"}

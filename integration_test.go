@@ -114,11 +114,11 @@ func TestProfitModelsAgreeOnWestgrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := actors.RandomOwnership(g, 4, rng.New(17))
-	lmp, err := actors.LMPDivision{}.Divide(g, r, o)
+	lmp, err := actors.Divide(actors.LMPDivision{}, g, r, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := actors.IterativeDivision{}.Divide(g, r, o)
+	iter, err := actors.Divide(actors.IterativeDivision{}, g, r, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@ package actors
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"cpsguard/internal/flow"
@@ -110,11 +111,111 @@ func (p Profits) Total() float64 {
 
 // ProfitModel divides a dispatched system's welfare among actors.
 type ProfitModel interface {
-	// Divide returns per-actor profits for graph g dispatched as r under
-	// ownership o. Implementations must not mutate g.
-	Divide(g *graph.Graph, r *flow.Result, o Ownership) (Profits, error)
+	// Share adds each actor's profit for graph g dispatched as r into p,
+	// indexed like ix.Actors. g is ix's graph or a parameter edit of it:
+	// the same vertices and edges in the same order, with capacities,
+	// costs and losses that may differ. Implementations must not mutate g.
+	Share(ix *Index, g *graph.Graph, r *flow.Result, p []float64) error
 	// Name identifies the model in benchmarks and tables.
 	Name() string
+}
+
+// Divide returns m's per-actor profits for g dispatched as r under o,
+// omitting actors with zero profit.
+func Divide(m ProfitModel, g *graph.Graph, r *flow.Result, o Ownership) (Profits, error) {
+	ix := NewIndex(g, o)
+	p := make([]float64, len(ix.Actors))
+	if err := m.Share(ix, g, r, p); err != nil {
+		return nil, err
+	}
+	return ix.Profits(p), nil
+}
+
+// Index lays out one graph and ownership for profit division. It is built
+// once and serves every division of the graph's parameter edits: the actor
+// slots of a per-actor profit slice, each edge's owner slot and endpoint
+// vertices, and each vertex's inbound and outbound edges in edge order.
+type Index struct {
+	// Actors names the slots: MarketActor, then the owners of the graph's
+	// edges in edge order of first appearance.
+	Actors   []string
+	owner    []int // slot of each edge's owner (MarketActor when unowned)
+	from, to []int // endpoint vertices of each edge
+	// first[d][v] is vertex v's first inbound (d = 0) or outbound (d = 1)
+	// edge and next[d][j] the one after edge j, in edge order; -1 ends.
+	first, next [2][]int
+}
+
+// NewIndex indexes the valid graph g under ownership o.
+func NewIndex(g *graph.Graph, o Ownership) *Index {
+	nE := len(g.Edges)
+	ix := &Index{Actors: []string{MarketActor}, owner: make([]int, nE), from: make([]int, nE), to: make([]int, nE)}
+	slot := map[string]int{MarketActor: 0}
+	for j := range g.Edges {
+		e := &g.Edges[j]
+		a := o[e.ID]
+		if a == "" {
+			a = MarketActor
+		}
+		k, ok := slot[a]
+		if !ok {
+			k = len(ix.Actors)
+			slot[a] = k
+			ix.Actors = append(ix.Actors, a)
+		}
+		ix.owner[j], ix.from[j], ix.to[j] = k, g.VertexIndex(e.From), g.VertexIndex(e.To)
+	}
+	for d, end := range [2][]int{ix.to, ix.from} {
+		ix.first[d], ix.next[d] = make([]int, len(g.Vertices)), make([]int, nE)
+		for v := range ix.first[d] {
+			ix.first[d][v] = -1
+		}
+		for j := nE - 1; j >= 0; j-- {
+			ix.next[d][j], ix.first[d][end[j]] = ix.first[d][end[j]], j
+		}
+	}
+	return ix
+}
+
+// Profits keys the nonzero entries of p, a slice laid out by ix, by actor.
+func (ix *Index) Profits(p []float64) Profits {
+	out := Profits{}
+	for k, v := range p {
+		if v != 0 {
+			out[ix.Actors[k]] = v
+		}
+	}
+	return out
+}
+
+// Slice lays p, a statement Profits returned, out by ix.
+func (ix *Index) Slice(p Profits) []float64 {
+	s := make([]float64, len(ix.Actors))
+	for k, a := range ix.Actors {
+		s[k] = p[a]
+	}
+	return s
+}
+
+// tie returns the owner slot of vertex v's dominant inbound (in) or
+// outbound edge in g: the first in edge order of largest capacity. Reading
+// g's capacities, an edit that cuts a dominant edge hands the tie to the
+// next-largest. A vertex without such an edge settles to MarketActor.
+func (ix *Index) tie(g *graph.Graph, v int, in bool) int {
+	d := 1
+	if in {
+		d = 0
+	}
+	j, best := -1, -1.0
+	for k := ix.first[d][v]; k >= 0; k = ix.next[d][k] {
+		if c := g.Edges[k].Capacity; c > best {
+			j, best = k, c
+		}
+	}
+	if j < 0 {
+		return 0
+	}
+	return ix.owner[j]
 }
 
 // LMPDivision divides welfare by locational-marginal-price settlement.
@@ -123,103 +224,40 @@ type LMPDivision struct{}
 // Name implements ProfitModel.
 func (LMPDivision) Name() string { return "lmp" }
 
-// Divide implements ProfitModel. For each edge (u,v) with delivered flow f:
+// Share implements ProfitModel. For each edge (u,v) with delivered flow f:
 // the owner buys f/(1−l) at λ(u) and sells f at λ(v), paying transport cost
 // a·f. Generator surplus (λ−cost)·g goes to the owner of the generation
 // edge leaving the generator vertex; consumer surplus (price−λ)·x goes to
 // the owner of the distribution edge entering the load vertex. The shares
 // sum exactly to r.Welfare.
-func (LMPDivision) Divide(g *graph.Graph, r *flow.Result, o Ownership) (Profits, error) {
-	p := Profits{}
-	owner := func(edgeID string) string {
-		if a, ok := o[edgeID]; ok && a != "" {
-			return a
-		}
-		return MarketActor
-	}
-	for _, e := range g.Edges {
-		f := r.Flow[e.ID]
-		lamU, lamV := r.Price[e.From], r.Price[e.To]
+func (LMPDivision) Share(ix *Index, g *graph.Graph, r *flow.Result, p []float64) error {
+	for j := range g.Edges {
+		e := &g.Edges[j]
+		f := r.Flow[j]
+		lamU, lamV := r.Price[ix.from[j]], r.Price[ix.to[j]]
 		surplus := f*lamV - f/(1-e.Loss)*lamU - e.Cost*f
-		p[owner(e.ID)] += surplus
+		p[ix.owner[j]] += surplus
 	}
 	// Generator surplus: attribute to the owner of the highest-capacity
 	// outbound edge of the generating vertex (its "generation tie").
-	t := newTies(g)
-	for i, v := range g.Vertices {
-		if gen := r.Gen[v.ID]; gen > 0 {
-			surplus := gen * (r.Price[v.ID] - v.SupplyCost)
-			p[t.owner(o, i, false)] += surplus
+	for i := range g.Vertices {
+		v := &g.Vertices[i]
+		if gen := r.Gen[i]; gen > 0 {
+			surplus := gen * (r.Price[i] - v.SupplyCost)
+			p[ix.tie(g, i, false)] += surplus
 		}
-		if load := r.Load[v.ID]; load > 0 {
-			surplus := load * (v.Price - r.Price[v.ID])
-			p[t.owner(o, i, true)] += surplus
-		}
-	}
-	// Drop exact-zero entries for cleanliness, keep negative ones.
-	for a, v := range p {
-		if v == 0 {
-			delete(p, a)
+		if load := r.Load[i]; load > 0 {
+			surplus := load * (v.Price - r.Price[i])
+			p[ix.tie(g, i, true)] += surplus
 		}
 	}
-	return p, nil
-}
-
-// ties records, per vertex, the dominant inbound and outbound edge: the
-// first edge in edge order of largest capacity (-1 when there is none).
-// Generation and retail surplus follow the owners of these edges.
-type ties struct {
-	g       *graph.Graph
-	in, out []int
-}
-
-// newTies builds the tie table of g in one pass over its edges.
-func newTies(g *graph.Graph) ties {
-	t := ties{g: g, in: make([]int, len(g.Vertices)), out: make([]int, len(g.Vertices))}
-	for i := range t.in {
-		t.in[i], t.out[i] = -1, -1
-	}
-	dominate := func(slot *int, j int) {
-		best := -1.0
-		if *slot >= 0 {
-			best = g.Edges[*slot].Capacity
-		}
-		if g.Edges[j].Capacity > best {
-			*slot = j
-		}
-	}
-	for j := range g.Edges {
-		e := &g.Edges[j]
-		if v := g.VertexIndex(e.To); v >= 0 {
-			dominate(&t.in[v], j)
-		}
-		if v := g.VertexIndex(e.From); v >= 0 {
-			dominate(&t.out[v], j)
-		}
-	}
-	return t
-}
-
-// owner returns the actor owning vertex v's dominant incident edge
-// (inbound when in is true), defaulting to MarketActor.
-func (t ties) owner(o Ownership, v int, in bool) string {
-	j := t.out[v]
-	if in {
-		j = t.in[v]
-	}
-	if j < 0 {
-		return MarketActor
-	}
-	if a, ok := o[t.g.Edges[j].ID]; ok && a != "" {
-		return a
-	}
-	return MarketActor
+	return nil
 }
 
 // IterativeDivision implements the paper's literal marginal-cost relaxation.
 // The paper's series-sharing loop ("repeat 1–3 for each actor until d(u)
 // converges within a tolerance (0.5%)") converges to proportional splitting
-// of each chain's rent, which Divide computes in closed form rather than by
+// of each chain's rent, which Share computes in closed form rather than by
 // iteration — the 0.5% tolerance is therefore met exactly.
 type IterativeDivision struct {
 	// Delta is the capacity decrement used to probe marginal cost
@@ -231,14 +269,7 @@ type IterativeDivision struct {
 // Name implements ProfitModel.
 func (IterativeDivision) Name() string { return "iterative" }
 
-func (d IterativeDivision) delta() float64 {
-	if d.Delta > 0 {
-		return d.Delta
-	}
-	return 1
-}
-
-// Divide implements ProfitModel following Section II-D2's two code blocks:
+// Share implements ProfitModel following Section II-D2's two code blocks:
 //
 //  1. For each actor, fix every other actor's flows at the optimum and
 //     measure the marginal cost of each of the actor's positive-flow edges
@@ -253,38 +284,32 @@ func (d IterativeDivision) delta() float64 {
 //
 // The residual between claimed rents and total welfare (consumer/producer
 // surplus at non-marginal terminals) is settled to the terminal owners as in
-// LMPDivision.
-func (d IterativeDivision) Divide(g *graph.Graph, r *flow.Result, o Ownership) (Profits, error) {
-	delta := d.delta()
+// LMPDivision. Every sum runs in edge or vertex order, so repeated calls
+// agree bit for bit.
+func (d IterativeDivision) Share(ix *Index, g *graph.Graph, r *flow.Result, p []float64) error {
+	const tol = 1e-9
+	delta := d.Delta
+	if delta <= 0 {
+		delta = 1
+	}
 	// Marginal cost per positive-flow edge via capacity probing.
-	rent := map[string]float64{} // per-unit rent claimed by each edge
-	for _, e := range g.Edges {
-		f := r.Flow[e.ID]
-		if f <= 1e-9 {
-			continue
+	rent := make([]float64, len(g.Edges)) // per-unit rent claimed by each edge
+	for j, f := range r.Flow {
+		if f > tol {
+			probe := g.Clone()
+			dec := math.Min(delta, f)
+			probe.Edges[j].Capacity = f - dec // bind at reduced flow
+			pr, err := flow.Dispatch(probe)
+			if err != nil {
+				return fmt.Errorf("actors: marginal probe on %s: %w", g.Edges[j].ID, err)
+			}
+			rent[j] = math.Max(r.Welfare-pr.Welfare, 0) / dec
 		}
-		probe := g.Clone()
-		pe := probe.Edge(e.ID)
-		dec := delta
-		if dec > f {
-			dec = f
-		}
-		pe.Capacity = f - dec // bind at reduced flow
-		pr, err := flow.Dispatch(probe)
-		if err != nil {
-			return nil, fmt.Errorf("actors: marginal probe on %s: %w", e.ID, err)
-		}
-		drop := r.Welfare - pr.Welfare
-		if drop < 0 {
-			drop = 0
-		}
-		rent[e.ID] = drop / dec
 	}
 	// Series normalization: walk maximal chains of consecutive
 	// positive-flow edges (hub in/out degree 1 in the flow-carrying
 	// subgraph) and split each chain's maximum rent proportionally.
-	chains := flowChains(g, r)
-	for _, chain := range chains {
+	for _, chain := range ix.flowChains(r) {
 		if len(chain) < 2 {
 			continue
 		}
@@ -292,116 +317,108 @@ func (d IterativeDivision) Divide(g *graph.Graph, r *flow.Result, o Ownership) (
 		// total claimable is the max, split it 1/N-proportionally to
 		// the raw claims (equal claims → exactly 1/N each).
 		maxRent, sumRent := 0.0, 0.0
-		for _, id := range chain {
-			if rent[id] > maxRent {
-				maxRent = rent[id]
+		for _, j := range chain {
+			if rent[j] > maxRent {
+				maxRent = rent[j]
 			}
-			sumRent += rent[id]
+			sumRent += rent[j]
 		}
 		if sumRent <= maxRent || sumRent == 0 {
 			continue // no over-claiming
 		}
 		scale := maxRent / sumRent
-		for _, id := range chain {
-			rent[id] *= scale
+		for _, j := range chain {
+			rent[j] *= scale
 		}
 	}
 
-	p := Profits{}
-	owner := func(edgeID string) string {
-		if a, ok := o[edgeID]; ok && a != "" {
-			return a
+	claimed, claimants := 0.0, 0
+	claims := make([]bool, len(p))
+	for j, f := range r.Flow {
+		if f > tol {
+			k := ix.owner[j]
+			v := rent[j] * f
+			p[k] += v
+			claimed += v
+			if !claims[k] {
+				claims[k] = true
+				claimants++
+			}
 		}
-		return MarketActor
-	}
-	claimed := 0.0
-	for id, per := range rent {
-		v := per * r.Flow[id]
-		p[owner(id)] += v
-		claimed += v
 	}
 	// Settle the residual welfare to terminal owners proportionally to
 	// their terminal surpluses at marginal prices (as in LMP).
 	residual := r.Welfare - claimed
-	termSurplus := map[string]float64{}
+	term := make([]float64, len(p))
 	totalTerm := 0.0
-	t := newTies(g)
-	for i, v := range g.Vertices {
-		if gen := r.Gen[v.ID]; gen > 0 {
-			s := gen * (r.Price[v.ID] - v.SupplyCost)
-			if s > 0 {
-				termSurplus[t.owner(o, i, false)] += s
+	for i := range g.Vertices {
+		v := &g.Vertices[i]
+		if gen := r.Gen[i]; gen > 0 {
+			if s := gen * (r.Price[i] - v.SupplyCost); s > 0 {
+				term[ix.tie(g, i, false)] += s
 				totalTerm += s
 			}
 		}
-		if load := r.Load[v.ID]; load > 0 {
-			s := load * (v.Price - r.Price[v.ID])
-			if s > 0 {
-				termSurplus[t.owner(o, i, true)] += s
+		if load := r.Load[i]; load > 0 {
+			if s := load * (v.Price - r.Price[i]); s > 0 {
+				term[ix.tie(g, i, true)] += s
 				totalTerm += s
 			}
 		}
 	}
-	if totalTerm > 0 {
-		for a, s := range termSurplus {
-			p[a] += residual * s / totalTerm
+	switch {
+	case totalTerm > 0:
+		for k, s := range term {
+			if s > 0 {
+				p[k] += residual * s / totalTerm
+			}
 		}
-	} else if len(p) > 0 {
+	case claimants > 0:
 		// Degenerate: spread residual over claimants proportionally.
-		for a := range p {
-			p[a] += residual / float64(len(p))
+		for k, c := range claims {
+			if c {
+				p[k] += residual / float64(claimants)
+			}
 		}
-	} else if residual != 0 {
-		p[MarketActor] += residual
+	case residual != 0:
+		p[0] += residual // MarketActor
 	}
-	for a, v := range p {
-		if v == 0 {
-			delete(p, a)
-		}
-	}
-	return p, nil
+	return nil
 }
 
-// flowChains extracts maximal series chains of flow-carrying edges: runs of
-// edges e1→e2→… where each interior vertex has exactly one flow-carrying
-// inbound and one flow-carrying outbound edge and no terminal activity.
-func flowChains(g *graph.Graph, r *flow.Result) [][]string {
+// flowChains extracts maximal series chains of flow-carrying edges, as
+// edge indices: runs of edges e1→e2→… where each interior vertex has
+// exactly one flow-carrying inbound and one flow-carrying outbound edge and
+// no terminal activity.
+func (ix *Index) flowChains(r *flow.Result) [][]int {
 	const tol = 1e-9
-	active := func(i int) bool { return r.Flow[g.Edges[i].ID] > tol }
-	inAct := map[string][]int{}
-	outAct := map[string][]int{}
-	for i, e := range g.Edges {
-		if !active(i) {
-			continue
+	nIn, nOut := make([]int, len(ix.first[0])), make([]int, len(ix.first[1]))
+	next := make([]int, len(ix.first[1])) // a flow-carrying outbound edge
+	for j, f := range r.Flow {
+		if f > tol {
+			nIn[ix.to[j]]++
+			nOut[ix.from[j]]++
+			next[ix.from[j]] = j
 		}
-		inAct[e.To] = append(inAct[e.To], i)
-		outAct[e.From] = append(outAct[e.From], i)
 	}
-	interior := func(v string) bool {
-		return len(inAct[v]) == 1 && len(outAct[v]) == 1 &&
-			r.Gen[v] <= tol && r.Load[v] <= tol
+	interior := func(v int) bool {
+		return nIn[v] == 1 && nOut[v] == 1 && r.Gen[v] <= tol && r.Load[v] <= tol
 	}
-	var chains [][]string
-	seen := map[int]bool{}
-	for i, e := range g.Edges {
-		if !active(i) || seen[i] {
-			continue
-		}
+	var chains [][]int
+	seen := make([]bool, len(r.Flow))
+	for j, f := range r.Flow {
 		// Only start at a chain head: From is not interior.
-		if interior(e.From) {
+		if f <= tol || seen[j] || interior(ix.from[j]) {
 			continue
 		}
-		chain := []string{e.ID}
-		seen[i] = true
-		cur := e.To
-		for interior(cur) {
-			next := outAct[cur][0]
-			if seen[next] {
+		chain := []int{j}
+		seen[j] = true
+		for cur := ix.to[j]; interior(cur); cur = ix.to[next[cur]] {
+			if seen[next[cur]] {
 				break
 			}
-			chain = append(chain, g.Edges[next].ID)
-			seen[next] = true
-			cur = g.Edges[next].To
+			chain = append(chain, next[cur])
+			seen[next[cur]] = true
 		}
 		chains = append(chains, chain)
 	}

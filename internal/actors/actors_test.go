@@ -94,7 +94,7 @@ func TestLMPDivisionSumsToWelfare(t *testing.T) {
 	g := chain(70) // congested delivery edge
 	r := dispatch(t, g)
 	o := Ownership{"e1": "A00", "e2": "A01"}
-	p, err := LMPDivision{}.Divide(g, r, o)
+	p, err := Divide(LMPDivision{}, g, r, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestLMPCongestionRentGoesToCongestedEdgeOwner(t *testing.T) {
 	g.MustAddEdge(graph.Edge{ID: "bigline", From: "dear", To: "city", Capacity: 100})
 	r := dispatch(t, g)
 	o := Ownership{"line": "L", "bigline": "B"}
-	p, err := LMPDivision{}.Divide(g, r, o)
+	p, err := Divide(LMPDivision{}, g, r, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestLMPCongestionRentGoesToCongestedEdgeOwner(t *testing.T) {
 func TestLMPUnownedAssetsSettleToMarket(t *testing.T) {
 	g := chain(70)
 	r := dispatch(t, g)
-	p, err := LMPDivision{}.Divide(g, r, Ownership{})
+	p, err := Divide(LMPDivision{}, g, r, Ownership{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestIterativeDivisionSumsToWelfare(t *testing.T) {
 	g := chain(70)
 	r := dispatch(t, g)
 	o := Ownership{"e1": "A00", "e2": "A01"}
-	p, err := IterativeDivision{}.Divide(g, r, o)
+	p, err := Divide(IterativeDivision{}, g, r, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSeriesActorsShareRent(t *testing.T) {
 	g.MustAddEdge(graph.Edge{ID: "sC", From: "h2", To: "load", Capacity: 50})
 	r := dispatch(t, g)
 	o := Ownership{"sA": "A", "sB": "B", "sC": "C"}
-	p, err := IterativeDivision{}.Divide(g, r, o)
+	p, err := Divide(IterativeDivision{}, g, r, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestDivisionModelsAgreeOnTotal(t *testing.T) {
 	g := chain(70)
 	r := dispatch(t, g)
 	o := Ownership{"e1": "X", "e2": "Y"}
-	lmp, err := LMPDivision{}.Divide(g, r, o)
+	lmp, err := Divide(LMPDivision{}, g, r, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := IterativeDivision{}.Divide(g, r, o)
+	iter, err := Divide(IterativeDivision{}, g, r, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestQuickLMPSumsToWelfare(t *testing.T) {
 			return false
 		}
 		o := RandomOwnership(g, 1+rs.Intn(5), rs)
-		p, err := LMPDivision{}.Divide(g, r, o)
+		p, err := Divide(LMPDivision{}, g, r, o)
 		if err != nil {
 			return false
 		}
@@ -252,7 +252,7 @@ func TestIterativeDivisionCustomDelta(t *testing.T) {
 	g := chain(70)
 	r := dispatch(t, g)
 	o := Ownership{"e1": "A00", "e2": "A01"}
-	p, err := IterativeDivision{Delta: 5}.Divide(g, r, o)
+	p, err := Divide(IterativeDivision{Delta: 5}, g, r, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,11 @@ import (
 	"cpsguard/internal/westgrid"
 )
 
-// referenceTieOwner is the tie lookup as first written: a scan of every
-// edge per vertex, O(V·E) over a Divide. It is the reference
-// TestTiesMatchReference holds the tie table to.
-func referenceTieOwner(g *graph.Graph, o Ownership, id string, in bool) string {
+// referenceTie is the tie lookup as first written: a scan of every edge per
+// vertex, O(V·E) over a Divide. It returns the ID of vertex id's dominant
+// inbound (in) or outbound edge, "" when it has none. It is the reference
+// TestTiesMatchReference holds Index.tie to.
+func referenceTie(g *graph.Graph, id string, in bool) string {
 	best := ""
 	bestCap := -1.0
 	var idxs []int
@@ -28,6 +29,13 @@ func referenceTieOwner(g *graph.Graph, o Ownership, id string, in bool) string {
 			best = e.ID
 		}
 	}
+	return best
+}
+
+// referenceTieOwner is the owner of referenceTie's edge, MarketActor when
+// there is none or it is unowned.
+func referenceTieOwner(g *graph.Graph, o Ownership, id string, in bool) string {
+	best := referenceTie(g, id, in)
 	if best == "" {
 		return MarketActor
 	}
@@ -37,9 +45,11 @@ func referenceTieOwner(g *graph.Graph, o Ownership, id string, in bool) string {
 	return MarketActor
 }
 
-// TestTiesMatchReference requires the one-pass tie table to name the same
-// owner as the per-vertex edge scan for every vertex, inbound and
-// outbound, on the stressed westgrid and the 64-region national grid.
+// TestTiesMatchReference requires the index's tie lookup to name the same
+// owner as the per-vertex edge scan for every vertex, inbound and outbound,
+// on the stressed westgrid and the 64-region national grid, and on edits of
+// them: for each vertex, the graph with its dominant inbound and outbound
+// edges cut to zero capacity, read through the index of the unedited graph.
 func TestTiesMatchReference(t *testing.T) {
 	national, err := gridgen.Build(gridgen.Config{
 		Regions: 64, Seed: 3, Tier: gridgen.TierNational, Stress: true,
@@ -59,16 +69,38 @@ func TestTiesMatchReference(t *testing.T) {
 				o[e.ID] = e.ID
 			}
 		}
-		tt := newTies(g)
+		ix := NewIndex(g, o)
 		var got, want []string
 		for i, v := range g.Vertices {
 			for _, in := range []bool{true, false} {
-				got = append(got, tt.owner(o, i, in))
+				got = append(got, ix.Actors[ix.tie(g, i, in)])
 				want = append(want, referenceTieOwner(g, o, v.ID, in))
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: tie owners differ from the per-vertex scan", name)
+		}
+		moved := 0
+		for i, v := range g.Vertices {
+			ge := g.Clone()
+			for _, in := range []bool{true, false} {
+				if id := referenceTie(g, v.ID, in); id != "" {
+					ge.Edge(id).Capacity = 0
+				}
+			}
+			for _, in := range []bool{true, false} {
+				got, want := ix.Actors[ix.tie(ge, i, in)], referenceTieOwner(ge, o, v.ID, in)
+				if got != want {
+					t.Errorf("%s: %s with its dominant edges cut: tie owner (in=%v) %s, reference %s",
+						name, v.ID, in, got, want)
+				}
+				if want != referenceTieOwner(g, o, v.ID, in) {
+					moved++
+				}
+			}
+		}
+		if moved == 0 {
+			t.Errorf("%s: cutting dominant edges moved no tie; the edited check is vacuous", name)
 		}
 	}
 }

@@ -89,8 +89,9 @@ func SecurityPremium(cfg Config) (*stats.Table, error) {
 			return nil, fmt.Errorf("experiments: securing %v: %w", ids, err)
 		}
 		worstSec, worstUnsec := 100.0, 100.0
+		secGen, secServed := byVertex(g, res.Gen), sumLoad(g, res.Load)
 		for _, id := range ids {
-			if s := servedFraction(g, res.Gen, sumLoad(res.Load), id); s < worstSec {
+			if s := servedFraction(g, secGen, secServed, id); s < worstSec {
 				worstSec = s
 			}
 			if s := servedFraction(g, base.Gen, base.Served(), id); s < worstUnsec {
@@ -104,18 +105,29 @@ func SecurityPremium(cfg Config) (*stats.Table, error) {
 	return t, nil
 }
 
-func sumLoad(load map[string]float64) float64 {
+// sumLoad totals load, keyed by vertex ID, in g's vertex order.
+func sumLoad(g *graph.Graph, load map[string]float64) float64 {
 	t := 0.0
-	for _, v := range load {
-		t += v
+	for _, v := range g.Vertices {
+		t += load[v.ID]
 	}
 	return t
 }
 
+// byVertex lays m, keyed by vertex ID, out in g's vertex order.
+func byVertex(g *graph.Graph, m map[string]float64) []float64 {
+	out := make([]float64, len(g.Vertices))
+	for i, v := range g.Vertices {
+		out[i] = m[v.ID]
+	}
+	return out
+}
+
 // servedFraction measures short-term service continuity after an outage:
 // generation may only curtail from baseGen, the attacked edge is dead, and
-// the system maximizes delivered load. Returns percent of baseServed.
-func servedFraction(g *graph.Graph, baseGen map[string]float64, baseServed float64, outageID string) float64 {
+// the system maximizes delivered load. baseGen is indexed like g.Vertices.
+// Returns percent of baseServed.
+func servedFraction(g *graph.Graph, baseGen []float64, baseServed float64, outageID string) float64 {
 	if baseServed <= 0 {
 		return 100
 	}
@@ -123,7 +135,7 @@ func servedFraction(g *graph.Graph, baseGen map[string]float64, baseServed float
 	for i := range c.Vertices {
 		v := &c.Vertices[i]
 		if v.Supply > 0 {
-			v.Supply = baseGen[v.ID] // curtail-only
+			v.Supply = baseGen[i] // curtail-only
 		}
 		v.SupplyCost = 0
 		if v.Demand > 0 {

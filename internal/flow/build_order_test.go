@@ -16,8 +16,8 @@ import (
 func referenceBuild(b *builder, fixed map[string]float64) *lp.Problem {
 	g := b.g
 	p := lp.NewProblem()
-	for i, e := range g.Edges {
-		b.fVar[i] = p.AddVariable("f:"+e.ID, e.Cost, e.Capacity)
+	for _, e := range g.Edges {
+		p.AddVariable("f:"+e.ID, e.Cost, e.Capacity)
 	}
 	for i, v := range g.Vertices {
 		if v.Supply > 0 {
@@ -35,10 +35,10 @@ func referenceBuild(b *builder, fixed map[string]float64) *lp.Problem {
 		var coefs []lp.Coef
 		for j, e := range g.Edges {
 			if e.To == v.ID {
-				coefs = append(coefs, lp.Coef{Var: b.fVar[j], Value: 1})
+				coefs = append(coefs, lp.Coef{Var: j, Value: 1})
 			}
 			if e.From == v.ID {
-				coefs = append(coefs, lp.Coef{Var: b.fVar[j], Value: -1 / (1 - e.Loss)})
+				coefs = append(coefs, lp.Coef{Var: j, Value: -1 / (1 - e.Loss)})
 			}
 		}
 		if b.gVar[i] >= 0 {
@@ -61,7 +61,7 @@ func referenceBuild(b *builder, fixed map[string]float64) *lp.Problem {
 			continue
 		}
 		p.AddConstraint(lp.Constraint{
-			Coefs: []lp.Coef{{Var: b.fVar[idx], Value: 1}},
+			Coefs: []lp.Coef{{Var: idx, Value: 1}},
 			Sense: lp.EQ, RHS: fx, Name: "fix:" + id,
 		})
 	}

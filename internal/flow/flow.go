@@ -18,7 +18,7 @@
 // The vertex conservation duals λ(v) are the marginal value of one extra
 // unit of energy appearing at v — the "price of the alternative" the paper
 // uses for competitive profit division (Section II-D2). They are returned in
-// Result.Price.
+// Result.Price, indexed by vertex.
 package flow
 
 import (
@@ -28,24 +28,29 @@ import (
 	"cpsguard/internal/lp"
 )
 
-// Result is a solved dispatch.
+// Result is a solved dispatch. Its slices are indexed like the dispatched
+// graph's edges or vertices; callers holding an ID use g.EdgeIndex or
+// g.VertexIndex.
 type Result struct {
 	// Welfare is the maximized social welfare (total system profit).
 	Welfare float64
-	// Flow maps edge ID to the delivered flow on that edge.
-	Flow map[string]float64
-	// Gen maps vertex ID to the generator injection at that vertex.
-	Gen map[string]float64
-	// Load maps vertex ID to the demand actually served there.
-	Load map[string]float64
-	// Price maps vertex ID to the marginal value λ(v) of energy at that
-	// vertex (the dual of its conservation constraint). By LP duality,
-	// injecting one marginal unit of free energy at v would raise welfare
-	// by λ(v).
-	Price map[string]float64
-	// CapacityRent maps edge ID to the shadow price of its capacity
-	// constraint: the welfare gain from one more unit of capacity.
-	CapacityRent map[string]float64
+	// Flow is the delivered flow on each edge, indexed like g.Edges.
+	Flow []float64
+	// Gen is the generator injection at each vertex, indexed like
+	// g.Vertices (0 where the vertex has no supply).
+	Gen []float64
+	// Load is the demand actually served at each vertex, indexed like
+	// g.Vertices (0 where the vertex has no demand).
+	Load []float64
+	// Price is the marginal value λ(v) of energy at each vertex, indexed
+	// like g.Vertices: the dual of its conservation constraint (0 at an
+	// isolated vertex, which has none). By LP duality, injecting one
+	// marginal unit of free energy at v would raise welfare by λ(v).
+	Price []float64
+	// CapacityRent is the shadow price of each edge's capacity constraint,
+	// indexed like g.Edges: the welfare gain from one more unit of
+	// capacity.
+	CapacityRent []float64
 	// Iterations counts simplex pivots (for performance diagnostics).
 	Iterations int
 	// Basis is the optimal simplex basis. Feed it to Options.LP.WarmStart
@@ -134,8 +139,8 @@ func (d *Dispatcher) SolveEdited(ge *graph.Graph, opts lp.Options) (*Result, err
 		if e.Loss != d.b.g.Edges[i].Loss {
 			return DispatchOpts(ge, Options{LP: opts, FixedFlow: d.fixed})
 		}
-		p.SetUpper(d.b.fVar[i], e.Capacity)
-		p.SetCost(d.b.fVar[i], e.Cost)
+		p.SetUpper(i, e.Capacity)
+		p.SetCost(i, e.Cost)
 	}
 	return d.solve(p, opts)
 }
@@ -151,11 +156,11 @@ func (d *Dispatcher) solve(p *lp.Problem, opts lp.Options) (*Result, error) {
 	return d.b.result(sol), nil
 }
 
-// builder maps graph entities to LP variable/constraint indices.
+// builder maps graph entities to LP variable/constraint indices. Edge j's
+// flow is LP variable j: build adds the edge flows first.
 type builder struct {
 	g *graph.Graph
 	// variable indices
-	fVar []int // per edge
 	gVar []int // per vertex, -1 if no supply
 	xVar []int // per vertex, -1 if no demand
 	// constraint indices
@@ -165,7 +170,6 @@ type builder struct {
 func newBuilder(g *graph.Graph) *builder {
 	return &builder{
 		g:       g,
-		fVar:    make([]int, len(g.Edges)),
 		gVar:    make([]int, len(g.Vertices)),
 		xVar:    make([]int, len(g.Vertices)),
 		consRow: make([]int, len(g.Vertices)),
@@ -177,8 +181,8 @@ func (b *builder) build(fixed map[string]float64) *lp.Problem {
 	p := lp.NewProblem()
 	// Edge flow variables. The LP minimizes, so welfare terms enter
 	// negated: minimize Σ a·f + Σ gc·g − Σ price·x.
-	for i, e := range g.Edges {
-		b.fVar[i] = p.AddVariable("f:"+e.ID, e.Cost, e.Capacity)
+	for _, e := range g.Edges {
+		p.AddVariable("f:"+e.ID, e.Cost, e.Capacity)
 	}
 	for i, v := range g.Vertices {
 		if v.Supply > 0 {
@@ -221,8 +225,8 @@ func (b *builder) build(fixed map[string]float64) *lp.Problem {
 		coefs[i], backing = backing[:0:n], backing[n:]
 	}
 	for j := range g.Edges {
-		coefs[to[j]] = append(coefs[to[j]], lp.Coef{Var: b.fVar[j], Value: 1})
-		coefs[from[j]] = append(coefs[from[j]], lp.Coef{Var: b.fVar[j], Value: -1 / (1 - g.Edges[j].Loss)})
+		coefs[to[j]] = append(coefs[to[j]], lp.Coef{Var: j, Value: 1})
+		coefs[from[j]] = append(coefs[from[j]], lp.Coef{Var: j, Value: -1 / (1 - g.Edges[j].Loss)})
 	}
 	for i, v := range g.Vertices {
 		if b.gVar[i] >= 0 {
@@ -247,7 +251,7 @@ func (b *builder) build(fixed map[string]float64) *lp.Problem {
 			continue
 		}
 		p.AddConstraint(lp.Constraint{
-			Coefs: []lp.Coef{{Var: b.fVar[idx], Value: 1}},
+			Coefs: []lp.Coef{{Var: idx, Value: 1}},
 			Sense: lp.EQ, RHS: fx, Name: "fix:" + id,
 		})
 	}
@@ -255,35 +259,33 @@ func (b *builder) build(fixed map[string]float64) *lp.Problem {
 }
 
 func (b *builder) result(sol *lp.Solution) *Result {
-	g := b.g
+	nE, nV := len(b.g.Edges), len(b.g.Vertices)
+	vals := make([]float64, nE+3*nV)
 	r := &Result{
 		Welfare:      -sol.Objective,
-		Flow:         make(map[string]float64, len(g.Edges)),
-		Gen:          make(map[string]float64),
-		Load:         make(map[string]float64),
-		Price:        make(map[string]float64, len(g.Vertices)),
-		CapacityRent: make(map[string]float64, len(g.Edges)),
+		Flow:         sol.X[:nE:nE],
+		CapacityRent: vals[:nE:nE],
+		Gen:          vals[nE : nE+nV : nE+nV],
+		Load:         vals[nE+nV : nE+2*nV : nE+2*nV],
+		Price:        vals[nE+2*nV:],
 		Iterations:   sol.Iterations,
 		Basis:        sol.Basis(),
 		WarmStarted:  sol.WarmStarted,
 	}
-	for i, e := range g.Edges {
-		r.Flow[e.ID] = sol.X[b.fVar[i]]
+	for j := range r.CapacityRent {
 		// The LP minimizes; a binding capacity bound has BoundDual ≤ 0
 		// (relaxing it lowers cost, i.e. raises welfare). Report the
 		// rent as a welfare gain: −dual ≥ 0.
-		if bd := sol.BoundDuals[b.fVar[i]]; bd != 0 {
-			r.CapacityRent[e.ID] = -bd
-		} else {
-			r.CapacityRent[e.ID] = 0
+		if bd := sol.BoundDuals[j]; bd != 0 {
+			r.CapacityRent[j] = -bd
 		}
 	}
-	for i, v := range g.Vertices {
+	for i := 0; i < nV; i++ {
 		if b.gVar[i] >= 0 {
-			r.Gen[v.ID] = sol.X[b.gVar[i]]
+			r.Gen[i] = sol.X[b.gVar[i]]
 		}
 		if b.xVar[i] >= 0 {
-			r.Load[v.ID] = sol.X[b.xVar[i]]
+			r.Load[i] = sol.X[b.xVar[i]]
 		}
 		if b.consRow[i] >= 0 {
 			// The conservation row is (inflow + gen − outdrawn − load
@@ -291,44 +293,14 @@ func (b *builder) result(sol *lp.Solution) *Result {
 			// *appearing* at v shifts the RHS to −1, changing minimal
 			// cost by −dual, i.e. changing welfare by +dual. Hence
 			// λ(v) = dual directly.
-			r.Price[v.ID] = sol.Duals[b.consRow[i]]
+			r.Price[i] = sol.Duals[b.consRow[i]]
 		}
 	}
 	return r
 }
 
-// Balance returns the conservation residual at vertex id under result r:
-// inflow + gen − Σ out f/(1−l) − load. A correct dispatch keeps this ~0 for
-// every vertex; tests use it as an invariant.
-func Balance(g *graph.Graph, r *Result, id string) float64 {
-	sum := 0.0
-	for _, i := range g.InEdges(id) {
-		sum += r.Flow[g.Edges[i].ID]
-	}
-	for _, i := range g.OutEdges(id) {
-		e := g.Edges[i]
-		sum -= r.Flow[e.ID] / (1 - e.Loss)
-	}
-	sum += r.Gen[id]
-	sum -= r.Load[id]
-	return sum
-}
-
-// WelfareFromParts recomputes welfare from the primal values (revenues −
-// generation costs − transport costs); tests compare it to Result.Welfare.
-func WelfareFromParts(g *graph.Graph, r *Result) float64 {
-	w := 0.0
-	for _, v := range g.Vertices {
-		w += v.Price * r.Load[v.ID]
-		w -= v.SupplyCost * r.Gen[v.ID]
-	}
-	for _, e := range g.Edges {
-		w -= e.Cost * r.Flow[e.ID]
-	}
-	return w
-}
-
-// Served reports the total demand served across all sinks.
+// Served reports the total demand served across all sinks, summed in
+// vertex order.
 func (r *Result) Served() float64 {
 	t := 0.0
 	for _, x := range r.Load {
@@ -338,7 +310,8 @@ func (r *Result) Served() float64 {
 }
 
 // SpareCapacityFraction estimates the system's spare generating headroom:
-// 1 − (total injection / total supply). The paper tunes its model to ~15%.
+// 1 − (total injection / total supply), the injection summed in vertex
+// order. The paper tunes its model to ~15%.
 func SpareCapacityFraction(g *graph.Graph, r *Result) float64 {
 	supply := g.TotalSupply()
 	if supply == 0 {

@@ -24,6 +24,43 @@ func simpleChain() *graph.Graph {
 	return g
 }
 
+// edge reads the entry of edge id from s, a slice indexed like g.Edges.
+func edge(g *graph.Graph, s []float64, id string) float64 { return s[g.EdgeIndex(id)] }
+
+// vertex reads the entry of vertex id from s, a slice indexed like
+// g.Vertices.
+func vertex(g *graph.Graph, s []float64, id string) float64 { return s[g.VertexIndex(id)] }
+
+// Balance returns the conservation residual at vertex id under result r:
+// inflow + gen − Σ out f/(1−l) − load. A correct dispatch keeps this ~0 for
+// every vertex; the tests use it as an invariant.
+func Balance(g *graph.Graph, r *Result, id string) float64 {
+	sum := 0.0
+	for _, j := range g.InEdges(id) {
+		sum += r.Flow[j]
+	}
+	for _, j := range g.OutEdges(id) {
+		sum -= r.Flow[j] / (1 - g.Edges[j].Loss)
+	}
+	i := g.VertexIndex(id)
+	return sum + r.Gen[i] - r.Load[i]
+}
+
+// WelfareFromParts recomputes welfare from the primal values (revenues −
+// generation costs − transport costs); the tests compare it to
+// Result.Welfare.
+func WelfareFromParts(g *graph.Graph, r *Result) float64 {
+	w := 0.0
+	for i, v := range g.Vertices {
+		w += v.Price * r.Load[i]
+		w -= v.SupplyCost * r.Gen[i]
+	}
+	for j, e := range g.Edges {
+		w -= e.Cost * r.Flow[j]
+	}
+	return w
+}
+
 func dispatch(t *testing.T, g *graph.Graph) *Result {
 	t.Helper()
 	r, err := Dispatch(g)
@@ -38,18 +75,18 @@ func TestChainDispatch(t *testing.T) {
 	r := dispatch(t, g)
 	// Serving the full 80 units of demand is profitable:
 	// revenue 800; delivered 80 requires 80/0.95 ≈ 84.21 at hub.
-	if !approx(r.Load["load"], 80, eps) {
-		t.Fatalf("load = %v, want 80", r.Load["load"])
+	if !approx(vertex(g, r.Load, "load"), 80, eps) {
+		t.Fatalf("load = %v, want 80", vertex(g, r.Load, "load"))
 	}
 	wantDraw := 80 / 0.95
-	if !approx(r.Flow["h-l"], 80, eps) {
-		t.Fatalf("flow h-l = %v, want 80 (delivered)", r.Flow["h-l"])
+	if !approx(edge(g, r.Flow, "h-l"), 80, eps) {
+		t.Fatalf("flow h-l = %v, want 80 (delivered)", edge(g, r.Flow, "h-l"))
 	}
-	if !approx(r.Flow["g-h"], wantDraw, eps) {
-		t.Fatalf("flow g-h = %v, want %v", r.Flow["g-h"], wantDraw)
+	if !approx(edge(g, r.Flow, "g-h"), wantDraw, eps) {
+		t.Fatalf("flow g-h = %v, want %v", edge(g, r.Flow, "g-h"), wantDraw)
 	}
-	if !approx(r.Gen["gen"], wantDraw, eps) {
-		t.Fatalf("gen = %v, want %v", r.Gen["gen"], wantDraw)
+	if !approx(vertex(g, r.Gen, "gen"), wantDraw, eps) {
+		t.Fatalf("gen = %v, want %v", vertex(g, r.Gen, "gen"), wantDraw)
 	}
 	wantW := 80*10 - wantDraw*2 - wantDraw*0.1 - 80*0.2
 	if !approx(r.Welfare, wantW, 1e-6) {
@@ -78,15 +115,15 @@ func TestNodalPrices(t *testing.T) {
 	// λ(load) = (λ(hub)+0.2... careful with loss: a unit appearing at
 	// load substitutes delivery of 1 unit, which saves drawing 1/0.95 at
 	// hub plus the edge cost: λ(load) = λ(hub)/0.95 + 0.2.
-	if !approx(r.Price["gen"], 2, 1e-6) {
-		t.Errorf("λ(gen) = %v, want 2", r.Price["gen"])
+	if !approx(vertex(g, r.Price, "gen"), 2, 1e-6) {
+		t.Errorf("λ(gen) = %v, want 2", vertex(g, r.Price, "gen"))
 	}
-	if !approx(r.Price["hub"], 2.1, 1e-6) {
-		t.Errorf("λ(hub) = %v, want 2.1", r.Price["hub"])
+	if !approx(vertex(g, r.Price, "hub"), 2.1, 1e-6) {
+		t.Errorf("λ(hub) = %v, want 2.1", vertex(g, r.Price, "hub"))
 	}
 	wantLoad := 2.1/0.95 + 0.2
-	if !approx(r.Price["load"], wantLoad, 1e-6) {
-		t.Errorf("λ(load) = %v, want %v", r.Price["load"], wantLoad)
+	if !approx(vertex(g, r.Price, "load"), wantLoad, 1e-6) {
+		t.Errorf("λ(load) = %v, want %v", vertex(g, r.Price, "load"), wantLoad)
 	}
 }
 
@@ -99,15 +136,15 @@ func TestCongestionRent(t *testing.T) {
 	g.MustAddEdge(graph.Edge{ID: "c1", From: "cheap", To: "city", Capacity: 30})
 	g.MustAddEdge(graph.Edge{ID: "c2", From: "dear", To: "city", Capacity: 100})
 	r := dispatch(t, g)
-	if !approx(r.Flow["c1"], 30, eps) || !approx(r.Flow["c2"], 30, eps) {
-		t.Fatalf("flows = %v / %v, want 30/30", r.Flow["c1"], r.Flow["c2"])
+	if !approx(edge(g, r.Flow, "c1"), 30, eps) || !approx(edge(g, r.Flow, "c2"), 30, eps) {
+		t.Fatalf("flows = %v / %v, want 30/30", edge(g, r.Flow, "c1"), edge(g, r.Flow, "c2"))
 	}
 	// Congested line c1 earns rent = λ(city) − λ(cheap) = 5 − 1 = 4.
-	if !approx(r.CapacityRent["c1"], 4, 1e-6) {
-		t.Errorf("rent(c1) = %v, want 4", r.CapacityRent["c1"])
+	if !approx(edge(g, r.CapacityRent, "c1"), 4, 1e-6) {
+		t.Errorf("rent(c1) = %v, want 4", edge(g, r.CapacityRent, "c1"))
 	}
-	if !approx(r.Price["city"], 5, 1e-6) {
-		t.Errorf("λ(city) = %v, want 5 (marginal generator)", r.Price["city"])
+	if !approx(vertex(g, r.Price, "city"), 5, 1e-6) {
+		t.Errorf("λ(city) = %v, want 5 (marginal generator)", vertex(g, r.Price, "city"))
 	}
 }
 
@@ -127,8 +164,8 @@ func TestZeroCapacityEdgeBlocksFlow(t *testing.T) {
 	g := simpleChain()
 	g.Edge("h-l").Capacity = 0
 	r := dispatch(t, g)
-	if r.Flow["h-l"] != 0 || r.Served() != 0 {
-		t.Fatalf("outaged edge still flows: %v served %v", r.Flow["h-l"], r.Served())
+	if edge(g, r.Flow, "h-l") != 0 || r.Served() != 0 {
+		t.Fatalf("outaged edge still flows: %v served %v", edge(g, r.Flow, "h-l"), r.Served())
 	}
 }
 
@@ -138,8 +175,8 @@ func TestFixedFlowPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approx(r.Flow["h-l"], 40, eps) {
-		t.Fatalf("pinned flow = %v, want 40", r.Flow["h-l"])
+	if !approx(edge(g, r.Flow, "h-l"), 40, eps) {
+		t.Fatalf("pinned flow = %v, want 40", edge(g, r.Flow, "h-l"))
 	}
 	// Pinning an unknown edge is ignored.
 	if _, err := DispatchOpts(g, Options{FixedFlow: map[string]float64{"nope": 1}}); err != nil {
@@ -167,11 +204,11 @@ func TestParallelPathsPreferCheaper(t *testing.T) {
 	g.MustAddEdge(graph.Edge{ID: "cheap", From: "s", To: "d", Capacity: 40, Cost: 0.5})
 	g.MustAddEdge(graph.Edge{ID: "dear", From: "s", To: "d", Capacity: 40, Cost: 2})
 	r := dispatch(t, g)
-	if !approx(r.Flow["cheap"], 40, eps) {
-		t.Errorf("cheap path flow = %v, want 40 (saturated first)", r.Flow["cheap"])
+	if !approx(edge(g, r.Flow, "cheap"), 40, eps) {
+		t.Errorf("cheap path flow = %v, want 40 (saturated first)", edge(g, r.Flow, "cheap"))
 	}
-	if !approx(r.Flow["dear"], 10, eps) {
-		t.Errorf("dear path flow = %v, want 10 (remainder)", r.Flow["dear"])
+	if !approx(edge(g, r.Flow, "dear"), 10, eps) {
+		t.Errorf("dear path flow = %v, want 10 (remainder)", edge(g, r.Flow, "dear"))
 	}
 }
 
@@ -184,8 +221,8 @@ func TestLossyCycleNoFreeEnergy(t *testing.T) {
 	g.MustAddEdge(graph.Edge{ID: "ab", From: "a", To: "b", Capacity: 10, Loss: 0.1, Cost: -0.01})
 	g.MustAddEdge(graph.Edge{ID: "ba", From: "b", To: "a", Capacity: 10, Loss: 0.1, Cost: -0.01})
 	r := dispatch(t, g)
-	if r.Flow["ab"] != 0 || r.Flow["ba"] != 0 {
-		t.Fatalf("lossy cycle spun: %v %v", r.Flow["ab"], r.Flow["ba"])
+	if edge(g, r.Flow, "ab") != 0 || edge(g, r.Flow, "ba") != 0 {
+		t.Fatalf("lossy cycle spun: %v %v", edge(g, r.Flow, "ab"), edge(g, r.Flow, "ba"))
 	}
 }
 
@@ -244,8 +281,8 @@ func TestQuickDispatchInvariants(t *testing.T) {
 			return false
 		}
 		// Flows within capacity.
-		for _, e := range g.Edges {
-			if r.Flow[e.ID] < -1e-9 || r.Flow[e.ID] > e.Capacity+1e-6 {
+		for j, e := range g.Edges {
+			if r.Flow[j] < -1e-9 || r.Flow[j] > e.Capacity+1e-6 {
 				return false
 			}
 		}

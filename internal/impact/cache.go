@@ -94,59 +94,63 @@ func (a *Analysis) salt() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// baselineState is the slice of the baseline dispatch that perturbation
-// deltas are measured against.
-type baselineState struct {
-	profits actors.Profits
+// outcome is one priced dispatch: its absolute per-actor profits, laid out
+// by the analysis's actor index, its welfare, optimal basis and flow
+// support.
+type outcome struct {
+	profits []float64
 	welfare float64
 	basis   *lp.Basis
 	support []string
 }
 
-// baseline resolves the baseline state, memoized in the cache when one is
+// baseline resolves the baseline outcome, memoized in the cache when one is
 // attached (the baseline is by far the most repeated solve: every Of and
-// every matrix column needs it).
-func (a *Analysis) baseline(salt string) (baselineState, error) {
-	key := salt + "|baseline"
-	if a.Cache != nil {
-		if e, ok := a.Cache.Get(key); ok {
-			return baselineState{profits: e.Profits, welfare: e.Welfare, basis: e.Basis, support: e.Support}, nil
-		}
-	}
-	p, r, err := a.Baseline()
+// every matrix column needs it), and the compiled analysis it is laid out
+// by.
+func (a *Analysis) baseline(salt string) (*compiled, outcome, error) {
+	c, err := a.compile()
 	if err != nil {
-		return baselineState{}, err
+		return nil, outcome{}, err
 	}
-	st := baselineState{profits: p, welfare: r.Welfare, basis: r.Basis, support: supportOf(a.Graph, r)}
-	if a.Cache != nil {
-		a.Cache.Put(key, solvecache.Entry{Profits: p, Welfare: r.Welfare, Basis: r.Basis, Support: st.support})
+	key := salt + "|baseline"
+	e, ok := a.Cache.Get(key)
+	if !ok {
+		p, r, err := a.Baseline()
+		if err != nil {
+			return nil, outcome{}, err
+		}
+		e = solvecache.Entry{Profits: p, Welfare: r.Welfare, Basis: r.Basis, Support: supportOf(a.Graph, r)}
+		a.Cache.Put(key, e)
 	}
-	return st, nil
+	return c, outcome{c.ix.Slice(e.Profits), e.Welfare, e.Basis, e.Support}, nil
 }
 
-// compiled is an analysis's dispatch LP, compiled once from its graph, plus
-// a pool of scratch clones of that graph. A perturbed solve edits a clone,
-// re-solves the compiled LP on it and hands it to the profit model, then
-// restores it, so pricing an attack neither rebuilds the LP nor clones or
-// re-validates the graph.
+// compiled is an analysis's validated graph, its actor index, its dispatch
+// LP, compiled on the first solve (a run served entirely from the cache
+// never builds it), and a pool of scratch clones of the graph. A perturbed
+// solve edits a clone, re-solves the compiled LP on it and hands it to the
+// profit model, then restores it, so pricing an attack neither rebuilds the
+// LP nor clones or re-validates the graph.
 type compiled struct {
 	graph *graph.Graph
-	disp  *flow.Dispatcher
+	ix    *actors.Index
+	disp  func() (*flow.Dispatcher, error)
 	views sync.Pool // *graph.Graph clones of graph, restored between uses
 }
 
-// compile returns the analysis's compiled dispatch LP, building it on the
-// first solve (and again if Graph has been replaced since); a run served
-// entirely from the cache never builds it.
+// compile returns the analysis's compiled state, building it on first use
+// (and again if Graph has been replaced since).
 func (a *Analysis) compile() (*compiled, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.comp == nil || a.comp.graph != a.Graph {
-		d, err := flow.Compile(a.Graph, nil)
-		if err != nil {
+		g := a.Graph
+		if err := g.Validate(); err != nil {
 			return nil, err
 		}
-		a.comp = &compiled{graph: a.Graph, disp: d}
+		a.comp = &compiled{graph: g, ix: actors.NewIndex(g, a.Ownership),
+			disp: sync.OnceValues(func() (*flow.Dispatcher, error) { return flow.Compile(g, nil) })}
 	}
 	return a.comp, nil
 }
@@ -179,6 +183,21 @@ func (c *compiled) release(v *graph.Graph) {
 	c.views.Put(v)
 }
 
+// price dispatches g, the compiled graph or an edit of it, from basis (cold
+// when nil) and divides its welfare among the analysis's actors.
+func (a *Analysis) price(c *compiled, g *graph.Graph, basis *lp.Basis) (*flow.Result, []float64, error) {
+	d, err := c.disp()
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := d.SolveEdited(g, lp.Options{WarmStart: basis})
+	if err != nil {
+		return nil, nil, err
+	}
+	p := make([]float64, len(c.ix.Actors))
+	return r, p, a.model().Share(c.ix, g, r, p)
+}
+
 // supportOf lists the edges carrying nonzero flow in r, in g.Edges index
 // order — a deterministic dominance certificate for the N-k screen. The
 // exact-zero test is intentional: nonbasic flow variables sit exactly at
@@ -186,9 +205,9 @@ func (c *compiled) release(v *graph.Graph) {
 // flow", not "small flow".
 func supportOf(g *graph.Graph, r *flow.Result) []string {
 	support := make([]string, 0, len(g.Edges))
-	for i := range g.Edges {
-		if r.Flow[g.Edges[i].ID] != 0 {
-			support = append(support, g.Edges[i].ID)
+	for j, f := range r.Flow {
+		if f != 0 {
+			support = append(support, g.Edges[j].ID)
 		}
 	}
 	return support
@@ -198,63 +217,56 @@ func supportOf(g *graph.Graph, r *flow.Result) []string {
 // memo first and warm-starting the dispatch from the baseline basis. The
 // delta arithmetic is shared between hit and miss paths so a hit reproduces
 // a fresh solve bit for bit.
-func (a *Analysis) ofCached(salt string, base baselineState, ps []Perturbation) (actors.Profits, float64, error) {
-	e, err := a.ofCachedEntry(salt, base, ps)
+func (a *Analysis) ofCached(c *compiled, salt string, base outcome, ps []Perturbation) (actors.Profits, float64, error) {
+	o, err := a.ofCachedEntry(c, salt, base, ps, false)
 	if err != nil {
 		return nil, 0, err
 	}
-	return deltaProfits(e.Profits, base.profits), e.Welfare - base.welfare, nil
+	deltas := actors.Profits{}
+	deltaProfits(o.profits, base.profits, func(k int, d float64) { deltas[c.ix.Actors[k]] = d })
+	return deltas, o.welfare - base.welfare, nil
 }
 
-// ofCachedEntry is ofCached in absolute form: it returns the full memo
-// entry (absolute profits, welfare, basis, flow support) for one
-// perturbation set, solving and memoizing on a miss. Entries read from a
-// cache populated before support recording carry a nil Support; callers
+// ofCachedEntry is ofCached in absolute form: it returns the outcome of one
+// perturbation set, solving and memoizing on a miss. Only a memoized or
+// support-requesting solve lists the flow support. Entries read from a
+// cache populated before support recording carry a nil support; callers
 // needing the certificate must treat nil as "none", not "empty".
-func (a *Analysis) ofCachedEntry(salt string, base baselineState, ps []Perturbation) (solvecache.Entry, error) {
+func (a *Analysis) ofCachedEntry(c *compiled, salt string, base outcome, ps []Perturbation, support bool) (outcome, error) {
 	var key string
 	if a.Cache != nil {
 		key = salt + "|" + CanonicalKey(ps...)
 		if e, ok := a.Cache.Get(key); ok {
-			return e, nil
+			return outcome{c.ix.Slice(e.Profits), e.Welfare, e.Basis, e.Support}, nil
 		}
-	}
-	c, err := a.compile()
-	if err != nil {
-		return solvecache.Entry{}, err
 	}
 	gp, err := c.edit(ps)
 	if err != nil {
-		return solvecache.Entry{}, err
+		return outcome{}, err
 	}
 	defer c.release(gp)
-	r, err := c.disp.SolveEdited(gp, lp.Options{WarmStart: base.basis})
+	r, p, err := a.price(c, gp, base.basis)
 	if err != nil {
-		return solvecache.Entry{}, err
+		return outcome{}, err
 	}
-	p, err := a.model().Divide(gp, r, a.Ownership)
-	if err != nil {
-		return solvecache.Entry{}, err
+	o := outcome{profits: p, welfare: r.Welfare, basis: r.Basis}
+	if support || a.Cache != nil {
+		o.support = supportOf(a.Graph, r)
 	}
-	e := solvecache.Entry{Profits: p, Welfare: r.Welfare, Basis: r.Basis, Support: supportOf(a.Graph, r)}
 	if a.Cache != nil {
-		a.Cache.Put(key, e)
+		a.Cache.Put(key, solvecache.Entry{Profits: c.ix.Profits(p), Welfare: o.welfare, Basis: o.basis, Support: o.support})
 	}
-	return e, nil
+	return o, nil
 }
 
-// deltaProfits computes perturbed − base per actor, including actors that
-// vanish from the perturbed division (their entire profit is lost). Each
-// entry is a single subtraction, so map iteration order cannot affect bits.
-func deltaProfits(p, base actors.Profits) actors.Profits {
-	delta := actors.Profits{}
-	for actor, v := range p {
-		delta[actor] = v - base[actor]
-	}
-	for actor, v := range base {
-		if _, ok := p[actor]; !ok {
-			delta[actor] = -v
+// deltaProfits calls put(k, p[k] − base[k]) for every actor slot k with a
+// nonzero perturbed or baseline profit, so an actor that vanishes from the
+// perturbed division loses its entire profit. Each delta is a single
+// subtraction, so the order of the calls cannot affect bits.
+func deltaProfits(p, base []float64, put func(k int, d float64)) {
+	for k := range p {
+		if p[k] != 0 || base[k] != 0 {
+			put(k, p[k]-base[k])
 		}
 	}
-	return delta
 }

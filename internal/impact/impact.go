@@ -102,9 +102,9 @@ func set(g *graph.Graph, ps []Perturbation) error {
 //
 // The dispatch LP of Graph is compiled once, on first use, and every
 // perturbed dispatch re-solves it from the baseline's optimal basis. Graph
-// must therefore not be mutated after the first call, and Model must not
-// retain the graph it is handed after Divide returns. An Analysis is safe
-// for concurrent use and must not be copied.
+// and Ownership must therefore not be mutated after the first call, and
+// Model must not retain the graph it is handed after Share returns. An
+// Analysis is safe for concurrent use and must not be copied.
 type Analysis struct {
 	// Graph is the ground-truth (or believed) model.
 	Graph *graph.Graph
@@ -132,7 +132,7 @@ type Analysis struct {
 	LPMethod lp.Method
 
 	mu   sync.Mutex
-	comp *compiled // the dispatch LP of Graph, built on first use
+	comp *compiled // the compiled state of Graph, built on first use
 }
 
 func (a *Analysis) model() actors.ProfitModel {
@@ -149,26 +149,22 @@ func (a *Analysis) Baseline() (actors.Profits, *flow.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := c.disp.Solve(lp.Options{})
+	r, p, err := a.price(c, a.Graph, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := a.model().Divide(a.Graph, r, a.Ownership)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, r, nil
+	return c.ix.Profits(p), r, nil
 }
 
 // Of measures the impact of a single attack (set of perturbations): the
 // per-actor profit deltas and the system welfare delta.
 func (a *Analysis) Of(ps ...Perturbation) (actors.Profits, float64, error) {
 	salt := a.salt()
-	base, err := a.baseline(salt)
+	c, base, err := a.baseline(salt)
 	if err != nil {
 		return nil, 0, err
 	}
-	return a.ofCached(salt, base, ps)
+	return a.ofCached(c, salt, base, ps)
 }
 
 // Evaluator amortizes the per-call salt hashing and baseline resolution of
@@ -178,8 +174,9 @@ func (a *Analysis) Of(ps ...Perturbation) (actors.Profits, float64, error) {
 // single cache probe or dispatch.
 type Evaluator struct {
 	a    *Analysis
+	c    *compiled
 	salt string
-	base baselineState
+	base outcome
 }
 
 // NewEvaluator resolves (and memoizes) the baseline and returns an
@@ -187,11 +184,11 @@ type Evaluator struct {
 // reconfigured while the evaluator is in use.
 func (a *Analysis) NewEvaluator() (*Evaluator, error) {
 	salt := a.salt()
-	base, err := a.baseline(salt)
+	c, base, err := a.baseline(salt)
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{a: a, salt: salt, base: base}, nil
+	return &Evaluator{a: a, c: c, salt: salt, base: base}, nil
 }
 
 // BaselineWelfare is the unattacked system welfare.
@@ -205,7 +202,7 @@ func (e *Evaluator) BaselineSupport() []string { return e.base.support }
 // Of measures one attack exactly like Analysis.Of, without re-resolving the
 // baseline.
 func (e *Evaluator) Of(ps ...Perturbation) (actors.Profits, float64, error) {
-	return e.a.ofCached(e.salt, e.base, ps)
+	return e.a.ofCached(e.c, e.salt, e.base, ps)
 }
 
 // OfSupport prices one perturbation set and additionally returns the flow
@@ -213,11 +210,11 @@ func (e *Evaluator) Of(ps ...Perturbation) (actors.Profits, float64, error) {
 // internal/screen. A nil support means the result was served from an entry
 // without a recorded certificate; the welfare delta is still exact.
 func (e *Evaluator) OfSupport(ps ...Perturbation) (dw float64, support []string, err error) {
-	entry, err := e.a.ofCachedEntry(e.salt, e.base, ps)
+	o, err := e.a.ofCachedEntry(e.c, e.salt, e.base, ps, true)
 	if err != nil {
 		return 0, nil, err
 	}
-	return entry.Welfare - e.base.welfare, entry.Support, nil
+	return o.welfare - e.base.welfare, o.support, nil
 }
 
 // Matrix is the impact matrix IM[a][t] plus bookkeeping.
@@ -291,20 +288,18 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 		targets = a.Graph.AssetIDs()
 	}
 	salt := a.salt()
-	base, err := a.baseline(salt)
+	c, base, err := a.baseline(salt)
 	if err != nil {
 		return nil, err
 	}
-	type col struct {
-		deltas actors.Profits
-		dw     float64
-	}
-	cols, err := parallel.Map(len(targets), a.Parallel, func(i int) (col, error) {
-		deltas, dw, err := a.ofCached(salt, base, mk(targets[i]))
+	cols, err := parallel.Map(len(targets), a.Parallel, func(i int) (outcome, error) {
+		o, err := a.ofCachedEntry(c, salt, base, mk(targets[i]), false)
 		if err != nil {
-			return col{}, fmt.Errorf("target %s: %w", targets[i], err)
+			return outcome{}, fmt.Errorf("target %s: %w", targets[i], err)
 		}
-		return col{deltas, dw}, nil
+		// Keep no basis alive past its column: the matrix needs profits
+		// and welfare only.
+		return outcome{profits: o.profits, welfare: o.welfare}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -321,16 +316,17 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 		m.IM[actor] = map[string]float64{}
 	}
 	for i, t := range targets {
-		m.WelfareDelta[t] = cols[i].dw
-		for actor, v := range cols[i].deltas {
+		m.WelfareDelta[t] = cols[i].welfare - base.welfare
+		deltaProfits(cols[i].profits, base.profits, func(k int, d float64) {
+			actor := c.ix.Actors[k]
 			row, ok := m.IM[actor]
 			if !ok {
 				row = map[string]float64{}
 				m.IM[actor] = row
 				m.Actors = append(m.Actors, actor)
 			}
-			row[t] = v
-		}
+			row[t] = d
+		})
 	}
 	sort.Strings(m.Actors)
 	return m, nil

@@ -257,3 +257,25 @@ func TestMatrixWorkersBitIdentical(t *testing.T) {
 		t.Fatalf("actors %v vs %v", m1.Actors, m4.Actors)
 	}
 }
+
+// TestOutageHandsTieOn cuts the dominant inbound edge of a load: its retail
+// surplus must follow the tie to the next-largest inbound edge of the
+// edited graph, not stay with the owner of the cut one.
+func TestOutageHandsTieOn(t *testing.T) {
+	g := graph.New("tie")
+	g.MustAddVertex(graph.Vertex{ID: "gen1", Supply: 100, SupplyCost: 2})
+	g.MustAddVertex(graph.Vertex{ID: "gen2", Supply: 100, SupplyCost: 3})
+	g.MustAddVertex(graph.Vertex{ID: "city", Demand: 50, Price: 10})
+	g.MustAddEdge(graph.Edge{ID: "big", From: "gen1", To: "city", Capacity: 80})
+	g.MustAddEdge(graph.Edge{ID: "small", From: "gen2", To: "city", Capacity: 60})
+	an := &Analysis{Graph: g, Ownership: actors.Ownership{"big": "A", "small": "B"}}
+	deltas, _, err := an.Of(Outage("big"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Before: λ(city) = 2 and A holds the 50·(10−2) retail surplus. After:
+	// λ(city) = 3 and the 50·(10−3) surplus belongs to B, the new tie.
+	if !approx(deltas["A"], -400, 1e-6) || !approx(deltas["B"], 350, 1e-6) {
+		t.Fatalf("deltas = %v, want A −400, B +350", deltas)
+	}
+}

@@ -98,23 +98,23 @@ func TestDualReentryMatchesColdNational(t *testing.T) {
 func checkDispatchFeasible(t *testing.T, label string, g *graph.Graph, r *flow.Result) {
 	t.Helper()
 	const tol = 1e-7
-	balance := make(map[string]float64, len(g.Vertices))
-	for _, e := range g.Edges {
-		f := r.Flow[e.ID]
+	balance := make([]float64, len(g.Vertices))
+	for j, e := range g.Edges {
+		f := r.Flow[j]
 		if f < -tol || f > e.Capacity+tol*math.Max(1, e.Capacity) {
 			t.Errorf("%s: flow[%s] = %v outside [0, %v]", label, e.ID, f, e.Capacity)
 		}
-		balance[e.To] += f
-		balance[e.From] -= f / (1 - e.Loss)
+		balance[g.VertexIndex(e.To)] += f
+		balance[g.VertexIndex(e.From)] -= f / (1 - e.Loss)
 	}
-	for _, v := range g.Vertices {
-		if x := r.Gen[v.ID]; x < -tol || x > v.Supply+tol*math.Max(1, v.Supply) {
+	for i, v := range g.Vertices {
+		if x := r.Gen[i]; x < -tol || x > v.Supply+tol*math.Max(1, v.Supply) {
 			t.Errorf("%s: gen[%s] = %v outside [0, %v]", label, v.ID, x, v.Supply)
 		}
-		if x := r.Load[v.ID]; x < -tol || x > v.Demand+tol*math.Max(1, v.Demand) {
+		if x := r.Load[i]; x < -tol || x > v.Demand+tol*math.Max(1, v.Demand) {
 			t.Errorf("%s: load[%s] = %v outside [0, %v]", label, v.ID, x, v.Demand)
 		}
-		if b := balance[v.ID] + r.Gen[v.ID] - r.Load[v.ID]; math.Abs(b) > tol*math.Max(1, v.Supply+v.Demand) {
+		if b := balance[i] + r.Gen[i] - r.Load[i]; math.Abs(b) > tol*math.Max(1, v.Supply+v.Demand) {
 			t.Errorf("%s: hub %s unbalanced by %v", label, v.ID, b)
 		}
 	}

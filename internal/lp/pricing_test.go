@@ -10,7 +10,6 @@ package lp_test
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"cpsguard/internal/flow"
@@ -36,19 +35,13 @@ func solutionObs(sol *lp.Solution) []float64 {
 	return append(obs, sol.BoundDuals...)
 }
 
-// dispatchObs flattens a dispatch result: welfare, then every map in key
-// order. The maps are built from the LP's X, Duals and BoundDuals.
+// dispatchObs flattens a dispatch result: welfare, then every edge- or
+// vertex-indexed slice in order. The slices are read off the LP's X, Duals
+// and BoundDuals.
 func dispatchObs(r *flow.Result) []float64 {
 	obs := []float64{r.Welfare}
-	for _, m := range []map[string]float64{r.Flow, r.Gen, r.Load, r.Price, r.CapacityRent} {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			obs = append(obs, m[k])
-		}
+	for _, s := range [][]float64{r.Flow, r.Gen, r.Load, r.Price, r.CapacityRent} {
+		obs = append(obs, s...)
 	}
 	return obs
 }

@@ -83,24 +83,24 @@ func compareDispatch(t *testing.T, label string, g *graph.Graph) {
 	if !agree(dense.Welfare, rev.Welfare) {
 		t.Errorf("%s: welfare %v (dense) vs %v (revised)", label, dense.Welfare, rev.Welfare)
 	}
-	for id, v := range dense.Flow {
-		if !agree(v, rev.Flow[id]) {
-			t.Errorf("%s: flow[%s] %v vs %v", label, id, v, rev.Flow[id])
+	for i, v := range dense.Flow {
+		if !agree(v, rev.Flow[i]) {
+			t.Errorf("%s: flow[%d] %v vs %v", label, i, v, rev.Flow[i])
 		}
 	}
-	for id, v := range dense.Gen {
-		if !agree(v, rev.Gen[id]) {
-			t.Errorf("%s: gen[%s] %v vs %v", label, id, v, rev.Gen[id])
+	for i, v := range dense.Gen {
+		if !agree(v, rev.Gen[i]) {
+			t.Errorf("%s: gen[%d] %v vs %v", label, i, v, rev.Gen[i])
 		}
 	}
-	for id, v := range dense.Load {
-		if !agree(v, rev.Load[id]) {
-			t.Errorf("%s: load[%s] %v vs %v", label, id, v, rev.Load[id])
+	for i, v := range dense.Load {
+		if !agree(v, rev.Load[i]) {
+			t.Errorf("%s: load[%d] %v vs %v", label, i, v, rev.Load[i])
 		}
 	}
-	for id, v := range dense.Price {
-		if !agree(v, rev.Price[id]) {
-			t.Errorf("%s: price[%s] %v vs %v", label, id, v, rev.Price[id])
+	for i, v := range dense.Price {
+		if !agree(v, rev.Price[i]) {
+			t.Errorf("%s: price[%d] %v vs %v", label, i, v, rev.Price[i])
 		}
 	}
 }

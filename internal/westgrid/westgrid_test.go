@@ -94,7 +94,7 @@ func TestGasElectricCoupling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Flow["g2e:CA"] <= 0 {
+	if r.Flow[g.EdgeIndex("g2e:CA")] <= 0 {
 		t.Fatal("stressed CA should burn gas for power")
 	}
 	cut, err := impact.Apply(g, impact.Outage("g2e:CA"))
