@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race benchmark bench bench-warm bench-revised bench-shard bench-servd bench-obs bench-screen bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke clean
+.PHONY: ci vet build test race benchmark bench bench-check bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke clean
 
-ci: vet build race bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke
+ci: vet build race bench-check bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke
 
 # go vet, and a gofmt check that fails when any file is not formatted.
 vet:
@@ -37,49 +37,16 @@ benchmark:
 		cat $$out; \
 	done; done
 
-# Solver-layer benchmark sweep with telemetry attribution: pairs ns/op with
-# the deterministic work counters (pivots, nodes, evaluations, appends) each
-# workload produced. Output is machine-readable for regression tracking.
+# Bench reports: every row of the bench_report_test.go table, grouped into
+# suites, pairs ns/op with the deterministic telemetry counters of one op
+# after a warm-up op. `bench` times every row and rewrites the committed
+# BENCH_<suite>.json files; `bench-check` (in ci, whose race run is -short
+# and skips it) requires the counters of one op to equal them exactly.
 bench:
-	BENCH_OUT=BENCH_telemetry.json $(GO) test -run '^TestBenchTelemetry$$' -count=1 -v .
+	$(GO) test -run '^TestBenchReports$$' -update -count=1 -v .
 
-# Warm re-solve and cache report: times the impact-matrix build and the
-# uncached/cached adversary rounds and writes BENCH_warmstart.json pairing
-# ns/op with warm vs cold pivot counts.
-bench-warm:
-	BENCH_WARM_OUT=BENCH_warmstart.json $(GO) test -run '^TestBenchWarmstart$$' -count=1 -v .
-
-# Revised-simplex speedup report: benchmarks the sparse revised simplex
-# against the dense oracle on the dispatch and national-scale instances and
-# writes BENCH_revised.json pairing ns/op with the lp.revised.* pivot and
-# factorization counters.
-bench-revised:
-	BENCH_REVISED_OUT=BENCH_revised.json $(GO) test -run '^TestBenchRevised$$' -count=1 -v .
-
-# Shard-merge throughput report: times the full merge path (discovery,
-# CRC/partition validation, replay union) over an 8-way fleet and writes
-# BENCH_shard.json pairing ns/op with the merge validation counters.
-bench-shard:
-	BENCH_SHARD_OUT=BENCH_shard.json $(GO) test -run '^TestBenchShard$$' -count=1 -v .
-
-# Service cache-hit throughput report: times the full HTTP round trip of a
-# deduped POST /scenarios (store lookup + artifact digest re-verification)
-# and writes BENCH_servd.json pairing ns/op with the service counters.
-bench-servd:
-	BENCH_SERVD_OUT=BENCH_servd.json $(GO) test -run '^TestBenchServd$$' -count=1 -v .
-
-# Observability-layer report: times the Prometheus exposition render (the
-# per-scrape cost) and the fleet trace merge, writing BENCH_obs.json in the
-# cpsguard-bench/v1 envelope.
-bench-obs:
-	BENCH_OBS_OUT=BENCH_obs.json $(GO) test -run '^TestBenchObs$$' -count=1 -v .
-
-# N-k screening speedup report: benchmarks the depth-2 vulnerability screen
-# of a 64-region national instance and writes BENCH_screen.json pairing
-# ns/op with the screen.* counters; fails unless the dominance rule pruned
-# at least as many contingency sets as it evaluated (≥2x reduction).
-bench-screen:
-	BENCH_SCREEN_OUT=BENCH_screen.json $(GO) test -run '^TestBenchScreen$$' -count=1 -v .
+bench-check:
+	$(GO) test -run '^TestBenchReports$$' -count=1 -v .
 
 # One-iteration pass over every benchmark: catches benchmarks that no longer
 # compile or panic, without paying for a timed run. Part of ci.
@@ -176,12 +143,11 @@ screen-smoke:
 	@echo "screen-smoke: screened CSV byte-identical to unscreened run, pruning active"
 
 # Remove build and scratch artifacts. The reference CSVs committed under
-# results/ and the committed bench reports (BENCH_revised.json,
-# BENCH_warmstart.json) are deliberately preserved: they are reviewed
-# outputs, not build products.
+# results/ and the committed bench reports (BENCH_*.json) are deliberately
+# preserved: they are reviewed outputs, not build products.
 clean:
 	$(GO) clean ./...
-	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsservd BENCH_telemetry.json BENCH_shard.json BENCH_servd.json BENCH_obs.json BENCH_screen.json
+	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsservd
 	rm -rf /tmp/cpsguard-shard-smoke /tmp/cpsguard-screen-smoke .bench_build
 	find . -name '*.journal' -not -path './results/*' -delete
 	find . -name '*.test' -delete

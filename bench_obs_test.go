@@ -1,20 +1,15 @@
-// Observability-layer benchmark report: `make bench-obs` runs TestBenchObs
-// with BENCH_OBS_OUT set, which times the Prometheus exposition render (the
-// per-scrape cost every debug-mux scrape pays) and the fleet trace merge,
-// and writes BENCH_obs.json (same cpsguard-bench/v1 envelope as
-// BENCH_telemetry.json) so scrape-path and merge-path regressions land in
-// one reviewable file.
+// Obs bench suite (BENCH_obs.json, see bench_report_test.go): the
+// Prometheus exposition render (the per-scrape cost every debug-mux scrape
+// pays) and the fleet trace merge, so scrape-path and merge-path
+// regressions land in one reviewable file.
 package cpsguard
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/telemetry"
 )
 
@@ -36,15 +31,15 @@ func benchObsRegistry() *telemetry.Registry {
 	return r
 }
 
-// BenchmarkPromExposition times one full exposition render — snapshot plus
+// promExpositionOp returns one full exposition render — snapshot plus
 // deterministic text encoding — of a sweep-sized registry.
-func BenchmarkPromExposition(b *testing.B) {
+func promExpositionOp(testing.TB) func() error {
 	r := benchObsRegistry()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		if len(r.PrometheusText()) == 0 {
-			b.Fatal("empty exposition")
+			return errors.New("empty exposition")
 		}
+		return nil
 	}
 }
 
@@ -90,58 +85,15 @@ func benchFleetTraces(tb testing.TB, n, spansPer int) []*telemetry.ChromeTrace {
 	return append([]*telemetry.ChromeTrace{snap.ChromeTrace()}, traces...)
 }
 
-// BenchmarkTraceMerge times stitching an 8-process fleet (250 spans per
+// traceMergeOp returns one stitch of an 8-process fleet (250 spans per
 // child) into one timeline, including link validation.
-func BenchmarkTraceMerge(b *testing.B) {
-	traces := benchFleetTraces(b, 8, 250)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+func traceMergeOp(tb testing.TB) func() error {
+	traces := benchFleetTraces(tb, 8, 250)
+	return func() error {
 		_, stats, err := telemetry.MergeChromeTraces(traces)
-		if err != nil {
-			b.Fatal(err)
+		if err == nil && stats.UnresolvedParents != 0 {
+			err = fmt.Errorf("%d unresolved parents", stats.UnresolvedParents)
 		}
-		if stats.UnresolvedParents != 0 {
-			b.Fatalf("%d unresolved parents", stats.UnresolvedParents)
-		}
+		return err
 	}
-}
-
-// TestBenchObs is gated by BENCH_OBS_OUT: unset, it skips; set, it runs the
-// observability benchmarks and writes the JSON report to that path.
-func TestBenchObs(t *testing.T) {
-	out := os.Getenv("BENCH_OBS_OUT")
-	if out == "" {
-		t.Skip("set BENCH_OBS_OUT=path to run the observability benchmarks")
-	}
-	report := benchTelemetryReport{
-		Schema:     benchSchema,
-		GoVersion:  runtime.Version(),
-		Platform:   runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: map[string]benchTelemetryEntry{},
-	}
-	for _, bench := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"PromExposition", BenchmarkPromExposition},
-		{"TraceMerge", BenchmarkTraceMerge},
-	} {
-		r := testing.Benchmark(bench.fn)
-		report.Benchmarks[bench.name] = benchTelemetryEntry{
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		t.Logf("%s: %d iter, %d ns/op", bench.name, r.N, r.NsPerOp())
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d bytes)", out, len(data))
 }

@@ -1,28 +1,21 @@
-// N-k screening benchmark report: `make bench-screen` runs TestBenchScreen
-// with BENCH_SCREEN_OUT set, which times a depth-2 vulnerability screen of a
-// 64-region national-tier instance and writes BENCH_screen.json (same
-// cpsguard-bench/v1 envelope as BENCH_telemetry.json) pairing ns/op with the
-// screen.* counters — so the dominance rule's candidate reduction is tracked
-// as a number, not an anecdote. The report fails unless the screen pruned at
-// least as many contingency sets as it evaluated (a ≥2x reduction of the
-// candidate space).
+// Screen bench suite (BENCH_screen.json, see bench_report_test.go): a
+// depth-2 vulnerability screen of a 64-region national-tier instance with
+// the screen.* counters, so the dominance rule's candidate reduction is
+// tracked as a number, not an anecdote. The suite fails unless the screen
+// prunes at least as many contingency sets as it evaluates (a ≥2x
+// reduction of the candidate space).
 package cpsguard
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 
 	"cpsguard/internal/actors"
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/gridgen"
 	"cpsguard/internal/impact"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/screen"
 	"cpsguard/internal/solvecache"
-	"cpsguard/internal/telemetry"
 )
 
 // screenBenchTargets caps the corridor-target set: 32 targets give a
@@ -60,58 +53,24 @@ func screenBenchInstance(tb testing.TB) (*impact.Analysis, []string) {
 	return an, corridor[:screenBenchTargets]
 }
 
-// BenchmarkScreenNational times one depth-2 vulnerability screen of the
+// screenNationalOp returns one depth-2 vulnerability screen of the
 // 64-region national instance over its capped corridor-target set — the
 // production screening stack end to end: solve cache, warm starts, revised
-// simplex, dominance pruning.
-func BenchmarkScreenNational(b *testing.B) {
-	an, targets := screenBenchInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := screen.Run(screen.Config{Analysis: an, Targets: targets, K: 2}); err != nil {
-			b.Fatal(err)
-		}
+// simplex, dominance pruning. The ops share the instance's solve cache.
+func screenNationalOp(tb testing.TB) func() error {
+	an, targets := screenBenchInstance(tb)
+	return func() error {
+		_, err := screen.Run(screen.Config{Analysis: an, Targets: targets, K: 2})
+		return err
 	}
 }
 
-// TestBenchScreen is gated by BENCH_SCREEN_OUT: unset, it skips; set, it
-// runs the national screening benchmark, writes the JSON report to that
-// path, and fails unless the dominance rule pruned at least as many
-// contingency sets as were evaluated — the screen must at least halve the
-// candidate space on the national instance, or it is not earning its keep.
-func TestBenchScreen(t *testing.T) {
-	out := os.Getenv("BENCH_SCREEN_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SCREEN_OUT=path to run the screening benchmark")
-	}
-	reg := telemetry.Default()
-	reg.Reset()
-	r := testing.Benchmark(BenchmarkScreenNational)
-	snap := reg.Snapshot(telemetry.SnapshotOptions{})
-	counters := make(map[string]int64, len(snap.Counters))
-	for name, v := range snap.Counters {
-		if v != 0 {
-			counters[name] = v
-		}
-	}
-	reg.Reset()
-
-	report := benchTelemetryReport{
-		Schema:    benchSchema,
-		GoVersion: runtime.Version(),
-		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: map[string]benchTelemetryEntry{
-			"ScreenNational": {
-				Iterations:  r.N,
-				NsPerOp:     r.NsPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				Counters:    counters,
-			},
-		},
-	}
-	t.Logf("ScreenNational: %d iter, %d ns/op, %d counters", r.N, r.NsPerOp(), len(counters))
-
+// checkScreen fails unless the screen recorded its counters and the
+// dominance rule pruned at least as many contingency sets as were
+// evaluated — the screen must at least halve the candidate space on the
+// national instance, or it is not earning its keep.
+func checkScreen(t *testing.T, e map[string]benchEntry, _ bool) {
+	counters := e["ScreenNational"].Counters
 	for _, c := range []string{"screen.runs", "screen.evaluated", "screen.pruned"} {
 		if counters[c] == 0 {
 			t.Errorf("ScreenNational recorded no %s counter", c)
@@ -121,18 +80,5 @@ func TestBenchScreen(t *testing.T) {
 	if pruned < evaluated {
 		t.Errorf("dominance rule pruned %d of %d+%d contingency sets — less than half the candidate space",
 			pruned, evaluated, pruned)
-	} else if evaluated > 0 {
-		t.Logf("candidate reduction: %.1fx (%d evaluated of %d total sets)",
-			float64(evaluated+pruned)/float64(evaluated), evaluated, evaluated+pruned)
 	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d bytes)", out, len(data))
 }

@@ -1,26 +1,22 @@
-// Service cache-hit benchmark report: `make bench-servd` runs TestBenchServd
-// with BENCH_SERVD_OUT set, which times BenchmarkServdCacheHit — the full
+// Servd bench suite (BENCH_servd.json, see bench_report_test.go): the full
 // HTTP round trip of a deduped POST /scenarios, including the store's
-// integrity re-verification of the committed artifact — and writes
-// BENCH_servd.json (cpsguard-bench/v1 envelope) pairing ns/op with the
-// service counters, so regressions in the hot serve path land in one
-// reviewable file.
+// integrity re-verification of the committed artifact, with the service
+// counters, so regressions in the hot serve path land in one reviewable
+// file.
 package cpsguard
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/manifest"
 	"cpsguard/internal/servd"
 	"cpsguard/internal/telemetry"
@@ -42,92 +38,58 @@ func (r benchRunner) Run(ctx context.Context, sc servd.ScenarioConfig, dir strin
 	return m.Write(dir)
 }
 
-// BenchmarkServdCacheHit measures one deduped submit: HTTP POST → config
+// servdCacheHitOp returns one deduped submit: HTTP POST → config
 // canonicalization → store lookup → artifact digest re-verification →
 // status JSON. The store holds one ~2 KB entry, the realistic size of a
-// figure CSV.
-func BenchmarkServdCacheHit(b *testing.B) {
-	store, _, err := servd.Open(filepath.Join(b.TempDir(), "store"))
+// figure CSV, committed through the service before the first op.
+func servdCacheHitOp(tb testing.TB) func() error {
+	store, _, err := servd.Open(filepath.Join(tb.TempDir(), "store"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	csv := bytes.Repeat([]byte("n,sigma,profit,defense\n3,0.25,41.5,12.0\n"), 50)
 	srv, err := servd.New(servd.Options{Store: store, Runner: benchRunner{csv}})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer srv.Close()
+	tb.Cleanup(srv.Close)
 	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	tb.Cleanup(hs.Close)
 
-	body := `{"figure":"5","quick":true}`
-	post := func(wait bool) []byte {
-		url := hs.URL + "/scenarios"
-		if wait {
-			url += "?wait=1"
-		}
-		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	post := func(url string) ([]byte, error) {
+		resp, err := http.Post(url, "application/json", strings.NewReader(`{"figure":"5","quick":true}`))
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
 		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("submit: %d %s", resp.StatusCode, data)
+		data, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("submit: %d %s", resp.StatusCode, data)
 		}
-		return data
+		return data, err
 	}
-	post(true) // populate the entry outside the timer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if data := post(false); !bytes.Contains(data, []byte(`"cached": true`)) {
-			b.Fatalf("not a cache hit: %s", data)
+	commits := telemetry.Default().Counter("servd.store_commits")
+	before := commits.Value()
+	if _, err := post(hs.URL + "/scenarios?wait=1"); err != nil {
+		tb.Fatal(err)
+	}
+	if commits.Value() == before {
+		tb.Fatal("populating submit recorded no servd.store_commits")
+	}
+	return func() error {
+		data, err := post(hs.URL + "/scenarios")
+		if err == nil && !bytes.Contains(data, []byte(`"cached": true`)) {
+			err = fmt.Errorf("not a cache hit: %s", data)
 		}
+		return err
 	}
 }
 
-// TestBenchServd is gated by BENCH_SERVD_OUT: unset, it skips; set, it runs
-// BenchmarkServdCacheHit and writes the JSON report to that path.
-func TestBenchServd(t *testing.T) {
-	out := os.Getenv("BENCH_SERVD_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SERVD_OUT=path to run the servd cache-hit benchmark")
+// checkServd fails unless the counted op was a recorded cache hit. (The
+// store commit it hits is checked where servdCacheHitOp populates the
+// store, outside the counted op.)
+func checkServd(t *testing.T, e map[string]benchEntry, _ bool) {
+	if c := e["ServdCacheHit"].Counters; c["servd.cache_hits"] == 0 {
+		t.Errorf("service counters missing from the counted op: %v", c)
 	}
-	reg := telemetry.Default()
-	reg.Reset()
-	r := testing.Benchmark(BenchmarkServdCacheHit)
-	snap := reg.Snapshot(telemetry.SnapshotOptions{})
-	counters := make(map[string]int64, len(snap.Counters))
-	for name, v := range snap.Counters {
-		if v != 0 {
-			counters[name] = v
-		}
-	}
-	reg.Reset()
-	if counters["servd.cache_hits"] == 0 || counters["servd.store_commits"] == 0 {
-		t.Errorf("service counters missing from benchmark snapshot: %v", counters)
-	}
-	report := benchTelemetryReport{
-		Schema:    benchSchema,
-		GoVersion: runtime.Version(),
-		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: map[string]benchTelemetryEntry{
-			"ServdCacheHit": {
-				Iterations:  r.N,
-				NsPerOp:     r.NsPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				Counters:    counters,
-			},
-		},
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("ServdCacheHit: %d iter, %d ns/op; wrote %s (%d bytes)", r.N, r.NsPerOp(), out, len(data))
 }

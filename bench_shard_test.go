@@ -1,23 +1,16 @@
-// Shard-merge benchmark report: `make bench-shard` runs TestBenchShard with
-// BENCH_SHARD_OUT set, which times BenchmarkShardMerge programmatically and
-// writes BENCH_shard.json (same cpsguard-bench/v1 envelope as
-// BENCH_telemetry.json) pairing the merge's ns/op with its validation
-// counters, so merge throughput regressions and validation-work drift land
-// in one reviewable file.
+// Shard bench suite (BENCH_shard.json, see bench_report_test.go): the full
+// merge path of an 8-way shard fleet with its validation counters, so merge
+// throughput regressions and validation-work drift land in one reviewable
+// file.
 package cpsguard
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/checkpoint"
 	"cpsguard/internal/shard"
-	"cpsguard/internal/telemetry"
 )
 
 // buildShardFleet writes an n-way shard layout with trialsPerShard journaled
@@ -52,70 +45,28 @@ func buildShardFleet(tb testing.TB, parent string, n, trialsPerShard int) {
 	}
 }
 
-// BenchmarkShardMerge times the full merge path — discovery, manifest and
-// CRC validation, partition audit, replay union — over an 8-way fleet of
-// 250-trial journals (2000 records per op).
-func BenchmarkShardMerge(b *testing.B) {
-	parent := b.TempDir()
-	buildShardFleet(b, parent, 8, 250)
+// shardMergeOp returns one run of the full merge path — discovery,
+// manifest and CRC validation, partition audit, replay union — over an
+// 8-way fleet of 250-trial journals (2000 records per op).
+func shardMergeOp(tb testing.TB) func() error {
+	parent := tb.TempDir()
+	buildShardFleet(tb, parent, 8, 250)
 	dirs, err := shard.DiscoverShards(parent)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		res, err := shard.Merge(dirs, shard.MergeOptions{ExpectKey: "bench"})
-		if err != nil {
-			b.Fatal(err)
+		if err == nil && res.Trials != 2000 {
+			err = fmt.Errorf("merged %d trials, want 2000", res.Trials)
 		}
-		if res.Trials != 2000 {
-			b.Fatalf("merged %d trials, want 2000", res.Trials)
-		}
+		return err
 	}
 }
 
-// TestBenchShard is gated by BENCH_SHARD_OUT: unset, it skips; set, it runs
-// BenchmarkShardMerge and writes the JSON report to that path.
-func TestBenchShard(t *testing.T) {
-	out := os.Getenv("BENCH_SHARD_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SHARD_OUT=path to run the shard-merge benchmark")
+// checkShard fails unless the merge recorded its counters.
+func checkShard(t *testing.T, e map[string]benchEntry, _ bool) {
+	if c := e["ShardMerge"].Counters; c["shard.merges"] == 0 || c["shard.merged_records"] == 0 {
+		t.Errorf("merge counters missing from the counted op: %v", c)
 	}
-	reg := telemetry.Default()
-	reg.Reset()
-	r := testing.Benchmark(BenchmarkShardMerge)
-	snap := reg.Snapshot(telemetry.SnapshotOptions{})
-	counters := make(map[string]int64, len(snap.Counters))
-	for name, v := range snap.Counters {
-		if v != 0 {
-			counters[name] = v
-		}
-	}
-	reg.Reset()
-	report := benchTelemetryReport{
-		Schema:    benchSchema,
-		GoVersion: runtime.Version(),
-		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: map[string]benchTelemetryEntry{
-			"ShardMerge": {
-				Iterations:  r.N,
-				NsPerOp:     r.NsPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				Counters:    counters,
-			},
-		},
-	}
-	if counters["shard.merges"] == 0 || counters["shard.merged_records"] == 0 {
-		t.Errorf("merge counters missing from benchmark snapshot: %v", counters)
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("ShardMerge: %d iter, %d ns/op; wrote %s (%d bytes)", r.N, r.NsPerOp(), out, len(data))
 }

@@ -1,11 +1,12 @@
-// Benchmarks regenerating every figure of the paper's evaluation plus the
-// ablations called out in DESIGN.md §6. Run with:
+// Benchmarks of the extension experiments and the ablations called out in
+// DESIGN.md §6, plus the ops of the telemetry and warmstart bench-report
+// rows (bench_report_test.go). Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// The Fig* benches use reduced grids (the full paper grids are run by
-// cmd/cpsexp and recorded in EXPERIMENTS.md); the point here is tracked,
-// repeatable cost per experiment pipeline, not the figures themselves.
+// The paper's Figs. 2–7 are timed end to end by the figs-graph workload of
+// benchmark/; the Ext* benches use a reduced grid (the full paper grids are
+// run by cmd/cpsexp and recorded in EXPERIMENTS.md).
 package cpsguard
 
 import (
@@ -28,7 +29,7 @@ import (
 	"cpsguard/internal/westgrid"
 )
 
-// benchCfg is the reduced experiment grid used by the Fig* benches.
+// benchCfg is the reduced experiment grid used by the Ext* benches.
 func benchCfg() experiments.Config {
 	return experiments.Config{
 		Trials:    2,
@@ -52,13 +53,10 @@ func BenchmarkWestgridDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkImpactMatrix measures a full ground-truth impact matrix on the
-// stressed model (86 single-asset outages), the inner loop of every
+// impactMatrixOp returns one full ground-truth impact-matrix build of the
+// stressed westgrid (86 single-asset outages), the inner loop of every
 // experiment.
-func BenchmarkImpactMatrix(b *testing.B) { runOp(b, impactMatrixOp()) }
-
-// impactMatrixOp returns one impact-matrix build of the stressed westgrid.
-func impactMatrixOp() func() error {
+func impactMatrixOp(testing.TB) func() error {
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	o := actors.RandomOwnership(g, 6, rng.New(1))
 	an := &impact.Analysis{Graph: g, Ownership: o}
@@ -68,7 +66,7 @@ func impactMatrixOp() func() error {
 	}
 }
 
-func benchFig(b *testing.B, run func(experiments.Config) (*Table, error)) {
+func benchExt(b *testing.B, run func(experiments.Config) (*Table, error)) {
 	b.Helper()
 	cfg := benchCfg()
 	b.ResetTimer()
@@ -79,43 +77,25 @@ func benchFig(b *testing.B, run func(experiments.Config) (*Table, error)) {
 	}
 }
 
-// BenchmarkFig2 regenerates Figure 2 (gain/loss vs actors).
-func BenchmarkFig2(b *testing.B) { benchFig(b, experiments.Fig2) }
-
-// BenchmarkFig3 regenerates Figure 3 (SA profit vs noise).
-func BenchmarkFig3(b *testing.B) { benchFig(b, experiments.Fig3) }
-
-// BenchmarkFig4 regenerates Figure 4 (anticipated vs observed).
-func BenchmarkFig4(b *testing.B) { benchFig(b, experiments.Fig4) }
-
-// BenchmarkFig5 regenerates Figure 5 (defense effectiveness vs noise).
-func BenchmarkFig5(b *testing.B) { benchFig(b, experiments.Fig5) }
-
-// BenchmarkFig6 regenerates Figure 6 (collaborative vs independent).
-func BenchmarkFig6(b *testing.B) { benchFig(b, experiments.Fig6) }
-
-// BenchmarkFig7 regenerates Figure 7 (collaboration benefit vs actors).
-func BenchmarkFig7(b *testing.B) { benchFig(b, experiments.Fig7) }
-
 // BenchmarkExtBaselineComparison regenerates the economic-vs-topological
 // defense comparison (extension A).
-func BenchmarkExtBaselineComparison(b *testing.B) { benchFig(b, experiments.BaselineComparison) }
+func BenchmarkExtBaselineComparison(b *testing.B) { benchExt(b, experiments.BaselineComparison) }
 
 // BenchmarkExtDeception regenerates the deception-defense curve
 // (extension B).
-func BenchmarkExtDeception(b *testing.B) { benchFig(b, experiments.Deception) }
+func BenchmarkExtDeception(b *testing.B) { benchExt(b, experiments.Deception) }
 
 // BenchmarkExtAttackVectors regenerates the attack-vector family comparison
 // (extension C).
-func BenchmarkExtAttackVectors(b *testing.B) { benchFig(b, experiments.AttackVectors) }
+func BenchmarkExtAttackVectors(b *testing.B) { benchExt(b, experiments.AttackVectors) }
 
 // BenchmarkExtSecurityPremium regenerates the N-1 security-premium trade-off
 // (extension D).
-func BenchmarkExtSecurityPremium(b *testing.B) { benchFig(b, experiments.SecurityPremium) }
+func BenchmarkExtSecurityPremium(b *testing.B) { benchExt(b, experiments.SecurityPremium) }
 
 // BenchmarkExtHardening regenerates the binary-vs-graduated defense
 // comparison (extension E).
-func BenchmarkExtHardening(b *testing.B) { benchFig(b, experiments.HardeningComparison) }
+func BenchmarkExtHardening(b *testing.B) { benchExt(b, experiments.HardeningComparison) }
 
 // --- Ablation: strategic adversary solvers (DESIGN.md §6).
 
@@ -351,9 +331,9 @@ func BenchmarkScalingDispatch48(b *testing.B) {
 	}
 }
 
-// --- Solver-layer benchmarks (DESIGN.md §10): the units the telemetry
-// instruments meter, benchmarked directly so BENCH_telemetry.json can pair
-// ns/op with pivot/node counts.
+// --- Ops of the telemetry suite (DESIGN.md §10): the units the telemetry
+// instruments meter, so BENCH_telemetry.json pairs ns/op with pivot and
+// node counts.
 
 // benchLPProblem builds a representative dense LP: a transport-style
 // minimum-cost assignment with capacities, ~60 variables and ~28 rows.
@@ -385,11 +365,8 @@ func benchLPProblem() *lp.Problem {
 	return p
 }
 
-// BenchmarkLPSolve measures one direct lp.Solve on the representative LP.
-func BenchmarkLPSolve(b *testing.B) { runOp(b, lpSolveOp()) }
-
 // lpSolveOp returns one cold solve of benchLPProblem.
-func lpSolveOp() func() error {
+func lpSolveOp(testing.TB) func() error {
 	p := benchLPProblem()
 	return func() error {
 		sol, err := p.Solve()
@@ -400,12 +377,9 @@ func lpSolveOp() func() error {
 	}
 }
 
-// BenchmarkMILPSolve measures branch and bound on a 14-binary knapsack-style
+// milpSolveOp returns one branch and bound of a 14-binary knapsack-style
 // problem over the same LP engine.
-func BenchmarkMILPSolve(b *testing.B) { runOp(b, milpSolveOp()) }
-
-// milpSolveOp returns one branch and bound of the knapsack.
-func milpSolveOp() func() error {
+func milpSolveOp(testing.TB) func() error {
 	prob := milp.Problem{LP: lp.NewProblem()}
 	for j := 0; j < 14; j++ {
 		v := prob.LP.AddVariable("x", -float64((j*17)%9+1), 1)
@@ -425,11 +399,8 @@ func milpSolveOp() func() error {
 	}
 }
 
-// BenchmarkAdversaryResilient measures the production SA entry point (the
-// fallback-chain wrapper around the exact search) on the full instance.
-func BenchmarkAdversaryResilient(b *testing.B) { runOp(b, adversaryResilientOp(b)) }
-
-// adversaryResilientOp returns one SolveResilient call on the instance.
+// adversaryResilientOp returns one call of the production SA entry point
+// (the fallback-chain wrapper around the exact search) on the full instance.
 func adversaryResilientOp(tb testing.TB) func() error {
 	cfg := adversaryBenchConfig(tb)
 	return func() error {
@@ -438,14 +409,10 @@ func adversaryResilientOp(tb testing.TB) func() error {
 	}
 }
 
-// BenchmarkExperimentsTrial measures one full experiment trial — dispatch,
-// impact, Pa estimation, defense, and settlement — the unit the checkpoint
-// journal records.
-func BenchmarkExperimentsTrial(b *testing.B) { runOp(b, experimentsTrialOp()) }
-
-// experimentsTrialOp returns a trial op whose i-th call plays the round of
-// seed i.
-func experimentsTrialOp() func() error {
+// experimentsTrialOp returns one full experiment trial — dispatch, impact,
+// Pa estimation, defense, and settlement — the unit the checkpoint journal
+// records. The op's i-th call plays the round of seed i.
+func experimentsTrialOp(testing.TB) func() error {
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	var seed uint64
 	return func() error {

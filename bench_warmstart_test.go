@@ -1,20 +1,13 @@
-// Warm re-solve and solve-cache benchmark report: `make bench-warm` runs
-// TestBenchWarmstart with BENCH_WARM_OUT set, which times the impact-matrix
-// build (every outage re-solved warm from the baseline basis) and the
-// uncached/cached adversary-round pair programmatically and writes
-// BENCH_warmstart.json (same cpsguard-bench/v1 envelope as
-// BENCH_telemetry.json) pairing each ns/op with the warm and cold pivot
-// counters and cache hit/miss counts that explain it, per op (benchOneOp).
+// Warmstart bench suite (BENCH_warmstart.json, see bench_report_test.go):
+// the impact-matrix build, every outage re-solved warm from the baseline
+// basis, and the uncached/cached adversary-round pair, with the warm and
+// cold pivot counters and cache hit counts that explain their ns/op.
 package cpsguard
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 
 	"cpsguard/internal/adversary"
-	"cpsguard/internal/atomicio"
 	"cpsguard/internal/core"
 	"cpsguard/internal/solvecache"
 	"cpsguard/internal/westgrid"
@@ -40,66 +33,27 @@ func adversaryRoundOp(cache *solvecache.Cache) func() error {
 }
 
 // adversaryColdOp is a round with no cache — the uncached per-trial cost.
-func adversaryColdOp() func() error { return adversaryRoundOp(nil) }
+func adversaryColdOp(testing.TB) func() error { return adversaryRoundOp(nil) }
 
 // adversaryCachedOp is a round whose solve cache is shared across rounds,
 // as experiments share one across trials.
-func adversaryCachedOp() func() error { return adversaryRoundOp(solvecache.New(8192)) }
+func adversaryCachedOp(testing.TB) func() error { return adversaryRoundOp(solvecache.New(8192)) }
 
-// BenchmarkAdversaryCold rebuilds the impact matrix and solves the SA each
-// iteration with no cache.
-func BenchmarkAdversaryCold(b *testing.B) { runOp(b, adversaryColdOp()) }
-
-// BenchmarkAdversaryCached is the same round with one solve cache shared
-// across iterations.
-func BenchmarkAdversaryCached(b *testing.B) { runOp(b, adversaryCachedOp()) }
-
-// TestBenchWarmstart is gated by BENCH_WARM_OUT: unset, it skips; set, it
-// runs the benchmarks, writes the JSON report to that path, and fails if
-// any impact-matrix re-solve fell back cold or the cached adversary round
-// is not at least 2x faster than the uncached one.
-func TestBenchWarmstart(t *testing.T) {
-	out := os.Getenv("BENCH_WARM_OUT")
-	if out == "" {
-		t.Skip("set BENCH_WARM_OUT=path to run the warm re-solve and cache benchmarks")
-	}
-	benches := []struct {
-		name  string
-		newOp func() func() error
-	}{
-		{"ImpactMatrix", impactMatrixOp},
-		{"AdversaryCold", adversaryColdOp},
-		{"AdversaryCached", adversaryCachedOp},
-	}
-	report := benchTelemetryReport{
-		Schema:     benchSchema,
-		GoVersion:  runtime.Version(),
-		Platform:   runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: make(map[string]benchTelemetryEntry, len(benches)),
-	}
-	for _, bench := range benches {
-		report.Benchmarks[bench.name] = benchOneOp(t, bench.name, bench.newOp)
-	}
-
-	if n := report.Benchmarks["ImpactMatrix"].Counters["lp.warm_fallbacks"]; n != 0 {
+// checkWarmstart fails if any impact-matrix re-solve fell back cold or,
+// when timed, if the cached adversary round is not at least 2x faster than
+// the uncached one.
+func checkWarmstart(t *testing.T, e map[string]benchEntry, timed bool) {
+	if n := e["ImpactMatrix"].Counters["lp.warm_fallbacks"]; n != 0 {
 		t.Errorf("ImpactMatrix: %d warm re-solves fell back cold", n)
 	}
-	uncached := report.Benchmarks["AdversaryCold"].NsPerOp
-	cached := report.Benchmarks["AdversaryCached"].NsPerOp
+	if !timed {
+		return
+	}
+	uncached, cached := e["AdversaryCold"].NsPerOp, e["AdversaryCached"].NsPerOp
 	if cached <= 0 || uncached < 2*cached {
 		t.Errorf("AdversaryCached %d ns/op is not ≥2x faster than AdversaryCold %d ns/op", cached, uncached)
 	} else {
 		t.Logf("solve-cache speedup: %.1fx (uncached %d → cached %d ns/op)",
 			float64(uncached)/float64(cached), uncached, cached)
 	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := atomicio.MkdirAllAndWrite(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d bytes)", out, len(data))
 }

@@ -16,7 +16,7 @@ import (
 	"cpsguard/internal/telemetry"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden fixtures from current output")
+var updateGolden = flag.Bool("update", false, "rewrite golden fixtures and BENCH_*.json reports from current output")
 
 // goldenCfg is a small but fully representative seeded configuration: the
 // six-state model, two actor counts, two defender noise levels, two

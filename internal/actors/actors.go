@@ -31,6 +31,7 @@ import (
 
 	"cpsguard/internal/flow"
 	"cpsguard/internal/graph"
+	"cpsguard/internal/lp"
 	"cpsguard/internal/rng"
 )
 
@@ -271,10 +272,10 @@ func (IterativeDivision) Name() string { return "iterative" }
 
 // Share implements ProfitModel following Section II-D2's two code blocks:
 //
-//  1. For each actor, fix every other actor's flows at the optimum and
-//     measure the marginal cost of each of the actor's positive-flow edges
-//     by re-solving with that edge's capacity reduced by Delta. The edge's
-//     claimable rent per unit is (welfare drop)/Delta minus its direct cost.
+//  1. Measure the marginal cost of each positive-flow edge by re-solving
+//     the dispatch with that edge's capacity reduced by Delta, every other
+//     flow free to re-optimize. The edge's claimable rent per unit is
+//     (welfare drop)/Delta.
 //  2. Actors in series would each claim the same downstream marginal cost;
 //     the shares are therefore normalized iteratively (profit fractions
 //     grown until the next actor's share is perturbed) which converges to
@@ -292,14 +293,21 @@ func (d IterativeDivision) Share(ix *Index, g *graph.Graph, r *flow.Result, p []
 	if delta <= 0 {
 		delta = 1
 	}
-	// Marginal cost per positive-flow edge via capacity probing.
+	// Marginal cost per positive-flow edge via capacity probing: each probe
+	// is a capacity edit of one clone, re-solved warm from r's basis.
+	disp, err := flow.Compile(g)
+	if err != nil {
+		return fmt.Errorf("actors: iterative division: %w", err)
+	}
+	probe := g.Clone()
+	opts := lp.Options{WarmStart: r.Basis}
 	rent := make([]float64, len(g.Edges)) // per-unit rent claimed by each edge
 	for j, f := range r.Flow {
 		if f > tol {
-			probe := g.Clone()
 			dec := math.Min(delta, f)
 			probe.Edges[j].Capacity = f - dec // bind at reduced flow
-			pr, err := flow.Dispatch(probe)
+			pr, err := disp.SolveEdited(probe, opts)
+			probe.Edges[j].Capacity = g.Edges[j].Capacity
 			if err != nil {
 				return fmt.Errorf("actors: marginal probe on %s: %w", g.Edges[j].ID, err)
 			}

@@ -13,7 +13,7 @@ import (
 // referenceBuild is the dispatch LP builder as first written: every
 // conservation row found by scanning all edges for its vertex, O(V·E). It
 // is the reference TestBuildOrderMatchesReference holds builder.build to.
-func referenceBuild(b *builder, fixed map[string]float64) *lp.Problem {
+func referenceBuild(b *builder) *lp.Problem {
 	g := b.g
 	p := lp.NewProblem()
 	for _, e := range g.Edges {
@@ -55,16 +55,6 @@ func referenceBuild(b *builder, fixed map[string]float64) *lp.Problem {
 			Coefs: coefs, Sense: lp.EQ, RHS: 0, Name: "cons:" + v.ID,
 		})
 	}
-	for id, fx := range fixed {
-		idx := g.EdgeIndex(id)
-		if idx < 0 {
-			continue
-		}
-		p.AddConstraint(lp.Constraint{
-			Coefs: []lp.Coef{{Var: idx, Value: 1}},
-			Sense: lp.EQ, RHS: fx, Name: "fix:" + id,
-		})
-	}
 	return p
 }
 
@@ -87,9 +77,8 @@ func TestBuildOrderMatchesReference(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fixed := map[string]float64{g.Edges[0].ID: 1}
 		got, want := newBuilder(g), newBuilder(g)
-		gotP, wantP := got.build(fixed), referenceBuild(want, fixed)
+		gotP, wantP := got.build(), referenceBuild(want)
 		if !reflect.DeepEqual(gotP, wantP) {
 			t.Errorf("%s: dispatch LP differs from the reference build", name)
 		}

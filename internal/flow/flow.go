@@ -63,10 +63,9 @@ type Result struct {
 }
 
 // InfeasibleError reports a dispatch LP that ended without an optimum,
-// carrying the LP status: typically no feasible flow exists, after
-// validation was skipped on a broken model (the base LP with zero lower
-// bounds is always feasible at f=g=x=0, so this only occurs with user-added
-// side constraints).
+// carrying the LP status. The LP is always feasible at f=g=x=0 (every lower
+// bound is zero), so the status says why the solver stopped short of an
+// optimum.
 type InfeasibleError struct{ Status lp.Status }
 
 func (e *InfeasibleError) Error() string {
@@ -82,16 +81,12 @@ func Dispatch(g *graph.Graph) (*Result, error) {
 type Options struct {
 	// LP forwards solver options.
 	LP lp.Options
-	// FixedFlow pins specific edges to exact flow values (used by the
-	// iterative profit-division algorithm to hold an actor's outflows
-	// fixed while competitors re-optimize).
-	FixedFlow map[string]float64
 }
 
 // DispatchOpts solves the social-welfare optimum with explicit options: one
 // Compile and one Solve.
 func DispatchOpts(g *graph.Graph, opts Options) (*Result, error) {
-	d, err := Compile(g, opts.FixedFlow)
+	d, err := Compile(g)
 	if err != nil {
 		return nil, err
 	}
@@ -105,19 +100,17 @@ func DispatchOpts(g *graph.Graph, opts Options) (*Result, error) {
 // for concurrent use; the compiled graph must not be mutated while it is in
 // use.
 type Dispatcher struct {
-	b     *builder
-	p     *lp.Problem
-	fixed map[string]float64
+	b *builder
+	p *lp.Problem
 }
 
-// Compile validates g and builds its dispatch LP, pinning the edges in fixed
-// to exact flows (see Options.FixedFlow).
-func Compile(g *graph.Graph, fixed map[string]float64) (*Dispatcher, error) {
+// Compile validates g and builds its dispatch LP.
+func Compile(g *graph.Graph) (*Dispatcher, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	b := newBuilder(g)
-	return &Dispatcher{b: b, p: b.build(fixed), fixed: fixed}, nil
+	return &Dispatcher{b: b, p: b.build()}, nil
 }
 
 // Solve dispatches the compiled graph.
@@ -137,7 +130,7 @@ func (d *Dispatcher) SolveEdited(ge *graph.Graph, opts lp.Options) (*Result, err
 	for i := range ge.Edges {
 		e := &ge.Edges[i]
 		if e.Loss != d.b.g.Edges[i].Loss {
-			return DispatchOpts(ge, Options{LP: opts, FixedFlow: d.fixed})
+			return DispatchOpts(ge, Options{LP: opts})
 		}
 		p.SetUpper(i, e.Capacity)
 		p.SetCost(i, e.Cost)
@@ -176,7 +169,7 @@ func newBuilder(g *graph.Graph) *builder {
 	}
 }
 
-func (b *builder) build(fixed map[string]float64) *lp.Problem {
+func (b *builder) build() *lp.Problem {
 	g := b.g
 	p := lp.NewProblem()
 	// Edge flow variables. The LP minimizes, so welfare terms enter
@@ -242,17 +235,6 @@ func (b *builder) build(fixed map[string]float64) *lp.Problem {
 		}
 		b.consRow[i] = p.AddConstraint(lp.Constraint{
 			Coefs: coefs[i], Sense: lp.EQ, RHS: 0, Name: "cons:" + v.ID,
-		})
-	}
-	// Fixed flows (equality pins).
-	for id, fx := range fixed {
-		idx := g.EdgeIndex(id)
-		if idx < 0 {
-			continue
-		}
-		p.AddConstraint(lp.Constraint{
-			Coefs: []lp.Coef{{Var: idx, Value: 1}},
-			Sense: lp.EQ, RHS: fx, Name: "fix:" + id,
 		})
 	}
 	return p

@@ -169,26 +169,6 @@ func TestZeroCapacityEdgeBlocksFlow(t *testing.T) {
 	}
 }
 
-func TestFixedFlowPins(t *testing.T) {
-	g := simpleChain()
-	r, err := DispatchOpts(g, Options{FixedFlow: map[string]float64{"h-l": 40}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(edge(g, r.Flow, "h-l"), 40, eps) {
-		t.Fatalf("pinned flow = %v, want 40", edge(g, r.Flow, "h-l"))
-	}
-	// Pinning an unknown edge is ignored.
-	if _, err := DispatchOpts(g, Options{FixedFlow: map[string]float64{"nope": 1}}); err != nil {
-		t.Fatalf("unknown pin should be ignored: %v", err)
-	}
-	// Pinning above capacity is infeasible.
-	_, err = DispatchOpts(g, Options{FixedFlow: map[string]float64{"h-l": 1000}})
-	if _, ok := err.(*InfeasibleError); !ok {
-		t.Fatalf("over-capacity pin: err = %v, want InfeasibleError", err)
-	}
-}
-
 func TestValidationPropagates(t *testing.T) {
 	g := simpleChain()
 	g.Edges[0].Loss = 1.5

@@ -150,7 +150,7 @@ func (a *Analysis) compile() (*compiled, error) {
 			return nil, err
 		}
 		a.comp = &compiled{graph: g, ix: actors.NewIndex(g, a.Ownership),
-			disp: sync.OnceValues(func() (*flow.Dispatcher, error) { return flow.Compile(g, nil) })}
+			disp: sync.OnceValues(func() (*flow.Dispatcher, error) { return flow.Compile(g) })}
 	}
 	return a.comp, nil
 }

@@ -7,7 +7,7 @@
 // solve per iteration (partial pricing above a size threshold), and hands
 // the simplex the FTRAN image of the entering column. Per pivot the work is
 // O(nnz) instead of O(m·nTotal), which is what makes the national-scale
-// gridgen tier tractable (BenchmarkRevisedNationalGrid).
+// gridgen tier tractable (BenchmarkReports/revised/RevisedNationalGrid).
 //
 // Determinism contract vs the dense oracle (DESIGN.md §15): both kernels
 // run under the pivot rules of simplex.go, so they walk equivalent vertex
