@@ -4,10 +4,13 @@ GO ?= go
 
 ci: vet build race bench-check bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke
 
-# go vet, and a gofmt check that fails when any file is not formatted.
+# go vet, a gofmt check that fails when any file is not formatted, and a
+# check that no binary, example or root-package code links the MILP engine:
+# it is the test oracle of the exact solvers, not a production path.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
+	@if $(GO) list -deps . ./cmd/... ./examples/... | grep -qx 'cpsguard/internal/milp'; then echo "cpsguard/internal/milp is linked into production code; it is a test-only oracle"; exit 1; fi
 
 build:
 	$(GO) build ./...

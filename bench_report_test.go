@@ -55,7 +55,7 @@ type benchRow struct {
 var benchRows = []benchRow{
 	{"telemetry", "LPSolve", lpSolveOp},
 	{"telemetry", "MILPSolve", milpSolveOp},
-	{"telemetry", "AdversaryResilient", adversaryResilientOp},
+	{"telemetry", "AdversarySolve", adversarySolveOp},
 	{"telemetry", "ExperimentsTrial", experimentsTrialOp},
 	{"warmstart", "ImpactMatrix", impactMatrixOp},
 	{"warmstart", "AdversaryCold", adversaryColdOp},

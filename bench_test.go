@@ -138,20 +138,6 @@ func BenchmarkAdversaryGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkAdversaryMILP measures the generic linearized MILP oracle on a
-// reduced instance (it is the cross-check, not the production path).
-func BenchmarkAdversaryMILP(b *testing.B) {
-	cfg := adversaryBenchConfig(b)
-	cfg.Targets = cfg.Targets[:12]
-	cfg.Budget = 3
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adversary.SolveMILP(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Ablation: profit-division models.
 
 func profitBenchSetup(b *testing.B) (*Graph, *flow.Result, Ownership) {
@@ -399,12 +385,11 @@ func milpSolveOp(testing.TB) func() error {
 	}
 }
 
-// adversaryResilientOp returns one call of the production SA entry point
-// (the fallback-chain wrapper around the exact search) on the full instance.
-func adversaryResilientOp(tb testing.TB) func() error {
+// adversarySolveOp returns one exact SA search on the full instance.
+func adversarySolveOp(tb testing.TB) func() error {
 	cfg := adversaryBenchConfig(tb)
 	return func() error {
-		_, err := adversary.SolveResilient(cfg)
+		_, err := adversary.Solve(cfg)
 		return err
 	}
 }

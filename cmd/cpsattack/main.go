@@ -1,6 +1,6 @@
 // Command cpsattack runs the strategic adversary (Section II-E) against an
 // energy model: it computes the impact matrix under the adversary's
-// (optionally noisy) view, solves the target/actor selection MILP, and
+// (optionally noisy) view, solves the target/actor selection exactly, and
 // reports the anticipated and ground-truth realized profits.
 //
 // Usage:
@@ -87,7 +87,7 @@ func main() {
 		cli.ExitCanceled(ctx, err, "ground-truth matrix done; interrupted while computing the adversary view")
 		fatal(err)
 	}
-	plan, err := adversary.SolveResilient(adversary.Config{
+	plan, err := adversary.Solve(adversary.Config{
 		Matrix: view, Targets: s.Targets, Budget: *budget,
 		Ctx: ctx, Screen: rank,
 	})
@@ -130,10 +130,7 @@ func main() {
 	if plan.Anticipated > 0 {
 		cli.MustPrintf("realization ratio:  %12.1f%%\n", 100*realized/plan.Anticipated)
 	}
-	if !plan.Proven && len(plan.Fallbacks) == 0 {
+	if !plan.Proven {
 		cli.MustPrintf("(search node limit hit; plan is best-found, not proven optimal; gap ≤ %.2f)\n", plan.Gap)
-	}
-	for _, fb := range plan.Fallbacks {
-		cli.MustPrintf("(degraded: %s)\n", fb)
 	}
 }

@@ -1,7 +1,7 @@
 // Command cpsreport turns a run's observability directory (written by
 // cpsexp/cpsgen -obs) into a human-readable markdown report: run identity
 // and flags from manifest.json, per-stage and per-trial timing from the
-// metrics.json span window, fallback-chain usage from the counters,
+// metrics.json span window, fallbacks and degradations from the counters,
 // warn/error highlights from events.jsonl, and — when the run used a
 // checkpoint journal — per-trial outcomes joined by trial ID.
 //

@@ -314,8 +314,9 @@ func renderFallbacks(b *strings.Builder, d *runData) {
 	if d.Snapshot == nil {
 		return
 	}
-	// Any counter recording a resilience path: fallback chains, Bland
-	// restarts, unproven (budget-capped) exits.
+	// Any counter recording a resilience path: lp warm and dense
+	// fallbacks, Bland switches, unproven (budget-capped) exits, watchdog
+	// requeues.
 	var names []string
 	for n := range d.Snapshot.Counters {
 		if strings.Contains(n, "fallback") || strings.Contains(n, "unproven") ||
@@ -325,7 +326,6 @@ func renderFallbacks(b *strings.Builder, d *runData) {
 			}
 		}
 	}
-	depth, hasDepth := d.Snapshot.Histograms["adversary.fallback_depth"]
 	degr := map[string]int{}
 	for _, sp := range d.Snapshot.Spans {
 		for _, dg := range sp.Degradations {
@@ -333,7 +333,7 @@ func renderFallbacks(b *strings.Builder, d *runData) {
 			degr[kind]++
 		}
 	}
-	if len(names) == 0 && len(degr) == 0 && (!hasDepth || depth.Count == 0) {
+	if len(names) == 0 && len(degr) == 0 {
 		return
 	}
 	b.WriteString("## Fallbacks and degradations\n\n")
@@ -344,10 +344,6 @@ func renderFallbacks(b *strings.Builder, d *runData) {
 			fmt.Fprintf(b, "| `%s` | %d |\n", n, d.Snapshot.Counters[n])
 		}
 		b.WriteString("\n")
-	}
-	if hasDepth && depth.Count > 0 {
-		fmt.Fprintf(b, "Fallback chain depth over %d resilient solves (depth 0 = primary solver succeeded): %s\n\n",
-			depth.Count, histLine(depth))
 	}
 	if len(degr) > 0 {
 		kinds := make([]string, 0, len(degr))
@@ -477,25 +473,6 @@ func counter(d *runData, name string) int64 {
 		return 0
 	}
 	return d.Snapshot.Counters[name]
-}
-
-// histLine renders a histogram as "≤edge:count" pairs plus overflow.
-func histLine(h telemetry.HistogramSnapshot) string {
-	var parts []string
-	for i, n := range h.Buckets {
-		if n == 0 {
-			continue
-		}
-		if i < len(h.Edges) {
-			parts = append(parts, fmt.Sprintf("≤%d:%d", h.Edges[i], n))
-		} else {
-			parts = append(parts, fmt.Sprintf(">%d:%d", h.Edges[len(h.Edges)-1], n))
-		}
-	}
-	if len(parts) == 0 {
-		return "(empty)"
-	}
-	return strings.Join(parts, "  ")
 }
 
 // fmtDur renders nanoseconds with sensible rounding for a report.

@@ -28,11 +28,8 @@ func syntheticRun(t *testing.T) *runData {
 			Counters: map[string]int64{
 				"checkpoint.trials_executed": 2,
 				"checkpoint.retries":         1,
-				"adversary.fallbacks":        1,
+				"lp.warm_fallbacks":          1,
 				"lp.solves":                  10,
-			},
-			Histograms: map[string]telemetry.HistogramSnapshot{
-				"adversary.fallback_depth": {Edges: []int64{0, 1, 2}, Buckets: []int64{3, 1, 0, 0}, Count: 4, Sum: 1},
 			},
 			Spans: []telemetry.SpanRecord{
 				{ID: 1, Stage: "experiments.point", Problem: "fig5", DurationNS: 3e9},
@@ -64,8 +61,7 @@ func TestRenderReportSections(t *testing.T) {
 		"s7\\|fig5\\|t0",
 		"⚑", // watchdog flag on t1
 		"## Fallbacks and degradations",
-		"`adversary.fallbacks` | 1",
-		"≤0:3",
+		"`lp.warm_fallbacks` | 1",
 		"`watchdog`×1",
 		"## Events",
 		"retrying after transient failure",

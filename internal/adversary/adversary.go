@@ -16,9 +16,9 @@
 // (with the paper's uniform costs, the top (MA − |S|) tail values). If the
 // node budget is exhausted anyway, the best incumbent (at least as good as
 // greedy) is returned unproven, with Plan.Gap bounding its distance to the
-// optimum. SolveGreedy exposes the greedy heuristic directly, and SolveMILP
-// solves the textbook linearization on the generic MILP engine as a
-// correctness oracle.
+// optimum. SolveGreedy exposes the greedy heuristic directly; the tests
+// cross-check Solve against the textbook linearization on the generic MILP
+// engine.
 package adversary
 
 import (
@@ -29,8 +29,6 @@ import (
 	"sort"
 
 	"cpsguard/internal/impact"
-	"cpsguard/internal/lp"
-	"cpsguard/internal/milp"
 	"cpsguard/internal/screen"
 	"cpsguard/internal/telemetry"
 )
@@ -75,13 +73,8 @@ type Config struct {
 	// (the incumbent is discarded — cancellation is a caller decision,
 	// not a degradation).
 	Ctx context.Context
-	// CheckEvery is the node interval between Ctx/Hook checks
-	// (default 4096).
+	// CheckEvery is the node interval between Ctx checks (default 4096).
 	CheckEvery int
-	// Hook is an optional fault-injection checkpoint invoked at site
-	// "adversary.node" alongside the Ctx check; a returned error aborts
-	// the search, a panic exercises SolveResilient's recovery.
-	Hook func(site string) error
 	// Screen, when non-nil, is an N-k vulnerability ranking used as a
 	// candidate-pruning front-end: targets the screen certified as unable
 	// to change the dispatch optimum AND whose optimistic net value is
@@ -114,15 +107,11 @@ type Plan struct {
 	// Gap bounds how far Anticipated can fall short of the optimum when
 	// Solve stops at MaxNodes: the largest bound over the subtrees the
 	// search left unexplored, minus Anticipated, clamped at 0. It is 0 for
-	// a Proven plan and is left 0 by the other solvers, which carry no
-	// bound.
+	// a Proven plan and is left 0 by SolveGreedy and SolvePartitioned,
+	// which carry no bound.
 	Gap float64
 	// Nodes counts search nodes explored.
 	Nodes int
-	// Fallbacks records resilience degradations applied by SolveResilient
-	// while producing this plan ("greedy: ...", "milp-oracle: ...").
-	// Empty for a clean exact solve.
-	Fallbacks []string
 }
 
 // ErrNoTargets is returned when the configuration lists no targets.
@@ -343,18 +332,10 @@ func Solve(cfg Config) (plan *Plan, err error) {
 			}
 			return
 		}
-		if nodes%every == 0 {
-			if cfg.Ctx != nil {
-				if err := cfg.Ctx.Err(); err != nil {
-					exhausted, abortErr = true, err
-					return
-				}
-			}
-			if cfg.Hook != nil {
-				if err := cfg.Hook("adversary.node"); err != nil {
-					exhausted, abortErr = true, fmt.Errorf("adversary: injected at node %d: %w", nodes, err)
-					return
-				}
+		if nodes%every == 0 && cfg.Ctx != nil {
+			if err := cfg.Ctx.Err(); err != nil {
+				exhausted, abortErr = true, err
+				return
 			}
 		}
 		// Evaluate the current set exactly; it is always feasible.
@@ -433,55 +414,6 @@ func (b tailBound) tail(k int, spent float64) float64 {
 	return b.prefix[k+r] - b.prefix[k]
 }
 
-// SolveResilient is Solve with the fallback chain of the resilience layer:
-// exact branch and bound first; on failure (error or panic, but never
-// cancellation) the greedy heuristic; and finally the generic MILP oracle.
-// Each degradation is recorded in Plan.Fallbacks so experiment accounting
-// can report how a plan was produced.
-func SolveResilient(cfg Config) (*Plan, error) {
-	plan, err := recovering("exact", func() (*Plan, error) { return Solve(cfg) })
-	if err == nil {
-		mFallbackDepth.Observe(0)
-		return plan, nil
-	}
-	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-		return nil, err // canceled: stop, don't degrade
-	}
-	chain := []string{fmt.Sprintf("greedy: exact solver failed (%v)", err)}
-
-	// The greedy heuristic shares newInstance's validation, so invalid
-	// configurations still fail here rather than degrade forever.
-	plan, gerr := recovering("greedy", func() (*Plan, error) { return SolveGreedy(cfg) })
-	if gerr == nil {
-		plan.Fallbacks = chain
-		mFallbacks.Add(int64(len(chain)))
-		mFallbackDepth.Observe(1)
-		return plan, nil
-	}
-	chain = append(chain, fmt.Sprintf("milp-oracle: greedy failed (%v)", gerr))
-
-	plan, merr := recovering("milp-oracle", func() (*Plan, error) { return SolveMILP(cfg) })
-	if merr == nil {
-		plan.Fallbacks = chain
-		mFallbacks.Add(int64(len(chain)))
-		mFallbackDepth.Observe(2)
-		return plan, nil
-	}
-	return nil, fmt.Errorf("adversary: all solvers failed: exact (%v); greedy (%v); milp (%w)",
-		err, gerr, merr)
-}
-
-// recovering converts a panicking solver into an error so the fallback
-// chain can degrade instead of crashing the trial.
-func recovering(stage string, fn func() (*Plan, error)) (plan *Plan, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			plan, err = nil, fmt.Errorf("adversary: %s solver panicked: %v", stage, r)
-		}
-	}()
-	return fn()
-}
-
 // greedy grows the target set by best exact marginal value.
 func (in *instance) greedy(order []int) []int {
 	var set []int
@@ -519,65 +451,6 @@ func SolveGreedy(cfg Config) (*Plan, error) {
 	}
 	set := in.greedy(in.searchOrder(cfg))
 	return in.plan(set, len(set), false), nil
-}
-
-// SolveMILP solves the standard linearization (y_{ij} = T_i·A_j with
-// y ≥ T_i + A_j − 1, y ≤ T_i, y ≤ A_j) on the generic MILP engine. It is
-// exponentially slower than Solve and exists as a cross-check oracle for
-// tests and for users who add bespoke side constraints.
-func SolveMILP(cfg Config) (*Plan, error) {
-	in, err := newInstance(cfg)
-	if err != nil {
-		return nil, err
-	}
-	nT, nA := len(in.ids), len(in.actors)
-	p := lp.NewProblem()
-	tVar := make([]int, nT)
-	aVar := make([]int, nA)
-	for i := range tVar {
-		tVar[i] = p.AddVariable("T", in.cost[i], 1) // minimize: +cost when attacked
-	}
-	for j := range aVar {
-		aVar[j] = p.AddVariable("A", 0, 1)
-	}
-	binary := append(append([]int(nil), tVar...), aVar...)
-	for i := 0; i < nT; i++ {
-		for j := 0; j < nA; j++ {
-			w := in.im[j][i]
-			if w == 0 {
-				continue
-			}
-			y := p.AddVariable("y", -w, 1)
-			// y ≤ T_i, y ≤ A_j, y ≥ T_i + A_j − 1. For positive w the
-			// objective (−w·y, minimized) pushes y up, so the ≤ rows
-			// bind; for negative w it pushes y down, so the ≥ row
-			// binds. All three keep y = T·A at binary points.
-			p.AddConstraint(lp.Constraint{Coefs: []lp.Coef{{Var: y, Value: 1}, {Var: tVar[i], Value: -1}}, Sense: lp.LE, RHS: 0})
-			p.AddConstraint(lp.Constraint{Coefs: []lp.Coef{{Var: y, Value: 1}, {Var: aVar[j], Value: -1}}, Sense: lp.LE, RHS: 0})
-			p.AddConstraint(lp.Constraint{Coefs: []lp.Coef{{Var: y, Value: 1}, {Var: tVar[i], Value: -1}, {Var: aVar[j], Value: -1}}, Sense: lp.GE, RHS: -1})
-		}
-	}
-	budgetCoefs := make([]lp.Coef, nT)
-	for i := range tVar {
-		budgetCoefs[i] = lp.Coef{Var: tVar[i], Value: in.cost[i]}
-	}
-	p.AddConstraint(lp.Constraint{Coefs: budgetCoefs, Sense: lp.LE, RHS: in.budget})
-
-	sol, err := milp.Solve(milp.Problem{LP: p, Binary: binary},
-		milp.Options{Ctx: cfg.Ctx})
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("adversary: MILP status %v", sol.Status)
-	}
-	var set []int
-	for i, v := range tVar {
-		if sol.X[v] > 0.5 {
-			set = append(set, i)
-		}
-	}
-	return in.plan(set, sol.Nodes, sol.Proven), nil
 }
 
 // EvaluateOptions controls realized-profit evaluation.

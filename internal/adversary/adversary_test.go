@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -183,7 +185,7 @@ func TestExactMatchesMILPOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := SolveMILP(cfg)
+		oracle, err := solveMILP(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,6 +245,22 @@ func TestConfigValidation(t *testing.T) {
 	bad2 := Config{Matrix: simpleMatrix(), Targets: []Target{{ID: "t1", Cost: 1, SuccessProb: 2}}}
 	if _, err := Solve(bad2); err == nil {
 		t.Fatal("Ps > 1 accepted")
+	}
+}
+
+// TestSolveCanceled pins that cancellation is a caller decision, not a
+// degradation: a canceled context aborts the search with the context error
+// and no plan, even when an incumbent exists.
+func TestSolveCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := simpleMatrix()
+	plan, err := Solve(Config{
+		Matrix: m, Targets: UniformTargets(m.Targets, 1, 1), Budget: 2,
+		Ctx: ctx, CheckEvery: 1,
+	})
+	if !errors.Is(err, context.Canceled) || plan != nil {
+		t.Fatalf("Solve = %+v, %v; want nil, context.Canceled", plan, err)
 	}
 }
 

@@ -166,7 +166,7 @@ func TestBudgetBoundMatchesReference(t *testing.T) {
 			}
 			if len(cfg.Targets) <= 6 {
 				milpChecked++
-				oracle, err := SolveMILP(cfg)
+				oracle, err := solveMILP(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +205,7 @@ func TestGapBoundsTheOptimum(t *testing.T) {
 			continue
 		}
 		capped++
-		oracle, err := SolveMILP(cfg)
+		oracle, err := solveMILP(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,20 +1,16 @@
 // Telemetry instruments for the strategic-adversary layer. The DFS is
-// sequential and seeded, so node and evaluation counts are deterministic;
-// fallback depth records how far down the exact→greedy→MILP chain
-// SolveResilient had to degrade (0 = clean exact solve).
+// sequential and seeded, so node and evaluation counts are deterministic.
 package adversary
 
 import "cpsguard/internal/telemetry"
 
 var (
-	mSolves        = telemetry.NewCounter("adversary.solves")
-	mErrors        = telemetry.NewCounter("adversary.errors")
-	mNodes         = telemetry.NewCounter("adversary.nodes")
-	mEvaluations   = telemetry.NewCounter("adversary.evaluations")
-	mUnproven      = telemetry.NewCounter("adversary.unproven_exits")
-	mFallbacks     = telemetry.NewCounter("adversary.fallbacks")
-	mNodesHist     = telemetry.NewHistogram("adversary.nodes_per_solve", telemetry.WorkEdges)
-	mFallbackDepth = telemetry.NewHistogram("adversary.fallback_depth", telemetry.DepthEdges)
+	mSolves      = telemetry.NewCounter("adversary.solves")
+	mErrors      = telemetry.NewCounter("adversary.errors")
+	mNodes       = telemetry.NewCounter("adversary.nodes")
+	mEvaluations = telemetry.NewCounter("adversary.evaluations")
+	mUnproven    = telemetry.NewCounter("adversary.unproven_exits")
+	mNodesHist   = telemetry.NewHistogram("adversary.nodes_per_solve", telemetry.WorkEdges)
 	// Screen front-end: candidates dropped from vs kept in the search
 	// order when a vulnerability ranking is attached (Config.Screen).
 	mScreenPruned = telemetry.NewCounter("adversary.screen_pruned")

@@ -261,9 +261,9 @@ type GameResult struct {
 var ErrNilScenario = errors.New("core: nil scenario or graph")
 
 // PlayRound runs one full adversary-vs-defenders round. The adversary
-// search uses the resilient fallback chain (exact → greedy → MILP oracle)
-// so a numerically hostile view degrades rather than kills the round;
-// cfg.Ctx cancellation aborts the round with the context error.
+// plan comes from the exact search (proven, or carrying its gap when the
+// node cap stops it); cfg.Ctx cancellation aborts the round with the
+// context error.
 func PlayRound(s *Scenario, cfg GameConfig) (*GameResult, error) {
 	if s == nil || s.Graph == nil {
 		return nil, ErrNilScenario
@@ -293,7 +293,7 @@ func PlayRound(s *Scenario, cfg GameConfig) (*GameResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: adversary view: %w", err)
 	}
-	plan, err := adversary.SolveResilient(adversary.Config{
+	plan, err := adversary.Solve(adversary.Config{
 		Matrix: atkView, Targets: targets, Budget: cfg.AttackBudget,
 		Ctx: cfg.Ctx, Screen: rank,
 	})

@@ -369,7 +369,7 @@ func EstimateAttackProbOpts(believed *impact.Matrix, targets []adversary.Target,
 		rs := rng.Derive(seed, uint64(i))
 		view := *believed // shallow copy; IM replaced below
 		view.IM = noise.PerturbMatrix(believed.IM, sigmaSpec, rs)
-		p, err := adversary.SolveResilient(adversary.Config{
+		p, err := adversary.Solve(adversary.Config{
 			Matrix: &view, Targets: targets, Budget: budget,
 			Ctx: par.Context, Screen: opts.Screen,
 		})

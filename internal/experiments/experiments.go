@@ -253,7 +253,7 @@ func Fig3(cfg Config) (*stats.Table, error) {
 					if err != nil {
 						return 0, err
 					}
-					plan, err := adversary.SolveResilient(adversary.Config{
+					plan, err := adversary.Solve(adversary.Config{
 						Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
 						Ctx: ctx, Screen: rank,
 					})
@@ -306,7 +306,7 @@ func Fig4(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return pair{}, err
 				}
-				plan, err := adversary.SolveResilient(adversary.Config{
+				plan, err := adversary.Solve(adversary.Config{
 					Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
 					Ctx: ctx, Screen: rank,
 				})

@@ -186,7 +186,7 @@ func Deception(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return row{}, err
 				}
-				plan, err := adversary.SolveResilient(adversary.Config{
+				plan, err := adversary.Solve(adversary.Config{
 					Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
 					Ctx: ctx,
 				})
@@ -288,7 +288,7 @@ func AttackVectors(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return row{}, err
 				}
-				plan, err := adversary.SolveResilient(adversary.Config{
+				plan, err := adversary.Solve(adversary.Config{
 					Matrix: m, Targets: s.Targets, Budget: cfg.attackBudget(),
 					Ctx: ctx,
 				})

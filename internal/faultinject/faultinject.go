@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic fault-injection harness for
 // chaos-style testing of the solve pipeline. An Injector is armed with
 // (site, kind, rate) rules; solver layers expose named sites ("lp.pivot",
-// "milp.node", "adversary.node", "experiments.trial", ...) through their
+// "milp.node", "experiments.trial", ...) through their
 // Hook options, and the injector decides — reproducibly, from a seed —
 // whether each call fires a fault.
 //
@@ -142,7 +142,7 @@ func (in *Injector) Arm(pattern string, kind Kind, rate float64) *Injector {
 }
 
 // Hook is the lp.Hook-compatible checkpoint. Wire it into lp.Options.Hook,
-// milp.Options.Hook, adversary.Config.Hook, or an experiment FaultPolicy.
+// milp.Options.Hook, or an experiment FaultPolicy.
 func (in *Injector) Hook(site string) error {
 	f := in.fire(site)
 	if f == nil {

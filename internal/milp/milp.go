@@ -6,7 +6,7 @@
 // package is the generic engine. The adversary and defense packages also
 // ship specialized combinatorial solvers that exploit their problems'
 // closed-form structure — this generic solver is their correctness oracle
-// in tests and the fallback for user-defined variants.
+// in tests. No production binary imports it (make vet checks this).
 package milp
 
 import (

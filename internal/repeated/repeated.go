@@ -207,7 +207,7 @@ func Play(s *core.Scenario, cfg Config) (*Result, error) {
 				atkTargets = append(atkTargets, tt)
 			}
 		}
-		plan, perr := adversary.SolveResilient(adversary.Config{
+		plan, perr := adversary.Solve(adversary.Config{
 			Matrix: view, Targets: atkTargets, Budget: cfg.AttackBudget,
 			Ctx: ctx,
 		})

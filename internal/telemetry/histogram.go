@@ -17,7 +17,7 @@ var (
 	// 10ms, 100ms, 1s, 10s.
 	TimingEdges = []int64{1_000, 10_000, 100_000, 1_000_000,
 		10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000}
-	// DepthEdges buckets small structural quantities (fallback depth,
+	// DepthEdges buckets small structural quantities (defended targets,
 	// retries, requeues).
 	DepthEdges = []int64{0, 1, 2, 3, 5, 10}
 )
