@@ -135,15 +135,18 @@ obs-smoke:
 
 # N-k screening acceptance: the screen unit battery and the differential
 # oracle (screened == brute force, bit-identical), then an end-to-end binary
-# check — a screened `cpsexp -screen-k 2` run must produce a CSV
-# byte-identical to the unscreened run of the same seeded sweep while its
-# metrics snapshot shows the dominance rule actually pruned candidates.
+# check — an observed `cpsexp -screen-k 2` run must produce a CSV
+# byte-identical to the plain run of the same seeded sweep, write the
+# screen.json ranking, and show in its metrics that the screen's dominance
+# rule pruned outage sets and the adversary dropped negative-value targets.
 screen-smoke:
 	$(GO) test ./internal/screen/ -count=1
 	$(GO) test ./internal/defense/ -run 'TestPlanRedesign' -count=1
-	$(call fig5-cmp,$(CPSEXP) -screen-k 2 -csv $(SMOKE)/run/check -metrics $(SMOKE)/run/metrics.json >/dev/null)
-	grep -q '"screen.pruned": [1-9]' $(SMOKE)/run/metrics.json
-	@echo "screen-smoke: screened CSV byte-identical to unscreened run, pruning active"
+	$(call fig5-cmp,$(CPSEXP) -screen-k 2 -csv $(SMOKE)/run/check -obs $(SMOKE)/run/obs >/dev/null)
+	test -s $(SMOKE)/run/obs/screen.json
+	grep -q '"screen.pruned": [1-9]' $(SMOKE)/run/obs/metrics.json
+	grep -q '"adversary.pruned_targets": [1-9]' $(SMOKE)/run/obs/metrics.json
+	@echo "screen-smoke: screened CSV byte-identical to plain run, screen.json written, pruning active"
 
 # Remove build and scratch artifacts. The reference CSVs committed under
 # results/ and the committed bench reports (BENCH_*.json) are deliberately

@@ -126,18 +126,6 @@ func BenchmarkAdversaryExact(b *testing.B) {
 	}
 }
 
-// BenchmarkAdversaryGreedy measures the greedy heuristic on the same
-// instance.
-func BenchmarkAdversaryGreedy(b *testing.B) {
-	cfg := adversaryBenchConfig(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adversary.SolveGreedy(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Ablation: profit-division models.
 
 func profitBenchSetup(b *testing.B) (*Graph, *flow.Result, Ownership) {

@@ -1,25 +1,30 @@
 // Command cpsattack runs the strategic adversary (Section II-E) against an
 // energy model: it computes the impact matrix under the adversary's
 // (optionally noisy) view, solves the target/actor selection exactly, and
-// reports the anticipated and ground-truth realized profits.
+// reports the anticipated and ground-truth realized profits. With
+// -screen-k K it first prints the grid's depth-K N-k vulnerability ranking;
+// the adversary search does not read it.
 //
 // Usage:
 //
 //	cpsattack [-model model.json] [-actors N] [-seed S] [-sigma σ]
-//	          [-budget MA] [-catk c] [-ps p]
+//	          [-budget MA] [-catk c] [-ps p] [-screen-k K]
 package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 
 	"cpsguard/internal/adversary"
 	"cpsguard/internal/cli"
 	"cpsguard/internal/core"
+	"cpsguard/internal/impact"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
+	"cpsguard/internal/screen"
 	"cpsguard/internal/solvecache"
 )
 
@@ -35,7 +40,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = no limit)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics/prom, /debug/vars and /debug/pprof on this address")
 	solveCache := flag.Int("solve-cache", 0, "memoize dispatch solves in an N-entry LRU cache (0 = off); results are unchanged")
-	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth: prints the worst contingencies and accelerates the adversary search (0 = off; the plan is byte-identical either way)")
+	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth: prints the worst contingencies (0 = off; the plan is the same either way)")
 	flag.Parse()
 
 	logger := obs.New("cpsattack", obs.Sink{W: os.Stderr, Format: obs.Text, Min: obs.LevelInfo})
@@ -58,7 +63,6 @@ func main() {
 	s.Parallel = parallel.Options{Context: ctx, Log: logger}
 	s.Targets = adversary.UniformTargets(g.AssetIDs(), *catk, *ps)
 	s.Cache = solvecache.New(*solveCache)
-	s.ScreenK = *screenK
 	defer func() {
 		if st := s.Cache.Stats(); st.Capacity > 0 {
 			logger.Info("solve cache",
@@ -77,10 +81,16 @@ func main() {
 		cli.ExitCanceled(ctx, err, "interrupted while computing the ground-truth impact matrix")
 		fatal(err)
 	}
-	rank, err := s.ScreenRanking()
-	if err != nil {
-		cli.ExitCanceled(ctx, err, "ground-truth matrix done; interrupted during the vulnerability screen")
-		fatal(err)
+	var rank *screen.Ranking
+	if *screenK > 0 {
+		rank, err = screen.Run(screen.Config{
+			Analysis: &impact.Analysis{Graph: g, Ownership: s.Ownership, Parallel: s.Parallel, Cache: s.Cache},
+			Targets:  g.AssetIDs(), K: *screenK,
+		})
+		if err != nil {
+			cli.ExitCanceled(ctx, err, "ground-truth matrix done; interrupted during the vulnerability screen")
+			fatal(fmt.Errorf("vulnerability screen: %w", err))
+		}
 	}
 	view, err := s.View(*sigma, nm, rng.Derive(*seed, 1))
 	if err != nil {
@@ -89,7 +99,7 @@ func main() {
 	}
 	plan, err := adversary.Solve(adversary.Config{
 		Matrix: view, Targets: s.Targets, Budget: *budget,
-		Ctx: ctx, Screen: rank,
+		Ctx: ctx,
 	})
 	if err != nil {
 		cli.ExitCanceled(ctx, err, "impact matrices done; interrupted during the target-selection search")

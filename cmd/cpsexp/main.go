@@ -7,7 +7,7 @@
 //	cpsexp [-fig 2|3|4|5|6|7|all] [-trials N] [-seed S]
 //	       [-mode graph|matrix] [-csv DIR] [-quick]
 //	       [-journal FILE] [-resume] [-retries N] [-trial-timeout D]
-//	       [-obs DIR] [-log-level LEVEL]
+//	       [-obs DIR] [-log-level LEVEL] [-screen-k K]
 //	       [-metrics FILE] [-trace] [-debug-addr ADDR]
 //	cpsexp -shard i/n -shard-dir DIR [sweep flags]
 //	cpsexp -shard-supervise n -shard-dir DIR [sweep flags]
@@ -47,7 +47,10 @@
 // snapshot), trace.json (Chrome trace_event — open in chrome://tracing or
 // Perfetto), and manifest.json (seed, flags, artifact SHA-256s). cpsreport
 // turns the directory into a markdown report. -log-level sets the stderr
-// verbosity (debug, info, warn, error).
+// verbosity (debug, info, warn, error). With -screen-k K (K > 0), the
+// directory also receives screen.json, the grid's depth-K N-k vulnerability
+// ranking; K is also the interventions sweep's screen depth. No figure's
+// adversary reads it, so the figures are the same with or without it.
 //
 // -metrics dumps the telemetry snapshot (solver counters and logical-work
 // histograms — deterministic for a fixed seed and configuration) to a JSON
@@ -113,7 +116,7 @@ func main() {
 	trace := flag.Bool("trace", false, "collect per-solve span traces and include them (plus wall-clock timings) in -metrics")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics/prom, /debug/vars, /debug/pprof and /shards/* on this address (e.g. localhost:6060)")
 	gridPath := flag.String("grid", "", "grid model JSON file (default: built-in stressed westgrid)")
-	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth threaded into every adversary solve as a pruning front-end (0 = off; results are byte-identical either way, see DESIGN.md §17)")
+	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth: with -obs, writes the grid's ranking to screen.json; also the interventions sweep's screen depth (0 = no artifact, interventions default 2)")
 	interventions := flag.Bool("interventions", false, "run the defense-as-redesign sweep (equivalent to -fig interventions)")
 	solveCache := flag.Int("solve-cache", 0, "share an N-entry LRU dispatch-solve memo across all trials (0 = off); results are unchanged")
 	shardSpec := flag.String("shard", "", "run only shard i/n of the sweep (0-based, e.g. 0/4), journaling into -shard-dir")
@@ -385,8 +388,7 @@ func main() {
 		}
 	}
 	// With screening on, persist the grid's vulnerability ranking next to the
-	// run's other artifacts so cpsreport can render it. The ranking is the
-	// same deterministic screen every trial scenario reuses internally.
+	// run's other artifacts so cpsreport can render it.
 	if *screenK > 0 && *obsDir != "" && sr == nil {
 		data, err := screenArtifact(grid, *screenK, *seed, cache)
 		if err != nil {

@@ -150,107 +150,6 @@ func TestGoldenFig5Cached(t *testing.T) {
 	}
 }
 
-// TestGoldenFig5Screened re-runs the golden configuration with N-k
-// vulnerability screening threaded into every adversary solve (cpsexp
-// -screen-k 2) and requires the CSV to stay byte-identical to the committed
-// fixture in all three execution strategies: uncached, cached (two passes
-// over one shared cache), and as a 2-way sharded sweep
-// merged and strict-replayed. This is the full-pipeline enforcement of the
-// screen's exact-mode contract (DESIGN.md §17): the ranking may only filter
-// certified-zero targets and never changes a reported digit.
-func TestGoldenFig5Screened(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-pipeline golden test")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_fig5.csv"))
-	if err != nil {
-		t.Fatalf("missing fixture (run TestGoldenFig5CSV with -update to create): %v", err)
-	}
-	screenedCfg := func() experiments.Config {
-		cfg := goldenCfg()
-		cfg.ScreenK = 2
-		return cfg
-	}
-
-	before := telemetry.Default().Snapshot(telemetry.SnapshotOptions{}).Counters["screen.runs"]
-	tb, err := experiments.Fig5(screenedCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tb.CSV(); got != string(want) {
-		t.Fatalf("screened golden CSV drifted from fixture\n--- want ---\n%s\n--- got ---\n%s", want, got)
-	}
-	after := telemetry.Default().Snapshot(telemetry.SnapshotOptions{}).Counters["screen.runs"]
-	if after <= before {
-		t.Fatal("screened golden run never invoked the screen: ScreenK is not threaded through Fig5")
-	}
-
-	cfg := screenedCfg()
-	cfg.Cache = solvecache.New(4096)
-	for pass := 1; pass <= 2; pass++ {
-		tb, err := experiments.Fig5(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tb.CSV(); got != string(want) {
-			t.Fatalf("pass %d: screen + cache perturbed the golden CSV\n--- want ---\n%s\n--- got ---\n%s",
-				pass, want, got)
-		}
-	}
-	if st := cfg.Cache.Stats(); st.Hits == 0 {
-		t.Errorf("second screened pass never hit the solve cache (misses %d)", st.Misses)
-	}
-
-	parent := t.TempDir()
-	for i := 0; i < 2; i++ {
-		a := shard.Assignment{Index: i, Count: 2}
-		dir := filepath.Join(parent, a.DirName())
-		j, err := checkpoint.Create(filepath.Join(dir, shard.JournalName), checkpoint.Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := screenedCfg()
-		sweep := &checkpoint.Sweep{Journal: j}
-		cfg.Sweep = sweep
-		cfg.Shard = &a
-		if _, err := experiments.Fig5(cfg); err != nil {
-			t.Fatal(err)
-		}
-		m := shard.NewManifest(a, cfg.Seed, "golden-screened")
-		m.JournalRecords = int(j.Seq())
-		m.Executed = sweep.Executed()
-		m.Completed = true
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		m.StampJournal(dir)
-		if err := m.Write(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dirs, err := shard.DiscoverShards(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := shard.Merge(dirs, shard.MergeOptions{ExpectKey: "golden-screened"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcfg := screenedCfg()
-	sweep := &checkpoint.Sweep{Replay: res.Replay, RequireReplay: true}
-	mcfg.Sweep = sweep
-	tb, err = experiments.Fig5(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sweep.Executed() != 0 {
-		t.Fatalf("merged screened run executed %d trials; strict replay must execute none", sweep.Executed())
-	}
-	if got := tb.CSV(); got != string(want) {
-		t.Fatalf("sharded screened golden CSV drifted from fixture\n--- want ---\n%s\n--- got ---\n%s", want, got)
-	}
-}
-
 // TestGoldenRunIsDeterministic re-runs the same configuration and requires
 // identical bytes — the in-process version of the two-run determinism
 // contract the telemetry layer documents.

@@ -16,9 +16,8 @@
 // (with the paper's uniform costs, the top (MA − |S|) tail values). If the
 // node budget is exhausted anyway, the best incumbent (at least as good as
 // greedy) is returned unproven, with Plan.Gap bounding its distance to the
-// optimum. SolveGreedy exposes the greedy heuristic directly; the tests
-// cross-check Solve against the textbook linearization on the generic MILP
-// engine.
+// optimum. The tests cross-check Solve against the textbook linearization
+// on the generic MILP engine.
 package adversary
 
 import (
@@ -29,7 +28,6 @@ import (
 	"sort"
 
 	"cpsguard/internal/impact"
-	"cpsguard/internal/screen"
 	"cpsguard/internal/telemetry"
 )
 
@@ -75,15 +73,6 @@ type Config struct {
 	Ctx context.Context
 	// CheckEvery is the node interval between Ctx checks (default 4096).
 	CheckEvery int
-	// Screen, when non-nil, is an N-k vulnerability ranking used as a
-	// candidate-pruning front-end: targets the screen certified as unable
-	// to change the dispatch optimum AND whose optimistic net value is
-	// strictly negative are dropped from the search order. The plan is
-	// bit-identical to the unscreened search (see DESIGN.md §17) — the
-	// filter runs after the optimistic-value sort, so survivors keep their
-	// exact relative order, and a dropped target strictly decreases every
-	// set's value, so it can never appear in the final argmax.
-	Screen *screen.Ranking
 }
 
 func (c Config) checkEvery() int {
@@ -107,8 +96,7 @@ type Plan struct {
 	// Gap bounds how far Anticipated can fall short of the optimum when
 	// Solve stops at MaxNodes: the largest bound over the subtrees the
 	// search left unexplored, minus Anticipated, clamped at 0. It is 0 for
-	// a Proven plan and is left 0 by SolveGreedy and SolvePartitioned,
-	// which carry no bound.
+	// a Proven plan.
 	Gap float64
 	// Nodes counts search nodes explored.
 	Nodes int
@@ -170,37 +158,25 @@ func newInstance(cfg Config) (*instance, error) {
 }
 
 // searchOrder returns the target indices to search, best optimistic value
-// first, optionally filtered through the screen. The filter runs on the
-// *sorted* order — never on the instance arrays or the pre-sort index set —
-// so the relative order of surviving targets is exactly the one the
-// unscreened sort produced (sort.Slice is unstable; sorting a different
-// slice could reorder equal-opt survivors and change tie resolution in the
-// DFS). A target is dropped only when both hold:
-//
-//   - opt[i] < −1e-9: its optimistic net value is strictly negative, so by
-//     subadditivity adding it strictly decreases any set's value — it can
-//     never be in the final argmax (soundness rests on this alone);
-//   - the screen certified it as zero-impact: the relevance gate that keeps
-//     the filter scoped to what the N-k screen actually proved.
-func (in *instance) searchOrder(cfg Config) []int {
+// first, without the targets whose optimistic net value is strictly
+// negative (opt[i] < −1e-9). By subadditivity such a target lowers any
+// set's value by more than 1e-9, so it is never in the optimum; greedy never
+// picks it (its gain is at most opt[i]), and the tail bound counts only
+// max(opt, 0). The sort puts these targets last, so dropping them truncates
+// the order and the survivors keep the relative order the full sort gave
+// them (sort.Slice is unstable; tie resolution in the DFS depends on it).
+func (in *instance) searchOrder() []int {
 	order := make([]int, len(in.ids))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return in.opt[order[a]] > in.opt[order[b]] })
-	if cfg.Screen == nil {
-		return order
+	k := 0
+	for k < len(order) && in.opt[order[k]] >= -1e-9 {
+		k++
 	}
-	kept := order[:0]
-	for _, i := range order {
-		if in.opt[i] < -1e-9 && cfg.Screen.CertifiedZero(in.ids[i]) {
-			mScreenPruned.Inc()
-			continue
-		}
-		kept = append(kept, i)
-	}
-	mScreenKept.Add(int64(len(kept)))
-	return kept
+	mPrunedTargets.Add(int64(len(order) - k))
+	return order[:k]
 }
 
 // value computes the exact objective of a target set (indices) with the
@@ -254,8 +230,8 @@ func Solve(cfg Config) (plan *Plan, err error) {
 	}
 
 	// Order targets by optimistic value, best first (improves both the
-	// greedy incumbent and pruning), screen-filtered when configured.
-	order := in.searchOrder(cfg)
+	// greedy incumbent and pruning), negative-value targets dropped.
+	order := in.searchOrder()
 
 	// Greedy incumbent.
 	greedySet := in.greedy(order)
@@ -383,10 +359,10 @@ func Solve(cfg Config) (plan *Plan, err error) {
 // Value is subadditive — Value(S ∪ T) ≤ Value(S) + Σ_{t∈T} max(opt[t], 0),
 // because max(0, a+b) ≤ max(0, a) + max(0, b) per actor — and no more than
 // r = ⌊(budget − spent)/minCost⌋ further targets fit the budget. Since the
-// search order is sorted best optimistic value first (and the screen filter
-// keeps that order), the best r tail values are the first r, so the bound
-// is one prefix-sum difference. With uniform costs it is exactly the top
-// (budget − |S|) tail values; with mixed costs it stays valid, only looser.
+// search order is sorted best optimistic value first, the best r tail
+// values are the first r, so the bound is one prefix-sum difference. With
+// uniform costs it is exactly the top (budget − |S|) tail values; with
+// mixed costs it stays valid, only looser.
 type tailBound struct {
 	prefix  []float64 // prefix[k] = Σ_{k' < k} max(opt[order[k']], 0)
 	minCost float64   // smallest cost among the searched targets
@@ -441,16 +417,6 @@ func (in *instance) greedy(order []int) []int {
 		spent += in.cost[bestIdx]
 		curVal += bestGain
 	}
-}
-
-// SolveGreedy returns the greedy heuristic's plan (used in ablations).
-func SolveGreedy(cfg Config) (*Plan, error) {
-	in, err := newInstance(cfg)
-	if err != nil {
-		return nil, err
-	}
-	set := in.greedy(in.searchOrder(cfg))
-	return in.plan(set, len(set), false), nil
 }
 
 // EvaluateOptions controls realized-profit evaluation.

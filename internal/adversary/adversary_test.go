@@ -133,6 +133,18 @@ func TestZeroCostTargetsAllProfitableChosen(t *testing.T) {
 	}
 }
 
+// greedyPlan is the plan of the greedy heuristic that seeds Solve's
+// incumbent.
+func greedyPlan(t *testing.T, cfg Config) *Plan {
+	t.Helper()
+	in, err := newInstance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := in.greedy(in.searchOrder())
+	return in.plan(set, len(set), false)
+}
+
 func TestGreedyNeverBeatsExact(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rs := rng.Derive(7, uint64(trial))
@@ -155,10 +167,7 @@ func TestGreedyNeverBeatsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		greedy, err := SolveGreedy(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		greedy := greedyPlan(t, cfg)
 		if greedy.Anticipated > exact.Anticipated+1e-9 {
 			t.Fatalf("greedy %v beat exact %v", greedy.Anticipated, exact.Anticipated)
 		}
@@ -287,7 +296,7 @@ func TestNodeLimitFallsBackToIncumbent(t *testing.T) {
 	if p.Proven {
 		t.Fatal("node-limited search cannot be proven")
 	}
-	greedy, _ := SolveGreedy(cfg)
+	greedy := greedyPlan(t, cfg)
 	if p.Anticipated < greedy.Anticipated-1e-9 {
 		t.Fatalf("fallback (%v) worse than greedy (%v)", p.Anticipated, greedy.Anticipated)
 	}

@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"cpsguard/internal/impact"
 	"cpsguard/internal/rng"
-	"cpsguard/internal/screen"
 )
 
 // referenceSolve is the exact search with its earlier, budget-blind bound:
 // the chosen targets' summed optimistic values plus every positive
-// optimistic value left in the tail (ubTail). Search order, greedy
-// incumbent, tie rule and node accounting are those of Solve, so the two
-// may differ only in what they prune.
+// optimistic value left in the tail (ubTail). It searches the full sorted
+// target order, negative-value targets included. Greedy incumbent, tie rule
+// and node accounting are those of Solve, so the two may differ only in
+// what they prune.
 func referenceSolve(cfg Config) (*Plan, error) {
 	in, err := newInstance(cfg)
 	if err != nil {
@@ -25,7 +26,11 @@ func referenceSolve(cfg Config) (*Plan, error) {
 	if maxNodes <= 0 {
 		maxNodes = 2_000_000
 	}
-	order := in.searchOrder(cfg)
+	order := make([]int, len(in.ids))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return in.opt[order[a]] > in.opt[order[b]] })
 	greedySet := in.greedy(order)
 	bestVal, _ := in.value(greedySet)
 	bestSet := append([]int(nil), greedySet...)
@@ -107,79 +112,100 @@ func boundInstance(seed uint64) Config {
 	}
 }
 
-// withScreen attaches a ranking certifying a seeded third of the targets
-// as zero-impact, so the search runs over the screen-filtered order.
-func withScreen(cfg Config, seed uint64) Config {
-	rs := rng.Derive(1516, seed)
-	rank := &screen.Ranking{}
-	for _, t := range cfg.Targets {
-		rank.Targets = append(rank.Targets, screen.TargetScore{ID: t.ID, CertifiedZero: rs.Intn(3) == 0})
-	}
-	cfg.Screen = rank
-	return cfg
-}
-
-// TestBudgetBoundMatchesReference runs the budget-aware search against the
-// budget-blind reference over seeded instances, unscreened and screened.
-// Wherever the reference proves its plan, the plans must be identical;
-// wherever it stops at the node cap, the new search must prove a plan at
-// least as good. Small instances are also checked against the MILP oracle.
+// TestBudgetBoundMatchesReference runs the budget-aware search, which drops
+// negative-value targets, against the budget-blind reference over the full
+// target order on seeded instances. Wherever the reference proves its plan,
+// the plans must be identical; wherever it stops at the node cap, the new
+// search must prove a plan at least as good. Small instances are also
+// checked against the MILP oracle.
 func TestBudgetBoundMatchesReference(t *testing.T) {
 	const referenceMaxNodes = 4000
 	instances := uint64(3000)
 	if testing.Short() {
 		instances = 300
 	}
+	pruned0 := mPrunedTargets.Value()
 	var proven, capped, maxNodes, milpChecked, refNodes, newNodes int
 	for seed := uint64(0); seed < instances; seed++ {
-		base := boundInstance(seed)
-		for _, cfg := range []Config{base, withScreen(base, seed)} {
-			refCfg := cfg
-			refCfg.MaxNodes = referenceMaxNodes
-			ref, err := referenceSolve(refCfg)
+		cfg := boundInstance(seed)
+		refCfg := cfg
+		refCfg.MaxNodes = referenceMaxNodes
+		ref, err := referenceSolve(refCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Solve(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refNodes += ref.Nodes
+		newNodes += got.Nodes
+		maxNodes = max(maxNodes, got.Nodes)
+		if !got.Proven || got.Gap != 0 {
+			t.Fatalf("seed %d: not proven (nodes %d, gap %v)", seed, got.Nodes, got.Gap)
+		}
+		if ref.Proven {
+			proven++
+			if !slices.Equal(got.Targets, ref.Targets) || !slices.Equal(got.Actors, ref.Actors) ||
+				got.Anticipated != ref.Anticipated {
+				t.Fatalf("seed %d: plan %v/%v/%v, reference %v/%v/%v", seed,
+					got.Targets, got.Actors, got.Anticipated, ref.Targets, ref.Actors, ref.Anticipated)
+			}
+		} else {
+			capped++
+			if got.Anticipated < ref.Anticipated {
+				t.Fatalf("seed %d: proven %v below the capped reference %v", seed, got.Anticipated, ref.Anticipated)
+			}
+		}
+		if len(cfg.Targets) <= 6 {
+			milpChecked++
+			oracle, err := solveMILP(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Solve(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refNodes += ref.Nodes
-			newNodes += got.Nodes
-			maxNodes = max(maxNodes, got.Nodes)
-			if !got.Proven || got.Gap != 0 {
-				t.Fatalf("seed %d (screened %v): not proven (nodes %d, gap %v)", seed, cfg.Screen != nil, got.Nodes, got.Gap)
-			}
-			if ref.Proven {
-				proven++
-				if !slices.Equal(got.Targets, ref.Targets) || !slices.Equal(got.Actors, ref.Actors) ||
-					got.Anticipated != ref.Anticipated {
-					t.Fatalf("seed %d (screened %v): plan %v/%v/%v, reference %v/%v/%v", seed, cfg.Screen != nil,
-						got.Targets, got.Actors, got.Anticipated, ref.Targets, ref.Actors, ref.Anticipated)
-				}
-			} else {
-				capped++
-				if got.Anticipated < ref.Anticipated {
-					t.Fatalf("seed %d (screened %v): proven %v below the capped reference %v",
-						seed, cfg.Screen != nil, got.Anticipated, ref.Anticipated)
-				}
-			}
-			if len(cfg.Targets) <= 6 {
-				milpChecked++
-				oracle, err := solveMILP(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !approx(got.Anticipated, oracle.Anticipated, 1e-6*(1+math.Abs(oracle.Anticipated))) {
-					t.Fatalf("seed %d (screened %v): exact %v ≠ MILP %v", seed, cfg.Screen != nil, got.Anticipated, oracle.Anticipated)
-				}
+			if !approx(got.Anticipated, oracle.Anticipated, 1e-6*(1+math.Abs(oracle.Anticipated))) {
+				t.Fatalf("seed %d: exact %v ≠ MILP %v", seed, got.Anticipated, oracle.Anticipated)
 			}
 		}
 	}
-	t.Logf("%d reference-proven plans identical, %d capped reference plans now proven, %d MILP checks; nodes %d → %d (largest search %d)",
-		proven, capped, milpChecked, refNodes, newNodes, maxNodes)
+	pruned := mPrunedTargets.Value() - pruned0
+	t.Logf("%d reference-proven plans identical, %d capped reference plans now proven, %d MILP checks; nodes %d → %d (largest search %d), %d targets pruned",
+		proven, capped, milpChecked, refNodes, newNodes, maxNodes, pruned)
 	if capped == 0 {
 		t.Fatal("no reference solve hit its node cap: the battery does not cover the unproven case")
+	}
+	if pruned == 0 {
+		t.Fatal("no negative-value target was dropped: the battery does not cover the prune")
+	}
+}
+
+// TestNegativeTargetsPruned hand-builds an instance with two targets whose
+// optimistic net value is strictly negative: Solve must drop exactly those
+// two from its search order and still return the plan of the reference
+// search over all four targets.
+func TestNegativeTargetsPruned(t *testing.T) {
+	m := matrixOf(map[string]map[string]float64{
+		"A": {"t1": 10, "t2": 4, "t3": -5, "t4": 0.5},
+		"B": {"t1": -3, "t2": 2, "t3": -2, "t4": -8},
+	})
+	// Optimistic values at unit cost: t1 9, t2 5, t3 −1, t4 −0.5.
+	cfg := Config{Matrix: m, Targets: UniformTargets(m.Targets, 1, 1), Budget: 3}
+	ref, err := referenceSolve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned0 := mPrunedTargets.Value()
+	got, err := Solve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := mPrunedTargets.Value() - pruned0; d != 2 {
+		t.Fatalf("adversary.pruned_targets advanced by %d, want 2", d)
+	}
+	if !got.Proven || !slices.Equal(got.Targets, ref.Targets) || !slices.Equal(got.Actors, ref.Actors) ||
+		got.Anticipated != ref.Anticipated {
+		t.Fatalf("plan %v/%v/%v (proven %v), reference %v/%v/%v", got.Targets, got.Actors, got.Anticipated,
+			got.Proven, ref.Targets, ref.Actors, ref.Anticipated)
 	}
 }
 

@@ -11,10 +11,9 @@ var (
 	mEvaluations = telemetry.NewCounter("adversary.evaluations")
 	mUnproven    = telemetry.NewCounter("adversary.unproven_exits")
 	mNodesHist   = telemetry.NewHistogram("adversary.nodes_per_solve", telemetry.WorkEdges)
-	// Screen front-end: candidates dropped from vs kept in the search
-	// order when a vulnerability ranking is attached (Config.Screen).
-	mScreenPruned = telemetry.NewCounter("adversary.screen_pruned")
-	mScreenKept   = telemetry.NewCounter("adversary.screen_kept")
+	// Targets dropped from the search order for a strictly negative
+	// optimistic net value.
+	mPrunedTargets = telemetry.NewCounter("adversary.pruned_targets")
 )
 
 // recordSolve books one exact Solve outcome and closes its span.

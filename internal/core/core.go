@@ -30,7 +30,6 @@ import (
 	"cpsguard/internal/noise"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
-	"cpsguard/internal/screen"
 	"cpsguard/internal/solvecache"
 	"cpsguard/internal/telemetry"
 )
@@ -82,16 +81,8 @@ type Scenario struct {
 	// one cache — see impact/cache.go). Purely an accelerator: results
 	// are unchanged.
 	Cache *solvecache.Cache
-	// ScreenK, when > 0, runs an N-k vulnerability screen of this depth
-	// over the ground-truth system and threads the resulting ranking into
-	// every adversary solve (plan search and Pa sampling alike) as a
-	// candidate-pruning front-end. Purely an accelerator: screened solves
-	// are bit-identical to unscreened ones (DESIGN.md §17), so enabling
-	// screening never changes a round's result.
-	ScreenK int
 
-	truth      *impact.Matrix  // cached ground-truth matrix
-	screenRank *screen.Ranking // cached vulnerability ranking (ScreenK > 0)
+	truth *impact.Matrix // cached ground-truth matrix
 }
 
 // NewScenario builds a scenario over g with n uniformly-random actors
@@ -148,30 +139,6 @@ func (s *Scenario) Truth() (*impact.Matrix, error) {
 	}
 	s.truth = m
 	return m, nil
-}
-
-// ScreenRanking computes (and caches) the scenario's N-k vulnerability
-// ranking at depth ScreenK over the ground-truth system. Returns nil when
-// screening is disabled (ScreenK ≤ 0). The ranking shares the scenario's
-// solve cache, so its dispatches are reused by Truth and vice versa.
-func (s *Scenario) ScreenRanking() (*screen.Ranking, error) {
-	if s.ScreenK <= 0 {
-		return nil, nil
-	}
-	if s.screenRank != nil {
-		return s.screenRank, nil
-	}
-	an := &impact.Analysis{
-		Graph: s.Graph, Ownership: s.Ownership,
-		Model: s.ProfitModel, Parallel: s.Parallel,
-		Cache: s.Cache,
-	}
-	r, err := screen.Run(screen.Config{Analysis: an, Targets: s.targetIDs(), K: s.ScreenK})
-	if err != nil {
-		return nil, fmt.Errorf("core: vulnerability screen: %w", err)
-	}
-	s.screenRank = r
-	return r, nil
 }
 
 // View produces an agent's noisy impact matrix at knowledge noise sigma.
@@ -282,10 +249,6 @@ func PlayRound(s *Scenario, cfg GameConfig) (*GameResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rank, err := s.ScreenRanking()
-	if err != nil {
-		return nil, err
-	}
 	targets := s.targets()
 
 	// --- Adversary side.
@@ -295,7 +258,7 @@ func PlayRound(s *Scenario, cfg GameConfig) (*GameResult, error) {
 	}
 	plan, err := adversary.Solve(adversary.Config{
 		Matrix: atkView, Targets: targets, Budget: cfg.AttackBudget,
-		Ctx: cfg.Ctx, Screen: rank,
+		Ctx: cfg.Ctx,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: adversary: %w", err)
@@ -310,9 +273,8 @@ func PlayRound(s *Scenario, cfg GameConfig) (*GameResult, error) {
 	if cfg.Ctx != nil {
 		par.Context = cfg.Ctx
 	}
-	pa, err := defense.EstimateAttackProbOpts(defView, targets, cfg.AttackBudget,
-		cfg.SpeculatedSigma, cfg.paSamples(), cfg.Seed^0xD1FA, par,
-		defense.PaOptions{Screen: rank})
+	pa, err := defense.EstimateAttackProb(defView, targets, cfg.AttackBudget,
+		cfg.SpeculatedSigma, cfg.paSamples(), cfg.Seed^0xD1FA, par)
 	if err != nil {
 		return nil, fmt.Errorf("core: attack probability: %w", err)
 	}

@@ -207,38 +207,6 @@ func TestPlayRoundDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlayRoundScreenedBitIdentical locks the accelerator contract at the
-// round level: enabling ScreenK changes nothing about a round's outcome, in
-// both noise modes and with defense in play.
-func TestPlayRoundScreenedBitIdentical(t *testing.T) {
-	for _, mode := range []NoiseMode{MatrixNoise, GraphNoise} {
-		cfg := GameConfig{
-			AttackBudget: 2, AttackerSigma: 0.4, DefenderSigma: 0.3,
-			SpeculatedSigma: 0.2, DefenseBudgetPerActor: 2,
-			NoiseMode: mode, PaSamples: 8, Seed: 77,
-		}
-		base, err := PlayRound(scenario(3), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss := scenario(3)
-		ss.ScreenK = 2
-		scr, err := PlayRound(ss, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rank, _ := ss.ScreenRanking(); rank == nil {
-			t.Fatalf("%v: screening enabled but no ranking cached", mode)
-		}
-		if base.Anticipated != scr.Anticipated ||
-			base.RealizedUndefended != scr.RealizedUndefended ||
-			base.RealizedDefended != scr.RealizedDefended ||
-			base.DefenseSpent != scr.DefenseSpent {
-			t.Fatalf("%v: screened round differs from unscreened:\n%+v\n%+v", mode, base, scr)
-		}
-	}
-}
-
 func TestPlayRoundNilScenario(t *testing.T) {
 	if _, err := PlayRound(nil, GameConfig{}); err != ErrNilScenario {
 		t.Fatalf("err = %v, want ErrNilScenario", err)

@@ -29,7 +29,6 @@ import (
 	"cpsguard/internal/noise"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
-	"cpsguard/internal/screen"
 	"cpsguard/internal/telemetry"
 )
 
@@ -328,32 +327,12 @@ func PlanCollaborative(cfg CollaborativeConfig) (inv *CollabInvestment, err erro
 // knowledge noise, solves the SA for each of samples draws, and returns the
 // attack frequency per target. Sampling fans out across cores.
 //
-// Each sample uses the resilient adversary chain (exact → greedy → MILP
-// oracle), and the pool's context (par.Context) is threaded into every
-// solve so cancellation stops in-flight searches.
+// Each sample runs the exact adversary search (adversary.Solve), and the
+// pool's context (par.Context) is threaded into every solve so
+// cancellation stops in-flight searches.
 func EstimateAttackProb(believed *impact.Matrix, targets []adversary.Target,
 	budget float64, sigmaSpec float64, samples int, seed uint64,
 	par parallel.Options) (map[string]float64, error) {
-	return EstimateAttackProbOpts(believed, targets, budget, sigmaSpec, samples, seed, par, PaOptions{})
-}
-
-// PaOptions extends Pa estimation with optional accelerators.
-type PaOptions struct {
-	// Screen, when set, is threaded into every per-sample adversary solve
-	// as a candidate-pruning front-end. This is sound under matrix noise
-	// because noise.PerturbMatrix keeps exact zeros exactly zero: a
-	// certified-zero target stays zero in every perturbed view, and the
-	// adversary filter additionally requires a strictly negative
-	// standalone impact in the sample's own matrix before dropping a
-	// candidate, so each sample's plan is bit-identical to its unscreened
-	// twin (see DESIGN.md §17).
-	Screen *screen.Ranking
-}
-
-// EstimateAttackProbOpts is EstimateAttackProb with options.
-func EstimateAttackProbOpts(believed *impact.Matrix, targets []adversary.Target,
-	budget float64, sigmaSpec float64, samples int, seed uint64,
-	par parallel.Options, opts PaOptions) (map[string]float64, error) {
 	if samples <= 0 {
 		return nil, errors.New("defense: samples must be positive")
 	}
@@ -371,7 +350,7 @@ func EstimateAttackProbOpts(believed *impact.Matrix, targets []adversary.Target,
 		view.IM = noise.PerturbMatrix(believed.IM, sigmaSpec, rs)
 		p, err := adversary.Solve(adversary.Config{
 			Matrix: &view, Targets: targets, Budget: budget,
-			Ctx: par.Context, Screen: opts.Screen,
+			Ctx: par.Context,
 		})
 		if err != nil {
 			return nil, err

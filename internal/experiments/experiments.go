@@ -99,10 +99,8 @@ type Config struct {
 	//
 	// Deprecated: ignored.
 	WarmStart bool
-	// ScreenK, when > 0, runs an N-k vulnerability screen of this depth
-	// per scenario and threads the ranking into every adversary solve as
-	// a pruning front-end. Purely an accelerator: screened figures are
-	// byte-identical to unscreened ones (DESIGN.md §17).
+	// ScreenK, when > 0, is the outage depth of the Interventions sweep's
+	// vulnerability screen (default 2). No figure's adversary reads it.
 	ScreenK int
 	// InterventionBudget is the capital budget of the Interventions sweep
 	// (default: half the candidate menu's total cost).
@@ -173,7 +171,6 @@ func (c Config) scenarioFor(n int, trial int) *core.Scenario {
 	s := core.NewScenario(g, n, seed)
 	s.Parallel = parallel.Options{Workers: 1} // trials already parallel
 	s.Cache = c.Cache
-	s.ScreenK = c.ScreenK
 	return s
 }
 
@@ -249,13 +246,9 @@ func Fig3(cfg Config) (*stats.Table, error) {
 					if err != nil {
 						return 0, err
 					}
-					rank, err := s.ScreenRanking()
-					if err != nil {
-						return 0, err
-					}
 					plan, err := adversary.Solve(adversary.Config{
 						Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
-						Ctx: ctx, Screen: rank,
+						Ctx: ctx,
 					})
 					if err != nil {
 						return 0, err
@@ -302,13 +295,9 @@ func Fig4(cfg Config) (*stats.Table, error) {
 				if err != nil {
 					return pair{}, err
 				}
-				rank, err := s.ScreenRanking()
-				if err != nil {
-					return pair{}, err
-				}
 				plan, err := adversary.Solve(adversary.Config{
 					Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
-					Ctx: ctx, Screen: rank,
+					Ctx: ctx,
 				})
 				if err != nil {
 					return pair{}, err

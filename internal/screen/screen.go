@@ -3,8 +3,8 @@
 // up to depth k over a candidate target list, prices each through the
 // impact/solvecache/warm-start evaluation stack, and emits a deterministic
 // vulnerability ranking — the worst contingency found, a bounded top list,
-// and per-target scores — plus dominance certificates the adversary search
-// can use to prune provably irrelevant candidates.
+// and per-target scores — plus dominance certificates marking the targets
+// that provably cannot change the dispatch optimum.
 //
 // # Dominance rule
 //
@@ -121,33 +121,12 @@ type Ranking struct {
 	Pruned    int64 `json:"pruned"`
 	// Truncated reports the MaxSets cap cut enumeration short.
 	Truncated bool `json:"truncated,omitempty"`
-
-	certified map[string]bool
-}
-
-// CertifiedZero reports whether the screen certified the target as unable
-// to change the baseline optimum. Safe for concurrent use; a ranking
-// decoded from JSON falls back to scanning the score list.
-func (r *Ranking) CertifiedZero(id string) bool {
-	if r == nil {
-		return false
-	}
-	if r.certified != nil {
-		return r.certified[id]
-	}
-	for i := range r.Targets {
-		if r.Targets[i].ID == id {
-			return r.Targets[i].CertifiedZero
-		}
-	}
-	return false
 }
 
 // Order returns the candidate target IDs most damaging first — the
 // vulnerability ordering consumers may use to prioritize hardening or
-// heuristic search. The exact adversary search deliberately does not
-// reorder by it (see DESIGN.md §17): it only drops certified-zero targets,
-// because reordering equal-value candidates would change tie resolution.
+// heuristic search. The exact adversary search does not use it (see
+// DESIGN.md §17): it orders targets by their own optimistic value.
 func (r *Ranking) Order() []string {
 	out := make([]string, len(r.Targets))
 	for i := range r.Targets {
@@ -237,11 +216,11 @@ func Run(cfg Config) (*Ranking, error) {
 		BaselineWelfare: ev.BaselineWelfare(),
 		Monotone:        monotone,
 		Worst:           Contingency{Targets: []string{}},
-		certified:       make(map[string]bool, len(targets)),
 	}
 	baseSupport := ev.BaselineSupport()
+	certified := make(map[string]bool, len(targets))
 	for i, id := range targets {
-		r.certified[id] = monotone && baseSupport != nil && disjoint(edges[i], baseSupport)
+		certified[id] = monotone && baseSupport != nil && disjoint(edges[i], baseSupport)
 	}
 
 	worstDamage := 0.0
@@ -323,7 +302,7 @@ func Run(cfg Config) (*Ranking, error) {
 			top.add(Contingency{Targets: ids, Delta: n.delta, Inherited: n.inherit}, topN)
 			if level == 1 {
 				r.Targets = append(r.Targets, TargetScore{
-					ID: targets[n.last], Delta: n.delta, CertifiedZero: r.certified[targets[n.last]],
+					ID: targets[n.last], Delta: n.delta, CertifiedZero: certified[targets[n.last]],
 				})
 			}
 		}
