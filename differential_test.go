@@ -178,8 +178,8 @@ func fixedPerturbationSets(g *graph.Graph) map[string][]impact.Perturbation {
 
 // TestDifferentialWarmAndCached is the differential harness locking down
 // the production solve path — the dispatch LP compiled once per Analysis,
-// every perturbation re-solved warm from the baseline basis — and the memo
-// cache against coldOracle. For every committed grid, the fixed perturbation
+// every perturbation carried at the baseline optimum or re-solved warm from
+// the baseline basis — and the memo cache against coldOracle. For every committed grid, the fixed perturbation
 // shapes and a battery of seeded random sets it requires:
 //
 //   - the welfare delta and per-actor profit deltas of Analysis.Of agree
@@ -244,6 +244,44 @@ func TestDifferentialWarmAndCached(t *testing.T) {
 			rs := rng.New(0xD1FF ^ uint64(len(name)))
 			for i := 0; i < setsPerGrid; i++ {
 				check(fmt.Sprintf("set %d", i), randomPerturbationSet(g, rs))
+			}
+
+			// A second analysis whose baseline a first one put in a shared
+			// cache prices its outages, the carried ones against its own
+			// cold baseline solve, bit-identically to one without a cache.
+			shared := solvecache.New(4096)
+			if _, err := (&impact.Analysis{Graph: g, Ownership: own, Cache: shared}).NewEvaluator(); err != nil {
+				t.Fatal(err)
+			}
+			second := &impact.Analysis{Graph: g, Ownership: own, Cache: shared}
+			want, err := prod.ComputeMatrix(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			carried := telemetry.Default().Counter("impact.carried")
+			before := carried.Value()
+			got, err := second.ComputeMatrix(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if carried.Value() == before {
+				t.Error("no outage was carried over the cache-served baseline")
+			}
+			sameBits := func(a, b map[string]float64) bool {
+				for k, v := range a {
+					if w, ok := b[k]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+						return false
+					}
+				}
+				return len(a) == len(b)
+			}
+			if !sameBits(got.WelfareDelta, want.WelfareDelta) || len(got.IM) != len(want.IM) {
+				t.Error("matrix over a cache-served baseline differs from the uncached matrix")
+			}
+			for a, row := range want.IM {
+				if !sameBits(got.IM[a], row) {
+					t.Errorf("actor %s: matrix row over a cache-served baseline differs from the uncached one", a)
+				}
 			}
 		})
 	}

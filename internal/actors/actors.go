@@ -115,7 +115,10 @@ type ProfitModel interface {
 	// Share adds each actor's profit for graph g dispatched as r into p,
 	// indexed like ix.Actors. g is ix's graph or a parameter edit of it:
 	// the same vertices and edges in the same order, with capacities,
-	// costs and losses that may differ. Implementations must not mutate g.
+	// costs and losses that may differ. Implementations must not mutate g
+	// or r: r may be shared, since impact hands one baseline result to
+	// every concurrent division of an edit that keeps the baseline
+	// optimum.
 	Share(ix *Index, g *graph.Graph, r *flow.Result, p []float64) error
 	// Name identifies the model in benchmarks and tables.
 	Name() string

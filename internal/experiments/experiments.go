@@ -94,8 +94,8 @@ type Config struct {
 	// under trial parallelism (solvecache is concurrency-safe) and
 	// result-neutral: entries are keyed by full scenario fingerprints.
 	Cache *solvecache.Cache
-	// WarmStart is ignored: every scenario re-solves its perturbed
-	// dispatches from the baseline basis.
+	// WarmStart is ignored: every scenario carries or re-solves its
+	// perturbed dispatches from the baseline optimum.
 	//
 	// Deprecated: ignored.
 	WarmStart bool

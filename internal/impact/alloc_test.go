@@ -21,10 +21,15 @@ import (
 // per-solve path costs at least two more.
 const maxOutageAllocs = 31
 
+// maxCarriedAllocs bounds the same for an outage Carries accepts: the
+// per-actor profit slice is its only allocation, since it shares the
+// baseline result and solves nothing.
+const maxCarriedAllocs = 1
+
 // TestOutageDivisionAllocs locks the allocations of the per-outage path
 // impact matrices run thousands of times: a pooled edit of the compiled
-// graph, SolveEdited warm from the baseline basis, then Share into a
-// per-actor slice.
+// graph, SolveEdited warm from the baseline basis (or, for a zero-flow
+// edge, the carried baseline result), then Share into a per-actor slice.
 func TestOutageDivisionAllocs(t *testing.T) {
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	an := &Analysis{Graph: g, Ownership: actors.RandomOwnership(g, 6, rng.New(2))}
@@ -32,15 +37,32 @@ func TestOutageDivisionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"g2e:CA", g.Edges[0].ID, g.Edges[len(g.Edges)/2].ID, g.Edges[len(g.Edges)-1].ID} {
-		ps := []Perturbation{Outage(id)}
+	r0, err := c.base()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		id      string
+		carried bool
+	}{
+		{"g2e:CA", false}, {g.Edges[0].ID, false}, {g.Edges[len(g.Edges)/2].ID, false},
+		{"tx:OR-WA", true}, {"pipe:UT-WA", true},
+	} {
+		ps := []Perturbation{Outage(tc.id)}
+		if got := Carries(g, ps, r0.Flow); got != tc.carried {
+			t.Fatalf("outage %s: Carries = %v, want %v", tc.id, got, tc.carried)
+		}
+		want := maxOutageAllocs
+		if tc.carried {
+			want = maxCarriedAllocs
+		}
 		n := testing.AllocsPerRun(20, func() {
 			if _, err := an.ofCachedEntry(c, "", base, ps, false); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if n > maxOutageAllocs {
-			t.Errorf("outage %s: %v allocations per re-solve and division, want ≤ %d", id, n, maxOutageAllocs)
+		if n > float64(want) {
+			t.Errorf("outage %s: %v allocations per dispatch and division, want ≤ %d", tc.id, n, want)
 		}
 	}
 }

@@ -12,10 +12,14 @@
 // the exact delta arithmetic of a fresh solve against the caller's
 // baseline: cached results are bit-identical to uncached ones.
 //
-// A miss re-solves the analysis's compiled dispatch LP (see compiled):
-// capacity and cost perturbations edit only its bound and objective
-// vectors, and every perturbed solve re-enters the simplex from the
-// baseline's optimal basis.
+// A miss first asks Carries whether the baseline optimum stays optimal under
+// the perturbation set. If it does, the edited graph is priced against the
+// baseline's dispatch result, solved cold once per compiled analysis, and no
+// LP is solved; the entry carries the baseline's basis and support.
+// Otherwise the miss re-solves the analysis's compiled dispatch LP (see
+// compiled): capacity and cost perturbations edit only its bound and
+// objective vectors, and the solve re-enters the simplex from the baseline's
+// optimal basis.
 package impact
 
 import (
@@ -127,15 +131,19 @@ func (a *Analysis) baseline(salt string) (*compiled, outcome, error) {
 }
 
 // compiled is an analysis's validated graph, its actor index, its dispatch
-// LP, compiled on the first solve (a run served entirely from the cache
-// never builds it), and a pool of scratch clones of the graph. A perturbed
-// solve edits a clone, re-solves the compiled LP on it and hands it to the
+// LP and baseline dispatch, each built on first use (a run served entirely
+// from the cache never builds them), and a pool of scratch clones of the
+// graph. A perturbed solve edits a clone, dispatches it and hands it to the
 // profit model, then restores it, so pricing an attack neither rebuilds the
 // LP nor clones or re-validates the graph.
 type compiled struct {
 	graph *graph.Graph
 	ix    *actors.Index
 	disp  func() (*flow.Dispatcher, error)
+	// base is the cold baseline dispatch. One solve serves every carried
+	// perturbation, so a baseline served from a shared cache prices them
+	// with the same bits as one solved in this process.
+	base  func() (*flow.Result, error)
 	views sync.Pool // *graph.Graph clones of graph, restored between uses
 }
 
@@ -149,8 +157,16 @@ func (a *Analysis) compile() (*compiled, error) {
 		if err := g.Validate(); err != nil {
 			return nil, err
 		}
-		a.comp = &compiled{graph: g, ix: actors.NewIndex(g, a.Ownership),
+		c := &compiled{graph: g, ix: actors.NewIndex(g, a.Ownership),
 			disp: sync.OnceValues(func() (*flow.Dispatcher, error) { return flow.Compile(g) })}
+		c.base = sync.OnceValues(func() (*flow.Result, error) {
+			d, err := c.disp()
+			if err != nil {
+				return nil, err
+			}
+			return d.SolveEdited(g, lp.Options{})
+		})
+		a.comp = c
 	}
 	return a.comp, nil
 }
@@ -183,19 +199,30 @@ func (c *compiled) release(v *graph.Graph) {
 	c.views.Put(v)
 }
 
-// price dispatches g, the compiled graph or an edit of it, from basis (cold
-// when nil) and divides its welfare among the analysis's actors.
-func (a *Analysis) price(c *compiled, g *graph.Graph, basis *lp.Basis) (*flow.Result, []float64, error) {
+// dispatch solves g, an edit of the compiled graph by ps, warm from basis,
+// unless Carries proves the baseline optimum optimal for it: then it
+// returns the shared baseline result, which callers must not mutate.
+func (c *compiled) dispatch(g *graph.Graph, ps []Perturbation, basis *lp.Basis) (*flow.Result, error) {
+	r0, err := c.base()
+	if err != nil {
+		return nil, err
+	}
+	if Carries(c.graph, ps, r0.Flow) {
+		mCarried.Inc()
+		return r0, nil
+	}
 	d, err := c.disp()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	r, err := d.SolveEdited(g, lp.Options{WarmStart: basis})
-	if err != nil {
-		return nil, nil, err
-	}
+	return d.SolveEdited(g, lp.Options{WarmStart: basis})
+}
+
+// share divides r, the dispatch of g (the compiled graph or an edit of it),
+// among the analysis's actors.
+func (a *Analysis) share(c *compiled, g *graph.Graph, r *flow.Result) ([]float64, error) {
 	p := make([]float64, len(c.ix.Actors))
-	return r, p, a.model().Share(c.ix, g, r, p)
+	return p, a.model().Share(c.ix, g, r, p)
 }
 
 // supportOf lists the edges carrying nonzero flow in r, in g.Edges index
@@ -214,9 +241,9 @@ func supportOf(g *graph.Graph, r *flow.Result) []string {
 }
 
 // ofCached prices one perturbation set against the baseline, consulting the
-// memo first and warm-starting the dispatch from the baseline basis. The
-// delta arithmetic is shared between hit and miss paths so a hit reproduces
-// a fresh solve bit for bit.
+// memo first, then carrying the baseline optimum or warm-starting the
+// dispatch from the baseline basis. The delta arithmetic is shared between
+// hit and miss paths so a hit reproduces a fresh solve bit for bit.
 func (a *Analysis) ofCached(c *compiled, salt string, base outcome, ps []Perturbation) (actors.Profits, float64, error) {
 	o, err := a.ofCachedEntry(c, salt, base, ps, false)
 	if err != nil {
@@ -245,7 +272,11 @@ func (a *Analysis) ofCachedEntry(c *compiled, salt string, base outcome, ps []Pe
 		return outcome{}, err
 	}
 	defer c.release(gp)
-	r, p, err := a.price(c, gp, base.basis)
+	r, err := c.dispatch(gp, ps, base.basis)
+	if err != nil {
+		return outcome{}, err
+	}
+	p, err := a.share(c, gp, r)
 	if err != nil {
 		return outcome{}, err
 	}

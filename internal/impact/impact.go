@@ -98,13 +98,41 @@ func set(g *graph.Graph, ps []Perturbation) error {
 	return nil
 }
 
+// Carries reports whether an optimal dispatch of g that puts flow[j] on edge
+// g.Edges[j] stays optimal once ps is applied, so the edited dispatch needs
+// no solve. It holds when every perturbation is a Capacity edit of an edge j
+// with flow[j] ≤ the new capacity and either flow[j] < the old capacity or
+// the two capacities are equal. Only the upper bound of one variable moves
+// per edit: the flows stay feasible, and since each edited flow sits strictly
+// below its old capacity or that capacity is unchanged, its capacity dual is
+// zero or unchanged, so the duals stay feasible and complementary too. An
+// edge held at its old capacity may carry a rent, so raising it is never
+// carried; nor is any cost or loss edit. A caller that knows only which
+// edges carry flow may pass +Inf for those: no finite capacity admits it.
+func Carries(g *graph.Graph, ps []Perturbation, flow []float64) bool {
+	for _, p := range ps {
+		j := g.EdgeIndex(p.EdgeID)
+		if p.Field != Capacity || j < 0 {
+			return false
+		}
+		f, old := flow[j], g.Edges[j].Capacity
+		if !(f <= p.Value && (f < old || p.Value == old)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Analysis bundles the pieces needed to measure impacts on one scenario.
 //
-// The dispatch LP of Graph is compiled once, on first use, and every
-// perturbed dispatch re-solves it from the baseline's optimal basis. Graph
-// and Ownership must therefore not be mutated after the first call, and
-// Model must not retain the graph it is handed after Share returns. An
-// Analysis is safe for concurrent use and must not be copied.
+// The dispatch LP of Graph is compiled once, on first use, and its baseline
+// is solved cold once. A perturbed dispatch that Carries proves optimal at
+// the baseline optimum is priced against the baseline result without a
+// solve; every other one re-solves the compiled LP from the baseline's
+// optimal basis. Graph and Ownership must therefore not be mutated after
+// the first call, and Model must not retain the graph it is handed after
+// Share returns. An Analysis is safe for concurrent use and must not be
+// copied.
 type Analysis struct {
 	// Graph is the ground-truth (or believed) model.
 	Graph *graph.Graph
@@ -120,8 +148,8 @@ type Analysis struct {
 	// skip the dispatch entirely. The cache is a pure memo: results are
 	// bit-identical with and without it. See cache.go for the key scheme.
 	Cache *solvecache.Cache
-	// WarmStart is ignored: every perturbed dispatch re-enters the simplex
-	// from the baseline's optimal basis.
+	// WarmStart is ignored: every perturbed dispatch that is not carried
+	// re-enters the simplex from the baseline's optimal basis.
 	//
 	// Deprecated: ignored.
 	WarmStart bool
@@ -143,13 +171,18 @@ func (a *Analysis) model() actors.ProfitModel {
 }
 
 // Baseline dispatches the unperturbed system and returns its per-actor
-// profits and welfare.
+// profits and welfare. The dispatch is solved once per compiled analysis
+// and shared: callers must not mutate the returned result.
 func (a *Analysis) Baseline() (actors.Profits, *flow.Result, error) {
 	c, err := a.compile()
 	if err != nil {
 		return nil, nil, err
 	}
-	r, p, err := a.price(c, a.Graph, nil)
+	r, err := c.base()
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := a.share(c, a.Graph, r)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -279,3 +279,63 @@ func TestOutageHandsTieOn(t *testing.T) {
 		t.Fatalf("deltas = %v, want A −400, B +350", deltas)
 	}
 }
+
+// TestCarries walks the carry rule's clauses on the duopoly, whose baseline
+// runs chain1 at its capacity 80 and chain2 at 40 of 80: a carried set is
+// priced without a solve (the impact.carried counter moves) and leaves
+// welfare exactly unchanged, and every other set is re-solved.
+func TestCarries(t *testing.T) {
+	g, o := duopoly()
+	an := &Analysis{Graph: g, Ownership: o}
+	_, r0, err := an.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r0.Flow[0] != 80 || r0.Flow[1] != 40 {
+		t.Fatalf("baseline flows %v, want [80 40]", r0.Flow)
+	}
+	capacity := func(id string, v float64) Perturbation {
+		return Perturbation{EdgeID: id, Field: Capacity, Value: v}
+	}
+	for _, tc := range []struct {
+		name string
+		ps   []Perturbation
+		want bool
+	}{
+		{"no edit", nil, true},
+		{"slack edge cut to its flow", []Perturbation{capacity("chain2", 40)}, true},
+		{"slack edge cut below its flow", []Perturbation{capacity("chain2", 39)}, false},
+		{"slack edge raised", []Perturbation{capacity("chain2", 200)}, true},
+		{"held edge raised", []Perturbation{capacity("chain1", 100)}, false},
+		{"held edge unchanged", []Perturbation{capacity("chain1", 80)}, true},
+		{"held edge cut", []Perturbation{Outage("chain1")}, false},
+		{"one clause fails", []Perturbation{capacity("chain2", 200), Outage("chain1")}, false},
+		{"cost edit", []Perturbation{{EdgeID: "chain2", Field: Cost, Value: 0}}, false},
+		{"unknown edge", []Perturbation{Outage("nope")}, false},
+	} {
+		if got := Carries(g, tc.ps, r0.Flow); got != tc.want {
+			t.Errorf("%s: Carries = %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.name == "unknown edge" {
+			continue
+		}
+		before := mCarried.Value()
+		_, dw, err := an.Of(tc.ps...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := int64(0)
+		if tc.want {
+			want = 1
+		}
+		if carried := mCarried.Value() - before; carried != want {
+			t.Errorf("%s: impact.carried moved by %d, want %d", tc.name, carried, want)
+		}
+		if tc.want && dw != 0 {
+			t.Errorf("%s: carried set changed welfare by %v", tc.name, dw)
+		}
+	}
+	if Carries(g, []Perturbation{capacity("chain2", 80)}, []float64{0, math.Inf(1)}) {
+		t.Error("an edge of unknown positive flow (+Inf) was carried")
+	}
+}

@@ -23,12 +23,20 @@ func SetRevisedFinishMaxRows(n int) int {
 // returned function is called. It affects every solve while installed, so
 // tests that use it must not run in parallel.
 func CertifySolves(fn func(p *Problem, err error)) (restore func()) {
-	old := solveObserver
-	solveObserver = func(p *Problem, sol *Solution) {
+	return ObserveSolves(func(p *Problem, sol *Solution) {
 		if sol.Status == Optimal {
 			fn(p, CheckKKT(p, sol))
 		}
-	}
+	})
+}
+
+// ObserveSolves hands fn the problem and solution of every solve SolveOpts
+// returns without error, until the returned function is called. It affects
+// every solve while installed, so tests that use it must not run in
+// parallel.
+func ObserveSolves(fn func(p *Problem, sol *Solution)) (restore func()) {
+	old := solveObserver
+	solveObserver = fn
 	return func() { solveObserver = old }
 }
 

@@ -17,6 +17,8 @@
 // larger region and feasible in the smaller one is optimal there too.
 // S∪{t} therefore inherits S's welfare and flow support exactly — no solve
 // needed — and the certificate chains transitively through pruned nodes.
+// The test is impact.Carries, the rule impact matrices use to skip the
+// solves of the same outages, read off S's flow support.
 //
 // The rule is sound only when every candidate target is a monotone
 // capacity reduction (Field == Capacity, 0 ≤ value ≤ base capacity) and no
@@ -40,8 +42,10 @@ package screen
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
+	"cpsguard/internal/graph"
 	"cpsguard/internal/impact"
 	"cpsguard/internal/parallel"
 )
@@ -123,18 +127,6 @@ type Ranking struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
-// Order returns the candidate target IDs most damaging first — the
-// vulnerability ordering consumers may use to prioritize hardening or
-// heuristic search. The exact adversary search does not use it (see
-// DESIGN.md §17): it orders targets by their own optimistic value.
-func (r *Ranking) Order() []string {
-	out := make([]string, len(r.Targets))
-	for i := range r.Targets {
-		out[i] = r.Targets[i].ID
-	}
-	return out
-}
-
 // node is one enumerated outage set, stored as (parent, appended target)
 // against the previous level.
 type node struct {
@@ -179,15 +171,14 @@ func Run(cfg Config) (*Ranking, error) {
 	// decide monotonicity for the whole run: every perturbation must be a
 	// capacity reduction within [0, base], and no edge may be shared
 	// between two candidates.
+	g := cfg.Analysis.Graph
 	vecs := make([][]impact.Perturbation, len(targets))
-	edges := make([]map[string]bool, len(targets))
 	monotone := true
 	edgeOwner := map[string]int{}
 	for i, id := range targets {
 		vecs[i] = vector(id)
-		edges[i] = make(map[string]bool, len(vecs[i]))
 		for _, p := range vecs[i] {
-			e := cfg.Analysis.Graph.Edge(p.EdgeID)
+			e := g.Edge(p.EdgeID)
 			if e == nil {
 				return nil, fmt.Errorf("screen: target %s perturbs unknown edge %q", id, p.EdgeID)
 			}
@@ -198,7 +189,6 @@ func Run(cfg Config) (*Ranking, error) {
 				monotone = false
 			}
 			edgeOwner[p.EdgeID] = i
-			edges[i][p.EdgeID] = true
 		}
 	}
 
@@ -219,8 +209,11 @@ func Run(cfg Config) (*Ranking, error) {
 	}
 	baseSupport := ev.BaselineSupport()
 	certified := make(map[string]bool, len(targets))
-	for i, id := range targets {
-		certified[id] = monotone && baseSupport != nil && disjoint(edges[i], baseSupport)
+	if monotone && baseSupport != nil {
+		baseFlows := supportFlows(g, baseSupport)
+		for i, id := range targets {
+			certified[id] = impact.Carries(g, vecs[i], baseFlows)
+		}
 	}
 
 	worstDamage := 0.0
@@ -250,19 +243,21 @@ func Run(cfg Config) (*Ranking, error) {
 		}
 
 		// Prune decisions are sequential and cheap: a child inherits when
-		// its appended target's edges are disjoint from the parent set's
-		// flow support. Parent membership maps are built once per parent.
-		supMaps := make([]map[string]bool, len(prev))
+		// impact.Carries accepts its appended target at the parent set's
+		// optimum, which in a monotone run means the target's edges are
+		// disjoint from that optimum's flow support. Each parent's support
+		// is laid out as flows once.
+		flows := make([][]float64, len(prev))
 		pruned := make([]bool, len(children))
 		for ci := range children {
-			p := prev[children[ci].parent]
-			if !prune || p.support == nil {
+			pi := children[ci].parent
+			if !prune || prev[pi].support == nil {
 				continue
 			}
-			if supMaps[children[ci].parent] == nil {
-				supMaps[children[ci].parent] = toSet(p.support)
+			if flows[pi] == nil {
+				flows[pi] = supportFlows(g, prev[pi].support)
 			}
-			pruned[ci] = disjointSet(edges[children[ci].last], supMaps[children[ci].parent])
+			pruned[ci] = impact.Carries(g, vecs[children[ci].last], flows[pi])
 		}
 
 		solved, err := parallel.Map(len(children), cfg.Analysis.Parallel, func(ci int) (node, error) {
@@ -350,30 +345,15 @@ func setPerturbations(levels [][]node, level int, n node, vecs [][]impact.Pertur
 	return ps
 }
 
-func toSet(ids []string) map[string]bool {
-	m := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
+// supportFlows lays a flow support out as the edge flows impact.Carries
+// reads: +Inf, a positive flow of unknown size that no capacity edit
+// carries, on the support's edges and 0 elsewhere.
+func supportFlows(g *graph.Graph, support []string) []float64 {
+	f := make([]float64, len(g.Edges))
+	for _, id := range support {
+		f[g.EdgeIndex(id)] = math.Inf(1)
 	}
-	return m
-}
-
-func disjoint(set map[string]bool, list []string) bool {
-	for _, id := range list {
-		if set[id] {
-			return false
-		}
-	}
-	return true
-}
-
-func disjointSet(a, b map[string]bool) bool {
-	for id := range a {
-		if b[id] {
-			return false
-		}
-	}
-	return true
+	return f
 }
 
 // topAcc maintains the bounded worst-contingency list, ordered by damage
