@@ -11,6 +11,12 @@
 // full-row sweep. The duals are read off the carried row at the optimum,
 // which the simplex has just priced afresh.
 //
+// A warm basis is factored by Gauss-Jordan once per basis and matrix
+// (denseFactor); later warm solves on the same matrix scatter the stored
+// nonzeros of B⁻¹A into a zeroed tableau instead, and copy the stored
+// reduced-cost row when their cost vector is bit-equal to the one it was
+// priced for.
+//
 // Results (objective, primal values, row duals, bound duals) agree with an
 // independent bounds-as-rows reference tableau to solver tolerance; that
 // reference lives in rows_reference_test.go, and TestMethodsAgree in
@@ -27,72 +33,97 @@ import (
 // phase.
 type denseKernel struct {
 	*simplex
+	*denseStore
 	a [][]float64
 	d []float64
 
-	backing []float64 // storage of a, d and the simplex's w, returned to backingPool by release
-	nz      []int32   // pivot's nonzero-column buffer, returned to nzPool by release
+	// d is a from-scratch pricing of pricedFor while the simplex's
+	// pivot-and-flip count is still pricedAt.
+	pricedFor []float64
+	pricedAt  int
 }
 
-// backingPool recycles tableau storage (*[]float64) between solves. A
-// figure sweep solves thousands of same-sized dispatch LPs back to back;
-// without reuse each one allocates a fresh tableau, and the faster the
-// pivots run, the faster that garbage arrives and the higher the
-// process's peak RSS climbs.
-var backingPool sync.Pool
-
-// getBacking returns a zeroed slice of length n, reusing pooled storage
-// when it is large enough.
-func getBacking(n int) []float64 {
-	if b, ok := backingPool.Get().(*[]float64); ok && cap(*b) >= n {
-		s := (*b)[:n]
-		clear(s)
-		return s
-	}
-	return make([]float64, n)
+// denseStore is a dense kernel's storage, recycled between solves through
+// storePool. A figure sweep solves thousands of same-sized dispatch LPs
+// back to back; without reuse each one allocates a fresh tableau, and the
+// faster the pivots run, the faster that garbage arrives and the higher
+// the process's peak RSS climbs.
+type denseStore struct {
+	backing []float64   // the m tableau rows, the carried row d and the simplex's w
+	rows    [][]float64 // the row headers into backing
+	nz      []int32     // pivot's nonzero-column buffer
 }
 
-// nzPool recycles pivot's nonzero-column index buffers (*[]int32) the same
-// way, so a figure sweep does not allocate one per solve.
-var nzPool sync.Pool
+var storePool sync.Pool
 
-// getNZ returns an empty index buffer with capacity at least n.
-func getNZ(n int) []int32 {
-	if b, ok := nzPool.Get().(*[]int32); ok && cap(*b) >= n {
-		return (*b)[:0]
+// getStore returns storage for m rows of width cols, with backing zeroed,
+// reusing a pooled store when one is left.
+func getStore(m, cols int) *denseStore {
+	t, _ := storePool.Get().(*denseStore)
+	if t == nil {
+		t = new(denseStore)
 	}
-	return make([]int32, 0, n)
+	if n := (m+1)*cols + m; cap(t.backing) >= n {
+		t.backing = t.backing[:n]
+		clear(t.backing)
+	} else {
+		t.backing = make([]float64, n)
+	}
+	if cap(t.rows) < m {
+		t.rows = make([][]float64, m)
+	}
+	t.rows = t.rows[:m]
+	for i := range t.rows {
+		t.rows[i] = t.backing[i*cols : (i+1)*cols]
+	}
+	if cap(t.nz) < cols {
+		t.nz = make([]int32, 0, cols)
+	}
+	return t
 }
 
-// newDense loads the tableau of s's form. One zeroed slice, reused across
-// solves through backingPool, holds the m tableau rows, the carried
-// reduced-cost row and the simplex's column image w.
-func newDense(s *simplex) *denseKernel {
-	maxCols := s.n + 2*s.m
-	k := &denseKernel{simplex: s, a: make([][]float64, s.m)}
-	k.backing = getBacking((s.m+1)*maxCols + s.m)
-	for i := range k.a {
-		k.a[i] = k.backing[i*maxCols : (i+1)*maxCols]
+// newDense lays out the tableau of s's form on pooled storage and, unless
+// warm (refactorAt fills it then), loads the constraint matrix.
+func newDense(s *simplex, warm bool) *denseKernel {
+	cols := s.nTotal
+	t := getStore(s.m, cols)
+	k := &denseKernel{simplex: s, denseStore: t, a: t.rows}
+	k.d = t.backing[s.m*cols : (s.m+1)*cols]
+	s.w = t.backing[(s.m+1)*cols:]
+	if !warm {
+		k.load()
 	}
-	k.d = k.backing[s.m*maxCols : (s.m+1)*maxCols]
-	s.w = k.backing[(s.m+1)*maxCols:]
-	k.nz = getNZ(maxCols)
-	loadMatrix(s.p, s.form, func(i, j int, v float64) { k.a[i][j] += v })
 	return k
 }
 
-// release hands the tableau's storage back to backingPool and nzPool. The
-// kernel must not be used afterwards; nothing a solve returns refers to it
-// (extract allocates the Solution's slices and captureBasis copies).
-func (k *denseKernel) release() {
-	b, nz := k.backing, k.nz
-	k.backing, k.a, k.d, k.w, k.nz = nil, nil, nil, nil, nil
-	backingPool.Put(&b)
-	nzPool.Put(&nz)
+// load adds the constraint matrix into the zeroed tableau.
+func (k *denseKernel) load() {
+	loadMatrix(k.p, k.form, func(i, j int, v float64) { k.a[i][j] += v })
 }
 
-// reprice prices every column from scratch into the carried row.
-func (k *denseKernel) reprice(c []float64) { k.reducedCosts(c, k.d) }
+// release hands the tableau's storage back to storePool. The kernel must
+// not be used afterwards; nothing a solve returns refers to it (extract
+// allocates the Solution's slices and captureBasis copies).
+func (k *denseKernel) release() {
+	t := k.denseStore
+	k.denseStore, k.a, k.d, k.w = nil, nil, nil, nil
+	storePool.Put(t)
+}
+
+// reprice prices every column from scratch into the carried row, unless it
+// is already fresh for c.
+func (k *denseKernel) reprice(c []float64) {
+	if !k.fresh(c) {
+		k.reducedCosts(c, k.d)
+		k.pricedFor, k.pricedAt = c, k.iters
+	}
+}
+
+// fresh reports whether the carried row is a pricing pass for c with no
+// pivot or bound flip since: each of those counts one iteration.
+func (k *denseKernel) fresh(c []float64) bool {
+	return len(c) > 0 && len(k.pricedFor) > 0 && &k.pricedFor[0] == &c[0] && k.pricedAt == k.iters
+}
 
 // reducedCosts prices every column from scratch into d:
 // d_j = c_j − c_Bᵀ (B⁻¹A)_j. Rows are accumulated in basis order, so each
@@ -197,13 +228,138 @@ func (k *denseKernel) pivot(row, col int) {
 	d[col] = 0
 }
 
-// refactorAt Gauss-Jordans the warm basis columns to unit vectors with
-// partial (largest-entry) pivoting over the not-yet-assigned rows, so that
-// a = B⁻¹A and x = B⁻¹b, then subtracts the nonbasic-at-upper columns'
-// contributions from x. A pivot smaller than tolerance means the basis is
-// singular for the perturbed matrix. The rows of the basis come out in
-// pivoting order, not in the order given.
-func (k *denseKernel) refactorAt(rows []int) bool {
+// denseFactor is a warm basis factored on the dense kernel: the tableau
+// B⁻¹A as the nonzeros of each row, B⁻¹b, the basis in pivot order, and
+// the reduced-cost row of cost. Every slice is sized exactly.
+type denseFactor struct {
+	ptr  []int32 // row i's nonzeros are col/val[ptr[i]:ptr[i+1]]
+	col  []int32
+	val  []float64
+	x    []float64 // B⁻¹b, before the at-upper offsets
+	rows []int     // basic column of each tableau row
+	cost []float64 // the cost vector d was priced for
+	d    []float64
+}
+
+// refactorAt sets the tableau to B⁻¹A and x to B⁻¹b at the warm basis b,
+// then subtracts the nonbasic-at-upper columns' contributions from x. On
+// b's own matrix it reads b's cached factorization, which the first such
+// solve builds by Gauss-Jordan (and stores with every -0 entry written as
+// 0, so the builder's tableau is the one every later solve scatters); the
+// stored reduced-cost row is copied when the phase-2 costs are bit-equal
+// to the ones it was priced for. On any other matrix it Gauss-Jordans
+// afresh.
+func (k *denseKernel) refactorAt(b *Basis) bool {
+	if !k.ownMatrix(b) {
+		if !k.eliminate(b.rows) {
+			return false
+		}
+	} else {
+		built := false
+		f := b.dense.get(func() *denseFactor {
+			built = true
+			if !k.eliminate(b.rows) {
+				return nil
+			}
+			return k.factor()
+		})
+		if f == nil {
+			return false
+		}
+		if !built {
+			k.scatter(f)
+		}
+		if sameBits(f.cost, k.cost) {
+			copy(k.d, f.d)
+			k.pricedFor, k.pricedAt = k.cost, k.iters
+		}
+	}
+	// Row by row, each x_i subtracts its at-upper terms in column order,
+	// as a column-by-column sweep would, but reads the tableau in storage
+	// order. The pivot scratch lists those columns.
+	up := k.nz[:0]
+	for j, st := range k.status {
+		if st == atUpper && k.upper[j] != 0 {
+			up = append(up, int32(j))
+		}
+	}
+	for i, ai := range k.a {
+		xi := k.x[i]
+		for _, j := range up {
+			xi -= ai[j] * k.upper[j]
+		}
+		k.x[i] = xi
+	}
+	return true
+}
+
+// factor stores the tableau, x and basis that eliminate just left, and
+// prices the phase-2 cost against them. It writes each -0 tableau entry as
+// 0, which moves no value any solve computes from it.
+func (k *denseKernel) factor() *denseFactor {
+	nnz := 0
+	for _, ai := range k.a {
+		for j, v := range ai {
+			if v != 0 {
+				nnz++
+			} else {
+				ai[j] = 0
+			}
+		}
+	}
+	f := &denseFactor{
+		ptr:  make([]int32, 1, k.m+1),
+		col:  make([]int32, 0, nnz),
+		val:  make([]float64, 0, nnz),
+		x:    append([]float64(nil), k.x...),
+		rows: append([]int(nil), k.basis...),
+		cost: append([]float64(nil), k.cost...),
+		d:    make([]float64, k.nTotal),
+	}
+	for _, ai := range k.a {
+		for j, v := range ai {
+			if v != 0 {
+				f.col = append(f.col, int32(j))
+				f.val = append(f.val, v)
+			}
+		}
+		f.ptr = append(f.ptr, int32(len(f.col)))
+	}
+	k.reducedCosts(f.cost, f.d)
+	return f
+}
+
+// scatter loads f into the zeroed tableau, x and basis.
+func (k *denseKernel) scatter(f *denseFactor) {
+	for i, ai := range k.a {
+		for t := f.ptr[i]; t < f.ptr[i+1]; t++ {
+			ai[f.col[t]] = f.val[t]
+		}
+	}
+	copy(k.x, f.x)
+	copy(k.basis, f.rows)
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// eliminate loads the constraint matrix and Gauss-Jordans the basis
+// columns rows to unit vectors with partial (largest-entry) pivoting over
+// the not-yet-assigned rows, so that a = B⁻¹A and x = B⁻¹b. A pivot
+// smaller than tolerance means the basis is singular for this matrix. The
+// rows of the basis come out in pivoting order, not in the order given.
+func (k *denseKernel) eliminate(rows []int) bool {
+	k.load()
 	assigned := make([]bool, k.m)
 	for _, col := range rows {
 		row, rowAbs := -1, tol
@@ -221,16 +377,6 @@ func (k *denseKernel) refactorAt(rows []int) bool {
 		k.refactorPivot(row, col)
 		k.basis[row] = col
 		assigned[row] = true
-	}
-	for j, st := range k.status {
-		if st != atUpper {
-			continue
-		}
-		if u := k.upper[j]; u != 0 {
-			for i, ai := range k.a {
-				k.x[i] -= ai[j] * u
-			}
-		}
 	}
 	return true
 }
@@ -263,11 +409,11 @@ func (k *denseKernel) refactorPivot(row, col int) {
 	}
 }
 
-// dualPrices prices the phase-2 cost into the carried row.
+// dualPrices prices the phase-2 cost into the carried row, unless it is
+// already fresh for it.
 func (k *denseKernel) dualPrices() []float64 {
-	d := k.d[:k.nTotal]
-	k.reducedCosts(k.cost, d)
-	return d
+	k.reprice(k.cost)
+	return k.d[:k.nTotal]
 }
 
 // pivotRow is the tableau row itself.

@@ -34,7 +34,7 @@ var dualMethods = []Method{MethodDense, MethodAuto}
 // a fresh pricing pass at the final basis finds no improving column.
 func dualPhase(t *testing.T, m Method, p *Problem, b *Basis) (Status, int) {
 	t.Helper()
-	s := newSimplex(p, Options{}, newGuard(Options{}), m == MethodAuto)
+	s := newSimplex(p, Options{}, newGuard(Options{}), m == MethodAuto, true)
 	defer s.k.release()
 	if !s.applyWarmBasis(b) {
 		t.Fatal("basis rejected")

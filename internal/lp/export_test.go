@@ -233,3 +233,19 @@ func WarmFallbacks() int64 { return mWarmFallbacks.Value() }
 // WarmSolves reads the lp.warm_solves counter: solves that finished on the
 // warm path.
 func WarmSolves() int64 { return mWarmSolves.Value() }
+
+// RevisedFactorizations reads the lp.revised.factorizations counter: LU
+// factorizations the sparse kernel performed.
+func RevisedFactorizations() int64 { return mRevFactorizations.Value() }
+
+// RevisedRefactorTriggers reads the lp.revised.refactor_triggers counter:
+// mid-solve refactorizations of the sparse kernel.
+func RevisedRefactorTriggers() int64 { return mRevRefactorTriggers.Value() }
+
+// UncachedCopy returns a copy of b that has cached no factorization yet.
+func UncachedCopy(b *Basis) *Basis {
+	return &Basis{n: b.n, m: b.m, nTotal: b.nTotal, rows: b.rows, status: b.status, matrix: b.matrix}
+}
+
+// CachedFactors reports which of b's factorizations have been built.
+func CachedFactors(b *Basis) (dense, sparse bool) { return b.dense.f != nil, b.lu.f != nil }

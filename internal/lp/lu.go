@@ -19,9 +19,10 @@
 // order; BTRAN (solve Bᵀ·y = c) applies eta-transpose inverses in reverse
 // order then the LU transpose solve. Forrest–Tomlin would update U in place
 // instead; the product form was chosen because it leaves the factors
-// immutable (simpler invariants, trivially deterministic) at the cost of
-// one extra sparse vector per pivot — which the refactorization cadence
-// (luRefactorEvery) caps.
+// immutable (simpler invariants, trivially deterministic, and shareable:
+// the warm solves of one Basis read one factorization, each with its own
+// etas) at the cost of one extra sparse vector per pivot — which the
+// refactorization cadence (luRefactorEvery) caps.
 package lp
 
 import "math"
@@ -328,16 +329,11 @@ func newLUState(m int) *luState {
 	return &luState{ws: newLUScratch(m), w1: make([]float64, m), w2: make([]float64, m)}
 }
 
-// refactor rebuilds the factorization at the given basis, dropping all
-// etas. Reports false when the basis is numerically singular.
-func (s *luState) refactor(sf *standardForm, basis []int) bool {
-	f := factorBasis(sf, basis, s.ws)
-	if f == nil {
-		return false
-	}
+// install makes f the factorization, dropping all etas. f is only read,
+// so one factorization may back several states at once.
+func (s *luState) install(f *luFactor) {
 	s.f = f
 	s.etas = s.etas[:0]
-	return true
 }
 
 // ftranInto solves B·x = v. v is in original-row space; out (len m) receives

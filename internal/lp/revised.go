@@ -24,10 +24,13 @@
 // The duals are the y of the final pricing pass (rowDuals), so extraction
 // cannot fail.
 //
-// In the warm re-entry's dual phase (warmstart.go) the pivot row
-// α = e_rᵀB⁻¹A comes from one BTRAN and a dot product per movable CSC
-// column, and the reduced costs are carried (d −= (d_q/α_q)·α) and
-// re-priced from scratch after every refactorization.
+// A warm re-entry (warmstart.go) factors only the warm basis, and on the
+// basis's own matrix shares the LU factors the first such solve stored on
+// the Basis: they are immutable (lu.go), and each solve keeps its own eta
+// file. In the dual phase the pivot row α = e_rᵀB⁻¹A comes from one BTRAN
+// and a dot product per movable CSC column, and the reduced costs are
+// carried (d −= (d_q/α_q)·α) and re-priced from scratch after every
+// refactorization.
 package lp
 
 // revisedFinishMaxRows is the dense crossover: at or below this many
@@ -74,8 +77,9 @@ type revisedKernel struct {
 }
 
 // newRevised factors s's starting basis, all slack/artificial unit
-// columns — never singular.
-func newRevised(s *simplex, sf *standardForm) *revisedKernel {
+// columns — never singular — unless warm: refactorAt factors the warm
+// basis instead.
+func newRevised(s *simplex, sf *standardForm, warm bool) *revisedKernel {
 	s.w = make([]float64, s.m)
 	k := &revisedKernel{
 		simplex: s,
@@ -85,7 +89,9 @@ func newRevised(s *simplex, sf *standardForm) *revisedKernel {
 		y:       make([]float64, s.m),
 		colBuf:  make([]float64, s.m),
 	}
-	k.refactorNow()
+	if !warm {
+		k.refactorNow()
+	}
 	return k
 }
 
@@ -98,12 +104,25 @@ func (k *revisedKernel) release() {
 }
 
 func (k *revisedKernel) refactorNow() bool {
-	if !k.lu.refactor(k.sf, k.basis) {
+	f := k.factor()
+	if f == nil {
 		return false
 	}
-	k.cFactor++
+	k.lu.install(f)
 	return true
 }
+
+// factor factors the current basis, nil when it is numerically singular.
+func (k *revisedKernel) factor() *luFactor {
+	f := factorBasis(k.sf, k.basis, k.lu.ws)
+	if f != nil {
+		k.cFactor++
+	}
+	return f
+}
+
+// fresh is false: the kernel re-prices at every pivot.
+func (k *revisedKernel) fresh([]float64) bool { return false }
 
 // reprice computes the pricing duals y = B⁻ᵀc_B; price then prices each
 // column it scans as a sparse dot against the original matrix.
@@ -202,14 +221,22 @@ func (k *revisedKernel) absorb(r int) (refactored, ok bool) {
 	return true, k.refactorNow()
 }
 
-// refactorAt factors the warm basis (LU instead of the dense Gauss-Jordan)
-// and computes the basic values as x = B⁻¹(b − Σ u_j A_j over the
+// refactorAt factors the warm basis b (LU instead of the dense
+// Gauss-Jordan), sharing b's cached factors on b's own matrix, and
+// computes the basic values as x = B⁻¹(b − Σ u_j A_j over the
 // nonbasic-at-upper columns).
-func (k *revisedKernel) refactorAt(rows []int) bool {
-	copy(k.basis, rows)
-	if !k.refactorNow() {
+func (k *revisedKernel) refactorAt(b *Basis) bool {
+	copy(k.basis, b.rows)
+	var f *luFactor
+	if k.ownMatrix(b) {
+		f = b.lu.get(k.factor)
+	} else {
+		f = k.factor()
+	}
+	if f == nil {
 		return false // singular for the perturbed matrix
 	}
+	k.lu.install(f)
 	// Accumulate the at-upper offsets in row space (x still holds b), then
 	// one FTRAN. y doubles as the row-space scratch here (pricing
 	// overwrites it before first use).

@@ -86,8 +86,14 @@ func phase1Tol(scale float64, m int) float64 {
 // simplex reads: the column layout of the form, the basic value of each row
 // in x, the column image of the entering variable in w.
 type kernel interface {
-	// reprice prices every column from scratch for the cost row c.
+	// reprice prices every column from scratch for the cost row c. A
+	// kernel that carries its prices skips the pass while they are fresh
+	// for c.
 	reprice(c []float64)
+	// fresh reports whether the carried prices are a from-scratch pricing
+	// for c with no pivot or bound flip since. A kernel that does not
+	// carry its prices reports false.
+	fresh(c []float64) bool
 	// price offers the columns it prices for c to the entering rule
 	// (pick) and returns its choice (enter < 0 when none improves).
 	price(c []float64, bland bool) (enter int, dir float64)
@@ -97,9 +103,11 @@ type kernel interface {
 	// became basic in row `row`, with image w. False means the basis went
 	// numerically singular.
 	update(row, col int) bool
-	// refactorAt factors the warm basis rows and sets the basic values x
-	// under the current statuses and bounds. False rejects the basis.
-	refactorAt(rows []int) bool
+	// refactorAt factors the warm basis b, through b's cached
+	// factorization when the kernel's matrix is b's own, and sets the
+	// basic values x under the current statuses and bounds. False rejects
+	// the basis.
+	refactorAt(b *Basis) bool
 	// dualPrices prices every column for the phase-2 cost into a row the
 	// dual phase then carries, and returns it.
 	dualPrices() []float64
@@ -226,8 +234,10 @@ type simplex struct {
 }
 
 // newSimplex lowers p for the dense kernel, or for the sparse one when
-// sparse is set, at the all-slack/artificial starting basis.
-func newSimplex(p *Problem, opts Options, g *guard, sparse bool) *simplex {
+// sparse is set, at the all-slack/artificial starting basis. When warm is
+// set the kernel leaves that basis unfactored (the dense tableau unloaded),
+// because refactorAt replaces it before any use.
+func newSimplex(p *Problem, opts Options, g *guard, sparse, warm bool) *simplex {
 	var f *form
 	var sf *standardForm
 	if sparse {
@@ -249,9 +259,9 @@ func newSimplex(p *Problem, opts Options, g *guard, sparse bool) *simplex {
 		s.status[c] = inBasis
 	}
 	if sparse {
-		s.k = newRevised(s, sf)
+		s.k = newRevised(s, sf, warm)
 	} else {
-		s.k = newDense(s)
+		s.k = newDense(s, warm)
 		s.carried = true
 	}
 	return s
@@ -272,7 +282,7 @@ func solve(p *Problem, opts Options, g *guard) (*Solution, error) {
 		}
 		mWarmFallbacks.Inc()
 	}
-	s := newSimplex(p, opts, g, sparse)
+	s := newSimplex(p, opts, g, sparse, false)
 	defer s.k.release()
 	switch st := s.run(); st {
 	case statusAborted:
@@ -355,8 +365,10 @@ var pricingHook func(s *simplex, c []float64)
 // fresh pricing pass: when the carried prices find no improving column,
 // before Optimal is returned, and when its entering column has an unbounded
 // ray, before Unbounded is returned. So rounding drift in the carried row
-// can cost a pivot but never a wrong Optimal or Unbounded. A kernel that
-// does not carry them re-prices at every pivot.
+// can cost a pivot but never a wrong Optimal or Unbounded. Prices with no
+// pivot or flip since their pricing pass are already fresh, so a phase that
+// ends without pivoting prices once. A kernel that does not carry them
+// re-prices at every pivot.
 func (s *simplex) primal(c []float64) Status {
 	bland := false
 	noProgress := 0
@@ -393,6 +405,8 @@ func (s *simplex) primal(c []float64) Status {
 		fresh := !s.carried // the prices were just computed from scratch
 		if fresh {
 			s.k.reprice(c)
+		} else {
+			fresh = s.k.fresh(c)
 		}
 		enter, enterDir := s.k.price(c, bland)
 		if enter < 0 && !fresh {

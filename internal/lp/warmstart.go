@@ -12,8 +12,8 @@
 //	base, _ := p.SolveOpts(lp.Options{})
 //	perturbed.SolveOpts(lp.Options{WarmStart: base.Basis()})
 //
-// The re-entry refactorizes the basis against the perturbed matrix,
-// recomputes the basic values, and then runs two phases:
+// The re-entry factors the basis, recomputes the basic values under the
+// perturbed bounds, and then runs two phases:
 //
 //   - A bounded dual simplex repairs primal infeasibility. A perturbation
 //     that only moves bounds (an outage cutting a capacity to zero) leaves
@@ -26,10 +26,22 @@
 //
 // The re-entry, its structural checks and the dual phase below belong to
 // the simplex (simplex.go) and serve both kernels. Only the linear algebra
-// is the kernel's: the dense tableau (bounded.go) refactorizes by Gauss-Jordan
+// is the kernel's: the dense tableau (bounded.go) factors by Gauss-Jordan
 // with partial pivoting and reads each dual pivot row straight off the
 // tableau; the sparse revised kernel (revised.go; above the dense
-// crossover) refactorizes by sparse LU and computes the pivot row by BTRAN.
+// crossover) factors by sparse LU and computes the pivot row by BTRAN.
+//
+// A basis factors itself once against the constraint matrix it was
+// captured from. Every Variant of one Problem shares its constraint rows,
+// so a capacity or cost edit re-solved from the baseline basis meets the
+// same matrix: the first such warm solve factors the basis and stores the
+// result on it (the dense kernel B⁻¹A's nonzeros, B⁻¹b, the pivot-order
+// basis rows and the reduced-cost row of its cost vector; the sparse
+// kernel its LU factors), and every later one reuses it. Each stored value
+// is exactly what a refactorization would recompute from the same bits, so
+// reuse moves no output bit; only the at-upper offsets, which read the
+// solve's own bounds, are redone per solve. A basis applied to any other
+// matrix (a loss edit compiles new rows) is factored from scratch.
 //
 // The re-entry falls back to the cold two-phase method when the basis is
 // singular or dimensionally incompatible; when it is neither primal nor dual
@@ -49,25 +61,74 @@
 // rather than erroring.
 package lp
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Basis is an exported simplex basis: which columns are basic and at which
-// bound every nonbasic column rests. It is immutable after creation and safe
-// to share across concurrent solves.
+// bound every nonbasic column rests. Its columns and statuses never change
+// after creation, and it is safe to share across concurrent solves.
+//
+// It also caches its factorization against the constraint matrix of the
+// problem it was captured from, one per kernel, built by the first warm
+// solve on that matrix (concurrent first users wait for it) and read-only
+// afterwards. On the dense kernel that costs about 12 bytes per nonzero of
+// B⁻¹A plus four row-sized and two column-sized vectors (~12 KB for the
+// stressed westgrid dispatch, 56 rows by 186 columns); on the sparse
+// kernel it is the LU factors. A basis never used as a warm start on its
+// own matrix caches nothing. The cache assumes what Variant already
+// requires: the shared constraint rows do not change while the basis is in
+// use.
 type Basis struct {
 	n      int // structural variables
 	m      int // constraint rows
 	nTotal int // total columns incl. slack/artificial
 	rows   []int
 	status []int8
+
+	// matrix is the first constraint row of the problem the basis was
+	// captured from (nil without rows). Variants share it, so it
+	// identifies that problem's constraint matrix.
+	matrix *Constraint
+	dense  factorCache[denseFactor]
+	lu     factorCache[luFactor]
+}
+
+// factorCache is a Basis's factorization for one kernel, built once.
+type factorCache[F any] struct {
+	once sync.Once
+	f    *F
+}
+
+// get returns the cached factorization, running build on first use; later
+// callers wait for that first one. A nil result (a singular basis) is
+// cached too, so later callers go cold without retrying.
+func (c *factorCache[F]) get(build func() *F) *F {
+	c.once.Do(func() { c.f = build() })
+	return c.f
+}
+
+// ownMatrix reports whether s solves the constraint matrix b was captured
+// from, on which b's cached factorizations hold.
+func (s *simplex) ownMatrix(b *Basis) bool {
+	return b.matrix != nil && b.matrix == firstRow(s.p)
+}
+
+// firstRow is p's first constraint row, nil when it has none.
+func firstRow(p *Problem) *Constraint {
+	if len(p.rows) == 0 {
+		return nil
+	}
+	return &p.rows[0]
 }
 
 // Size returns the (rows, columns) dimensions the basis was extracted from.
 func (b *Basis) Size() (rows, cols int) { return b.m, b.nTotal }
 
 // Basis returns the optimal basis of a solved problem, or nil when the
-// solve did not finish at an optimal basis. The result is immutable; reuse
-// it freely across concurrent warm-started solves.
+// solve did not finish at an optimal basis. Reuse it freely across
+// concurrent warm-started solves.
 func (s *Solution) Basis() *Basis { return s.basis }
 
 // captureBasis snapshots the final basis for reuse.
@@ -78,6 +139,7 @@ func (s *simplex) captureBasis() *Basis {
 		nTotal: s.nTotal,
 		rows:   append([]int(nil), s.basis...),
 		status: append([]int8(nil), s.status...),
+		matrix: firstRow(s.p),
 	}
 }
 
@@ -89,7 +151,7 @@ func (s *simplex) captureBasis() *Basis {
 // residue).
 func solveWarm(p *Problem, opts Options, g *guard, sparse bool) (*Solution, error, bool) {
 	mWarmAttempts.Inc()
-	s := newSimplex(p, opts, g, sparse)
+	s := newSimplex(p, opts, g, sparse, true)
 	defer s.k.release()
 	if !s.applyWarmBasis(opts.WarmStart) {
 		return nil, nil, false
@@ -122,7 +184,7 @@ func solveWarm(p *Problem, opts Options, g *guard, sparse bool) (*Solution, erro
 }
 
 // applyWarmBasis reconstitutes the solver at the supplied basis: statuses
-// are restored, the basis is refactorized against the (possibly perturbed)
+// are restored, the basis is factored against the (possibly perturbed)
 // matrix, and the basic values are recomputed under the current bounds. It
 // rejects only structurally unusable bases; basic values outside their
 // perturbed bounds are dual's to repair. Returns false when the basis
@@ -145,7 +207,9 @@ func (s *simplex) applyWarmBasis(b *Basis) bool {
 			// TestWarmStartDegenerateArtificialBasis).
 			inBasisCount++
 		case atUpper:
-			if math.IsInf(s.upper[j], 1) {
+			// An artificial is clamped to [0, 0] below, where at upper
+			// is at lower: a degenerate optimum may leave one there.
+			if math.IsInf(s.upper[j], 1) && !s.art[j] {
 				return false // bound vanished; the status is meaningless
 			}
 		case atLower:
@@ -167,7 +231,7 @@ func (s *simplex) applyWarmBasis(b *Basis) bool {
 	copy(s.status, b.status)
 	// Artificials never re-enter a warm phase 2.
 	s.clampArtificials()
-	return s.k.refactorAt(b.rows)
+	return s.k.refactorAt(b)
 }
 
 // dual is the warm re-entry's bounded dual simplex. A perturbation that

@@ -330,3 +330,88 @@ func tightenBounds(p *Problem, rs *rng.Stream) *Problem {
 	}
 	return q
 }
+
+// TestWarmStartArtificialAtUpper is the lp.warm_fallbacks regression for a
+// nonbasic artificial at its upper bound. A load stranded behind an empty
+// generator is served at zero: phase 2 starts with the artificials basic at
+// zero, clamped to [0, 0], and the load's artificial leaves the basis at
+// that upper bound. Such a basis used to fall back cold, because the
+// artificial's bound reads +Inf before the clamp; at [0, 0] at upper is at
+// lower, so its re-solve must stay warm and take no pivot.
+func TestWarmStartArtificialAtUpper(t *testing.T) {
+	build := func() *Problem {
+		p := NewProblem()
+		f := p.AddVariable("f:gen-city", 1, 1)
+		x := p.AddVariable("x:city", -4, 4)
+		p.AddConstraint(Constraint{Coefs: []Coef{{f, 1}}, Sense: EQ})
+		p.AddConstraint(Constraint{Coefs: []Coef{{f, -1}, {x, -1}}, Sense: EQ})
+		return p
+	}
+	forceSparseExtract(t)
+	for _, m := range []Method{MethodDense, MethodAuto} {
+		t.Run(kernelNames[m], func(t *testing.T) {
+			p := build()
+			cold, err := p.SolveOpts(Options{Method: m})
+			if err != nil || cold.Status != Optimal {
+				t.Fatalf("cold solve: %v, %v", cold, err)
+			}
+			b := cold.Basis()
+			art := newForm(p).art
+			found := false
+			for j, st := range b.status {
+				found = found || st == atUpper && art[j]
+			}
+			if !found {
+				t.Fatal("fixture no longer leaves an artificial at upper; the regression test is vacuous")
+			}
+			for _, q := range []*Problem{p, build()} {
+				warm, err := q.SolveOpts(Options{Method: m, WarmStart: b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !warm.WarmStarted || warm.Iterations != 0 {
+					t.Fatalf("re-solve: warm %v after %d pivots, want warm after 0", warm.WarmStarted, warm.Iterations)
+				}
+				if warm.Objective != cold.Objective {
+					t.Fatalf("warm objective %v, cold %v", warm.Objective, cold.Objective)
+				}
+			}
+		})
+	}
+}
+
+// TestWarmFactorSingularRecorded: a basis singular for its own matrix is
+// rejected into the cold path, and the verdict is cached, so a later solve
+// rejects it without factoring again.
+func TestWarmFactorSingularRecorded(t *testing.T) {
+	// Two identical rows: the basis {x, y} is singular.
+	p := NewProblem()
+	x := p.AddVariable("x", -1, 4)
+	y := p.AddVariable("y", -2, 4)
+	p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: LE, RHS: 3})
+	p.AddConstraint(Constraint{Coefs: []Coef{{x, 1}, {y, 1}}, Sense: LE, RHS: 3})
+	forceSparseExtract(t)
+	for _, m := range []Method{MethodDense, MethodAuto} {
+		t.Run(kernelNames[m], func(t *testing.T) {
+			f := newForm(p)
+			b := &Basis{n: f.n, m: f.m, nTotal: f.nTotal, rows: []int{x, y},
+				status: make([]int8, f.nTotal), matrix: &p.rows[0]}
+			b.status[x], b.status[y] = inBasis, inBasis
+			for i := 0; i < 2; i++ {
+				sol, err := p.Variant().SolveOpts(Options{Method: m, WarmStart: b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sol.WarmStarted || sol.Status != Optimal {
+					t.Fatalf("solve %d: warm %v, status %v; want a cold optimum", i, sol.WarmStarted, sol.Status)
+				}
+			}
+			const msg = "the singular verdict was not cached"
+			if m == MethodDense {
+				b.dense.get(func() *denseFactor { t.Error(msg); return nil })
+			} else {
+				b.lu.get(func() *luFactor { t.Error(msg); return nil })
+			}
+		})
+	}
+}
