@@ -134,14 +134,15 @@ obs-smoke:
 	$(GO) test -run 'TestMetricNames|TestDefaultRegistryExposition|TestObsSmoke' -count=1 .
 
 # N-k screening acceptance: the screen unit battery and the differential
-# oracle (screened == brute force, bit-identical), then an end-to-end binary
+# oracle (screened == brute force, bit-identical), the screened intervention
+# sweep's tests, then an end-to-end binary
 # check — an observed `cpsexp -screen-k 2` run must produce a CSV
 # byte-identical to the plain run of the same seeded sweep, write the
 # screen.json ranking, and show in its metrics that the screen's dominance
 # rule pruned outage sets and the adversary dropped negative-value targets.
 screen-smoke:
 	$(GO) test ./internal/screen/ -count=1
-	$(GO) test ./internal/defense/ -run 'TestPlanRedesign' -count=1
+	$(GO) test ./internal/experiments/ -run 'TestIntervention' -count=1
 	$(call fig5-cmp,$(CPSEXP) -screen-k 2 -csv $(SMOKE)/run/check -obs $(SMOKE)/run/obs >/dev/null)
 	test -s $(SMOKE)/run/obs/screen.json
 	grep -q '"screen.pruned": [1-9]' $(SMOKE)/run/obs/metrics.json

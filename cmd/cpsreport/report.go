@@ -221,12 +221,8 @@ func renderScreen(b *strings.Builder, d *runData) {
 		return
 	}
 	fmt.Fprintf(b, "## Vulnerability screen (N-%d)\n\n", r.K)
-	mode := "monotone (dominance pruning active)"
-	if !r.Monotone {
-		mode = "non-monotone (reorder-only; nothing pruned)"
-	}
-	fmt.Fprintf(b, "Baseline welfare %.2f; %s; %d contingency sets evaluated, %d pruned as dominated.\n\n",
-		r.BaselineWelfare, mode, r.Evaluated, r.Pruned)
+	fmt.Fprintf(b, "Baseline welfare %.2f; %d contingency sets evaluated, %d pruned as dominated.\n\n",
+		r.BaselineWelfare, r.Evaluated, r.Pruned)
 	if r.Truncated {
 		b.WriteString("> ranking truncated: the contingency space exceeded the screen budget\n\n")
 	}

@@ -81,7 +81,7 @@ func TestRenderReportScreenSection(t *testing.T) {
 		t.Fatalf("unscreened run must not render a screen section:\n%s", out)
 	}
 	d.Screen = &screen.Ranking{
-		K: 2, BaselineWelfare: 1234.5, Monotone: true,
+		K: 2, BaselineWelfare: 1234.5,
 		Worst: screen.Contingency{Targets: []string{"tx:a", "tx:b"}, Delta: -200},
 		Top: []screen.Contingency{
 			{Targets: []string{"tx:a", "tx:b"}, Delta: -200},
@@ -96,7 +96,7 @@ func TestRenderReportScreenSection(t *testing.T) {
 	out := renderReport(d)
 	for _, want := range []string{
 		"## Vulnerability screen (N-2)",
-		"monotone (dominance pruning active)",
+		"Baseline welfare 1234.50; 40 contingency sets",
 		"40 contingency sets evaluated, 60 pruned as dominated",
 		"| 1 | `tx:a + tx:b` | -200.00 |",
 		"| 2 | `tx:a + pipe:c` | -150.00 | ✓ |",
@@ -116,6 +116,8 @@ func TestLoadRunReadsScreenArtifact(t *testing.T) {
 	if err := m.Write(dir); err != nil {
 		t.Fatal(err)
 	}
+	// Written with the "monotone" key rankings no longer carry: an older
+	// artifact still loads.
 	good := `{"k":1,"baseline_welfare":10,"monotone":true,"worst":{"targets":["tx:a"],"welfare_delta":-5},"top":[],"targets":[],"evaluated":3,"pruned":1}`
 	if err := os.WriteFile(filepath.Join(dir, "screen.json"), []byte(good), 0o644); err != nil {
 		t.Fatal(err)

@@ -250,7 +250,7 @@ func TestDifferentialWarmAndCached(t *testing.T) {
 			// cache prices its outages, the carried ones against its own
 			// cold baseline solve, bit-identically to one without a cache.
 			shared := solvecache.New(4096)
-			if _, err := (&impact.Analysis{Graph: g, Ownership: own, Cache: shared}).NewEvaluator(); err != nil {
+			if _, err := (&impact.Analysis{Graph: g, Ownership: own, Cache: shared}).Outcome(); err != nil {
 				t.Fatal(err)
 			}
 			second := &impact.Analysis{Graph: g, Ownership: own, Cache: shared}

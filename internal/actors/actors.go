@@ -79,19 +79,6 @@ func RandomOwnership(g *graph.Graph, n int, rs *rng.Stream) Ownership {
 	return o
 }
 
-// ApplyOwnership stamps the ownership onto a copy of the graph's edges
-// (Edge.Owner) and returns the copy. Useful for serialization; the analysis
-// paths pass Ownership explicitly instead.
-func ApplyOwnership(g *graph.Graph, o Ownership) *graph.Graph {
-	c := g.Clone()
-	for i := range c.Edges {
-		if owner, ok := o[c.Edges[i].ID]; ok {
-			c.Edges[i].Owner = owner
-		}
-	}
-	return c
-}
-
 // VertexOwnership optionally assigns generator and consumer books to actors.
 // The paper's assets are edges; generation and retail positions follow the
 // owner of the corresponding generation/distribution edge. When a vertex has
@@ -190,15 +177,6 @@ func (ix *Index) Profits(p []float64) Profits {
 		}
 	}
 	return out
-}
-
-// Slice lays p, a statement Profits returned, out by ix.
-func (ix *Index) Slice(p Profits) []float64 {
-	s := make([]float64, len(ix.Actors))
-	for k, a := range ix.Actors {
-		s[k] = p[a]
-	}
-	return s
 }
 
 // tie returns the owner slot of vertex v's dominant inbound (in) or

@@ -78,18 +78,6 @@ func TestRandomOwnershipUniform(t *testing.T) {
 	}
 }
 
-func TestApplyOwnershipStamps(t *testing.T) {
-	g := chain(90)
-	o := Ownership{"e1": "A00", "e2": "A01"}
-	stamped := ApplyOwnership(g, o)
-	if stamped.Edge("e1").Owner != "A00" || stamped.Edge("e2").Owner != "A01" {
-		t.Fatal("owners not stamped")
-	}
-	if g.Edge("e1").Owner != "" {
-		t.Fatal("ApplyOwnership mutated input")
-	}
-}
-
 func TestLMPDivisionSumsToWelfare(t *testing.T) {
 	g := chain(70) // congested delivery edge
 	r := dispatch(t, g)

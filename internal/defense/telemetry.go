@@ -13,8 +13,4 @@ var (
 	mPaSamples    = telemetry.NewCounter("defense.pa_samples")
 	mDefended     = telemetry.NewCounter("defense.defended_targets")
 	mDefendedHist = telemetry.NewHistogram("defense.defended_per_plan", telemetry.DepthEdges)
-	// Redesign mode: plans solved, candidates valued, interventions built.
-	mRedesigns  = telemetry.NewCounter("defense.redesign_plans")
-	mCandidates = telemetry.NewCounter("defense.redesign_candidates")
-	mBuilt      = telemetry.NewCounter("defense.interventions_built")
 )

@@ -161,3 +161,31 @@ func TestInterventionSweepOutOfRangeIndex(t *testing.T) {
 		t.Fatal("out-of-range trial index accepted")
 	}
 }
+
+// TestInterventionChosenWithinBudget: the knapsack's "chosen" series of a
+// dense run builds candidates whose "cost" rows sum to no more than the
+// default capital budget, half the menu's total cost.
+func TestInterventionChosenWithinBudget(t *testing.T) {
+	tb, err := Interventions(interventionConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string][]float64{}
+	for _, s := range tb.Series {
+		series[s.Name] = s.Ys()
+	}
+	costs, chosen := series["cost"], series["chosen"]
+	if len(chosen) == 0 || len(chosen) != len(costs) {
+		t.Fatalf("dense run has %d chosen rows for %d candidates", len(chosen), len(costs))
+	}
+	total, spent := 0.0, 0.0
+	for i, c := range costs {
+		total += c
+		if chosen[i] == 1 {
+			spent += c
+		}
+	}
+	if budget := total / 2; spent > budget+1e-9 {
+		t.Errorf("chosen candidates cost %v, over the budget %v", spent, budget)
+	}
+}

@@ -15,11 +15,11 @@ import (
 )
 
 // maxOutageAllocs bounds the heap allocations of pricing one outage of the
-// stressed westgrid without a cache: 30 today (the LP's variant, solution
+// stressed westgrid without a cache: 26 today (the LP's variant, solution
 // and basis, the dispatch result and its one value array, and the
 // per-actor profit slice), plus one of headroom. A string-keyed map on the
 // per-solve path costs at least two more.
-const maxOutageAllocs = 31
+const maxOutageAllocs = 27
 
 // maxCarriedAllocs bounds the same for an outage Carries accepts: the
 // per-actor profit slice is its only allocation, since it shares the
@@ -33,7 +33,7 @@ const maxCarriedAllocs = 1
 func TestOutageDivisionAllocs(t *testing.T) {
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	an := &Analysis{Graph: g, Ownership: actors.RandomOwnership(g, 6, rng.New(2))}
-	c, base, err := an.baseline("")
+	c, err := an.compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestOutageDivisionAllocs(t *testing.T) {
 			want = maxCarriedAllocs
 		}
 		n := testing.AllocsPerRun(20, func() {
-			if _, err := an.ofCachedEntry(c, "", base, ps, false); err != nil {
+			if _, err := an.outcome(c, ps); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,25 +1,31 @@
 // Solve memoization and compiled, warm-started re-solves for impact
 // analyses.
 //
+// Every priced perturbation set, the empty baseline included, yields one
+// solvecache.Entry: absolute per-actor profits laid out by the analysis's
+// actor index, welfare and edge flows. The entry is what the cache stores
+// and what every caller reads, so no outcome is converted at the cache
+// boundary.
+//
 // Cache keys canonicalize the perturbation set — duplicates collapse
 // last-wins per (edge, field), order is normalized — and are salted with a
 // fingerprint of everything else the result depends on: the graph bytes,
 // the ownership assignment and the profit model. Two Analyses over
 // identical scenarios therefore share entries, and any difference in
-// scenario content changes the salt rather than silently aliasing.
+// scenario content, edge order included, changes the salt rather than
+// silently aliasing.
 //
-// The memo stores absolute per-actor profits, not deltas, so hits replay
-// the exact delta arithmetic of a fresh solve against the caller's
-// baseline: cached results are bit-identical to uncached ones.
+// The memo stores absolute profits, not deltas, so hits replay the exact
+// delta arithmetic of a fresh solve against the caller's baseline: cached
+// results are bit-identical to uncached ones.
 //
 // A miss first asks Carries whether the baseline optimum stays optimal under
 // the perturbation set. If it does, the edited graph is priced against the
 // baseline's dispatch result, solved cold once per compiled analysis, and no
-// LP is solved; the entry carries the baseline's basis and support.
-// Otherwise the miss re-solves the analysis's compiled dispatch LP (see
-// compiled): capacity and cost perturbations edit only its bound and
-// objective vectors, and the solve re-enters the simplex from the baseline's
-// optimal basis.
+// LP is solved; the entry carries the baseline's flows. Otherwise the miss
+// re-solves the analysis's compiled dispatch LP (see compiled): capacity and
+// cost perturbations edit only its bound and objective vectors, and the
+// solve re-enters the simplex from the baseline's optimal basis.
 package impact
 
 import (
@@ -74,13 +80,12 @@ func CanonicalKey(ps ...Perturbation) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// salt fingerprints everything a memoized result depends on besides the
-// perturbation set. Empty when no cache is attached (callers use "" as the
-// cache-off sentinel).
+// salt fingerprints everything a memoized outcome depends on besides the
+// perturbation set: the graph bytes, edge order included, the ownership
+// assignment and the profit model. Graph and ownership also fix the actor
+// index, so every reader of a key lays the entry's profits out the way its
+// writer did. The compiled analysis computes it once, on first use.
 func (a *Analysis) salt() string {
-	if a.Cache == nil {
-		return ""
-	}
 	h := sha256.New()
 	h.Write([]byte(a.Graph.Fingerprint()))
 	assets := make([]string, 0, len(a.Ownership))
@@ -98,51 +103,45 @@ func (a *Analysis) salt() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// outcome is one priced dispatch: its absolute per-actor profits, laid out
-// by the analysis's actor index, its welfare, optimal basis and flow
-// support.
-type outcome struct {
-	profits []float64
-	welfare float64
-	basis   *lp.Basis
-	support []string
-}
-
-// baseline resolves the baseline outcome, memoized in the cache when one is
-// attached (the baseline is by far the most repeated solve: every Of and
-// every matrix column needs it), and the compiled analysis it is laid out
-// by.
-func (a *Analysis) baseline(salt string) (*compiled, outcome, error) {
-	c, err := a.compile()
-	if err != nil {
-		return nil, outcome{}, err
-	}
-	key := salt + "|baseline"
-	e, ok := a.Cache.Get(key)
-	if !ok {
-		p, r, err := a.Baseline()
-		if err != nil {
-			return nil, outcome{}, err
+// baseline returns the baseline outcome, memoized in the cache when one is
+// attached (the baseline is by far the most repeated lookup: every Of and
+// every matrix needs it).
+func (a *Analysis) baseline(c *compiled) (solvecache.Entry, error) {
+	var key string
+	if a.Cache != nil {
+		key = c.salt() + "|baseline"
+		if e, ok := a.Cache.Get(key); ok {
+			return e, nil
 		}
-		e = solvecache.Entry{Profits: p, Welfare: r.Welfare, Basis: r.Basis, Support: supportOf(a.Graph, r)}
-		a.Cache.Put(key, e)
 	}
-	return c, outcome{c.ix.Slice(e.Profits), e.Welfare, e.Basis, e.Support}, nil
+	r, err := c.base()
+	if err != nil {
+		return solvecache.Entry{}, err
+	}
+	p, err := a.share(c, c.graph, r)
+	if err != nil {
+		return solvecache.Entry{}, err
+	}
+	e := solvecache.Entry{Profits: p, Welfare: r.Welfare, Flows: r.Flow}
+	a.Cache.Put(key, e)
+	return e, nil
 }
 
-// compiled is an analysis's validated graph, its actor index, its dispatch
-// LP and baseline dispatch, each built on first use (a run served entirely
-// from the cache never builds them), and a pool of scratch clones of the
-// graph. A perturbed solve edits a clone, dispatches it and hands it to the
-// profit model, then restores it, so pricing an attack neither rebuilds the
-// LP nor clones or re-validates the graph.
+// compiled is an analysis's validated graph, its actor index, its cache
+// salt, its dispatch LP and baseline dispatch, each built on first use (a
+// run served entirely from the cache never builds the LP), and a pool of
+// scratch clones of the graph. A perturbed solve edits a clone, dispatches
+// it and hands it to the profit model, then restores it, so pricing an
+// attack neither rebuilds the LP nor clones or re-validates the graph.
 type compiled struct {
 	graph *graph.Graph
 	ix    *actors.Index
+	salt  func() string
 	disp  func() (*flow.Dispatcher, error)
-	// base is the cold baseline dispatch. One solve serves every carried
-	// perturbation, so a baseline served from a shared cache prices them
-	// with the same bits as one solved in this process.
+	// base is the cold baseline dispatch. Every perturbed dispatch is
+	// carried at it or re-solved warm from its basis, so an outcome served
+	// from a shared cache and one solved in this process have the same
+	// bits.
 	base  func() (*flow.Result, error)
 	views sync.Pool // *graph.Graph clones of graph, restored between uses
 }
@@ -157,7 +156,7 @@ func (a *Analysis) compile() (*compiled, error) {
 		if err := g.Validate(); err != nil {
 			return nil, err
 		}
-		c := &compiled{graph: g, ix: actors.NewIndex(g, a.Ownership),
+		c := &compiled{graph: g, ix: actors.NewIndex(g, a.Ownership), salt: sync.OnceValue(a.salt),
 			disp: sync.OnceValues(func() (*flow.Dispatcher, error) { return flow.Compile(g) })}
 		c.base = sync.OnceValues(func() (*flow.Result, error) {
 			d, err := c.disp()
@@ -199,10 +198,11 @@ func (c *compiled) release(v *graph.Graph) {
 	c.views.Put(v)
 }
 
-// dispatch solves g, an edit of the compiled graph by ps, warm from basis,
-// unless Carries proves the baseline optimum optimal for it: then it
-// returns the shared baseline result, which callers must not mutate.
-func (c *compiled) dispatch(g *graph.Graph, ps []Perturbation, basis *lp.Basis) (*flow.Result, error) {
+// dispatch solves g, an edit of the compiled graph by ps, warm from the
+// baseline basis, unless Carries proves the baseline optimum optimal for it:
+// then it returns the shared baseline result, which callers must not
+// mutate.
+func (c *compiled) dispatch(g *graph.Graph, ps []Perturbation) (*flow.Result, error) {
 	r0, err := c.base()
 	if err != nil {
 		return nil, err
@@ -215,7 +215,7 @@ func (c *compiled) dispatch(g *graph.Graph, ps []Perturbation, basis *lp.Basis) 
 	if err != nil {
 		return nil, err
 	}
-	return d.SolveEdited(g, lp.Options{WarmStart: basis})
+	return d.SolveEdited(g, lp.Options{WarmStart: r0.Basis})
 }
 
 // share divides r, the dispatch of g (the compiled graph or an edit of it),
@@ -225,69 +225,36 @@ func (a *Analysis) share(c *compiled, g *graph.Graph, r *flow.Result) ([]float64
 	return p, a.model().Share(c.ix, g, r, p)
 }
 
-// supportOf lists the edges carrying nonzero flow in r, in g.Edges index
-// order — a deterministic dominance certificate for the N-k screen. The
-// exact-zero test is intentional: nonbasic flow variables sit exactly at
-// their zero lower bound, and the screen's soundness argument needs "zero
-// flow", not "small flow".
-func supportOf(g *graph.Graph, r *flow.Result) []string {
-	support := make([]string, 0, len(g.Edges))
-	for j, f := range r.Flow {
-		if f != 0 {
-			support = append(support, g.Edges[j].ID)
-		}
-	}
-	return support
-}
-
-// ofCached prices one perturbation set against the baseline, consulting the
-// memo first, then carrying the baseline optimum or warm-starting the
-// dispatch from the baseline basis. The delta arithmetic is shared between
-// hit and miss paths so a hit reproduces a fresh solve bit for bit.
-func (a *Analysis) ofCached(c *compiled, salt string, base outcome, ps []Perturbation) (actors.Profits, float64, error) {
-	o, err := a.ofCachedEntry(c, salt, base, ps, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	deltas := actors.Profits{}
-	deltaProfits(o.profits, base.profits, func(k int, d float64) { deltas[c.ix.Actors[k]] = d })
-	return deltas, o.welfare - base.welfare, nil
-}
-
-// ofCachedEntry is ofCached in absolute form: it returns the outcome of one
-// perturbation set, solving and memoizing on a miss. Only a memoized or
-// support-requesting solve lists the flow support. Entries read from a
-// cache populated before support recording carry a nil support; callers
-// needing the certificate must treat nil as "none", not "empty".
-func (a *Analysis) ofCachedEntry(c *compiled, salt string, base outcome, ps []Perturbation, support bool) (outcome, error) {
+// outcome returns the outcome of one perturbation set, read from the memo
+// or priced and memoized: carried at the baseline optimum when Carries
+// accepts the set, otherwise re-solved warm from the baseline basis.
+// Callers take deltas against the baseline outcome with the same arithmetic
+// whether the entry was read or priced, so a hit reproduces a fresh solve
+// bit for bit.
+func (a *Analysis) outcome(c *compiled, ps []Perturbation) (solvecache.Entry, error) {
 	var key string
 	if a.Cache != nil {
-		key = salt + "|" + CanonicalKey(ps...)
+		key = c.salt() + "|" + CanonicalKey(ps...)
 		if e, ok := a.Cache.Get(key); ok {
-			return outcome{c.ix.Slice(e.Profits), e.Welfare, e.Basis, e.Support}, nil
+			return e, nil
 		}
 	}
 	gp, err := c.edit(ps)
 	if err != nil {
-		return outcome{}, err
+		return solvecache.Entry{}, err
 	}
 	defer c.release(gp)
-	r, err := c.dispatch(gp, ps, base.basis)
+	r, err := c.dispatch(gp, ps)
 	if err != nil {
-		return outcome{}, err
+		return solvecache.Entry{}, err
 	}
 	p, err := a.share(c, gp, r)
 	if err != nil {
-		return outcome{}, err
+		return solvecache.Entry{}, err
 	}
-	o := outcome{profits: p, welfare: r.Welfare, basis: r.Basis}
-	if support || a.Cache != nil {
-		o.support = supportOf(a.Graph, r)
-	}
-	if a.Cache != nil {
-		a.Cache.Put(key, solvecache.Entry{Profits: c.ix.Profits(p), Welfare: o.welfare, Basis: o.basis, Support: o.support})
-	}
-	return o, nil
+	e := solvecache.Entry{Profits: p, Welfare: r.Welfare, Flows: r.Flow}
+	a.Cache.Put(key, e)
+	return e, nil
 }
 
 // deltaProfits calls put(k, p[k] − base[k]) for every actor slot k with a

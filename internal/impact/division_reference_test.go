@@ -189,7 +189,15 @@ func TestDivisionMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, base, err := an.baseline("")
+		c, err := an.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := an.baseline(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := c.base()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +210,7 @@ func TestDivisionMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		refBase := referenceLMPDivide(g, r0, o)
-		if got := c.ix.Profits(base.profits); !sameBits(got, refBase) {
+		if got := c.ix.Profits(base.Profits); !sameBits(got, refBase) {
 			t.Errorf("%s: baseline profits %v, reference %v", name, got, refBase)
 		}
 		refIM := map[string]map[string]float64{}
@@ -217,7 +225,7 @@ func TestDivisionMatchesReference(t *testing.T) {
 			// An outage Carries accepts keeps the cold baseline optimum.
 			r := r0
 			if ps := []Perturbation{Outage(id)}; !Carries(g, ps, r0.Flow) {
-				if r, err = d.SolveEdited(gp, lp.Options{WarmStart: base.basis}); err != nil {
+				if r, err = d.SolveEdited(gp, lp.Options{WarmStart: cold.Basis}); err != nil {
 					t.Fatal(err)
 				}
 			}

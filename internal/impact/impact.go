@@ -129,9 +129,10 @@ func Carries(g *graph.Graph, ps []Perturbation, flow []float64) bool {
 // is solved cold once. A perturbed dispatch that Carries proves optimal at
 // the baseline optimum is priced against the baseline result without a
 // solve; every other one re-solves the compiled LP from the baseline's
-// optimal basis. Graph and Ownership must therefore not be mutated after
-// the first call, and Model must not retain the graph it is handed after
-// Share returns. An Analysis is safe for concurrent use and must not be
+// optimal basis. Graph, Ownership and Model must therefore not be mutated
+// after the first call (the cache salt that fingerprints them is computed
+// once, too), and Model must not retain the graph it is handed after Share
+// returns. An Analysis is safe for concurrent use and must not be
 // copied.
 type Analysis struct {
 	// Graph is the ground-truth (or believed) model.
@@ -192,62 +193,38 @@ func (a *Analysis) Baseline() (actors.Profits, *flow.Result, error) {
 // Of measures the impact of a single attack (set of perturbations): the
 // per-actor profit deltas and the system welfare delta.
 func (a *Analysis) Of(ps ...Perturbation) (actors.Profits, float64, error) {
-	salt := a.salt()
-	c, base, err := a.baseline(salt)
+	c, err := a.compile()
 	if err != nil {
 		return nil, 0, err
 	}
-	return a.ofCached(c, salt, base, ps)
-}
-
-// Evaluator amortizes the per-call salt hashing and baseline resolution of
-// Of across many evaluations on one fixed scenario. The N-k screen prices
-// thousands of perturbation sets against one baseline; paying the SHA-256
-// salt and the baseline lookup once makes each subsequent evaluation a
-// single cache probe or dispatch.
-type Evaluator struct {
-	a    *Analysis
-	c    *compiled
-	salt string
-	base outcome
-}
-
-// NewEvaluator resolves (and memoizes) the baseline and returns an
-// evaluator bound to this analysis. The underlying Analysis must not be
-// reconfigured while the evaluator is in use.
-func (a *Analysis) NewEvaluator() (*Evaluator, error) {
-	salt := a.salt()
-	c, base, err := a.baseline(salt)
+	base, err := a.baseline(c)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return &Evaluator{a: a, c: c, salt: salt, base: base}, nil
-}
-
-// BaselineWelfare is the unattacked system welfare.
-func (e *Evaluator) BaselineWelfare() float64 { return e.base.welfare }
-
-// BaselineSupport lists the edges with nonzero flow in the baseline
-// dispatch (graph edge-index order), or nil when the baseline entry came
-// from a cache that predates support recording. Callers must not mutate it.
-func (e *Evaluator) BaselineSupport() []string { return e.base.support }
-
-// Of measures one attack exactly like Analysis.Of, without re-resolving the
-// baseline.
-func (e *Evaluator) Of(ps ...Perturbation) (actors.Profits, float64, error) {
-	return e.a.ofCached(e.c, e.salt, e.base, ps)
-}
-
-// OfSupport prices one perturbation set and additionally returns the flow
-// support of the perturbed optimum — the dominance certificate consumed by
-// internal/screen. A nil support means the result was served from an entry
-// without a recorded certificate; the welfare delta is still exact.
-func (e *Evaluator) OfSupport(ps ...Perturbation) (dw float64, support []string, err error) {
-	o, err := e.a.ofCachedEntry(e.c, e.salt, e.base, ps, true)
+	o, err := a.outcome(c, ps)
 	if err != nil {
-		return 0, nil, err
+		return nil, 0, err
 	}
-	return o.welfare - e.base.welfare, o.support, nil
+	deltas := actors.Profits{}
+	deltaProfits(o.Profits, base.Profits, func(k int, d float64) { deltas[c.ix.Actors[k]] = d })
+	return deltas, o.Welfare - base.Welfare, nil
+}
+
+// Outcome returns the dispatch outcome of the perturbation set ps: the
+// absolute per-actor profits laid out by the analysis's actor index, the
+// welfare and the edge flows. The empty set's outcome is the baseline's, so
+// Outcome(ps...).Welfare − Outcome().Welfare is the welfare delta Of
+// reports, bit for bit. With a cache attached the outcome is read from it
+// or memoized in it. The entry is shared: callers must not mutate it.
+func (a *Analysis) Outcome(ps ...Perturbation) (solvecache.Entry, error) {
+	c, err := a.compile()
+	if err != nil {
+		return solvecache.Entry{}, err
+	}
+	if len(ps) == 0 {
+		return a.baseline(c)
+	}
+	return a.outcome(c, ps)
 }
 
 // Matrix is the impact matrix IM[a][t] plus bookkeeping.
@@ -271,15 +248,6 @@ func (m *Matrix) Get(actor, target string) float64 {
 		return row[target]
 	}
 	return 0
-}
-
-// Column returns the per-actor impacts of one target as a map (never nil).
-func (m *Matrix) Column(target string) map[string]float64 {
-	col := make(map[string]float64, len(m.Actors))
-	for _, a := range m.Actors {
-		col[a] = m.Get(a, target)
-	}
-	return col
 }
 
 // GainLoss sums the positive entries and the negative entries of the whole
@@ -320,19 +288,20 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 	if targets == nil {
 		targets = a.Graph.AssetIDs()
 	}
-	salt := a.salt()
-	c, base, err := a.baseline(salt)
+	c, err := a.compile()
 	if err != nil {
 		return nil, err
 	}
-	cols, err := parallel.Map(len(targets), a.Parallel, func(i int) (outcome, error) {
-		o, err := a.ofCachedEntry(c, salt, base, mk(targets[i]), false)
+	base, err := a.baseline(c)
+	if err != nil {
+		return nil, err
+	}
+	cols, err := parallel.Map(len(targets), a.Parallel, func(i int) (solvecache.Entry, error) {
+		o, err := a.outcome(c, mk(targets[i]))
 		if err != nil {
-			return outcome{}, fmt.Errorf("target %s: %w", targets[i], err)
+			return solvecache.Entry{}, fmt.Errorf("target %s: %w", targets[i], err)
 		}
-		// Keep no basis alive past its column: the matrix needs profits
-		// and welfare only.
-		return outcome{profits: o.profits, welfare: o.welfare}, nil
+		return o, nil
 	})
 	if err != nil {
 		return nil, err
@@ -342,15 +311,15 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 		WelfareDelta:    map[string]float64{},
 		Targets:         append([]string(nil), targets...),
 		Actors:          a.Ownership.Actors(),
-		BaselineWelfare: base.welfare,
+		BaselineWelfare: base.Welfare,
 	}
 	// Ensure every owning actor has a row even if all its deltas are 0.
 	for _, actor := range m.Actors {
 		m.IM[actor] = map[string]float64{}
 	}
 	for i, t := range targets {
-		m.WelfareDelta[t] = cols[i].welfare - base.welfare
-		deltaProfits(cols[i].profits, base.profits, func(k int, d float64) {
+		m.WelfareDelta[t] = cols[i].Welfare - base.Welfare
+		deltaProfits(cols[i].Profits, base.Profits, func(k int, d float64) {
 			actor := c.ix.Actors[k]
 			row, ok := m.IM[actor]
 			if !ok {

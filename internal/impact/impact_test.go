@@ -9,6 +9,7 @@ import (
 	"cpsguard/internal/graph"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
+	"cpsguard/internal/solvecache"
 	"cpsguard/internal/westgrid"
 )
 
@@ -151,12 +152,8 @@ func TestMatrixAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := m.Column("chain1")
-	if len(col) != len(m.Actors) {
-		t.Fatalf("column size %d, actors %d", len(col), len(m.Actors))
-	}
-	if m.Get("A", "chain1") != col["A"] {
-		t.Fatal("Get/Column disagree")
+	if m.Get("A", "chain1") != m.IM["A"]["chain1"] {
+		t.Fatal("Get disagrees with IM")
 	}
 	if m.Get("unknown-actor", "chain1") != 0 {
 		t.Fatal("unknown actor should read 0")
@@ -337,5 +334,65 @@ func TestCarries(t *testing.T) {
 	}
 	if Carries(g, []Perturbation{capacity("chain2", 80)}, []float64{0, math.Inf(1)}) {
 		t.Error("an edge of unknown positive flow (+Inf) was carried")
+	}
+}
+
+// TestSaltPinsEdgeOrder: cache entries hold profits laid out by the writer's
+// actor index, which follows edge order. Swapping two edges of a graph moves
+// that layout, so it must move the salt too: the swapped analysis reads
+// nothing the original wrote to a shared cache.
+func TestSaltPinsEdgeOrder(t *testing.T) {
+	g := westgrid.Build(westgrid.Options{Stress: true})
+	own := actors.RandomOwnership(g, 6, rng.New(2))
+	j := 1
+	for own[g.Edges[j].ID] == own[g.Edges[0].ID] {
+		j++
+	}
+	swapped := graph.New(g.Name)
+	for _, v := range g.Vertices {
+		swapped.MustAddVertex(v)
+	}
+	for i := range g.Edges {
+		switch i {
+		case 0:
+			swapped.MustAddEdge(g.Edges[j])
+		case j:
+			swapped.MustAddEdge(g.Edges[0])
+		default:
+			swapped.MustAddEdge(g.Edges[i])
+		}
+	}
+
+	cache := solvecache.New(64)
+	a := &Analysis{Graph: g, Ownership: own, Cache: cache}
+	b := &Analysis{Graph: swapped, Ownership: own, Cache: cache}
+	ca, err := a.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := b.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(ca.ix.Actors, ",") == strings.Join(cb.ix.Actors, ",") {
+		t.Fatalf("swapping edges 0 and %d left the actor layout %v unchanged", j, ca.ix.Actors)
+	}
+	if ca.salt() == cb.salt() {
+		t.Fatal("swapping two edges left the analysis salt unchanged")
+	}
+
+	cut := Outage(g.Edges[0].ID)
+	for _, an := range []*Analysis{a, b} {
+		before := cache.Stats()
+		if _, err := an.Outcome(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := an.Outcome(cut); err != nil {
+			t.Fatal(err)
+		}
+		if st := cache.Stats(); st.Hits != before.Hits || st.Misses != before.Misses+2 {
+			t.Errorf("hits %d → %d, misses %d → %d: an analysis read an entry of another layout",
+				before.Hits, st.Hits, before.Misses, st.Misses)
+		}
 	}
 }

@@ -1,10 +1,10 @@
 // FuzzScreenPrune hammers the soundness contract with hostile inputs:
 // seeded grids degraded by fuzz-chosen capacity knockouts (including fully
-// disconnected ones), fuzzed ownership maps, and fuzzed perturbation
-// fractions that flip runs between the monotone and reorder-only regimes.
-// The invariants are absolute: screening never panics, and a pruned
+// disconnected ones), fuzzed ownership maps and fuzz-chosen outage targets.
+// The invariants are absolute: screening never panics, a pruned
 // contingency that would have beaten the reported worst case — checked by
-// comparing against the evaluate-everything oracle — is a failure.
+// comparing against the evaluate-everything oracle — is a failure, and a
+// depth-1 target is certified exactly when pruning inherits its outage.
 package screen_test
 
 import (
@@ -20,11 +20,11 @@ import (
 )
 
 func FuzzScreenPrune(f *testing.F) {
-	f.Add(uint8(2), uint64(1), uint8(2), uint64(0xFF), uint64(7), 0.0)
-	f.Add(uint8(3), uint64(9), uint8(1), uint64(0xA5A5), uint64(3), 0.5)
-	f.Add(uint8(2), uint64(4), uint8(2), uint64(0), uint64(1), 1.5) // >1: non-monotone
-	f.Add(uint8(4), uint64(77), uint8(2), uint64(1<<20-1), uint64(99), 0.25)
-	f.Fuzz(func(t *testing.T, regions uint8, gseed uint64, k uint8, mask uint64, ownSeed uint64, frac float64) {
+	f.Add(uint8(2), uint64(1), uint8(2), uint64(0xFF), uint64(7))
+	f.Add(uint8(3), uint64(9), uint8(1), uint64(0xA5A5), uint64(3))
+	f.Add(uint8(2), uint64(4), uint8(2), uint64(0), uint64(1))
+	f.Add(uint8(4), uint64(77), uint8(2), uint64(1<<20-1), uint64(99))
+	f.Fuzz(func(t *testing.T, regions uint8, gseed uint64, k uint8, mask uint64, ownSeed uint64) {
 		g, err := gridgen.Build(gridgen.Config{
 			Regions: 2 + int(regions)%3, Seed: gseed, Stress: gseed%2 == 0,
 		})
@@ -44,9 +44,7 @@ func FuzzScreenPrune(f *testing.F) {
 		own := actors.RandomOwnership(g, 1+int(ownSeed%5), rng.New(ownSeed))
 
 		// Candidate targets: a mask-chosen subset, capped to keep the
-		// lattice small. Perturbation values scale each edge's capacity by
-		// frac — frac ≤ 1 keeps the run monotone, frac > 1 (or NaN, or
-		// negative) must flip it to reorder-only, never to unsound pruning.
+		// lattice small.
 		var targets []string
 		for i := range g.Edges {
 			if mask&(1<<((uint(i)+17)%52)) != 0 {
@@ -59,15 +57,10 @@ func FuzzScreenPrune(f *testing.F) {
 		if len(targets) == 0 {
 			targets = []string{g.Edges[0].ID}
 		}
-		vector := func(id string) []impact.Perturbation {
-			e := g.Edge(id)
-			return []impact.Perturbation{{EdgeID: id, Field: impact.Capacity, Value: e.Capacity * frac}}
-		}
-
 		an := &impact.Analysis{Graph: g, Ownership: own, Cache: solvecache.New(4096)}
 		depth := 1 + int(k)%2
-		pr, prErr := screen.Run(screen.Config{Analysis: an, Targets: targets, K: depth, Vector: vector})
-		or, orErr := screen.Run(screen.Config{Analysis: an, Targets: targets, K: depth, Vector: vector, NoPrune: true})
+		pr, prErr := screen.Run(screen.Config{Analysis: an, Targets: targets, K: depth, Top: 64})
+		or, orErr := screen.Run(screen.Config{Analysis: an, Targets: targets, K: depth, Top: 64, NoPrune: true})
 		if (prErr == nil) != (orErr == nil) {
 			t.Fatalf("screened err=%v, oracle err=%v — evaluation must be mode-independent", prErr, orErr)
 		}
@@ -85,8 +78,25 @@ func FuzzScreenPrune(f *testing.F) {
 		if pr.Evaluated+pr.Pruned != or.Evaluated {
 			t.Fatalf("screened covered %d+%d sets, oracle %d", pr.Evaluated, pr.Pruned, or.Evaluated)
 		}
-		if !pr.Monotone && pr.Pruned != 0 {
-			t.Fatalf("non-monotone run pruned %d sets", pr.Pruned)
+		// Top holds every set (at most 8 + 28 with these caps), so each
+		// depth-1 set's Inherited flag is on hand.
+		inherited := map[string]bool{}
+		for _, c := range pr.Top {
+			if len(c.Targets) == 1 {
+				inherited[c.Targets[0]] = c.Inherited
+			}
+		}
+		certified := map[string]bool{}
+		for _, s := range or.Targets {
+			certified[s.ID] = s.CertifiedZero
+		}
+		for _, s := range pr.Targets {
+			if s.CertifiedZero != certified[s.ID] {
+				t.Fatalf("target %s: screened CertifiedZero %v, oracle %v", s.ID, s.CertifiedZero, certified[s.ID])
+			}
+			if got, ok := inherited[s.ID]; !ok || got != s.CertifiedZero {
+				t.Fatalf("target %s: CertifiedZero %v, depth-1 Inherited %v (listed %v)", s.ID, s.CertifiedZero, got, ok)
+			}
 		}
 	})
 }

@@ -4,29 +4,21 @@
 // impact/solvecache/warm-start evaluation stack, and emits a deterministic
 // vulnerability ranking — the worst contingency found, a bounded top list,
 // and per-target scores — plus dominance certificates marking the targets
-// that provably cannot change the dispatch optimum.
+// whose outage provably cannot change the dispatch optimum.
 //
 // # Dominance rule
 //
-// The screen's pruning rests on one LP fact. Let S be an outage set whose
-// computed optimal dispatch is known, and let t be an additional target
-// whose perturbations only *reduce capacities* of edges that carry zero
-// flow in that dispatch. Then S's dispatch remains feasible for S∪{t}
-// (zero flow satisfies any nonnegative capacity), and since capacity
-// reduction only shrinks the feasible region, a point optimal over the
-// larger region and feasible in the smaller one is optimal there too.
-// S∪{t} therefore inherits S's welfare and flow support exactly — no solve
-// needed — and the certificate chains transitively through pruned nodes.
-// The test is impact.Carries, the rule impact matrices use to skip the
-// solves of the same outages, read off S's flow support.
-//
-// The rule is sound only when every candidate target is a monotone
-// capacity reduction (Field == Capacity, 0 ≤ value ≤ base capacity) and no
-// two targets touch the same edge (set union must equal sequential
-// application). When any target violates this, pruning is disabled for the
-// whole run — the screen degrades to reorder-only scoring (every set is
-// evaluated; the `screen.reorder_only` counter records the downgrade) and
-// no certificates are issued.
+// Every target is the outage of its own edge (capacity to zero), and the
+// targets are distinct edges. The screen's pruning rests on one LP fact.
+// Let S be an outage set whose optimal dispatch is known, and let t be a
+// further target whose edge carries zero flow in that dispatch. Then S's
+// dispatch remains feasible for S∪{t} (zero flow satisfies a zero
+// capacity), and since cutting a capacity only shrinks the feasible region,
+// a point optimal over the larger region and feasible in the smaller one is
+// optimal there too. S∪{t} therefore inherits S's welfare and flows exactly
+// — no solve needed — and the certificate chains transitively through
+// pruned nodes. The test is impact.Carries, the rule impact matrices use to
+// skip the solves of the same outages, read off the flows of S's outcome.
 //
 // # Determinism
 //
@@ -42,10 +34,8 @@ package screen
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
-	"cpsguard/internal/graph"
 	"cpsguard/internal/impact"
 	"cpsguard/internal/parallel"
 )
@@ -62,10 +52,8 @@ type Config struct {
 	// Parallel options drive the per-level fan-out.
 	Analysis *impact.Analysis
 	// Targets lists the candidate target IDs (default: every asset edge).
+	// Each is the edge its outage cuts, so no ID may repeat.
 	Targets []string
-	// Vector maps a target ID to the perturbations its attack applies
-	// (default: the paper's capacity-zero outage).
-	Vector func(id string) []impact.Perturbation
 	// K is the maximum outage depth (minimum 1).
 	K int
 	// NoPrune disables dominance pruning: every enumerated set is
@@ -87,9 +75,10 @@ type TargetScore struct {
 	// to LP tolerance).
 	Delta float64 `json:"welfare_delta"`
 	// CertifiedZero reports that the dominance rule proves this target's
-	// perturbations cannot change the baseline optimum: monotone run, and
-	// the target only touches edges with zero baseline flow. Certification
-	// is independent of NoPrune, so screened and oracle runs agree on it.
+	// outage cannot change the baseline optimum: its edge carries no
+	// baseline flow. Certification is independent of NoPrune, so screened
+	// and oracle runs agree on it; under pruning it equals the depth-1
+	// set's Inherited.
 	CertifiedZero bool `json:"certified_zero"`
 }
 
@@ -108,9 +97,6 @@ type Contingency struct {
 type Ranking struct {
 	K               int     `json:"k"`
 	BaselineWelfare float64 `json:"baseline_welfare"`
-	// Monotone reports whether the dominance rule applied; false means the
-	// run degraded to reorder-only scoring and issued no certificates.
-	Monotone bool `json:"monotone"`
 	// Worst is the most damaging contingency found (always a genuinely
 	// solved set; the empty set when nothing beats the baseline by more
 	// than the tolerance).
@@ -133,13 +119,13 @@ type node struct {
 	last    int // candidate index appended at this level (-1 for the root)
 	parent  int // index into the previous level (-1 for the root)
 	delta   float64
-	support []string // flow support of the set's optimal dispatch (nil = no certificate)
+	flows   []float64 // edge flows of the set's optimal dispatch
 	inherit bool
 }
 
 // Run screens the configured scenario and returns its vulnerability
-// ranking. Degenerate inputs (unknown edges, empty target lists, broken
-// grids) return errors, never panic.
+// ranking. Degenerate inputs (unknown or repeated target edges, empty target
+// lists, broken grids) return errors, never panic.
 func Run(cfg Config) (*Ranking, error) {
 	mRuns.Inc()
 	if cfg.Analysis == nil {
@@ -160,66 +146,37 @@ func Run(cfg Config) (*Ranking, error) {
 	if len(targets) == 0 {
 		return nil, errors.New("screen: no candidate targets")
 	}
-	vector := cfg.Vector
-	if vector == nil {
-		vector = func(id string) []impact.Perturbation {
-			return []impact.Perturbation{impact.Outage(id)}
-		}
-	}
 
-	// Resolve each candidate's perturbation vector and edge footprint, and
-	// decide monotonicity for the whole run: every perturbation must be a
-	// capacity reduction within [0, base], and no edge may be shared
-	// between two candidates.
+	// Each target is the outage of its own edge: reject unknown edges up
+	// front, and repeated ones, since a set must cut each edge once.
 	g := cfg.Analysis.Graph
-	vecs := make([][]impact.Perturbation, len(targets))
-	monotone := true
-	edgeOwner := map[string]int{}
+	outages := make([]impact.Perturbation, len(targets))
+	seen := make(map[string]bool, len(targets))
 	for i, id := range targets {
-		vecs[i] = vector(id)
-		for _, p := range vecs[i] {
-			e := g.Edge(p.EdgeID)
-			if e == nil {
-				return nil, fmt.Errorf("screen: target %s perturbs unknown edge %q", id, p.EdgeID)
-			}
-			if p.Field != impact.Capacity || !(p.Value >= 0) || p.Value > e.Capacity {
-				monotone = false
-			}
-			if prev, ok := edgeOwner[p.EdgeID]; ok && prev != i {
-				monotone = false
-			}
-			edgeOwner[p.EdgeID] = i
+		if g.Edge(id) == nil {
+			return nil, fmt.Errorf("screen: unknown target edge %q", id)
 		}
+		if seen[id] {
+			return nil, fmt.Errorf("screen: duplicate target %q", id)
+		}
+		seen[id] = true
+		outages[i] = impact.Outage(id)
 	}
 
-	ev, err := cfg.Analysis.NewEvaluator()
+	base, err := cfg.Analysis.Outcome()
 	if err != nil {
 		return nil, err
 	}
-	prune := monotone && !cfg.NoPrune
-	if !monotone {
-		mReorderOnly.Inc()
-	}
-
 	r := &Ranking{
 		K:               k,
-		BaselineWelfare: ev.BaselineWelfare(),
-		Monotone:        monotone,
+		BaselineWelfare: base.Welfare,
 		Worst:           Contingency{Targets: []string{}},
-	}
-	baseSupport := ev.BaselineSupport()
-	certified := make(map[string]bool, len(targets))
-	if monotone && baseSupport != nil {
-		baseFlows := supportFlows(g, baseSupport)
-		for i, id := range targets {
-			certified[id] = impact.Carries(g, vecs[i], baseFlows)
-		}
 	}
 
 	worstDamage := 0.0
 	var top topAcc
 
-	prev := []node{{last: -1, parent: -1, delta: 0, support: baseSupport}}
+	prev := []node{{last: -1, parent: -1, delta: 0, flows: base.Flows}}
 	levels := [][]node{prev}
 	for level := 1; level <= k && len(prev) > 0; level++ {
 		var children []node
@@ -242,36 +199,26 @@ func Run(cfg Config) (*Ranking, error) {
 			break
 		}
 
-		// Prune decisions are sequential and cheap: a child inherits when
-		// impact.Carries accepts its appended target at the parent set's
-		// optimum, which in a monotone run means the target's edges are
-		// disjoint from that optimum's flow support. Each parent's support
-		// is laid out as flows once.
-		flows := make([][]float64, len(prev))
-		pruned := make([]bool, len(children))
-		for ci := range children {
-			pi := children[ci].parent
-			if !prune || prev[pi].support == nil {
-				continue
-			}
-			if flows[pi] == nil {
-				flows[pi] = supportFlows(g, prev[pi].support)
-			}
-			pruned[ci] = impact.Carries(g, vecs[children[ci].last], flows[pi])
+		// A child's outage is carried when impact.Carries accepts it at
+		// the parent set's optimum: its edge carries no flow there. A
+		// carried child inherits its parent's outcome unless pruning is
+		// off; at depth 1 the same decision certifies the target.
+		carried := make([]bool, len(children))
+		for ci, c := range children {
+			carried[ci] = impact.Carries(g, outages[c.last:c.last+1], prev[c.parent].flows)
 		}
 
 		solved, err := parallel.Map(len(children), cfg.Analysis.Parallel, func(ci int) (node, error) {
 			c := children[ci]
 			p := prev[c.parent]
-			if pruned[ci] {
-				return node{last: c.last, parent: c.parent, delta: p.delta, support: p.support, inherit: true}, nil
+			if carried[ci] && !cfg.NoPrune {
+				return node{last: c.last, parent: c.parent, delta: p.delta, flows: p.flows, inherit: true}, nil
 			}
-			ps := setPerturbations(levels, level, c, vecs)
-			dw, sup, err := ev.OfSupport(ps...)
+			o, err := cfg.Analysis.Outcome(setPerturbations(levels, level, c, outages)...)
 			if err != nil {
 				return node{}, fmt.Errorf("screen: set %v: %w", setIDs(levels, level, c, targets), err)
 			}
-			return node{last: c.last, parent: c.parent, delta: dw, support: sup}, nil
+			return node{last: c.last, parent: c.parent, delta: o.Welfare - base.Welfare, flows: o.Flows}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -297,7 +244,7 @@ func Run(cfg Config) (*Ranking, error) {
 			top.add(Contingency{Targets: ids, Delta: n.delta, Inherited: n.inherit}, topN)
 			if level == 1 {
 				r.Targets = append(r.Targets, TargetScore{
-					ID: targets[n.last], Delta: n.delta, CertifiedZero: certified[targets[n.last]],
+					ID: targets[n.last], Delta: n.delta, CertifiedZero: carried[ci],
 				})
 			}
 		}
@@ -337,23 +284,15 @@ func setIndices(levels [][]node, level int, n node) []int {
 	return idx
 }
 
-func setPerturbations(levels [][]node, level int, n node, vecs [][]impact.Perturbation) []impact.Perturbation {
-	var ps []impact.Perturbation
-	for _, t := range setIndices(levels, level, n) {
-		ps = append(ps, vecs[t]...)
+// setPerturbations lists the outages of a node's set, in candidate-index
+// order.
+func setPerturbations(levels [][]node, level int, n node, outages []impact.Perturbation) []impact.Perturbation {
+	idx := setIndices(levels, level, n)
+	ps := make([]impact.Perturbation, len(idx))
+	for i, t := range idx {
+		ps[i] = outages[t]
 	}
 	return ps
-}
-
-// supportFlows lays a flow support out as the edge flows impact.Carries
-// reads: +Inf, a positive flow of unknown size that no capacity edit
-// carries, on the support's edges and 0 elsewhere.
-func supportFlows(g *graph.Graph, support []string) []float64 {
-	f := make([]float64, len(g.Edges))
-	for _, id := range support {
-		f[g.EdgeIndex(id)] = math.Inf(1)
-	}
-	return f
 }
 
 // topAcc maintains the bounded worst-contingency list, ordered by damage

@@ -171,46 +171,29 @@ func TestScreenNationalTierPrunes(t *testing.T) {
 		t.Errorf("national tier: screen.pruned is zero over %d corridor targets (evaluated %d)",
 			len(corridors), rank.Evaluated)
 	}
-	if !rank.Monotone {
-		t.Error("national tier: outage screening should be monotone")
-	}
 }
 
-// TestScreenReorderOnlyOnNonMonotone locks the degradation contract: a
-// candidate whose perturbation is not a capacity reduction disables pruning
-// for the whole run (no certificates, nothing skipped) instead of pruning
-// unsoundly.
-func TestScreenReorderOnlyOnNonMonotone(t *testing.T) {
-	grids := loadGrids(t)
-	g := grids["westgrid_stressed"]
+// TestScreenRejectsBadTargets locks the up-front target validation: an
+// unknown edge and a repeated target are errors naming the offending ID,
+// not a silently degraded screen.
+func TestScreenRejectsBadTargets(t *testing.T) {
+	g := loadGrids(t)["westgrid_stressed"]
 	if g == nil {
 		t.Fatal("westgrid_stressed fixture missing")
 	}
-	own := actors.RandomOwnership(g, 3, rng.New(7))
-	an := &impact.Analysis{Graph: g, Ownership: own}
-	ids := g.AssetIDs()[:6]
-	costly := ids[len(ids)-1]
-	rank, err := screen.Run(screen.Config{
-		Analysis: an, Targets: ids, K: 2,
-		Vector: func(id string) []impact.Perturbation {
-			if id == costly { // a cost manipulation is not a monotone capacity cut
-				return []impact.Perturbation{{EdgeID: id, Field: impact.Cost, Value: 99}}
-			}
-			return []impact.Perturbation{impact.Outage(id)}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rank.Monotone {
-		t.Error("run with a cost perturbation reported Monotone=true")
-	}
-	if rank.Pruned != 0 {
-		t.Errorf("non-monotone run pruned %d sets, want 0 (reorder-only)", rank.Pruned)
-	}
-	for _, s := range rank.Targets {
-		if s.CertifiedZero {
-			t.Errorf("non-monotone run certified %s as zero", s.ID)
+	an := &impact.Analysis{Graph: g, Ownership: actors.RandomOwnership(g, 3, rng.New(7))}
+	ids := g.AssetIDs()
+	for _, tc := range []struct {
+		name    string
+		targets []string
+		want    string
+	}{
+		{"unknown", []string{ids[0], "no-such-edge"}, `"no-such-edge"`},
+		{"duplicate", []string{ids[0], ids[1], ids[0]}, fmt.Sprintf("duplicate target %q", ids[0])},
+	} {
+		_, err := screen.Run(screen.Config{Analysis: an, Targets: tc.targets, K: 2})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s targets: err = %v, want one naming %s", tc.name, err, tc.want)
 		}
 	}
 }

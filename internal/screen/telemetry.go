@@ -6,8 +6,7 @@ package screen
 import "cpsguard/internal/telemetry"
 
 var (
-	mRuns        = telemetry.NewCounter("screen.runs")
-	mEvaluated   = telemetry.NewCounter("screen.evaluated")
-	mPruned      = telemetry.NewCounter("screen.pruned")
-	mReorderOnly = telemetry.NewCounter("screen.reorder_only")
+	mRuns      = telemetry.NewCounter("screen.runs")
+	mEvaluated = telemetry.NewCounter("screen.evaluated")
+	mPruned    = telemetry.NewCounter("screen.pruned")
 )

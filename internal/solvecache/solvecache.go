@@ -1,16 +1,16 @@
 // Package solvecache memoizes perturbation-set solve results. The
 // evaluation pipeline (impact matrices, adversary branch-and-bound,
-// experiment grids) repeatedly prices the same attack sets against the same
-// baseline grid; the cache keys each solved set by a canonical hash
-// (impact.CanonicalKey, salted by the scenario fingerprint) and stores the
-// per-actor profits, welfare, and the optimal LP basis for warm-starting
-// neighbours.
+// experiment grids, the N-k screen) repeatedly prices the same attack sets
+// against the same baseline grid; the cache keys each solved set by a
+// canonical hash (impact.CanonicalKey, salted by the scenario fingerprint)
+// and stores its dispatch outcome: per-actor profits, welfare and edge
+// flows.
 //
 // The cache is a pure memo: entries hold exactly what a fresh solve would
 // produce, so enabling it never changes results — the golden-figure CSVs
-// stay byte-identical with the cache on. Entries are immutable once
-// inserted and eviction only unlinks them, so a reader holding an Entry is
-// never affected by concurrent eviction.
+// stay byte-identical with the cache on. Entries are shared with every Get
+// caller and never mutated, and eviction only unlinks them, so a reader
+// holding an Entry is never affected by concurrent eviction.
 //
 // All methods are safe for concurrent use and nil-safe: a nil *Cache is a
 // valid always-miss cache, which lets callers thread an optional cache
@@ -21,7 +21,6 @@ import (
 	"container/list"
 	"sync"
 
-	"cpsguard/internal/lp"
 	"cpsguard/internal/telemetry"
 )
 
@@ -31,26 +30,24 @@ var (
 	mEvictions = telemetry.NewCounter("solvecache.evictions")
 )
 
-// Entry is one memoized solve result. Entries are stored by value at Put
-// and must not be mutated afterward; the Profits map and Basis are shared
-// with every Get caller.
+// Entry is one dispatch outcome. Entries are stored by value at Put and
+// must not be mutated afterward: their slices are shared with every Get
+// caller.
 type Entry struct {
-	// Profits holds the absolute per-actor profits of the perturbed solve
-	// (not deltas — deltas are reconstructed against whichever baseline the
-	// caller holds, keeping the memo baseline-independent).
-	Profits map[string]float64
-	// Welfare is the perturbed dispatch welfare.
+	// Profits holds the absolute per-actor profits of the dispatch (not
+	// deltas, which are reconstructed against whichever baseline the
+	// caller holds, keeping the memo baseline-independent), laid out by
+	// the writer's actor index. The key's salt pins the graph, its edge
+	// order and the ownership, hence the index, so every reader of the
+	// key lays the slice out the same way.
+	Profits []float64
+	// Welfare is the dispatch welfare.
 	Welfare float64
-	// Basis is the optimal LP basis of the perturbed dispatch, for
-	// warm-starting structurally identical neighbours. May be nil.
-	Basis *lp.Basis
-	// Support lists the edges carrying nonzero flow in the perturbed
-	// dispatch, in graph edge-index order. It is the dominance certificate
-	// the N-k screen consumes (internal/screen): a perturbation touching
-	// only zero-flow edges cannot change this optimum. Nil when the entry
-	// predates support recording; consumers must treat nil as "no
-	// certificate", never as "empty support".
-	Support []string
+	// Flows holds the dispatch's edge flows, indexed like the graph's
+	// edges. The N-k screen reads its dominance certificate off them
+	// (internal/screen): an outage of an edge with no flow cannot change
+	// this optimum.
+	Flows []float64
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.

@@ -8,7 +8,7 @@ import (
 
 func entryFor(i int) Entry {
 	return Entry{
-		Profits: map[string]float64{"a0": float64(i), "a1": float64(2 * i)},
+		Profits: []float64{float64(i), float64(2 * i)},
 		Welfare: float64(100 + i),
 	}
 }
@@ -140,7 +140,7 @@ func TestConcurrentAccess(t *testing.T) {
 				if e, ok := c.Get(key); ok {
 					// Entry integrity: values must be the exact ones
 					// inserted for this key, never a torn mix.
-					if e.Welfare != float64(100+i) || e.Profits["a0"] != float64(i) || e.Profits["a1"] != float64(2*i) {
+					if e.Welfare != float64(100+i) || e.Profits[0] != float64(i) || e.Profits[1] != float64(2*i) {
 						t.Errorf("corrupt entry for %s: %+v", key, e)
 						return
 					}
@@ -188,7 +188,7 @@ func TestEvictedEntryStaysReadable(t *testing.T) {
 	if _, ok := c.Get("old"); ok {
 		t.Fatal("old not evicted")
 	}
-	if held.Welfare != 107 || held.Profits["a0"] != 7 {
+	if held.Welfare != 107 || held.Profits[0] != 7 {
 		t.Fatalf("held entry mutated by eviction: %+v", held)
 	}
 }
