@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lp/ -run=^$$ -fuzz=FuzzWarmStart -fuzztime=5s
 	$(GO) test ./internal/lp/ -run=^$$ -fuzz=FuzzRevisedSimplex -fuzztime=5s
 	$(GO) test ./internal/screen/ -run=^$$ -fuzz=FuzzScreenPrune -fuzztime=5s
+	$(GO) test ./internal/impact/ -run=^$$ -fuzz=FuzzPerturbAgreement -fuzztime=5s
 
 # Sparse-vs-dense differential smoke: the dense-oracle battery (fixtures,
 # outage sweeps, seeded random LPs, error taxonomy), the pivot-path locks

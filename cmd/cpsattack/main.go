@@ -131,7 +131,7 @@ func main() {
 	}
 	cli.MustPrintf("chosen targets (%d):\n", len(plan.Targets))
 	for _, t := range plan.Targets {
-		dw := truth.WelfareDelta[t]
+		dw := truth.WelfareDelta[truth.Col(t)]
 		cli.MustPrintf("  %-18s  system welfare impact %10.2f\n", t, dw)
 	}
 	cli.MustPrintf("\ncaptured actors (%d): %v\n", len(plan.Actors), plan.Actors)

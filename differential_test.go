@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -267,21 +268,21 @@ func TestDifferentialWarmAndCached(t *testing.T) {
 			if carried.Value() == before {
 				t.Error("no outage was carried over the cache-served baseline")
 			}
-			sameBits := func(a, b map[string]float64) bool {
-				for k, v := range a {
-					if w, ok := b[k]; !ok || math.Float64bits(v) != math.Float64bits(w) {
-						return false
+			same := slices.Equal(got.Actors, want.Actors) && slices.Equal(got.Targets, want.Targets) &&
+				slices.EqualFunc(got.WelfareDelta, want.WelfareDelta, func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				})
+			for i := 0; same && i < len(want.Actors); i++ {
+				for j := range want.Targets {
+					if got.Present(i, j) != want.Present(i, j) ||
+						math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+						t.Errorf("cell (%s, %s): matrix over a cache-served baseline differs from the uncached one",
+							want.Actors[i], want.Targets[j])
 					}
 				}
-				return len(a) == len(b)
 			}
-			if !sameBits(got.WelfareDelta, want.WelfareDelta) || len(got.IM) != len(want.IM) {
+			if !same {
 				t.Error("matrix over a cache-served baseline differs from the uncached matrix")
-			}
-			for a, row := range want.IM {
-				if !sameBits(got.IM[a], row) {
-					t.Errorf("actor %s: matrix row over a cache-served baseline differs from the uncached one", a)
-				}
 			}
 		})
 	}

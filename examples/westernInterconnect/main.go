@@ -35,8 +35,8 @@ func main() {
 		winner string
 	}
 	var rows []ranked
-	for _, t := range m.Targets {
-		r := ranked{id: t, damage: -m.WelfareDelta[t]}
+	for j, t := range m.Targets {
+		r := ranked{id: t, damage: -m.WelfareDelta[j]}
 		for _, a := range m.Actors {
 			if v := m.Get(a, t); v > r.gain {
 				r.gain = v

@@ -32,12 +32,12 @@ func TestFullPipelineOnWestgrid(t *testing.T) {
 	}
 	// Invariant: every impact column is zero-sum against welfare delta,
 	// and no attack increases welfare.
-	for _, target := range truth.Targets {
+	for j, target := range truth.Targets {
 		sum := 0.0
 		for _, a := range truth.Actors {
 			sum += truth.Get(a, target)
 		}
-		dw := truth.WelfareDelta[target]
+		dw := truth.WelfareDelta[j]
 		if math.Abs(sum-dw) > 1e-4*(1+math.Abs(dw)) {
 			t.Fatalf("column %s not zero-sum: %v vs %v", target, sum, dw)
 		}

@@ -126,8 +126,12 @@ func newInstance(cfg Config) (*instance, error) {
 	if cfg.Matrix == nil {
 		return nil, errors.New("adversary: nil impact matrix")
 	}
-	in := &instance{budget: cfg.Budget, actors: cfg.Matrix.Actors}
-	for _, t := range cfg.Targets {
+	m := cfg.Matrix
+	in := &instance{budget: cfg.Budget, actors: m.Actors, im: make([][]float64, len(m.Actors))}
+	for j := range in.im {
+		in.im[j] = make([]float64, len(cfg.Targets))
+	}
+	for i, t := range cfg.Targets {
 		if t.Cost < 0 || t.SuccessProb < 0 || t.SuccessProb > 1 ||
 			math.IsNaN(t.Cost) || math.IsNaN(t.SuccessProb) {
 			return nil, fmt.Errorf("adversary: bad target %+v", t)
@@ -135,14 +139,10 @@ func newInstance(cfg Config) (*instance, error) {
 		in.ids = append(in.ids, t.ID)
 		in.cost = append(in.cost, t.Cost)
 		in.ps = append(in.ps, t.SuccessProb)
-	}
-	in.im = make([][]float64, len(in.actors))
-	for j, a := range in.actors {
-		row := make([]float64, len(in.ids))
-		for i, id := range in.ids {
-			row[i] = cfg.Matrix.Get(a, id) * in.ps[i]
+		c := m.Col(t.ID) // resolved once; −1 (every cell 0) when t is not in the matrix
+		for j, row := range in.im {
+			row[i] = m.At(j, c) * t.SuccessProb
 		}
-		in.im[j] = row
 	}
 	in.opt = make([]float64, len(in.ids))
 	for i := range in.ids {
@@ -432,20 +432,21 @@ type EvaluateOptions struct {
 // (Section III-C: "the actual impact comes from what the ground truth model
 // experiences"). Defended targets contribute cost but no impact.
 func Evaluate(p *Plan, truth *impact.Matrix, targets []Target, opts EvaluateOptions) float64 {
-	cost := map[string]float64{}
-	ps := map[string]float64{}
-	for _, t := range targets {
-		cost[t.ID] = t.Cost
-		ps[t.ID] = t.SuccessProb
-	}
 	total := 0.0
-	for _, t := range p.Targets {
-		total -= cost[t]
-		if opts.Defended[t] {
+	for _, id := range p.Targets {
+		var t Target // a target missing from targets costs nothing and never succeeds
+		for _, c := range targets {
+			if c.ID == id {
+				t = c
+			}
+		}
+		total -= t.Cost
+		if opts.Defended[id] {
 			continue
 		}
+		j := truth.Col(id)
 		for _, a := range p.Actors {
-			total += truth.Get(a, t) * ps[t]
+			total += truth.At(truth.Row(a), j) * t.SuccessProb
 		}
 	}
 	return total

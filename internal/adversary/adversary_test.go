@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"cpsguard/internal/impact"
@@ -13,23 +13,27 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// matrixOf builds an impact.Matrix from a dense map for testing.
+// matrixOf builds an impact.Matrix from a map for testing; every listed
+// cell is present.
 func matrixOf(im map[string]map[string]float64) *impact.Matrix {
-	m := &impact.Matrix{IM: map[string]map[string]float64{}, WelfareDelta: map[string]float64{}}
-	targetSet := map[string]bool{}
+	var as, ts []string
 	for a, row := range im {
-		m.Actors = append(m.Actors, a)
-		m.IM[a] = map[string]float64{}
-		for t, v := range row {
-			m.IM[a][t] = v
-			targetSet[t] = true
+		as = append(as, a)
+		for t := range row {
+			if !slices.Contains(ts, t) {
+				ts = append(ts, t)
+			}
 		}
 	}
-	sort.Strings(m.Actors)
-	for t := range targetSet {
-		m.Targets = append(m.Targets, t)
+	slices.Sort(as)
+	slices.Sort(ts)
+	m, err := impact.NewMatrix(as, ts, func(i, j int) (float64, bool) {
+		v, ok := im[as[i]][ts[j]]
+		return v, ok
+	})
+	if err != nil {
+		panic(err)
 	}
-	sort.Strings(m.Targets)
 	return m
 }
 

@@ -82,28 +82,34 @@ func referenceSolve(cfg Config) (*Plan, error) {
 func boundInstance(seed uint64) Config {
 	rs := rng.Derive(1515, seed)
 	nT, nA := 4+rs.Intn(19), 2+rs.Intn(5)
-	m := &impact.Matrix{IM: map[string]map[string]float64{}, WelfareDelta: map[string]float64{}}
-	for j := 0; j < nA; j++ {
-		a := fmt.Sprintf("a%d", j)
-		m.Actors = append(m.Actors, a)
-		m.IM[a] = map[string]float64{}
+	as := make([]string, nA)
+	for j := range as {
+		as[j] = fmt.Sprintf("a%d", j)
 	}
 	shift := 0.3 + 0.3*rs.Float64() // share of negative impacts
 	targets := make([]Target, nT)
+	ids := make([]string, nT)
+	im := make([][]float64, nA) // im[j][i] is actor j's delta under target i
+	for j := range im {
+		im[j] = make([]float64, nT)
+	}
 	uniform := rs.Intn(2) == 0
 	for i := range targets {
-		id := fmt.Sprintf("t%02d", i)
-		m.Targets = append(m.Targets, id)
-		for _, a := range m.Actors {
-			m.IM[a][id] = (rs.Float64() - shift) * 10
+		ids[i] = fmt.Sprintf("t%02d", i)
+		for j := range im {
+			im[j][i] = (rs.Float64() - shift) * 10
 		}
-		targets[i] = Target{ID: id, Cost: 1, SuccessProb: 0.5 + 0.5*rs.Float64()}
+		targets[i] = Target{ID: ids[i], Cost: 1, SuccessProb: 0.5 + 0.5*rs.Float64()}
 		if !uniform {
 			targets[i].Cost = 0.2 + 2*rs.Float64()
 			if rs.Intn(12) == 0 {
 				targets[i].Cost = 0
 			}
 		}
+	}
+	m, err := impact.NewMatrix(as, ids, func(j, i int) (float64, bool) { return im[j][i], true })
+	if err != nil {
+		panic(err)
 	}
 	return Config{
 		Matrix:  m,

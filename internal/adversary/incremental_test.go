@@ -12,20 +12,24 @@ import (
 // impacts so the branch and bound explores a nontrivial tree.
 func incrementalFixture(nTargets, nActors int, seed uint64) Config {
 	rs := rng.New(seed)
-	m := &impact.Matrix{IM: map[string]map[string]float64{}, WelfareDelta: map[string]float64{}}
-	for j := 0; j < nActors; j++ {
-		a := fmt.Sprintf("a%d", j)
-		m.Actors = append(m.Actors, a)
-		m.IM[a] = map[string]float64{}
+	as := make([]string, nActors)
+	for j := range as {
+		as[j] = fmt.Sprintf("a%d", j)
 	}
-	var ids []string
-	for i := 0; i < nTargets; i++ {
-		t := fmt.Sprintf("e%d", i)
-		ids = append(ids, t)
-		m.Targets = append(m.Targets, t)
-		for _, a := range m.Actors {
-			m.IM[a][t] = (rs.Float64() - 0.4) * 10
+	ids := make([]string, nTargets)
+	im := make([][]float64, nActors) // im[j][i] is actor j's delta under target i
+	for j := range im {
+		im[j] = make([]float64, nTargets)
+	}
+	for i := range ids {
+		ids[i] = fmt.Sprintf("e%02d", i)
+		for j := range im {
+			im[j][i] = (rs.Float64() - 0.4) * 10
 		}
+	}
+	m, err := impact.NewMatrix(as, ids, func(j, i int) (float64, bool) { return im[j][i], true })
+	if err != nil {
+		panic(err)
 	}
 	return Config{
 		Matrix:  m,

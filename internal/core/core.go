@@ -107,11 +107,7 @@ func (s *Scenario) defenseCosts() defense.Costs {
 	if s.DefenseCosts != nil {
 		return s.DefenseCosts
 	}
-	ids := make([]string, 0, len(s.targets()))
-	for _, t := range s.targets() {
-		ids = append(ids, t.ID)
-	}
-	return defense.UniformCosts(ids, 1)
+	return defense.UniformCosts(s.targetIDs(), 1)
 }
 
 func (s *Scenario) targetIDs() []string {
@@ -122,18 +118,20 @@ func (s *Scenario) targetIDs() []string {
 	return ids
 }
 
+// matrix computes the impact matrix of the scenario's targets on g, the
+// ground truth or a noisy copy of it.
+func (s *Scenario) matrix(g *graph.Graph) (*impact.Matrix, error) {
+	an := &impact.Analysis{Graph: g, Ownership: s.Ownership, Model: s.ProfitModel, Parallel: s.Parallel, Cache: s.Cache}
+	return an.ComputeMatrix(s.targetIDs())
+}
+
 // Truth computes (and caches) the ground-truth impact matrix for the
 // scenario's target set.
 func (s *Scenario) Truth() (*impact.Matrix, error) {
 	if s.truth != nil {
 		return s.truth, nil
 	}
-	an := &impact.Analysis{
-		Graph: s.Graph, Ownership: s.Ownership,
-		Model: s.ProfitModel, Parallel: s.Parallel,
-		Cache: s.Cache,
-	}
-	m, err := an.ComputeMatrix(s.targetIDs())
+	m, err := s.matrix(s.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -152,17 +150,9 @@ func (s *Scenario) View(sigma float64, mode NoiseMode, rs *rng.Stream) (*impact.
 	}
 	switch mode {
 	case MatrixNoise:
-		v := *truth
-		v.IM = noise.PerturbMatrix(truth.IM, sigma, rs)
-		return &v, nil
+		return truth.Perturbed(sigma, rs), nil
 	case GraphNoise:
-		ng := noise.Perturb(s.Graph, noise.Model{Sigma: sigma}, rs)
-		an := &impact.Analysis{
-			Graph: ng, Ownership: s.Ownership,
-			Model: s.ProfitModel, Parallel: s.Parallel,
-			Cache: s.Cache,
-		}
-		return an.ComputeMatrix(s.targetIDs())
+		return s.matrix(noise.Perturb(s.Graph, noise.Model{Sigma: sigma}, rs))
 	default:
 		return nil, fmt.Errorf("core: unknown noise mode %v", mode)
 	}
@@ -279,38 +269,10 @@ func PlayRound(s *Scenario, cfg GameConfig) (*GameResult, error) {
 		return nil, fmt.Errorf("core: attack probability: %w", err)
 	}
 
-	var defended map[string]bool
-	spent := 0.0
-	if cfg.Collaborative {
-		budgets := map[string]float64{}
-		for _, a := range defView.Actors {
-			budgets[a] = cfg.DefenseBudgetPerActor
-		}
-		cinv, err := defense.PlanCollaborative(defense.CollaborativeConfig{
-			Matrix: defView, Ownership: s.Ownership,
-			AttackProb: defense.SharedAttackProb(defView, pa),
-			Costs:      s.defenseCosts(),
-			Budget:     budgets,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: collaborative defense: %w", err)
-		}
-		defended = cinv.Defended
-		for _, shares := range cinv.Share {
-			for _, v := range shares {
-				spent += v
-			}
-		}
-	} else {
-		invs, err := defense.PlanAllIndependent(defView, s.Ownership, pa,
-			s.defenseCosts(), cfg.DefenseBudgetPerActor)
-		if err != nil {
-			return nil, fmt.Errorf("core: independent defense: %w", err)
-		}
-		defended = defense.Union(invs)
-		for _, inv := range invs {
-			spent += inv.Spent
-		}
+	defended, spent, err := defense.Invest(defView, s.Ownership, pa, s.defenseCosts(),
+		cfg.DefenseBudgetPerActor, cfg.Collaborative)
+	if err != nil {
+		return nil, fmt.Errorf("core: defense: %w", err)
 	}
 
 	// --- Settlement against ground truth.

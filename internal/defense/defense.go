@@ -20,13 +20,13 @@ package defense
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cpsguard/internal/actors"
 	"cpsguard/internal/adversary"
 	"cpsguard/internal/impact"
 	"cpsguard/internal/knapsack"
-	"cpsguard/internal/noise"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/telemetry"
@@ -84,9 +84,6 @@ type IndependentConfig struct {
 }
 
 func successProb(m map[string]float64, t string) float64 {
-	if m == nil {
-		return 1
-	}
 	if v, ok := m[t]; ok {
 		return v
 	}
@@ -169,6 +166,41 @@ func Union(invs map[string]*Investment) map[string]bool {
 	return d
 }
 
+// Invest plans one round's defense on the believed matrix m, every
+// defender sharing the attack probabilities pa and the budget MD:
+// collaborative (Eqs. 15–18) over the actors of m, or independent
+// (Eqs. 12–14) for every owner. It returns the union of the defended assets
+// and the total spent.
+func Invest(m *impact.Matrix, o actors.Ownership, pa map[string]float64, costs Costs,
+	budgetPerActor float64, collaborative bool) (defended map[string]bool, spent float64, err error) {
+	if !collaborative {
+		invs, err := PlanAllIndependent(m, o, pa, costs, budgetPerActor)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, inv := range invs {
+			spent += inv.Spent
+		}
+		return Union(invs), spent, nil
+	}
+	budgets := map[string]float64{}
+	for _, a := range m.Actors {
+		budgets[a] = budgetPerActor
+	}
+	cinv, err := PlanCollaborative(CollaborativeConfig{
+		Matrix: m, Ownership: o, AttackProb: SharedAttackProb(m, pa), Costs: costs, Budget: budgets,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, shares := range cinv.Share {
+		for _, v := range shares {
+			spent += v
+		}
+	}
+	return cinv.Defended, spent, nil
+}
+
 // CollaborativeConfig states the pooled defense problem of Eqs. 15–18.
 type CollaborativeConfig struct {
 	// Matrix is the shared believed impact matrix. Per-actor attack
@@ -234,18 +266,9 @@ func PlanCollaborative(cfg CollaborativeConfig) (inv *CollabInvestment, err erro
 	// The cooperating pool includes every actor harmed by a target, not
 	// just asset owners (Section II-F3's buyers defending a supplier), so
 	// enumerate the union of matrix actors and owners.
-	actSet := map[string]bool{}
-	for _, a := range cfg.Matrix.Actors {
-		actSet[a] = true
-	}
-	for _, a := range cfg.Ownership.Actors() {
-		actSet[a] = true
-	}
-	acts := make([]string, 0, len(actSet))
-	for a := range actSet {
-		acts = append(acts, a)
-	}
-	sort.Strings(acts)
+	acts := append(slices.Clone(cfg.Matrix.Actors), cfg.Ownership.Actors()...)
+	slices.Sort(acts)
+	acts = slices.Compact(acts)
 	targets := make([]string, 0, len(cfg.Costs))
 	for t := range cfg.Costs {
 		targets = append(targets, t)
@@ -259,33 +282,26 @@ func PlanCollaborative(cfg CollaborativeConfig) (inv *CollabInvestment, err erro
 	budgets := make([]float64, len(acts))
 	for d, a := range acts {
 		budgets[d] = cfg.Budget[a]
-		weights[d] = nil // filled per target below
 	}
 
 	for _, t := range targets {
 		cd := cfg.Costs[t]
 		ps := successProb(cfg.SuccessProb, t)
-		// CD(t): actors with a loss at t (negative believed impact).
-		totalLoss := 0.0
-		perLoss := map[string]float64{}
-		for _, a := range acts {
+		// CD(t): actors with a loss at t (negative believed impact), and
+		// the expected loss they avert, each defender with its own
+		// perceived attack probability (Eq. 16). Both sums run in actor
+		// order, so a plan's values do not depend on map iteration.
+		losses := make([]float64, len(acts))
+		totalLoss, avert := 0.0, 0.0
+		for d, a := range acts {
 			if l := loss(cfg.Matrix, a, t); l > 0 {
-				perLoss[a] = l
+				losses[d] = l
 				totalLoss += l
+				avert += cfg.AttackProb[a][t] * ps * l // a nil row reads Pa = 0
 			}
 		}
 		if totalLoss == 0 {
 			continue // nobody is harmed; no cooperating set
-		}
-		// Expected averted loss across the cooperating set, with each
-		// defender's own perceived attack probability (Eq. 16).
-		avert := 0.0
-		for a, l := range perLoss {
-			pa := 0.0
-			if row := cfg.AttackProb[a]; row != nil {
-				pa = row[t]
-			}
-			avert += pa * ps * l
 		}
 		net := avert - cd
 		if net <= 0 {
@@ -294,13 +310,13 @@ func PlanCollaborative(cfg CollaborativeConfig) (inv *CollabInvestment, err erro
 		ids = append(ids, t)
 		values = append(values, net)
 		share := map[string]float64{}
-		for a, l := range perLoss {
-			share[a] = cd * l / totalLoss // Eq. 15
-		}
-		shares[t] = share
 		for d, a := range acts {
+			if losses[d] > 0 {
+				share[a] = cd * losses[d] / totalLoss // Eq. 15
+			}
 			weights[d] = append(weights[d], share[a])
 		}
+		shares[t] = share
 	}
 
 	chosen, val := knapsack.SolveMulti(values, weights, budgets)
@@ -345,12 +361,9 @@ func EstimateAttackProb(believed *impact.Matrix, targets []adversary.Target,
 		defer sp.End()
 	}
 	plans, err := parallel.Map(samples, par, func(i int) ([]string, error) {
-		rs := rng.Derive(seed, uint64(i))
-		view := *believed // shallow copy; IM replaced below
-		view.IM = noise.PerturbMatrix(believed.IM, sigmaSpec, rs)
 		p, err := adversary.Solve(adversary.Config{
-			Matrix: &view, Targets: targets, Budget: budget,
-			Ctx: par.Context,
+			Matrix:  believed.Perturbed(sigmaSpec, rng.Derive(seed, uint64(i))),
+			Targets: targets, Budget: budget, Ctx: par.Context,
 		})
 		if err != nil {
 			return nil, err

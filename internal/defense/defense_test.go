@@ -2,7 +2,7 @@ package defense
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"cpsguard/internal/actors"
@@ -14,21 +14,24 @@ import (
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func matrixOf(im map[string]map[string]float64) *impact.Matrix {
-	m := &impact.Matrix{IM: map[string]map[string]float64{}, WelfareDelta: map[string]float64{}}
-	targetSet := map[string]bool{}
+	var as, ts []string
 	for a, row := range im {
-		m.Actors = append(m.Actors, a)
-		m.IM[a] = map[string]float64{}
-		for t, v := range row {
-			m.IM[a][t] = v
-			targetSet[t] = true
+		as = append(as, a)
+		for t := range row {
+			if !slices.Contains(ts, t) {
+				ts = append(ts, t)
+			}
 		}
 	}
-	sort.Strings(m.Actors)
-	for t := range targetSet {
-		m.Targets = append(m.Targets, t)
+	slices.Sort(as)
+	slices.Sort(ts)
+	m, err := impact.NewMatrix(as, ts, func(i, j int) (float64, bool) {
+		v, ok := im[as[i]][ts[j]]
+		return v, ok
+	})
+	if err != nil {
+		panic(err)
 	}
-	sort.Strings(m.Targets)
 	return m
 }
 
@@ -209,6 +212,37 @@ func TestCollaborativeSharesProportionalToImpact(t *testing.T) {
 	}
 	if !approx(cinv.Share["A"]["x"], 3, 1e-9) || !approx(cinv.Share["B"]["x"], 1, 1e-9) {
 		t.Fatalf("shares = %v", cinv.Share)
+	}
+}
+
+// TestCollaborativeDeterministic: six actors harmed by one target, with
+// different losses and attack probabilities, sum their averted losses in a
+// fixed order, so repeated plans of the same inputs agree bit for bit. A
+// map-order sum gives two different values here.
+func TestCollaborativeDeterministic(t *testing.T) {
+	im := map[string]map[string]float64{}
+	pa := map[string]map[string]float64{}
+	budget := map[string]float64{}
+	for i, a := range []string{"A", "B", "C", "D", "E", "F"} {
+		im[a] = map[string]float64{"t1": -(0.1 + float64(i)*0.7331), "t2": -1e-3 * float64(i+1)}
+		pa[a] = map[string]float64{"t1": 0.1 * float64(i+1), "t2": 0.3}
+		budget[a] = 1
+	}
+	m := matrixOf(im)
+	var first uint64
+	for k := 0; k < 200; k++ {
+		inv, err := PlanCollaborative(CollaborativeConfig{
+			Matrix: m, Ownership: actors.Ownership{"t1": "A", "t2": "B"},
+			AttackProb: pa, Costs: Costs{"t1": 0.01, "t2": 0.0001}, Budget: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := math.Float64bits(inv.TotalValue); k == 0 {
+			first = bits
+		} else if bits != first {
+			t.Fatalf("plan %d: total value %v, first plan %v", k, inv.TotalValue, math.Float64frombits(first))
+		}
 	}
 }
 

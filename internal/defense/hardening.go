@@ -107,12 +107,6 @@ func PlanHardening(cfg HardeningConfig) (*Hardening, error) {
 	sort.Slice(assets, func(i, j int) bool { return assets[i].id < assets[j].id })
 
 	h := &Hardening{Invest: map[string]float64{}, ResidualPs: map[string]float64{}}
-	if len(assets) == 0 {
-		for _, t := range cfg.Targets {
-			h.ResidualPs[t.ID] = t.SuccessProb
-		}
-		return h, nil
-	}
 	decay := cfg.decay()
 	step := cfg.step()
 	remaining := cfg.Budget

@@ -296,8 +296,8 @@ func AttackVectors(cfg Config) (*stats.Table, error) {
 					return row{}, err
 				}
 				worst := 0.0
-				for _, tg := range m.Targets {
-					if d := -m.WelfareDelta[tg]; d > worst {
+				for _, w := range m.WelfareDelta {
+					if d := -w; d > worst {
 						worst = d
 					}
 				}

@@ -111,9 +111,9 @@ func TestComputeMatrixOfSubtleAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tg := range m.Targets {
-		if m.WelfareDelta[tg] > 1e-6 {
-			t.Fatalf("loss attack on %s increased welfare: %v", tg, m.WelfareDelta[tg])
+	for j, tg := range m.Targets {
+		if m.WelfareDelta[j] > 1e-6 {
+			t.Fatalf("loss attack on %s increased welfare: %v", tg, m.WelfareDelta[j])
 		}
 	}
 }

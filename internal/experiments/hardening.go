@@ -59,17 +59,8 @@ func HardeningComparison(cfg Config) (*stats.Table, error) {
 
 			// Binary: collaborative defense with per-actor share of the
 			// budget.
-			perActor := budget / float64(len(truth.Actors))
-			bb := map[string]float64{}
-			for _, a := range truth.Actors {
-				bb[a] = perActor
-			}
-			cinv, err := defense.PlanCollaborative(defense.CollaborativeConfig{
-				Matrix: truth, Ownership: s.Ownership,
-				AttackProb: defense.SharedAttackProb(truth, pa),
-				Costs:      defense.UniformCosts(truth.Targets, 1),
-				Budget:     bb,
-			})
+			defended, _, err := defense.Invest(truth, s.Ownership, pa, defense.UniformCosts(truth.Targets, 1),
+				budget/float64(len(truth.Actors)), true)
 			if err != nil {
 				return pair{}, err
 			}
@@ -77,7 +68,7 @@ func HardeningComparison(cfg Config) (*stats.Table, error) {
 			binTargets := make([]adversary.Target, len(targets))
 			for i, tg := range targets {
 				binTargets[i] = tg
-				if cinv.Defended[tg.ID] {
+				if defended[tg.ID] {
 					binTargets[i].SuccessProb = 0
 				}
 			}

@@ -116,8 +116,8 @@ func TestGeneratedSystemSupportsImpactAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tg := range m.Targets {
-		if m.WelfareDelta[tg] > 1e-6 {
+	for j, tg := range m.Targets {
+		if m.WelfareDelta[j] > 1e-6 {
 			t.Fatalf("attack on %s increased welfare", tg)
 		}
 	}

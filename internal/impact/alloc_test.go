@@ -7,6 +7,7 @@
 package impact
 
 import (
+	"fmt"
 	"testing"
 
 	"cpsguard/internal/actors"
@@ -63,6 +64,41 @@ func TestOutageDivisionAllocs(t *testing.T) {
 		})
 		if n > float64(want) {
 			t.Errorf("outage %s: %v allocations per dispatch and division, want ≤ %d", tc.id, n, want)
+		}
+	}
+}
+
+// maxPerturbedAllocs bounds the heap allocations of one noisy view: the view
+// and its value slice. It does not grow with the matrix, which a per-actor
+// row map would break.
+const maxPerturbedAllocs = 2
+
+// TestPerturbedAllocs locks the allocations of the draw that every
+// attack-probability sample and every matrix-noise view runs, on a 1×1
+// matrix, a dense 40×400 one and the stressed westgrid's outage matrix.
+func TestPerturbedAllocs(t *testing.T) {
+	dense := func(nA, nT int) *Matrix {
+		ids := func(prefix string, n int) []string {
+			out := make([]string, n)
+			for k := range out {
+				out[k] = fmt.Sprintf("%s%04d", prefix, k)
+			}
+			return out
+		}
+		m, err := NewMatrix(ids("a", nA), ids("t", nT), func(i, j int) (float64, bool) { return float64(i - j), true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for name, m := range map[string]*Matrix{
+		"1x1":               dense(1, 1),
+		"40x400":            dense(40, 400),
+		"westgrid_stressed": truthMatrix(t, westgrid.Build(westgrid.Options{Stress: true})),
+	} {
+		rs := rng.New(1)
+		if n := testing.AllocsPerRun(20, func() { m.Perturbed(0.2, rs) }); n > maxPerturbedAllocs {
+			t.Errorf("%s: %v allocations per noisy view, want ≤ %d", name, n, maxPerturbedAllocs)
 		}
 	}
 }

@@ -42,7 +42,12 @@ import (
 	"cpsguard/internal/graph"
 	"cpsguard/internal/lp"
 	"cpsguard/internal/solvecache"
+	"cpsguard/internal/telemetry"
 )
+
+// mCarried counts the perturbed dispatches priced against the baseline
+// optimum without an LP solve: the solves Carries saved.
+var mCarried = telemetry.NewCounter("impact.carried")
 
 // CanonicalKey returns a canonical hex digest of a perturbation set: the
 // same attack always yields the same key regardless of perturbation order
@@ -257,14 +262,9 @@ func (a *Analysis) outcome(c *compiled, ps []Perturbation) (solvecache.Entry, er
 	return e, nil
 }
 
-// deltaProfits calls put(k, p[k] − base[k]) for every actor slot k with a
-// nonzero perturbed or baseline profit, so an actor that vanishes from the
-// perturbed division loses its entire profit. Each delta is a single
-// subtraction, so the order of the calls cannot affect bits.
-func deltaProfits(p, base []float64, put func(k int, d float64)) {
-	for k := range p {
-		if p[k] != 0 || base[k] != 0 {
-			put(k, p[k]-base[k])
-		}
-	}
+// delta returns slot k's profit delta p[k] − base[k] and whether it is
+// present: whether the perturbed or the baseline profit is nonzero, so an
+// actor that vanishes from the perturbed division loses its entire profit.
+func delta(p, base []float64, k int) (float64, bool) {
+	return p[k] - base[k], p[k] != 0 || base[k] != 0
 }

@@ -244,11 +244,12 @@ func TestDivisionMatchesReference(t *testing.T) {
 				refIM[a][id] = d
 			}
 		}
-		if len(m.IM) != len(refIM) {
-			t.Errorf("%s: matrix has %d actor rows, reference %d", name, len(m.IM), len(refIM))
+		im := layout(t, m)
+		if len(im) != len(refIM) {
+			t.Errorf("%s: matrix has %d actor rows, reference %d", name, len(im), len(refIM))
 		}
 		for a, row := range refIM {
-			if !sameBits(m.IM[a], row) {
+			if !sameBits(im[a], row) {
 				t.Errorf("%s: matrix row %s differs from the reference", name, a)
 			}
 		}

@@ -13,7 +13,7 @@ package impact
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"cpsguard/internal/actors"
@@ -21,6 +21,7 @@ import (
 	"cpsguard/internal/graph"
 	"cpsguard/internal/lp"
 	"cpsguard/internal/parallel"
+	"cpsguard/internal/rng"
 	"cpsguard/internal/solvecache"
 )
 
@@ -206,7 +207,11 @@ func (a *Analysis) Of(ps ...Perturbation) (actors.Profits, float64, error) {
 		return nil, 0, err
 	}
 	deltas := actors.Profits{}
-	deltaProfits(o.Profits, base.Profits, func(k int, d float64) { deltas[c.ix.Actors[k]] = d })
+	for k := range o.Profits {
+		if d, ok := delta(o.Profits, base.Profits, k); ok {
+			deltas[c.ix.Actors[k]] = d
+		}
+	}
 	return deltas, o.Welfare - base.Welfare, nil
 }
 
@@ -227,45 +232,132 @@ func (a *Analysis) Outcome(ps ...Perturbation) (solvecache.Entry, error) {
 	return a.outcome(c, ps)
 }
 
-// Matrix is the impact matrix IM[a][t] plus bookkeeping.
+// Matrix is the impact matrix IM[a][t] plus bookkeeping. Its values lie
+// actor-major over the sorted Actors and Targets: cell (i, j) is actor
+// Actors[i]'s profit delta when target Targets[j] is attacked. A cell is
+// present when the actor's baseline or attacked profit is nonzero; an absent
+// cell reads 0 and is never perturbed. A Matrix is read-only once built, so
+// its noisy views share everything but the values.
 type Matrix struct {
-	// IM maps actor → target → profit delta.
-	IM map[string]map[string]float64
-	// WelfareDelta maps target → system welfare change (≤ 0 up to LP
-	// tolerance, since the baseline is the welfare optimum).
-	WelfareDelta map[string]float64
-	// Targets lists the attacked asset IDs in sorted order.
+	// Targets lists the attacked asset IDs in sorted order, without repeats.
 	Targets []string
-	// Actors lists all actor IDs appearing in the ownership, sorted.
+	// Actors lists the actor IDs with a row, sorted: every owner, plus any
+	// other actor (the market) with a present cell.
 	Actors []string
+	// WelfareDelta[j] is the system welfare change when Targets[j] is
+	// attacked (≤ 0 up to LP tolerance, since the baseline is the welfare
+	// optimum).
+	WelfareDelta []float64
 	// BaselineWelfare is the unattacked system welfare.
 	BaselineWelfare float64
+
+	vals    []float64      // vals[i·len(Targets)+j] is cell (i, j)
+	present []bool         // indexed like vals
+	col     map[string]int // target → column
 }
 
-// Get returns IM[actor][target] (0 when absent).
-func (m *Matrix) Get(actor, target string) float64 {
-	if row, ok := m.IM[actor]; ok {
-		return row[target]
+// NewMatrix returns the matrix over the sorted actors and targets whose cell
+// (i, j), for actor i and target j of the sorted lists, holds v and is
+// present when cell(i, j) returns (v, true). cell is called in row-major
+// order. WelfareDelta starts at zero. A repeated actor or target is an error.
+func NewMatrix(actorIDs, targets []string, cell func(i, j int) (float64, bool)) (*Matrix, error) {
+	as, err := sortedIDs(actorIDs)
+	if err != nil {
+		return nil, err
 	}
-	return 0
+	ts, err := sortedIDs(targets)
+	if err != nil {
+		return nil, err
+	}
+	n := len(as) * len(ts)
+	m := &Matrix{Targets: ts, Actors: as, WelfareDelta: make([]float64, len(ts)),
+		vals: make([]float64, n), present: make([]bool, n), col: make(map[string]int, len(ts))}
+	for j, t := range ts {
+		m.col[t] = j
+	}
+	for k := range m.vals {
+		if v, ok := cell(k/len(ts), k%len(ts)); ok {
+			m.vals[k], m.present[k] = v, true
+		}
+	}
+	return m, nil
+}
+
+// sortedIDs returns a sorted copy of ids, or an error on a repeated ID.
+func sortedIDs(ids []string) ([]string, error) {
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			return nil, fmt.Errorf("impact: repeated ID %q", s[i])
+		}
+	}
+	return s, nil
+}
+
+// Col returns target t's column, or -1 when t is not a target.
+func (m *Matrix) Col(t string) int {
+	if j, ok := m.col[t]; ok {
+		return j
+	}
+	return -1
+}
+
+// Row returns actor a's row, or -1 when a has none.
+func (m *Matrix) Row(a string) int {
+	if i, ok := slices.BinarySearch(m.Actors, a); ok {
+		return i
+	}
+	return -1
+}
+
+// At returns cell (i, j); an absent cell, or a negative i or j, reads 0.
+func (m *Matrix) At(i, j int) float64 {
+	if i < 0 || j < 0 {
+		return 0
+	}
+	return m.vals[i*len(m.Targets)+j]
+}
+
+// Present reports whether cell (i, j) is present.
+func (m *Matrix) Present(i, j int) bool { return m.present[i*len(m.Targets)+j] }
+
+// Get returns IM[actor][target] (0 when absent).
+func (m *Matrix) Get(actor, target string) float64 { return m.At(m.Row(actor), m.Col(target)) }
+
+// Perturbed returns a noisy view of m, an agent's estimate of it (the I″ of
+// Section II-F2, or Section II-D4's knowledge noise applied to the matrix):
+// each present cell v becomes v·(1 + sigma·z) for a standard normal z drawn
+// from rs, in row-major order, so a stream always yields the same view.
+// Absent cells stay 0. The view shares all but its values with m; sigma = 0
+// returns m itself.
+func (m *Matrix) Perturbed(sigma float64, rs *rng.Stream) *Matrix {
+	if sigma == 0 {
+		return m
+	}
+	v := *m
+	v.vals = make([]float64, len(m.vals))
+	for k, x := range m.vals {
+		if m.present[k] {
+			x *= 1 + sigma*rs.NormFloat64()
+		}
+		v.vals[k] = x
+	}
+	return &v
 }
 
 // GainLoss sums the positive entries and the negative entries of the whole
-// matrix — the quantities plotted in the paper's Figure 2. Iteration is in
-// sorted (actor, target) order, not map order: float addition is not
-// associative, so a map-order sum varies in the last ulp between runs,
-// which would break the bit-identical determinism the experiment harness
-// (and crash-safe resume) guarantees.
+// matrix — the quantities plotted in the paper's Figure 2. The sums run in
+// row-major order over the sorted layout: float addition is not
+// associative, so any other order could move the last ulp between runs and
+// break the bit-identical determinism the experiment harness (and
+// crash-safe resume) guarantees.
 func (m *Matrix) GainLoss() (gain, loss float64) {
-	for _, a := range m.Actors {
-		row := m.IM[a]
-		for _, t := range m.Targets {
-			v := row[t]
-			if v > 0 {
-				gain += v
-			} else {
-				loss += v
-			}
+	for _, v := range m.vals {
+		if v > 0 {
+			gain += v
+		} else {
+			loss += v
 		}
 	}
 	return gain, loss
@@ -284,9 +376,14 @@ func (a *Analysis) ComputeMatrix(targets []string) (*Matrix, error) {
 // mk maps each target asset to the perturbations its attack applies. This
 // supports the paper's "more subtle" attacks (Section II-D3) — e.g. a
 // stealthy loss increase or a cost manipulation — alongside the outage.
+// A repeated target is an error.
 func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Perturbation) (*Matrix, error) {
 	if targets == nil {
 		targets = a.Graph.AssetIDs()
+	}
+	targets, err := sortedIDs(targets)
+	if err != nil {
+		return nil, err
 	}
 	c, err := a.compile()
 	if err != nil {
@@ -306,30 +403,29 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 	if err != nil {
 		return nil, err
 	}
-	m := &Matrix{
-		IM:              map[string]map[string]float64{},
-		WelfareDelta:    map[string]float64{},
-		Targets:         append([]string(nil), targets...),
-		Actors:          a.Ownership.Actors(),
-		BaselineWelfare: base.Welfare,
-	}
-	// Ensure every owning actor has a row even if all its deltas are 0.
-	for _, actor := range m.Actors {
-		m.IM[actor] = map[string]float64{}
-	}
-	for i, t := range targets {
-		m.WelfareDelta[t] = cols[i].Welfare - base.Welfare
-		deltaProfits(cols[i].Profits, base.Profits, func(k int, d float64) {
-			actor := c.ix.Actors[k]
-			row, ok := m.IM[actor]
-			if !ok {
-				row = map[string]float64{}
-				m.IM[actor] = row
-				m.Actors = append(m.Actors, actor)
+	// Every owner has a row, even if all its deltas are 0; another actor
+	// slot (the market) has one when some cell of it is present.
+	rows := a.Ownership.Actors()
+	for k, actor := range c.ix.Actors {
+		for _, o := range cols {
+			if _, ok := delta(o.Profits, base.Profits, k); ok && !slices.Contains(rows, actor) {
+				rows = append(rows, actor)
 			}
-			row[t] = d
-		})
+		}
 	}
-	sort.Strings(m.Actors)
+	slices.Sort(rows)
+	m, err := NewMatrix(rows, targets, func(i, j int) (float64, bool) {
+		if k := slices.Index(c.ix.Actors, rows[i]); k >= 0 {
+			return delta(cols[j].Profits, base.Profits, k)
+		}
+		return 0, false
+	})
+	if err != nil {
+		return nil, err
+	}
+	for j, o := range cols {
+		m.WelfareDelta[j] = o.Welfare - base.Welfare
+	}
+	m.BaselineWelfare = base.Welfare
 	return m, nil
 }

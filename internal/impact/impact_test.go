@@ -2,6 +2,7 @@ package impact
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,16 +125,16 @@ func TestComputeMatrixAllTargets(t *testing.T) {
 		t.Fatal("baseline welfare should be positive")
 	}
 	// Each column must be zero-sum against its welfare delta.
-	for _, target := range m.Targets {
+	for j, target := range m.Targets {
 		sum := 0.0
 		for _, a := range m.Actors {
 			sum += m.Get(a, target)
 		}
-		if !approx(sum, m.WelfareDelta[target], 1e-6*(1+math.Abs(m.WelfareDelta[target]))) {
-			t.Errorf("target %s: Σ=%v Δw=%v", target, sum, m.WelfareDelta[target])
+		if !approx(sum, m.WelfareDelta[j], 1e-6*(1+math.Abs(m.WelfareDelta[j]))) {
+			t.Errorf("target %s: Σ=%v Δw=%v", target, sum, m.WelfareDelta[j])
 		}
-		if m.WelfareDelta[target] > 1e-6 {
-			t.Errorf("target %s: welfare increased under attack (%v)", target, m.WelfareDelta[target])
+		if m.WelfareDelta[j] > 1e-6 {
+			t.Errorf("target %s: welfare increased under attack (%v)", target, m.WelfareDelta[j])
 		}
 	}
 	gain, loss := m.GainLoss()
@@ -152,11 +153,34 @@ func TestMatrixAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Get("A", "chain1") != m.IM["A"]["chain1"] {
-		t.Fatal("Get disagrees with IM")
+	i, j := m.Row("A"), m.Col("chain1")
+	if i < 0 || j < 0 || !m.Present(i, j) || m.Get("A", "chain1") != m.At(i, j) {
+		t.Fatal("Get disagrees with At")
 	}
-	if m.Get("unknown-actor", "chain1") != 0 {
+	if m.Get("unknown-actor", "chain1") != 0 || m.Row("unknown-actor") != -1 {
 		t.Fatal("unknown actor should read 0")
+	}
+	if m.Get("A", "chain2") != 0 || m.Col("chain2") != -1 {
+		t.Fatal("a target outside the matrix should read 0")
+	}
+}
+
+// TestComputeMatrixSortsAndRejectsRepeats: the matrix lists its targets
+// sorted whatever the caller's order, and a repeated target, which would
+// take two columns and two noise draws, is an error rather than silently
+// collapsed.
+func TestComputeMatrixSortsAndRejectsRepeats(t *testing.T) {
+	g, o := duopoly()
+	an := &Analysis{Graph: g, Ownership: o}
+	m, err := an.ComputeMatrix([]string{"chain2", "chain1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(m.Targets, []string{"chain1", "chain2"}) {
+		t.Fatalf("targets = %v, want sorted", m.Targets)
+	}
+	if _, err := an.ComputeMatrix([]string{"chain1", "chain2", "chain1"}); err == nil {
+		t.Fatal("repeated target accepted")
 	}
 }
 
@@ -240,9 +264,9 @@ func TestMatrixWorkersBitIdentical(t *testing.T) {
 	if m1.BaselineWelfare != m4.BaselineWelfare {
 		t.Fatalf("baseline welfare %v vs %v", m1.BaselineWelfare, m4.BaselineWelfare)
 	}
-	for _, tg := range m1.Targets {
-		if m1.WelfareDelta[tg] != m4.WelfareDelta[tg] {
-			t.Errorf("welfare delta of %s: %v on one worker, %v on four", tg, m1.WelfareDelta[tg], m4.WelfareDelta[tg])
+	for j, tg := range m1.Targets {
+		if m1.WelfareDelta[j] != m4.WelfareDelta[j] {
+			t.Errorf("welfare delta of %s: %v on one worker, %v on four", tg, m1.WelfareDelta[j], m4.WelfareDelta[j])
 		}
 		for _, a := range m1.Actors {
 			if m1.Get(a, tg) != m4.Get(a, tg) {

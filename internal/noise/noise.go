@@ -8,11 +8,12 @@
 //
 // σ = 0 reproduces the ground truth exactly; the paper sweeps σ to trade
 // knowledge for decision quality in Figures 3–6.
+//
+// The package perturbs graphs only. A noisy impact matrix, the agent's
+// estimate I″ of Section II-F2, is drawn by impact.Matrix.Perturbed.
 package noise
 
 import (
-	"sort"
-
 	"cpsguard/internal/graph"
 	"cpsguard/internal/rng"
 )
@@ -57,39 +58,6 @@ func Perturb(g *graph.Graph, m Model, rs *rng.Stream) *graph.Graph {
 			// around the value without a sign clamp.
 			e.Cost = jitter(e.Cost)
 		}
-	}
-	return out
-}
-
-// PerturbMatrix returns a noisy copy of an impact-matrix-like map:
-// values[actor][target] → jittered. Used when an agent estimates another
-// agent's view without re-solving the physical model (Section II-F2's I″).
-// Entries are visited in sorted key order so a given stream always produces
-// the same noise regardless of map iteration order.
-func PerturbMatrix(values map[string]map[string]float64, sigma float64, rs *rng.Stream) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(values))
-	actorKeys := make([]string, 0, len(values))
-	for a := range values {
-		actorKeys = append(actorKeys, a)
-	}
-	sort.Strings(actorKeys)
-	for _, a := range actorKeys {
-		row := values[a]
-		targetKeys := make([]string, 0, len(row))
-		for t := range row {
-			targetKeys = append(targetKeys, t)
-		}
-		sort.Strings(targetKeys)
-		o := make(map[string]float64, len(row))
-		for _, t := range targetKeys {
-			v := row[t]
-			if sigma == 0 {
-				o[t] = v
-			} else {
-				o[t] = v * (1 + sigma*rs.NormFloat64())
-			}
-		}
-		out[a] = o
 	}
 	return out
 }

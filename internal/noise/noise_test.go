@@ -98,26 +98,3 @@ func TestDeterministicGivenStream(t *testing.T) {
 		t.Fatal("same stream produced different noise")
 	}
 }
-
-func TestPerturbMatrix(t *testing.T) {
-	m := map[string]map[string]float64{
-		"a1": {"t1": 10, "t2": -5},
-		"a2": {"t1": 0},
-	}
-	out := PerturbMatrix(m, 0, rng.New(1))
-	if out["a1"]["t1"] != 10 || out["a1"]["t2"] != -5 || out["a2"]["t1"] != 0 {
-		t.Fatal("σ=0 matrix must be exact")
-	}
-	out2 := PerturbMatrix(m, 0.3, rng.New(1))
-	if out2["a1"]["t1"] == 10 {
-		t.Fatal("σ>0 left value unperturbed")
-	}
-	// Zero values stay zero under multiplicative noise.
-	if out2["a2"]["t1"] != 0 {
-		t.Fatal("zero entry must stay zero")
-	}
-	// Input untouched.
-	if m["a1"]["t1"] != 10 {
-		t.Fatal("input matrix mutated")
-	}
-}

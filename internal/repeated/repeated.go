@@ -18,11 +18,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cpsguard/internal/adversary"
 	"cpsguard/internal/core"
 	"cpsguard/internal/defense"
-	"cpsguard/internal/noise"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/telemetry"
@@ -164,47 +164,25 @@ func Play(s *core.Scenario, cfg Config) (*Result, error) {
 			}
 		}()
 		// --- Defenders invest based on history.
-		var defended map[string]bool
-		if cfg.Collaborative {
-			budgets := map[string]float64{}
-			for _, a := range truth.Actors {
-				budgets[a] = cfg.DefenseBudgetPerActor
-			}
-			cinv, cerr := defense.PlanCollaborative(defense.CollaborativeConfig{
-				Matrix: truth, Ownership: s.Ownership,
-				AttackProb: defense.SharedAttackProb(truth, pa),
-				Costs:      costs, Budget: budgets,
-			})
-			if cerr != nil {
-				return Round{}, cerr
-			}
-			defended = cinv.Defended
-		} else {
-			invs, ierr := defense.PlanAllIndependent(truth, s.Ownership, pa,
-				costs, cfg.DefenseBudgetPerActor)
-			if ierr != nil {
-				return Round{}, ierr
-			}
-			defended = defense.Union(invs)
+		defended, _, err := defense.Invest(truth, s.Ownership, pa, costs,
+			cfg.DefenseBudgetPerActor, cfg.Collaborative)
+		if err != nil {
+			return Round{}, err
 		}
 
 		// --- Adversary reconnoiters and attacks.
 		view := truth
 		if cfg.AttackerSigma > 0 {
-			v := *truth
-			v.IM = noise.PerturbMatrix(truth.IM,
-				cfg.AttackerSigma, rng.Derive(cfg.Seed^0x9E9, uint64(round)))
-			view = &v
+			view = truth.Perturbed(cfg.AttackerSigma, rng.Derive(cfg.Seed^0x9E9, uint64(round)))
 		}
 		atkTargets := targets
 		if cfg.AdaptiveAttacker && prevDefended != nil {
 			atkTargets = make([]adversary.Target, 0, len(targets))
 			for _, t := range targets {
-				tt := t
 				if prevDefended[t.ID] {
-					tt.SuccessProb = 0 // known-hardened: not worth hitting
+					t.SuccessProb = 0 // known-hardened: not worth hitting
 				}
-				atkTargets = append(atkTargets, tt)
+				atkTargets = append(atkTargets, t)
 			}
 		}
 		plan, perr := adversary.Solve(adversary.Config{
@@ -234,13 +212,9 @@ func Play(s *core.Scenario, cfg Config) (*Result, error) {
 		res.TotalAdversaryProfit += r.AdversaryProfit
 		res.TotalAverted += r.Averted
 
-		attackedSet := map[string]bool{}
-		for _, t := range r.Attacked {
-			attackedSet[t] = true
-		}
 		for _, t := range truth.Targets {
 			obs := 0.0
-			if attackedSet[t] {
+			if slices.Contains(r.Attacked, t) {
 				obs = 1
 			}
 			pa[t] = (1-alpha)*pa[t] + alpha*obs
@@ -249,10 +223,7 @@ func Play(s *core.Scenario, cfg Config) (*Result, error) {
 	}
 
 	// Replay resumed rounds into the learning state before playing on.
-	start := len(cfg.ResumeRounds)
-	if start > cfg.Rounds {
-		start = cfg.Rounds
-	}
+	start := min(len(cfg.ResumeRounds), cfg.Rounds)
 	for _, r := range cfg.ResumeRounds[:start] {
 		mRoundsReplayed.Inc()
 		settle(r)

@@ -177,13 +177,13 @@ func TestAttacksCreateWinnersUnderCompetition(t *testing.T) {
 		t.Fatalf("no attack losses found (loss=%v)", loss)
 	}
 	// Zero-sum column check on the real model.
-	for _, target := range m.Targets {
+	for j, target := range m.Targets {
 		sum := 0.0
 		for _, a := range m.Actors {
 			sum += m.Get(a, target)
 		}
-		if math.Abs(sum-m.WelfareDelta[target]) > 1e-5*(1+math.Abs(m.WelfareDelta[target])) {
-			t.Fatalf("target %s: Σ impacts %v ≠ Δwelfare %v", target, sum, m.WelfareDelta[target])
+		if math.Abs(sum-m.WelfareDelta[j]) > 1e-5*(1+math.Abs(m.WelfareDelta[j])) {
+			t.Fatalf("target %s: Σ impacts %v ≠ Δwelfare %v", target, sum, m.WelfareDelta[j])
 		}
 	}
 }
