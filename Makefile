@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race benchmark bench bench-check bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke clean
+.PHONY: ci vet build test race benchmark bench bench-check bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke memo-smoke clean
 
-ci: vet build race bench-check bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke
+ci: vet build race bench-check bench-smoke fuzz-smoke revised-smoke crash-resume shard-smoke servd-smoke obs-smoke screen-smoke memo-smoke
 
 # go vet, a gofmt check that fails when any file is not formatted, and a
 # check that no binary, example or root-package code links the MILP engine:
@@ -92,7 +92,7 @@ crash-resume:
 # as its argument, which must render the same sweep into $(SMOKE)/run/check;
 # the two fig5.csv files must be byte-identical. $(CPSEXP) is the binary
 # with the sweep's flags.
-shard-smoke screen-smoke: SMOKE = /tmp/cpsguard-$@
+shard-smoke screen-smoke memo-smoke: SMOKE = /tmp/cpsguard-$@
 CPSEXP = $(SMOKE)/cpsexp -quick -fig 5 -seed 7 -log-level warn
 define fig5-cmp
 	$(GO) build -o $(SMOKE)/cpsexp ./cmd/cpsexp
@@ -150,12 +150,28 @@ screen-smoke:
 	grep -q '"adversary.pruned_targets": [1-9]' $(SMOKE)/run/obs/metrics.json
 	@echo "screen-smoke: screened CSV byte-identical to plain run, screen.json written, pruning active"
 
+# Dispatch-memo acceptance: the memo's unit battery (LRU bounds, one
+# dispatch per key under concurrent callers, lazy allocation), the salt that
+# ownership does not move, two ownerships of one grid sharing every dispatch
+# bit-identically, Fig. 2 solving its grid's baseline once over all actor
+# counts, the cache arm of the differential battery, then an end-to-end
+# binary check — a run whose figures share one -solve-cache memo must
+# produce a CSV byte-identical to the plain run, whose figures each memoize
+# their own dispatches.
+memo-smoke:
+	$(GO) test ./internal/solvecache/ -count=1
+	$(GO) test ./internal/impact/ -run 'TestSaltPinsEdgeOrder|TestMemoSharedAcrossOwnerships' -count=1
+	$(GO) test ./internal/experiments/ -run 'TestFig2DispatchesGridOnce' -count=1
+	$(GO) test -run 'TestDifferentialWarmAndCached' -count=1 .
+	$(call fig5-cmp,$(CPSEXP) -solve-cache 4096 -csv $(SMOKE)/run/check >/dev/null)
+	@echo "memo-smoke: shared-memo CSV byte-identical to per-figure memos"
+
 # Remove build and scratch artifacts. The reference CSVs committed under
 # results/ and the committed bench reports (BENCH_*.json) are deliberately
 # preserved: they are reviewed outputs, not build products.
 clean:
 	$(GO) clean ./...
 	rm -f cpsattack cpsdefend cpsexp cpsflow cpsgen cpsservd
-	rm -rf /tmp/cpsguard-shard-smoke /tmp/cpsguard-screen-smoke .bench_build
+	rm -rf /tmp/cpsguard-shard-smoke /tmp/cpsguard-screen-smoke /tmp/cpsguard-memo-smoke .bench_build
 	find . -name '*.journal' -not -path './results/*' -delete
 	find . -name '*.test' -delete

@@ -39,7 +39,7 @@ func main() {
 	mode := flag.String("mode", "graph", "noise mode: graph (faithful) or matrix (fast)")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = no limit)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics/prom, /debug/vars and /debug/pprof on this address")
-	solveCache := flag.Int("solve-cache", 0, "memoize dispatch solves in an N-entry LRU cache (0 = off); results are unchanged")
+	solveCache := flag.Int("solve-cache", 0, "memoize dispatches in an N-entry LRU memo shared by the impact matrices and the screen (0 = off); results are unchanged")
 	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth: prints the worst contingencies (0 = off; the plan is the same either way)")
 	flag.Parse()
 

@@ -118,7 +118,7 @@ func main() {
 	gridPath := flag.String("grid", "", "grid model JSON file (default: built-in stressed westgrid)")
 	screenK := flag.Int("screen-k", 0, "N-k vulnerability screening depth: with -obs, writes the grid's ranking to screen.json; also the interventions sweep's screen depth (0 = no artifact, interventions default 2)")
 	interventions := flag.Bool("interventions", false, "run the defense-as-redesign sweep (equivalent to -fig interventions)")
-	solveCache := flag.Int("solve-cache", 0, "share an N-entry LRU dispatch-solve memo across all trials (0 = off); results are unchanged")
+	solveCache := flag.Int("solve-cache", 0, "share an N-entry LRU dispatch memo across all figures (0 = each figure memoizes its own dispatches); results are unchanged")
 	shardSpec := flag.String("shard", "", "run only shard i/n of the sweep (0-based, e.g. 0/4), journaling into -shard-dir")
 	shardDir := flag.String("shard-dir", "shards", "parent directory for per-shard journals, manifests, and snapshots")
 	shardSupervise := flag.Int("shard-supervise", 0, "run the sweep as n supervised child-process shards into -shard-dir")

@@ -1,8 +1,8 @@
 // The -screen-k artifact: one deterministic N-k vulnerability ranking of
 // the run's grid, persisted as screen.json in the observability directory
 // for cpsreport to render. The ranking is welfare-based and so independent
-// of any particular trial's ownership draw; the fixed 4-actor draw below
-// only shapes the profit decomposition riding along in the solve cache.
+// of any particular trial's ownership draw: the screen divides no dispatch,
+// and the fixed 4-actor draw below only completes the analysis.
 package main
 
 import (

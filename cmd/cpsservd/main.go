@@ -70,7 +70,7 @@ func main() {
 	retries := flag.Int("retries", 1, "per-run retries with capped backoff for transient failures")
 	breakerFails := flag.Int("breaker-fails", 3, "consecutive failures that open a scenario's circuit")
 	breakerCooldown := flag.Duration("breaker-cooldown", 15*time.Second, "open-circuit cooldown before a probe is admitted")
-	solveCache := flag.Int("solve-cache", 4096, "shared N-entry LRU dispatch-solve memo across all requests (0 = off)")
+	solveCache := flag.Int("solve-cache", 4096, "shared N-entry LRU dispatch memo across all requests (0 = each figure run memoizes its own dispatches)")
 	runWorkers := flag.Int("run-workers", 0, "trial fan-out inside each run (0 = GOMAXPROCS)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful-drain budget on SIGTERM before in-flight runs are canceled")
 	chaosRate := flag.Float64("chaos", 0, "fail this fraction of trials with an injected transient error (resilience testing)")

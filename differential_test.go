@@ -247,11 +247,15 @@ func TestDifferentialWarmAndCached(t *testing.T) {
 				check(fmt.Sprintf("set %d", i), randomPerturbationSet(g, rs))
 			}
 
-			// A second analysis whose baseline a first one put in a shared
-			// cache prices its outages, the carried ones against its own
-			// cold baseline solve, bit-identically to one without a cache.
+			// A second analysis whose baseline dispatch a first one, over
+			// an equal graph under another ownership, put in a shared
+			// cache adopts that dispatch: it prices the carried outages
+			// against it and re-solves the others warm from its basis,
+			// which was factored on the first analysis's LP, bit-identically
+			// to an analysis without a cache.
 			shared := solvecache.New(4096)
-			if _, err := (&impact.Analysis{Graph: g, Ownership: own, Cache: shared}).Outcome(); err != nil {
+			first := &impact.Analysis{Graph: g.Clone(), Ownership: actors.RandomOwnership(g, 2, rng.New(43)), Cache: shared}
+			if _, err := first.Outcome(); err != nil {
 				t.Fatal(err)
 			}
 			second := &impact.Analysis{Graph: g, Ownership: own, Cache: shared}
@@ -267,6 +271,9 @@ func TestDifferentialWarmAndCached(t *testing.T) {
 			}
 			if carried.Value() == before {
 				t.Error("no outage was carried over the cache-served baseline")
+			}
+			if st := shared.Stats(); st.Hits != 1 {
+				t.Errorf("the second analysis read %d entries of the shared cache, want its baseline", st.Hits)
 			}
 			same := slices.Equal(got.Actors, want.Actors) && slices.Equal(got.Targets, want.Targets) &&
 				slices.EqualFunc(got.WelfareDelta, want.WelfareDelta, func(a, b float64) bool {

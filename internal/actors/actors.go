@@ -268,6 +268,11 @@ func (IterativeDivision) Name() string { return "iterative" }
 // surplus at non-marginal terminals) is settled to the terminal owners as in
 // LMPDivision. Every sum runs in edge or vertex order, so repeated calls
 // agree bit for bit.
+//
+// Each call solves one probe per positive-flow edge. An impact analysis
+// memoizes dispatches, not divisions, so it re-runs the probes for every
+// dispatch it divides, a memo hit included. No production caller uses this
+// model: the binaries and the figure runners divide by LMPDivision.
 func (d IterativeDivision) Share(ix *Index, g *graph.Graph, r *flow.Result, p []float64) error {
 	const tol = 1e-9
 	delta := d.Delta

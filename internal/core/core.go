@@ -76,10 +76,10 @@ type Scenario struct {
 	DefenseCosts defense.Costs
 	// Parallel configures intra-round fan-out.
 	Parallel parallel.Options
-	// Cache, when non-nil, memoizes dispatch solves across impact
-	// computations (and, via salted keys, safely across scenarios sharing
-	// one cache — see impact/cache.go). Purely an accelerator: results
-	// are unchanged.
+	// Cache, when non-nil, memoizes dispatches across impact computations,
+	// keyed by graph fingerprint, so scenarios of one grid under different
+	// ownerships share its entries (see impact/cache.go). Purely an
+	// accelerator: results are unchanged.
 	Cache *solvecache.Cache
 
 	truth *impact.Matrix // cached ground-truth matrix

@@ -87,12 +87,16 @@ type Config struct {
 	// failed trials with their durable trial ID. A nil logger is silent;
 	// logging is an observer only and never changes results.
 	Log *obs.Logger
-	// Cache, when non-nil, is shared by every trial's scenario, so
-	// figures that revisit the same (graph, ownership) point — the trial
-	// seeding makes the same scenario recur across figures and resumed
-	// runs — reuse its solved dispatches instead of re-solving. Safe
-	// under trial parallelism (solvecache is concurrency-safe) and
-	// result-neutral: entries are keyed by full scenario fingerprints.
+	// Cache, when non-nil, is the dispatch memo shared by every trial of
+	// every figure run with this Config, so a grid dispatched by one figure
+	// is not re-solved by the next. When nil, each figure runner memoizes
+	// its own dispatches in a memo of eight impact matrices' worth,
+	// 8 × (edges + 1) entries, dropped when the runner returns: every actor
+	// count and ownership draw of a figure dispatches the same grids
+	// (ownership never enters the dispatch LP), and noisy views repeat
+	// across actor counts and rounds. Safe under trial parallelism and
+	// result-neutral: entries are keyed by graph fingerprint, and each
+	// reader divides a dispatch with its own ownership.
 	Cache *solvecache.Cache
 	// WarmStart is ignored: every scenario carries or re-solves its
 	// perturbed dispatches from the baseline optimum.
@@ -164,6 +168,16 @@ func (c Config) systemDefenseBudget() float64 {
 	return 12
 }
 
+// withMemo returns c with a dispatch memo: Cache when the caller set one,
+// else a fresh memo of eight impact matrices of c's graph, which the figure
+// runner drops when it returns.
+func (c Config) withMemo() Config {
+	if c.Cache == nil {
+		c.Cache = solvecache.New(8 * (len(c.graph().Edges) + 1))
+	}
+	return c
+}
+
 // scenarioFor builds the trial'th scenario with n actors.
 func (c Config) scenarioFor(n int, trial int) *core.Scenario {
 	g := c.graph()
@@ -179,6 +193,7 @@ func (c Config) scenarioFor(n int, trial int) *core.Scenario {
 // competition and saturate near the system's 12 points of competition,
 // while gain + loss tracks the (constant) total welfare damage.
 func Fig2(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Fig 2: system gain/loss vs number of actors",
 		XLabel: "actors",
@@ -221,6 +236,7 @@ func Fig2(cfg Config) (*stats.Table, error) {
 // series per actor count (paper Figure 3): profit decays with noise and
 // grows with the number of actors.
 func Fig3(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Fig 3: SA profitability vs knowledge noise",
 		XLabel: "sigma",
@@ -269,6 +285,7 @@ func Fig3(cfg Config) (*stats.Table, error) {
 // anticipation stays flat while observation decays — the overconfidence
 // that motivates deception defenses.
 func Fig4(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Fig 4: SA anticipated vs observed profit (6 actors)",
 		XLabel: "sigma",
@@ -347,6 +364,7 @@ func defenseEffectiveness(ctx context.Context, s *core.Scenario, cfg Config, sig
 // noise and with actor count (shrinking per-actor budgets + misaligned
 // ownership).
 func Fig5(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Fig 5: defense effectiveness vs defender noise",
 		XLabel: "sigma",
@@ -376,6 +394,7 @@ func Fig5(cfg Config) (*stats.Table, error) {
 // Fig6 compares collaborative and independent defense for a 4-actor system
 // across defender noise (paper Figure 6).
 func Fig6(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Fig 6: collaboration vs independent defense (4 actors)",
 		XLabel: "sigma",
@@ -422,6 +441,7 @@ func Fig6(cfg Config) (*stats.Table, error) {
 // as incentives fragment, then is counteracted by dwindling per-actor
 // budgets at high counts.
 func Fig7(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Fig 7: collaboration benefit vs number of actors",
 		XLabel: "actors",

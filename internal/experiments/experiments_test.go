@@ -7,6 +7,7 @@ import (
 	"cpsguard/internal/core"
 	"cpsguard/internal/graph"
 	"cpsguard/internal/stats"
+	"cpsguard/internal/telemetry"
 )
 
 // miniGrid is a small competitive system so experiment tests run quickly:
@@ -251,5 +252,32 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 				t.Fatalf("nondeterministic experiment: %v vs %v", ys1[j], ys2[j])
 			}
 		}
+	}
+}
+
+// TestFig2DispatchesGridOnce: Fig. 2 draws a new ownership for every actor
+// count over one grid, and ownership never enters the dispatch, so with no
+// Cache set the figure's own memo serves every actor count after the first:
+// the grid's baseline is solved cold once, and no LP is solved after the
+// first actor count's matrix.
+func TestFig2DispatchesGridOnce(t *testing.T) {
+	solves := telemetry.Default().Counter("lp.solves")
+	warm := telemetry.Default().Counter("lp.warm_attempts")
+	cfg := Config{Trials: 1, Seed: 1, ActorGrid: []int{2}}
+	before := solves.Value()
+	if _, err := Fig2(cfg); err != nil {
+		t.Fatal(err)
+	}
+	oneCount := solves.Value() - before
+	s0, w0 := solves.Value(), warm.Value()
+	cfg.ActorGrid = nil // the paper's eight actor counts
+	if _, err := Fig2(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cold := solves.Value() - s0 - (warm.Value() - w0); cold != 1 {
+		t.Errorf("Fig. 2 solved its grid's baseline cold %d times over 8 actor counts, want 1", cold)
+	}
+	if n := solves.Value() - s0; n != oneCount {
+		t.Errorf("Fig. 2 solved %d LPs over 8 actor counts, one actor count's matrix takes %d", n, oneCount)
 	}
 }

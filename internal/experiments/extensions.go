@@ -33,6 +33,7 @@ import (
 // curves are flat — the question is where they sit relative to the
 // economic ones.
 func BaselineComparison(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Ext A: economic vs topological defense (4 actors)",
 		XLabel: "sigma",
@@ -144,6 +145,7 @@ func defenseCostsOf(s *core.Scenario) map[string]float64 {
 // series: the SA's anticipated spend-justifying profit, her realized
 // profit, and the deception value (realized at σ=0 minus realized at σ).
 func Deception(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Ext B: deception defense (6 actors)",
 		XLabel: "injected sigma",
@@ -249,6 +251,7 @@ func StandardVectors() []AttackVector {
 // across attack families on a 6-actor system. The x axis indexes the
 // vector family (0 = outage, 1 = half-capacity, 2 = loss+10pt).
 func AttackVectors(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Ext C: attack-vector families (6 actors)",
 		XLabel: "vector (0=outage 1=half-capacity 2=loss+10pt)",
@@ -265,7 +268,7 @@ func AttackVectors(cfg Config) (*stats.Table, error) {
 				s := cfg.scenarioFor(n, trial)
 				an := &impact.Analysis{
 					Graph: s.Graph, Ownership: s.Ownership,
-					Parallel: parallel.Options{Workers: 1},
+					Parallel: parallel.Options{Workers: 1}, Cache: cfg.Cache,
 				}
 				g := s.Graph
 				m, err := an.ComputeMatrixOf(nil, func(id string) []impact.Perturbation {

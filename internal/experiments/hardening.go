@@ -18,6 +18,7 @@ import (
 // assets outright; hardening thins success probability (and raises attack
 // cost) across many.
 func HardeningComparison(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	t := &stats.Table{
 		Title:  "Ext E: binary defense vs graduated hardening (6 actors)",
 		XLabel: "system defense budget",

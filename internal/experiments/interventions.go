@@ -20,7 +20,6 @@ import (
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/screen"
-	"cpsguard/internal/solvecache"
 	"cpsguard/internal/stats"
 )
 
@@ -44,7 +43,7 @@ func (c Config) interventionScreen(g *graph.Graph, targets []string) (float64, e
 	an := &impact.Analysis{
 		Graph:     g,
 		Ownership: actors.RandomOwnership(g, 4, rng.Derive(c.seed(), 0x1F)),
-		Cache:     solvecache.New(8192),
+		Cache:     c.Cache,
 		Parallel:  parallel.Options{Workers: 1}, // trials already parallel
 	}
 	r, err := screen.Run(screen.Config{Analysis: an, Targets: targets, K: c.screenK()})
@@ -70,6 +69,7 @@ func (c Config) InterventionMenu() []graph.Intervention {
 // run is dense and unsharded, so every value is present — "chosen" (1 if
 // the budget-constrained knapsack selection builds the candidate).
 func Interventions(cfg Config) (*stats.Table, error) {
+	cfg = cfg.withMemo()
 	g := cfg.graph()
 	cands := cfg.InterventionMenu()
 	if len(cands) == 0 {

@@ -58,7 +58,7 @@ func TestOutageDivisionAllocs(t *testing.T) {
 			want = maxCarriedAllocs
 		}
 		n := testing.AllocsPerRun(20, func() {
-			if _, err := an.outcome(c, ps); err != nil {
+			if _, _, err := an.priced(c, ps); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,31 +1,32 @@
-// Solve memoization and compiled, warm-started re-solves for impact
+// Dispatch memoization and compiled, warm-started re-solves for impact
 // analyses.
 //
-// Every priced perturbation set, the empty baseline included, yields one
-// solvecache.Entry: absolute per-actor profits laid out by the analysis's
-// actor index, welfare and edge flows. The entry is what the cache stores
-// and what every caller reads, so no outcome is converted at the cache
-// boundary.
+// The memo holds dispatches, not profits. Every dispatched perturbation set,
+// the empty baseline included, is one shared, read-only *flow.Result, and
+// every reader divides it among its own actors with its own profit model
+// (share, O(E+V) for LMPDivision). Ownership never enters the dispatch LP,
+// so analyses of one grid under different ownerships — every actor count of
+// a figure, every ownership draw of a trial — share every entry.
 //
 // Cache keys canonicalize the perturbation set — duplicates collapse
-// last-wins per (edge, field), order is normalized — and are salted with a
-// fingerprint of everything else the result depends on: the graph bytes,
-// the ownership assignment and the profit model. Two Analyses over
-// identical scenarios therefore share entries, and any difference in
-// scenario content, edge order included, changes the salt rather than
-// silently aliasing.
+// last-wins per (edge, field), order is normalized — and are salted with the
+// graph's fingerprint, the one input besides the set that the dispatch
+// depends on. Two Analyses over byte-equal graphs therefore share entries,
+// and any difference in graph content, edge order included, changes the salt
+// rather than silently aliasing.
 //
-// The memo stores absolute profits, not deltas, so hits replay the exact
-// delta arithmetic of a fresh solve against the caller's baseline: cached
-// results are bit-identical to uncached ones.
+// A hit is bit-identical to a fresh solve: the dispatch is deterministic in
+// the graph bytes and the set, and the reader divides it with the same
+// arithmetic a fresh solve's division uses. IterativeDivision re-runs its
+// capacity probes on every division, hit or miss.
 //
 // A miss first asks Carries whether the baseline optimum stays optimal under
-// the perturbation set. If it does, the edited graph is priced against the
-// baseline's dispatch result, solved cold once per compiled analysis, and no
-// LP is solved; the entry carries the baseline's flows. Otherwise the miss
-// re-solves the analysis's compiled dispatch LP (see compiled): capacity and
-// cost perturbations edit only its bound and objective vectors, and the
-// solve re-enters the simplex from the baseline's optimal basis.
+// the perturbation set. If it does, the set's dispatch is the baseline's,
+// solved cold once per compiled analysis or adopted from the memo, and no
+// LP is solved. Otherwise the miss re-solves the analysis's compiled
+// dispatch LP (see compiled): capacity and cost perturbations edit only its
+// bound and objective vectors, and the solve re-enters the simplex from the
+// baseline's optimal basis.
 package impact
 
 import (
@@ -41,7 +42,6 @@ import (
 	"cpsguard/internal/flow"
 	"cpsguard/internal/graph"
 	"cpsguard/internal/lp"
-	"cpsguard/internal/solvecache"
 	"cpsguard/internal/telemetry"
 )
 
@@ -85,70 +85,29 @@ func CanonicalKey(ps ...Perturbation) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// salt fingerprints everything a memoized outcome depends on besides the
-// perturbation set: the graph bytes, edge order included, the ownership
-// assignment and the profit model. Graph and ownership also fix the actor
-// index, so every reader of a key lays the entry's profits out the way its
-// writer did. The compiled analysis computes it once, on first use.
-func (a *Analysis) salt() string {
-	h := sha256.New()
-	h.Write([]byte(a.Graph.Fingerprint()))
-	assets := make([]string, 0, len(a.Ownership))
-	for asset := range a.Ownership {
-		assets = append(assets, asset)
-	}
-	sort.Strings(assets)
-	for _, asset := range assets {
-		h.Write([]byte(asset))
-		h.Write([]byte{0})
-		h.Write([]byte(a.Ownership[asset]))
-		h.Write([]byte{1})
-	}
-	h.Write([]byte(a.model().Name()))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// baseline returns the baseline outcome, memoized in the cache when one is
-// attached (the baseline is by far the most repeated lookup: every Of and
-// every matrix needs it).
-func (a *Analysis) baseline(c *compiled) (solvecache.Entry, error) {
-	var key string
-	if a.Cache != nil {
-		key = c.salt() + "|baseline"
-		if e, ok := a.Cache.Get(key); ok {
-			return e, nil
-		}
-	}
-	r, err := c.base()
-	if err != nil {
-		return solvecache.Entry{}, err
-	}
-	p, err := a.share(c, c.graph, r)
-	if err != nil {
-		return solvecache.Entry{}, err
-	}
-	e := solvecache.Entry{Profits: p, Welfare: r.Welfare, Flows: r.Flow}
-	a.Cache.Put(key, e)
-	return e, nil
-}
-
 // compiled is an analysis's validated graph, its actor index, its cache
-// salt, its dispatch LP and baseline dispatch, each built on first use (a
-// run served entirely from the cache never builds the LP), and a pool of
-// scratch clones of the graph. A perturbed solve edits a clone, dispatches
-// it and hands it to the profit model, then restores it, so pricing an
-// attack neither rebuilds the LP nor clones or re-validates the graph.
+// salt, its dispatch LP, its baseline dispatch and the baseline's division,
+// each built on first use (a run served entirely from the cache never builds
+// the LP), and a pool of scratch clones of the graph. A perturbed dispatch
+// edits a clone, dispatches it and hands it to the profit model, then
+// restores it, so pricing an attack neither rebuilds the LP nor clones or
+// re-validates the graph.
 type compiled struct {
 	graph *graph.Graph
 	ix    *actors.Index
-	salt  func() string
-	disp  func() (*flow.Dispatcher, error)
-	// base is the cold baseline dispatch. Every perturbed dispatch is
-	// carried at it or re-solved warm from its basis, so an outcome served
-	// from a shared cache and one solved in this process have the same
-	// bits.
-	base  func() (*flow.Result, error)
-	views sync.Pool // *graph.Graph clones of graph, restored between uses
+	// salt is the graph's fingerprint, the one input besides the
+	// perturbation set that a dispatch depends on.
+	salt func() string
+	disp func() (*flow.Dispatcher, error)
+	// base is the baseline dispatch: the memo's, when a cache attached to
+	// the analysis holds it, else solved cold. Every perturbed dispatch is
+	// carried at it or re-solved warm from its basis. A basis captured on
+	// another analysis's LP warm-starts this one too; it is factored
+	// afresh on this LP's rows, which moves no bit.
+	base func() (*flow.Result, error)
+	// baseShare is the baseline's division among the analysis's actors.
+	baseShare func() ([]float64, error)
+	views     sync.Pool // *graph.Graph clones of graph, restored between uses
 }
 
 // compile returns the analysis's compiled state, building it on first use
@@ -161,14 +120,27 @@ func (a *Analysis) compile() (*compiled, error) {
 		if err := g.Validate(); err != nil {
 			return nil, err
 		}
-		c := &compiled{graph: g, ix: actors.NewIndex(g, a.Ownership), salt: sync.OnceValue(a.salt),
+		c := &compiled{graph: g, ix: actors.NewIndex(g, a.Ownership), salt: sync.OnceValue(g.Fingerprint),
 			disp: sync.OnceValues(func() (*flow.Dispatcher, error) { return flow.Compile(g) })}
 		c.base = sync.OnceValues(func() (*flow.Result, error) {
-			d, err := c.disp()
+			cold := func() (*flow.Result, error) {
+				d, err := c.disp()
+				if err != nil {
+					return nil, err
+				}
+				return d.SolveEdited(g, lp.Options{})
+			}
+			if a.Cache == nil {
+				return cold()
+			}
+			return a.Cache.Do(c.salt()+"|baseline", cold)
+		})
+		c.baseShare = sync.OnceValues(func() ([]float64, error) {
+			r, err := c.base()
 			if err != nil {
 				return nil, err
 			}
-			return d.SolveEdited(g, lp.Options{})
+			return a.share(c, g, r)
 		})
 		a.comp = c
 	}
@@ -203,15 +175,44 @@ func (c *compiled) release(v *graph.Graph) {
 	c.views.Put(v)
 }
 
-// dispatch solves g, an edit of the compiled graph by ps, warm from the
-// baseline basis, unless Carries proves the baseline optimum optimal for it:
-// then it returns the shared baseline result, which callers must not
-// mutate.
-func (c *compiled) dispatch(g *graph.Graph, ps []Perturbation) (*flow.Result, error) {
+// dispatch edits the compiled graph by ps and returns the edit g and its
+// dispatch r: the memoized one, else the baseline's when Carries proves the
+// baseline optimum optimal for ps, else a warm re-solve from the baseline
+// basis. With memoize, a cache attached to the analysis memoizes either;
+// without, the cache is only read. r is shared: callers must not mutate it.
+// Hand g back with c.release.
+func (a *Analysis) dispatch(c *compiled, ps []Perturbation, memoize bool) (*graph.Graph, *flow.Result, error) {
 	r0, err := c.base()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	g, err := c.edit(ps)
+	if err != nil {
+		return nil, nil, err
+	}
+	var r *flow.Result
+	switch {
+	case a.Cache == nil:
+		r, err = c.solve(g, ps, r0)
+	case memoize:
+		r, err = a.Cache.Do(c.salt()+"|"+CanonicalKey(ps...), func() (*flow.Result, error) { return c.solve(g, ps, r0) })
+	default:
+		var ok bool
+		if r, ok = a.Cache.Get(c.salt() + "|" + CanonicalKey(ps...)); !ok {
+			r, err = c.solve(g, ps, r0)
+		}
+	}
+	if err != nil {
+		c.release(g)
+		return nil, nil, err
+	}
+	return g, r, nil
+}
+
+// solve dispatches g, the compiled graph edited by ps: it returns r0, the
+// baseline dispatch, when Carries accepts ps, and otherwise solves g warm
+// from r0's basis.
+func (c *compiled) solve(g *graph.Graph, ps []Perturbation, r0 *flow.Result) (*flow.Result, error) {
 	if Carries(c.graph, ps, r0.Flow) {
 		mCarried.Inc()
 		return r0, nil
@@ -230,36 +231,19 @@ func (a *Analysis) share(c *compiled, g *graph.Graph, r *flow.Result) ([]float64
 	return p, a.model().Share(c.ix, g, r, p)
 }
 
-// outcome returns the outcome of one perturbation set, read from the memo
-// or priced and memoized: carried at the baseline optimum when Carries
-// accepts the set, otherwise re-solved warm from the baseline basis.
-// Callers take deltas against the baseline outcome with the same arithmetic
-// whether the entry was read or priced, so a hit reproduces a fresh solve
-// bit for bit.
-func (a *Analysis) outcome(c *compiled, ps []Perturbation) (solvecache.Entry, error) {
-	var key string
-	if a.Cache != nil {
-		key = c.salt() + "|" + CanonicalKey(ps...)
-		if e, ok := a.Cache.Get(key); ok {
-			return e, nil
-		}
-	}
-	gp, err := c.edit(ps)
+// priced returns the dispatch of the perturbation set ps and its division
+// among the analysis's actors.
+func (a *Analysis) priced(c *compiled, ps []Perturbation) ([]float64, *flow.Result, error) {
+	g, r, err := a.dispatch(c, ps, true)
 	if err != nil {
-		return solvecache.Entry{}, err
+		return nil, nil, err
 	}
-	defer c.release(gp)
-	r, err := c.dispatch(gp, ps)
+	defer c.release(g)
+	p, err := a.share(c, g, r)
 	if err != nil {
-		return solvecache.Entry{}, err
+		return nil, nil, err
 	}
-	p, err := a.share(c, gp, r)
-	if err != nil {
-		return solvecache.Entry{}, err
-	}
-	e := solvecache.Entry{Profits: p, Welfare: r.Welfare, Flows: r.Flow}
-	a.Cache.Put(key, e)
-	return e, nil
+	return p, r, nil
 }
 
 // delta returns slot k's profit delta p[k] − base[k] and whether it is

@@ -193,7 +193,7 @@ func TestDivisionMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := an.baseline(c)
+		base, err := c.baseShare()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestDivisionMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		refBase := referenceLMPDivide(g, r0, o)
-		if got := c.ix.Profits(base.Profits); !sameBits(got, refBase) {
+		if got := c.ix.Profits(base); !sameBits(got, refBase) {
 			t.Errorf("%s: baseline profits %v, reference %v", name, got, refBase)
 		}
 		refIM := map[string]map[string]float64{}

@@ -127,14 +127,14 @@ func Carries(g *graph.Graph, ps []Perturbation, flow []float64) bool {
 // Analysis bundles the pieces needed to measure impacts on one scenario.
 //
 // The dispatch LP of Graph is compiled once, on first use, and its baseline
-// is solved cold once. A perturbed dispatch that Carries proves optimal at
-// the baseline optimum is priced against the baseline result without a
-// solve; every other one re-solves the compiled LP from the baseline's
-// optimal basis. Graph, Ownership and Model must therefore not be mutated
-// after the first call (the cache salt that fingerprints them is computed
-// once, too), and Model must not retain the graph it is handed after Share
-// returns. An Analysis is safe for concurrent use and must not be
-// copied.
+// is solved cold once, or adopted from the cache. A perturbed dispatch that
+// Carries proves optimal at the baseline optimum is priced against the
+// baseline result without a solve; every other one is read from the cache
+// or re-solves the compiled LP from the baseline's optimal basis. Graph,
+// Ownership and Model must therefore not be mutated after the first call
+// (the cache salt that fingerprints Graph is computed once, too), and Model
+// must not retain the graph it is handed after Share returns. An Analysis
+// is safe for concurrent use and must not be copied.
 type Analysis struct {
 	// Graph is the ground-truth (or believed) model.
 	Graph *graph.Graph
@@ -144,11 +144,14 @@ type Analysis struct {
 	Model actors.ProfitModel
 	// Parallel configures fan-out across targets (default: all cores).
 	Parallel parallel.Options
-	// Cache, when non-nil, memoizes perturbed solves (and the baseline) so
-	// repeated evaluations of the same attack set — across matrix builds,
-	// adversary searches, and experiment trials on the same scenario —
-	// skip the dispatch entirely. The cache is a pure memo: results are
-	// bit-identical with and without it. See cache.go for the key scheme.
+	// Cache, when non-nil, memoizes dispatches (the baseline's too) so
+	// repeated dispatches of the same attack set on the same grid — across
+	// matrix builds, ownership draws, actor counts and figures — skip the
+	// LP. Entries hold no profits: each analysis divides a memoized
+	// dispatch with its own Ownership and Model, so analyses of one grid
+	// share entries whatever their ownership. The cache is a pure memo:
+	// results are bit-identical with and without it. See cache.go for the
+	// key scheme.
 	Cache *solvecache.Cache
 	// WarmStart is ignored: every perturbed dispatch that is not carried
 	// re-enters the simplex from the baseline's optimal basis.
@@ -173,18 +176,19 @@ func (a *Analysis) model() actors.ProfitModel {
 }
 
 // Baseline dispatches the unperturbed system and returns its per-actor
-// profits and welfare. The dispatch is solved once per compiled analysis
-// and shared: callers must not mutate the returned result.
+// profits and welfare. The dispatch is solved once per compiled analysis,
+// or adopted from the cache, and shared: callers must not mutate the
+// returned result.
 func (a *Analysis) Baseline() (actors.Profits, *flow.Result, error) {
 	c, err := a.compile()
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := c.base()
+	p, err := c.baseShare()
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := a.share(c, a.Graph, r)
+	r, err := c.base()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,38 +202,51 @@ func (a *Analysis) Of(ps ...Perturbation) (actors.Profits, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	base, err := a.baseline(c)
+	r0, err := c.base()
 	if err != nil {
 		return nil, 0, err
 	}
-	o, err := a.outcome(c, ps)
+	base, err := c.baseShare()
+	if err != nil {
+		return nil, 0, err
+	}
+	p, r, err := a.priced(c, ps)
 	if err != nil {
 		return nil, 0, err
 	}
 	deltas := actors.Profits{}
-	for k := range o.Profits {
-		if d, ok := delta(o.Profits, base.Profits, k); ok {
+	for k := range p {
+		if d, ok := delta(p, base, k); ok {
 			deltas[c.ix.Actors[k]] = d
 		}
 	}
-	return deltas, o.Welfare - base.Welfare, nil
+	return deltas, r.Welfare - r0.Welfare, nil
 }
 
-// Outcome returns the dispatch outcome of the perturbation set ps: the
-// absolute per-actor profits laid out by the analysis's actor index, the
-// welfare and the edge flows. The empty set's outcome is the baseline's, so
-// Outcome(ps...).Welfare − Outcome().Welfare is the welfare delta Of
-// reports, bit for bit. With a cache attached the outcome is read from it
-// or memoized in it. The entry is shared: callers must not mutate it.
-func (a *Analysis) Outcome(ps ...Perturbation) (solvecache.Entry, error) {
+// Outcome returns the dispatch of the perturbation set ps, divided among no
+// one: its welfare, flows, generation, load and prices. The empty set's
+// dispatch is the baseline's, so Outcome(ps...).Welfare −
+// Outcome().Welfare is the welfare delta Of reports, bit for bit. With a
+// cache attached the dispatch is read from it; of the sets Outcome solves,
+// only the baseline is memoized. Outcome serves the N-k screen, which
+// prices each set once, so memoizing its sets would only hold memory (the
+// 64-region grid's dispatches take about 37 KB each) and evict entries that
+// impact matrices read again. The result is shared: callers must not mutate
+// it.
+func (a *Analysis) Outcome(ps ...Perturbation) (*flow.Result, error) {
 	c, err := a.compile()
 	if err != nil {
-		return solvecache.Entry{}, err
+		return nil, err
 	}
 	if len(ps) == 0 {
-		return a.baseline(c)
+		return c.base()
 	}
-	return a.outcome(c, ps)
+	g, r, err := a.dispatch(c, ps, false)
+	if err != nil {
+		return nil, err
+	}
+	c.release(g)
+	return r, nil
 }
 
 // Matrix is the impact matrix IM[a][t] plus bookkeeping. Its values lie
@@ -389,16 +406,24 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 	if err != nil {
 		return nil, err
 	}
-	base, err := a.baseline(c)
+	base, err := c.baseShare()
 	if err != nil {
 		return nil, err
 	}
-	cols, err := parallel.Map(len(targets), a.Parallel, func(i int) (solvecache.Entry, error) {
-		o, err := a.outcome(c, mk(targets[i]))
+	r0, err := c.base()
+	if err != nil {
+		return nil, err
+	}
+	type column struct {
+		p       []float64
+		welfare float64
+	}
+	cols, err := parallel.Map(len(targets), a.Parallel, func(i int) (column, error) {
+		p, r, err := a.priced(c, mk(targets[i]))
 		if err != nil {
-			return solvecache.Entry{}, fmt.Errorf("target %s: %w", targets[i], err)
+			return column{}, fmt.Errorf("target %s: %w", targets[i], err)
 		}
-		return o, nil
+		return column{p, r.Welfare}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -408,7 +433,7 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 	rows := a.Ownership.Actors()
 	for k, actor := range c.ix.Actors {
 		for _, o := range cols {
-			if _, ok := delta(o.Profits, base.Profits, k); ok && !slices.Contains(rows, actor) {
+			if _, ok := delta(o.p, base, k); ok && !slices.Contains(rows, actor) {
 				rows = append(rows, actor)
 			}
 		}
@@ -416,7 +441,7 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 	slices.Sort(rows)
 	m, err := NewMatrix(rows, targets, func(i, j int) (float64, bool) {
 		if k := slices.Index(c.ix.Actors, rows[i]); k >= 0 {
-			return delta(cols[j].Profits, base.Profits, k)
+			return delta(cols[j].p, base, k)
 		}
 		return 0, false
 	})
@@ -424,8 +449,8 @@ func (a *Analysis) ComputeMatrixOf(targets []string, mk func(id string) []Pertur
 		return nil, err
 	}
 	for j, o := range cols {
-		m.WelfareDelta[j] = o.Welfare - base.Welfare
+		m.WelfareDelta[j] = o.welfare - r0.Welfare
 	}
-	m.BaselineWelfare = base.Welfare
+	m.BaselineWelfare = r0.Welfare
 	return m, nil
 }

@@ -11,6 +11,7 @@ import (
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/rng"
 	"cpsguard/internal/solvecache"
+	"cpsguard/internal/telemetry"
 	"cpsguard/internal/westgrid"
 )
 
@@ -361,10 +362,11 @@ func TestCarries(t *testing.T) {
 	}
 }
 
-// TestSaltPinsEdgeOrder: cache entries hold profits laid out by the writer's
-// actor index, which follows edge order. Swapping two edges of a graph moves
-// that layout, so it must move the salt too: the swapped analysis reads
-// nothing the original wrote to a shared cache.
+// TestSaltPinsEdgeOrder: cache entries hold dispatches whose flows follow
+// edge order. Swapping two edges of a graph moves that layout, so it must
+// move the salt: the swapped analysis reads nothing the original wrote to a
+// shared cache. Ownership never enters the dispatch, so it moves nothing: an
+// analysis of an equal graph under another ownership reads every entry.
 func TestSaltPinsEdgeOrder(t *testing.T) {
 	g := westgrid.Build(westgrid.Options{Stress: true})
 	own := actors.RandomOwnership(g, 6, rng.New(2))
@@ -390,33 +392,92 @@ func TestSaltPinsEdgeOrder(t *testing.T) {
 	cache := solvecache.New(64)
 	a := &Analysis{Graph: g, Ownership: own, Cache: cache}
 	b := &Analysis{Graph: swapped, Ownership: own, Cache: cache}
-	ca, err := a.compile()
-	if err != nil {
-		t.Fatal(err)
+	reowned := &Analysis{Graph: g.Clone(), Ownership: actors.RandomOwnership(g, 3, rng.New(5)), Cache: cache}
+	var salts []string
+	for _, an := range []*Analysis{a, b, reowned} {
+		c, err := an.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		salts = append(salts, c.salt())
 	}
-	cb, err := b.compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(ca.ix.Actors, ",") == strings.Join(cb.ix.Actors, ",") {
-		t.Fatalf("swapping edges 0 and %d left the actor layout %v unchanged", j, ca.ix.Actors)
-	}
-	if ca.salt() == cb.salt() {
+	if salts[0] == salts[1] {
 		t.Fatal("swapping two edges left the analysis salt unchanged")
 	}
+	if salts[0] != salts[2] {
+		t.Fatal("another ownership of an equal graph moved the analysis salt")
+	}
 
-	cut := Outage(g.Edges[0].ID)
-	for _, an := range []*Analysis{a, b} {
+	// An outage of a flow-carrying edge, so Carries does not price it
+	// without the memo. Baseline memoizes a's baseline.
+	_, r0, err := a.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := slices.IndexFunc(r0.Flow, func(f float64) bool { return f > 0 })
+	cut := Outage(g.Edges[k].ID)
+	for _, tc := range []struct {
+		name         string
+		an           *Analysis
+		hits, misses int64
+	}{{"original", a, 0, 1}, {"swapped", b, 0, 2}, {"reowned", reowned, 2, 0}} {
 		before := cache.Stats()
-		if _, err := an.Outcome(); err != nil {
+		if _, _, err := tc.an.Baseline(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := an.Outcome(cut); err != nil {
+		if _, _, err := tc.an.Of(cut); err != nil {
 			t.Fatal(err)
 		}
-		if st := cache.Stats(); st.Hits != before.Hits || st.Misses != before.Misses+2 {
-			t.Errorf("hits %d → %d, misses %d → %d: an analysis read an entry of another layout",
-				before.Hits, st.Hits, before.Misses, st.Misses)
+		st := cache.Stats()
+		if st.Hits-before.Hits != tc.hits || st.Misses-before.Misses != tc.misses {
+			t.Errorf("%s: %d hits and %d misses, want %d and %d", tc.name,
+				st.Hits-before.Hits, st.Misses-before.Misses, tc.hits, tc.misses)
 		}
 	}
+}
+
+// TestMemoSharedAcrossOwnerships: two analyses over byte-equal graphs at
+// different pointers, under different ownerships, share one memo. The
+// second builds its matrix from the first's dispatches without an LP solve
+// under LMPDivision, and under both profit models its matrix equals an
+// uncached analysis's bit for bit.
+func TestMemoSharedAcrossOwnerships(t *testing.T) {
+	g := westgrid.Build(westgrid.Options{Stress: true})
+	solves := telemetry.Default().Counter("lp.solves")
+	for _, model := range []actors.ProfitModel{actors.LMPDivision{}, actors.IterativeDivision{}} {
+		cache := solvecache.New(len(g.Edges) + 1)
+		first := &Analysis{Graph: g, Ownership: actors.RandomOwnership(g, 2, rng.New(1)), Model: model, Cache: cache}
+		if _, err := first.ComputeMatrix(nil); err != nil {
+			t.Fatal(err)
+		}
+		own := actors.RandomOwnership(g, 6, rng.New(3))
+		want, err := (&Analysis{Graph: g.Clone(), Ownership: own, Model: model}).ComputeMatrix(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := &Analysis{Graph: g.Clone(), Ownership: own, Model: model, Cache: cache}
+		before := solves.Value()
+		got, err := second.ComputeMatrix(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, lmp := model.(actors.LMPDivision); lmp && solves.Value() != before {
+			t.Errorf("%s: the second matrix solved %d LPs over a memo holding every dispatch",
+				model.Name(), solves.Value()-before)
+		}
+		if !sameMatrix(got, want) {
+			t.Errorf("%s: the matrix read from another ownership's memo differs from an uncached one", model.Name())
+		}
+	}
+}
+
+// sameMatrix reports whether a and b agree bit for bit: actors, targets,
+// cell values and presence, welfare deltas and baseline welfare.
+func sameMatrix(a, b *Matrix) bool {
+	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !slices.Equal(a.Actors, b.Actors) || !slices.Equal(a.Targets, b.Targets) ||
+		!slices.EqualFunc(a.WelfareDelta, b.WelfareDelta, bits) || !bits(a.BaselineWelfare, b.BaselineWelfare) {
+		return false
+	}
+	return slices.EqualFunc(a.vals, b.vals, bits) && slices.Equal(a.present, b.present)
 }

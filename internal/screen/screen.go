@@ -48,8 +48,9 @@ const damageTol = 1e-6
 
 // Config states one screening run.
 type Config struct {
-	// Analysis is the evaluation stack: graph, profit model and cache. Its
-	// Parallel options drive the per-level fan-out.
+	// Analysis is the evaluation stack: graph and cache. The screen reads
+	// only welfare and flows, so it divides no dispatch among the
+	// analysis's actors. Its Parallel options drive the per-level fan-out.
 	Analysis *impact.Analysis
 	// Targets lists the candidate target IDs (default: every asset edge).
 	// Each is the edge its outage cuts, so no ID may repeat.
@@ -176,7 +177,7 @@ func Run(cfg Config) (*Ranking, error) {
 	worstDamage := 0.0
 	var top topAcc
 
-	prev := []node{{last: -1, parent: -1, delta: 0, flows: base.Flows}}
+	prev := []node{{last: -1, parent: -1, delta: 0, flows: base.Flow}}
 	levels := [][]node{prev}
 	for level := 1; level <= k && len(prev) > 0; level++ {
 		var children []node
@@ -218,7 +219,7 @@ func Run(cfg Config) (*Ranking, error) {
 			if err != nil {
 				return node{}, fmt.Errorf("screen: set %v: %w", setIDs(levels, level, c, targets), err)
 			}
-			return node{last: c.last, parent: c.parent, delta: o.Welfare - base.Welfare, flows: o.Flows}, nil
+			return node{last: c.last, parent: c.parent, delta: o.Welfare - base.Welfare, flows: o.Flow}, nil
 		})
 		if err != nil {
 			return nil, err

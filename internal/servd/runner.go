@@ -46,9 +46,10 @@ var figureRunners = map[string]func(experiments.Config) (*stats.Table, error){
 // internal/experiments with the service's shared accelerators and streams
 // the run's observability bundle live into the staging directory.
 type ExperimentRunner struct {
-	// Cache is the process-wide dispatch-solve memo shared across every
-	// request, so overlapping scenarios (same grid, same ownership draws)
-	// stay hot between runs. Nil disables memoization.
+	// Cache is the process-wide dispatch memo shared across every
+	// request, so runs over the same grid, whatever their ownership
+	// draws, stay hot between runs. Nil leaves each figure run to
+	// memoize its own dispatches.
 	Cache *solvecache.Cache
 	// Hook, when non-nil, is the fault-injection site consulted before
 	// every trial ("experiments.trial") — the chaos path through the

@@ -1,16 +1,20 @@
-// Package solvecache memoizes perturbation-set solve results. The
-// evaluation pipeline (impact matrices, adversary branch-and-bound,
-// experiment grids, the N-k screen) repeatedly prices the same attack sets
-// against the same baseline grid; the cache keys each solved set by a
-// canonical hash (impact.CanonicalKey, salted by the scenario fingerprint)
-// and stores its dispatch outcome: per-actor profits, welfare and edge
-// flows.
+// Package solvecache memoizes dispatches. The evaluation pipeline (impact
+// matrices, adversary branch-and-bound, experiment grids, the N-k screen)
+// repeatedly dispatches the same attack sets against the same grid; the
+// cache keys each dispatched set by a canonical hash (impact.CanonicalKey,
+// salted by the grid's fingerprint) and stores the solved *flow.Result:
+// welfare, flows, generation, load, prices and basis.
+//
+// The entry holds no per-actor profit. Ownership never enters the dispatch
+// LP, so every reader divides the memoized dispatch with its own ownership
+// and profit model: analyses of one grid under different ownerships share
+// every entry.
 //
 // The cache is a pure memo: entries hold exactly what a fresh solve would
 // produce, so enabling it never changes results — the golden-figure CSVs
-// stay byte-identical with the cache on. Entries are shared with every Get
-// caller and never mutated, and eviction only unlinks them, so a reader
-// holding an Entry is never affected by concurrent eviction.
+// stay byte-identical with the cache on. Entries are shared with every
+// reader and never mutated, and eviction only unlinks them, so a reader
+// holding an entry is never affected by concurrent eviction.
 //
 // All methods are safe for concurrent use and nil-safe: a nil *Cache is a
 // valid always-miss cache, which lets callers thread an optional cache
@@ -19,8 +23,10 @@ package solvecache
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
+	"cpsguard/internal/flow"
 	"cpsguard/internal/telemetry"
 )
 
@@ -30,26 +36,6 @@ var (
 	mEvictions = telemetry.NewCounter("solvecache.evictions")
 )
 
-// Entry is one dispatch outcome. Entries are stored by value at Put and
-// must not be mutated afterward: their slices are shared with every Get
-// caller.
-type Entry struct {
-	// Profits holds the absolute per-actor profits of the dispatch (not
-	// deltas, which are reconstructed against whichever baseline the
-	// caller holds, keeping the memo baseline-independent), laid out by
-	// the writer's actor index. The key's salt pins the graph, its edge
-	// order and the ownership, hence the index, so every reader of the
-	// key lays the slice out the same way.
-	Profits []float64
-	// Welfare is the dispatch welfare.
-	Welfare float64
-	// Flows holds the dispatch's edge flows, indexed like the graph's
-	// edges. The N-k screen reads its dominance certificate off them
-	// (internal/screen): an outage of an edge with no flow cannot change
-	// this optimum.
-	Flows []float64
-}
-
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {
 	Hits, Misses, Evictions int64
@@ -57,17 +43,28 @@ type Stats struct {
 }
 
 type cacheItem struct {
-	key   string
-	entry Entry
+	key string
+	r   *flow.Result
 }
 
+// fill is one in-flight Do miss; later callers of its key wait for it.
+type fill struct {
+	done chan struct{}
+	r    *flow.Result
+	err  error
+}
+
+// errFillPanicked is what the waiters of a fill see when it panicked.
+var errFillPanicked = errors.New("solvecache: the dispatch filling this entry panicked")
+
 // Cache is a size-bounded LRU memo from canonical perturbation-set keys to
-// solve results. The zero value is unusable; construct with New.
+// dispatches. The zero value is unusable; construct with New.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	items    map[string]*list.Element // value: *cacheItem
 	order    *list.List               // front = most recently used
+	filling  map[string]*fill
 	hits     int64
 	misses   int64
 	evicts   int64
@@ -75,61 +72,95 @@ type Cache struct {
 
 // New returns a cache bounded to capacity entries. A capacity ≤ 0 returns
 // nil — the always-miss cache — so flag plumbing can pass sizes straight
-// through.
+// through. The cache allocates as it fills, not up front, so a generous
+// bound costs nothing until it is used.
 func New(capacity int) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
 	return &Cache{
 		capacity: capacity,
-		items:    make(map[string]*list.Element, capacity),
+		items:    map[string]*list.Element{},
 		order:    list.New(),
+		filling:  map[string]*fill{},
 	}
 }
 
-// Get returns the memoized entry for key, marking it most recently used.
-func (c *Cache) Get(key string) (Entry, bool) {
+// Get returns the dispatch memoized under key, marking it most recently
+// used, and reports whether there was one. A miss memoizes nothing.
+func (c *Cache) Get(key string) (*flow.Result, bool) {
 	if c == nil {
-		return Entry{}, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.lookup(key)
+}
+
+// lookup returns key's entry and counts a hit, or counts a miss. The caller
+// holds mu.
+func (c *Cache) lookup(key string) (*flow.Result, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
 		mMisses.Inc()
-		return Entry{}, false
+		return nil, false
 	}
 	c.order.MoveToFront(el)
 	c.hits++
 	mHits.Inc()
-	return el.Value.(*cacheItem).entry, true
+	return el.Value.(*cacheItem).r, true
 }
 
-// Put memoizes entry under key, evicting the least recently used entry when
-// at capacity. Re-putting an existing key refreshes its recency but keeps
-// the stored entry (entries are deterministic, so both writes hold the same
-// values).
-func (c *Cache) Put(key string, entry Entry) {
+// Do returns the dispatch memoized under key, or calls dispatch, memoizes
+// its result and returns it. Concurrent callers of one missing key share a
+// single call: the first runs it, the others wait and count as hits, so
+// every key is dispatched once while it stays cached, however callers
+// interleave. An error is returned to every caller of that call and not
+// memoized. On a nil cache Do just calls dispatch.
+func (c *Cache) Do(key string, dispatch func() (*flow.Result, error)) (*flow.Result, error) {
 	if c == nil {
-		return
+		return dispatch()
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		return
+	if f, ok := c.filling[key]; ok {
+		c.hits++
+		mHits.Inc()
+		c.mu.Unlock()
+		<-f.done
+		return f.r, f.err
 	}
+	if r, ok := c.lookup(key); ok {
+		c.mu.Unlock()
+		return r, nil
+	}
+	f := &fill{done: make(chan struct{}), err: errFillPanicked}
+	c.filling[key] = f
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.filling, key)
+		if f.err == nil {
+			c.put(key, f.r)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
+	f.r, f.err = dispatch()
+	return f.r, f.err
+}
+
+// put memoizes r under key, evicting the least recently used entry when at
+// capacity. The caller holds mu, and key is not memoized.
+func (c *Cache) put(key string, r *flow.Result) {
 	if c.order.Len() >= c.capacity {
 		oldest := c.order.Back()
-		if oldest != nil {
-			c.order.Remove(oldest)
-			delete(c.items, oldest.Value.(*cacheItem).key)
-			c.evicts++
-			mEvictions.Inc()
-		}
+		c.order.Remove(oldest)
+		delete(c.items, oldest.Value.(*cacheItem).key)
+		c.evicts++
+		mEvictions.Inc()
 	}
-	c.items[key] = c.order.PushFront(&cacheItem{key: key, entry: entry})
+	c.items[key] = c.order.PushFront(&cacheItem{key: key, r: r})
 }
 
 // Len reports the current number of memoized entries.

@@ -48,9 +48,11 @@ type SpanRecord struct {
 	Degradations []string `json:"degradations,omitempty"`
 	// Retries counts retry/requeue attempts consumed by the span.
 	Retries int `json:"retries,omitempty"`
-	// StartNS is the span's start instant on the registry clock
-	// (UnixNano), so exported spans order and nest without reference to
-	// the ring's insertion order.
+	// StartNS is the span's start instant on the registry's timeline
+	// (UnixNano): the wall time of the registry's first span plus the
+	// monotonic time since it, so exported spans order and nest without
+	// reference to the ring's insertion order, across wall-clock steps
+	// too.
 	StartNS int64 `json:"start_ns"`
 	// DurationNS is the span's wall-clock duration on the registry clock.
 	DurationNS int64 `json:"duration_ns"`
@@ -78,9 +80,40 @@ func (r *Registry) newSpan(stage, problem string) *Span {
 			ID:      r.spanID.Add(1),
 			Stage:   stage,
 			Problem: problem,
-			StartNS: start.UnixNano(),
+			StartNS: r.instant(start),
 		},
 	}
+}
+
+// monoRef is a reading of the process clock taken at start-up. A reading's
+// offset from it is measured on the monotonic clock when the reading
+// carries one, as time.Now's readings do, and on the wall clock otherwise.
+var monoRef = time.Now()
+
+// timeline is one time axis for a registry's spans: the wall time of its
+// first reading, its epoch, plus each reading's monotonic offset from that
+// reading. The wall clock is read once, so a wall-clock step between two
+// spans moves neither one's start relative to the other's, and a span that
+// started after another, by the monotonic clock its durations are measured
+// on, starts after it on the timeline too.
+type timeline struct {
+	once sync.Once
+	wall int64         // Unix nanoseconds of the epoch
+	mono time.Duration // monotonic reading of the epoch
+}
+
+// at returns the instant, in Unix nanoseconds, of a reading at wall time
+// wall (Unix nanoseconds) with monotonic reading mono. The first reading
+// fixes the epoch.
+func (tl *timeline) at(wall int64, mono time.Duration) int64 {
+	tl.once.Do(func() { tl.wall, tl.mono = wall, mono })
+	return tl.wall + int64(mono-tl.mono)
+}
+
+// instant places t, a reading of the registry clock, on the registry's
+// timeline.
+func (r *Registry) instant(t time.Time) int64 {
+	return r.timeline.Load().at(t.UnixNano(), t.Sub(monoRef))
 }
 
 // StartSpan opens a root span when tracing is enabled, else returns nil.

@@ -79,6 +79,8 @@ type Registry struct {
 	spanID   atomic.Uint64
 	tracing  atomic.Bool
 	clock    atomic.Pointer[func() time.Time]
+	// timeline places span instants (span.go); SetClock starts a new one.
+	timeline atomic.Pointer[timeline]
 
 	// Trace identity (tracecontext.go): which distributed trace this
 	// process's spans belong to, the inherited cross-process parent for
@@ -94,11 +96,13 @@ type Registry struct {
 
 // NewRegistry returns an empty registry using the real clock.
 func NewRegistry() *Registry {
-	return &Registry{
+	r := &Registry{
 		counters: map[string]*Counter{},
 		hists:    map[string]*Histogram{},
 		timings:  map[string]*Histogram{},
 	}
+	r.timeline.Store(&timeline{})
+	return r
 }
 
 var def = NewRegistry()
@@ -150,10 +154,12 @@ func (r *Registry) Timing(name string) *Histogram {
 	return h
 }
 
-// SetClock replaces the registry's time source (nil restores time.Now).
-// Tests install a fake clock so span durations — the only time-derived
-// values on the deterministic path — are reproducible.
+// SetClock replaces the registry's time source (nil restores time.Now) and
+// starts a new span timeline, whose epoch is the next span's start. Tests
+// install a fake clock so span durations — the only time-derived values on
+// the deterministic path — are reproducible.
 func (r *Registry) SetClock(now func() time.Time) {
+	r.timeline.Store(&timeline{})
 	if now == nil {
 		r.clock.Store(nil)
 		return

@@ -147,6 +147,37 @@ func TestSpansDeterministicWithInjectedClock(t *testing.T) {
 	}
 }
 
+// TestSpanStartsIgnoreWallSteps: a span starts at its registry's epoch plus
+// the monotonic time since it, so a wall-clock step between a parent's start
+// and its child's cannot make the child start before the parent, or the pair
+// overlap only partially. A test clock, whose readings carry no monotonic
+// reading, places every span at its own reading, and SetClock starts a new
+// epoch.
+func TestSpanStartsIgnoreWallSteps(t *testing.T) {
+	var tl timeline
+	wall := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	parent := tl.at(wall, 10*time.Second)
+	// The wall clock is stepped back an hour; the monotonic clock runs on.
+	child := tl.at(wall+time.Millisecond.Nanoseconds()-time.Hour.Nanoseconds(), 10*time.Second+time.Millisecond)
+	if child != parent+time.Millisecond.Nanoseconds() {
+		t.Fatalf("child starts %dns after its parent across a wall step, want %dns",
+			child-parent, time.Millisecond.Nanoseconds())
+	}
+
+	r := NewRegistry()
+	r.EnableTracing(true)
+	for _, origin := range []time.Duration{0, -time.Hour} {
+		clock := offsetClock(origin, time.Millisecond)
+		want := clock().Add(time.Millisecond) // the next reading
+		r.SetClock(clock)
+		r.StartSpan("s", "").End()
+		spans := r.Snapshot(SnapshotOptions{Spans: true}).Spans
+		if got := spans[len(spans)-1].StartNS; got != want.UnixNano() {
+			t.Fatalf("clock at %v: span starts at %d, want its reading %d", origin, got, want.UnixNano())
+		}
+	}
+}
+
 func TestSpanRingBounded(t *testing.T) {
 	r := NewRegistry()
 	r.EnableTracing(true)
