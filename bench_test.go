@@ -237,7 +237,7 @@ func BenchmarkTrialsSerial(b *testing.B) {
 	work := benchTrialWork()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := parallel.MeanOf(8, parallel.Options{Workers: 1}, work); err != nil {
+		if _, err := parallel.Map(8, parallel.Options{Workers: 1}, work); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func BenchmarkTrialsParallel(b *testing.B) {
 	work := benchTrialWork()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := parallel.MeanOf(8, parallel.Options{}, work); err != nil {
+		if _, err := parallel.Map(8, parallel.Options{}, work); err != nil {
 			b.Fatal(err)
 		}
 	}

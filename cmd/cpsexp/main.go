@@ -1,10 +1,10 @@
 // Command cpsexp regenerates the paper's evaluation figures (Figures 2–7)
-// on the built-in six-state model, printing each as an aligned table and
-// optionally writing CSVs.
+// and the extension experiments on the built-in six-state model, printing
+// each as an aligned table and optionally writing CSVs.
 //
 // Usage:
 //
-//	cpsexp [-fig 2|3|4|5|6|7|all] [-trials N] [-seed S]
+//	cpsexp [-fig all|ext|interventions|NAME] [-trials N] [-seed S]
 //	       [-mode graph|matrix] [-csv DIR] [-quick]
 //	       [-journal FILE] [-resume] [-retries N] [-trial-timeout D]
 //	       [-obs DIR] [-log-level LEVEL] [-screen-k K]
@@ -13,8 +13,11 @@
 //	cpsexp -shard-supervise n -shard-dir DIR [sweep flags]
 //	cpsexp -shard-merge DIR [sweep flags] [-csv OUT]
 //
-// -quick shrinks grids and trial counts for a fast smoke run; the default
-// configuration reproduces the shapes reported in EXPERIMENTS.md.
+// -fig all runs the paper's Figures 2–7 and -fig ext the extensions; NAME is
+// one figure of the registry (2..7, baseline, deception, vectors, security,
+// hardening; see experiments.Lookup). -quick shrinks grids and trial counts
+// for a fast smoke run (experiments.Config.Quick); the default configuration
+// reproduces the shapes reported in EXPERIMENTS.md.
 //
 // With -journal, every trial outcome streams to an append-only crash-safe
 // journal as it settles; a run killed mid-sweep can be restarted with
@@ -71,6 +74,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"cpsguard/internal/atomicio"
@@ -84,7 +88,6 @@ import (
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/shard"
 	"cpsguard/internal/solvecache"
-	"cpsguard/internal/stats"
 	"cpsguard/internal/telemetry"
 )
 
@@ -96,7 +99,8 @@ const (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2..7, all, ext, baseline, deception, or vectors")
+	fig := flag.String("fig", "all", "figure to regenerate: all (the paper's Figures 2-7), ext (the extensions), interventions, or one of "+
+		strings.Join(experiments.Names(), ", "))
 	trials := flag.Int("trials", 5, "random ownership draws per point")
 	seed := flag.Uint64("seed", 1, "random seed")
 	mode := flag.String("mode", "graph", "noise mode: graph (faithful) or matrix (fast)")
@@ -163,6 +167,27 @@ func main() {
 		logger.Error("fatal", obs.F("err", err))
 		run.Close()
 		os.Exit(exitFatal)
+	}
+
+	// Resolve the figures before any journal or shard directory exists, so an
+	// unknown name leaves nothing behind.
+	var order []experiments.Figure
+	switch f, ok := experiments.Lookup(*fig); {
+	case *fig == "all":
+		order = experiments.Group("paper")
+	case *fig == "ext":
+		order = experiments.Group("ext")
+	case ok:
+		order = []experiments.Figure{f}
+	case *fig != "interventions":
+		fatal(fmt.Errorf("unknown figure %q (want all, ext, interventions, or one of %s)",
+			*fig, strings.Join(experiments.Names(), ", ")))
+	}
+	if *interventions || *fig == "interventions" {
+		if *fig == "all" {
+			order = nil // shorthand: redesign sweep only
+		}
+		order = append(order, experiments.Figure{Name: "interventions", Run: experiments.Interventions})
 	}
 
 	// The aggregation endpoints ride the debug mux whenever it is on, so a
@@ -319,52 +344,20 @@ func main() {
 		cfg.NoiseMode = core.MatrixNoise
 	}
 	if *quick {
-		cfg.Trials = 2
-		cfg.ActorGrid = []int{2, 6}
-		cfg.SigmaGrid = []float64{0, 0.3}
-		cfg.PaSamples = 6
-		cfg.NoiseMode = core.MatrixNoise
-	}
-
-	runners := map[string]func(experiments.Config) (*stats.Table, error){
-		"2": experiments.Fig2, "3": experiments.Fig3, "4": experiments.Fig4,
-		"5": experiments.Fig5, "6": experiments.Fig6, "7": experiments.Fig7,
-		"baseline":      experiments.BaselineComparison,
-		"deception":     experiments.Deception,
-		"vectors":       experiments.AttackVectors,
-		"security":      experiments.SecurityPremium,
-		"hardening":     experiments.HardeningComparison,
-		"interventions": experiments.Interventions,
-	}
-	var order []string
-	if *fig == "all" {
-		order = []string{"2", "3", "4", "5", "6", "7"}
-	} else if *fig == "ext" {
-		order = []string{"baseline", "deception", "vectors", "security", "hardening"}
-	} else if _, ok := runners[*fig]; ok {
-		order = []string{*fig}
-	} else {
-		fatal(fmt.Errorf("unknown figure %q (want 2..7, all, ext, baseline, deception, vectors, interventions)", *fig))
-	}
-	if *interventions {
-		if *fig == "all" {
-			order = []string{"interventions"} // shorthand: redesign sweep only
-		} else if *fig != "interventions" {
-			order = append(order, "interventions")
-		}
+		cfg = cfg.Quick()
 	}
 
 	var csvOutputs []string
 	for fi, f := range order {
 		start := time.Now()
-		tb, err := runners[f](cfg)
+		tb, err := f.Run(cfg)
 		if err != nil {
 			if sr != nil {
 				sr.finish(false, err, 0)
 			}
 			cli.ExitCanceled(ctx, err,
-				fmt.Sprintf("%d/%d figures completed (interrupted in fig %s)", fi, len(order), f))
-			fatal(fmt.Errorf("fig %s: %w", f, err))
+				fmt.Sprintf("%d/%d figures completed (interrupted in fig %s)", fi, len(order), f.Name))
+			fatal(fmt.Errorf("fig %s: %w", f.Name, err))
 		}
 		if sr != nil {
 			continue // a shard's product is its journal, not tables
@@ -376,7 +369,7 @@ func main() {
 		if *csvDir != "" {
 			// Atomic write into a directory created on demand: a killed
 			// run can never leave a half-written CSV.
-			path := filepath.Join(*csvDir, "fig"+f+".csv")
+			path := filepath.Join(*csvDir, "fig"+f.Name+".csv")
 			data := []byte(tb.CSV())
 			if err := atomicio.MkdirAllAndWrite(path, data, 0o644); err != nil {
 				fatal(err)

@@ -178,14 +178,31 @@ func (c Config) withMemo() Config {
 	return c
 }
 
-// scenarioFor builds the trial'th scenario with n actors.
-func (c Config) scenarioFor(n int, trial int) *core.Scenario {
+// Quick returns c shrunk to the fast smoke preset that cpsexp -quick and
+// quick service scenarios share: two trials per point, actor counts {2, 6},
+// σ ∈ {0, 0.3}, six Pa samples and matrix noise.
+func (c Config) Quick() Config {
+	c.Trials = 2
+	c.ActorGrid = []int{2, 6}
+	c.SigmaGrid = []float64{0, 0.3}
+	c.PaSamples = 6
+	c.NoiseMode = core.MatrixNoise
+	return c
+}
+
+// scenarios builds one scenario with n actors per trial. A runner builds them
+// once per actor count, so a scenario's cached truth serves every σ of it.
+func (c Config) scenarios(n int) []*core.Scenario {
 	g := c.graph()
-	seed := c.seed() ^ (uint64(n) << 32) ^ uint64(trial)*0x9E37
-	s := core.NewScenario(g, n, seed)
-	s.Parallel = parallel.Options{Workers: 1} // trials already parallel
-	s.Cache = c.Cache
-	return s
+	out := make([]*core.Scenario, c.trials())
+	for trial := range out {
+		seed := c.seed() ^ (uint64(n) << 32) ^ uint64(trial)*0x9E37
+		s := core.NewScenario(g, n, seed)
+		s.Parallel = parallel.Options{Workers: 1} // trials already parallel
+		s.Cache = c.Cache
+		out[trial] = s
+	}
+	return out
 }
 
 // Fig2 measures the total gain and total loss across all single-asset
@@ -199,37 +216,47 @@ func Fig2(cfg Config) (*stats.Table, error) {
 		XLabel: "actors",
 		YLabel: "sum of per-actor impact ($k/day)",
 	}
-	gainS := t.AddSeries("gain")
-	lossS := t.AddSeries("-loss")
-	netS := t.AddSeries("gain+loss")
+	series := []*stats.Series{t.AddSeries("gain"), t.AddSeries("-loss"), t.AddSeries("gain+loss")}
 	for _, n := range cfg.actorGrid([]int{2, 4, 6, 8, 10, 12, 14, 16}) {
-		// Exported fields: trial values must survive the JSON round-trip
-		// through the checkpoint journal.
-		type gl struct{ Gain, Loss float64 }
-		vals, err := runTrials(cfg, fmt.Sprintf("fig2 n=%d", n),
-			func(ctx context.Context, trial int) (gl, error) {
-				s := cfg.scenarioFor(n, trial)
-				m, err := s.Truth()
+		scens := cfg.scenarios(n)
+		err := addPoint(cfg, fmt.Sprintf("fig2 n=%d", n), float64(n), series,
+			func(ctx context.Context, trial int) ([]float64, error) {
+				m, err := scens[trial].Truth()
 				if err != nil {
-					return gl{}, err
+					return nil, err
 				}
 				g, l := m.GainLoss()
-				return gl{g, l}, nil
+				return []float64{g, -l, g + l}, nil
 			})
 		if err != nil {
 			return nil, err
 		}
-		var ga, la, na stats.Accumulator
-		for _, v := range vals {
-			ga.Add(v.Gain)
-			la.Add(-v.Loss)
-			na.Add(v.Gain + v.Loss)
-		}
-		gainS.Add(float64(n), ga.Mean(), ga.StdErr())
-		lossS.Add(float64(n), la.Mean(), la.StdErr())
-		netS.Add(float64(n), na.Mean(), na.StdErr())
 	}
 	return t, nil
+}
+
+// noisyAttack plans the SA's attack on the trial's σ-noisy view of s with
+// the configured budget and returns the plan's anticipated profit and the
+// profit it realizes on the ground truth. salt keeps each figure's view
+// draws apart.
+func noisyAttack(ctx context.Context, cfg Config, s *core.Scenario, sigma float64,
+	salt uint64, trial int) (anticipated, realized float64, err error) {
+	truth, err := s.Truth()
+	if err != nil {
+		return 0, 0, err
+	}
+	view, err := s.View(sigma, cfg.NoiseMode,
+		rng.Derive(cfg.seed()^salt, uint64(trial)<<16|uint64(sigma*1000)))
+	if err != nil {
+		return 0, 0, err
+	}
+	plan, err := adversary.Solve(adversary.Config{
+		Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(), Ctx: ctx,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return plan.Anticipated, adversary.Evaluate(plan, truth, s.Targets, adversary.EvaluateOptions{}), nil
 }
 
 // Fig3 measures the SA's realized profit versus her knowledge noise, one
@@ -243,38 +270,17 @@ func Fig3(cfg Config) (*stats.Table, error) {
 		YLabel: "SA realized profit ($k/day)",
 	}
 	for _, n := range cfg.actorGrid([]int{2, 4, 6, 12}) {
-		series := t.AddSeries(fmt.Sprintf("%d actors", n))
-		// One scenario (with cached truth) per trial, reused across σ.
-		scens := make([]*core.Scenario, cfg.trials())
-		for i := range scens {
-			scens[i] = cfg.scenarioFor(n, i)
-		}
+		series := []*stats.Series{t.AddSeries(fmt.Sprintf("%d actors", n))}
+		scens := cfg.scenarios(n)
 		for _, sigma := range cfg.sigmaGrid() {
-			mean, se, err := meanOfTrials(cfg, fmt.Sprintf("fig3 n=%d σ=%v", n, sigma),
-				func(ctx context.Context, trial int) (float64, error) {
-					s := scens[trial]
-					truth, err := s.Truth()
-					if err != nil {
-						return 0, err
-					}
-					view, err := s.View(sigma, cfg.NoiseMode,
-						rng.Derive(cfg.seed()^0xF13, uint64(trial)<<16|uint64(sigma*1000)))
-					if err != nil {
-						return 0, err
-					}
-					plan, err := adversary.Solve(adversary.Config{
-						Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
-						Ctx: ctx,
-					})
-					if err != nil {
-						return 0, err
-					}
-					return adversary.Evaluate(plan, truth, s.Targets, adversary.EvaluateOptions{}), nil
+			err := addPoint(cfg, fmt.Sprintf("fig3 n=%d σ=%v", n, sigma), sigma, series,
+				func(ctx context.Context, trial int) ([]float64, error) {
+					_, obs, err := noisyAttack(ctx, cfg, scens[trial], sigma, 0xF13, trial)
+					return []float64{obs}, err
 				})
 			if err != nil {
 				return nil, err
 			}
-			series.Add(sigma, mean, se)
 		}
 	}
 	return t, nil
@@ -292,46 +298,17 @@ func Fig4(cfg Config) (*stats.Table, error) {
 		YLabel: "SA profit ($k/day)",
 	}
 	const n = 6
-	antS := t.AddSeries("anticipated")
-	obsS := t.AddSeries("observed")
-	scens := make([]*core.Scenario, cfg.trials())
-	for i := range scens {
-		scens[i] = cfg.scenarioFor(n, i)
-	}
+	series := []*stats.Series{t.AddSeries("anticipated"), t.AddSeries("observed")}
+	scens := cfg.scenarios(n)
 	for _, sigma := range cfg.sigmaGrid() {
-		type pair struct{ Ant, Obs float64 }
-		vals, err := runTrials(cfg, fmt.Sprintf("fig4 σ=%v", sigma),
-			func(ctx context.Context, trial int) (pair, error) {
-				s := scens[trial]
-				truth, err := s.Truth()
-				if err != nil {
-					return pair{}, err
-				}
-				view, err := s.View(sigma, cfg.NoiseMode,
-					rng.Derive(cfg.seed()^0xF14, uint64(trial)<<16|uint64(sigma*1000)))
-				if err != nil {
-					return pair{}, err
-				}
-				plan, err := adversary.Solve(adversary.Config{
-					Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
-					Ctx: ctx,
-				})
-				if err != nil {
-					return pair{}, err
-				}
-				obs := adversary.Evaluate(plan, truth, s.Targets, adversary.EvaluateOptions{})
-				return pair{plan.Anticipated, obs}, nil
+		err := addPoint(cfg, fmt.Sprintf("fig4 σ=%v", sigma), sigma, series,
+			func(ctx context.Context, trial int) ([]float64, error) {
+				ant, obs, err := noisyAttack(ctx, cfg, scens[trial], sigma, 0xF14, trial)
+				return []float64{ant, obs}, err
 			})
 		if err != nil {
 			return nil, err
 		}
-		var aa, oa stats.Accumulator
-		for _, v := range vals {
-			aa.Add(v.Ant)
-			oa.Add(v.Obs)
-		}
-		antS.Add(sigma, aa.Mean(), aa.StdErr())
-		obsS.Add(sigma, oa.Mean(), oa.StdErr())
 	}
 	return t, nil
 }
@@ -359,6 +336,17 @@ func defenseEffectiveness(ctx context.Context, s *core.Scenario, cfg Config, sig
 	return res.Effectiveness, nil
 }
 
+// effectivenessPair plays the independent and then the collaborative round
+// of one trial on the same seed and returns both effectivenesses.
+func effectivenessPair(ctx context.Context, s *core.Scenario, cfg Config, sigma float64,
+	nActors int, seed uint64) (ind, col float64, err error) {
+	if ind, err = defenseEffectiveness(ctx, s, cfg, sigma, nActors, false, seed); err != nil {
+		return 0, 0, err
+	}
+	col, err = defenseEffectiveness(ctx, s, cfg, sigma, nActors, true, seed)
+	return ind, col, err
+}
+
 // Fig5 measures independent-defense effectiveness versus defender noise,
 // one series per actor count (paper Figure 5): effectiveness decays with
 // noise and with actor count (shrinking per-actor budgets + misaligned
@@ -371,21 +359,18 @@ func Fig5(cfg Config) (*stats.Table, error) {
 		YLabel: "impact reduction ($k/day)",
 	}
 	for _, n := range cfg.actorGrid([]int{2, 4, 6, 12}) {
-		series := t.AddSeries(fmt.Sprintf("%d actors", n))
-		scens := make([]*core.Scenario, cfg.trials())
-		for i := range scens {
-			scens[i] = cfg.scenarioFor(n, i)
-		}
+		series := []*stats.Series{t.AddSeries(fmt.Sprintf("%d actors", n))}
+		scens := cfg.scenarios(n)
 		for _, sigma := range cfg.sigmaGrid() {
-			mean, se, err := meanOfTrials(cfg, fmt.Sprintf("fig5 n=%d σ=%v", n, sigma),
-				func(ctx context.Context, trial int) (float64, error) {
-					return defenseEffectiveness(ctx, scens[trial], cfg, sigma, n, false,
+			err := addPoint(cfg, fmt.Sprintf("fig5 n=%d σ=%v", n, sigma), sigma, series,
+				func(ctx context.Context, trial int) ([]float64, error) {
+					eff, err := defenseEffectiveness(ctx, scens[trial], cfg, sigma, n, false,
 						cfg.seed()^0xF15^uint64(trial)<<20^uint64(sigma*1000))
+					return []float64{eff}, err
 				})
 			if err != nil {
 				return nil, err
 			}
-			series.Add(sigma, mean, se)
 		}
 	}
 	return t, nil
@@ -401,37 +386,18 @@ func Fig6(cfg Config) (*stats.Table, error) {
 		YLabel: "impact reduction ($k/day)",
 	}
 	const n = 4
-	indep := t.AddSeries("independent")
-	collab := t.AddSeries("collaborative")
-	scens := make([]*core.Scenario, cfg.trials())
-	for i := range scens {
-		scens[i] = cfg.scenarioFor(n, i)
-	}
+	series := []*stats.Series{t.AddSeries("independent"), t.AddSeries("collaborative")}
+	scens := cfg.scenarios(n)
 	for _, sigma := range cfg.sigmaGrid() {
-		type pair struct{ Ind, Col float64 }
-		vals, err := runTrials(cfg, fmt.Sprintf("fig6 σ=%v", sigma),
-			func(ctx context.Context, trial int) (pair, error) {
-				seed := cfg.seed() ^ 0xF16 ^ uint64(trial)<<20 ^ uint64(sigma*1000)
-				ind, err := defenseEffectiveness(ctx, scens[trial], cfg, sigma, n, false, seed)
-				if err != nil {
-					return pair{}, err
-				}
-				col, err := defenseEffectiveness(ctx, scens[trial], cfg, sigma, n, true, seed)
-				if err != nil {
-					return pair{}, err
-				}
-				return pair{ind, col}, nil
+		err := addPoint(cfg, fmt.Sprintf("fig6 σ=%v", sigma), sigma, series,
+			func(ctx context.Context, trial int) ([]float64, error) {
+				ind, col, err := effectivenessPair(ctx, scens[trial], cfg, sigma, n,
+					cfg.seed()^0xF16^uint64(trial)<<20^uint64(sigma*1000))
+				return []float64{ind, col}, err
 			})
 		if err != nil {
 			return nil, err
 		}
-		var ia, ca stats.Accumulator
-		for _, v := range vals {
-			ia.Add(v.Ind)
-			ca.Add(v.Col)
-		}
-		indep.Add(sigma, ia.Mean(), ia.StdErr())
-		collab.Add(sigma, ca.Mean(), ca.StdErr())
 	}
 	return t, nil
 }
@@ -448,57 +414,87 @@ func Fig7(cfg Config) (*stats.Table, error) {
 		YLabel: "impact reduction ($k/day)",
 	}
 	const sigma = 0.1
-	indep := t.AddSeries("independent")
-	collab := t.AddSeries("collaborative")
-	benefit := t.AddSeries("benefit")
+	series := []*stats.Series{t.AddSeries("independent"), t.AddSeries("collaborative"), t.AddSeries("benefit")}
 	for _, n := range cfg.actorGrid([]int{2, 4, 6, 12}) {
-		scens := make([]*core.Scenario, cfg.trials())
-		for i := range scens {
-			scens[i] = cfg.scenarioFor(n, i)
-		}
-		type pair struct{ Ind, Col float64 }
-		vals, err := runTrials(cfg, fmt.Sprintf("fig7 n=%d", n),
-			func(ctx context.Context, trial int) (pair, error) {
-				seed := cfg.seed() ^ 0xF17 ^ uint64(trial)<<20 ^ uint64(n)
-				ind, err := defenseEffectiveness(ctx, scens[trial], cfg, sigma, n, false, seed)
-				if err != nil {
-					return pair{}, err
-				}
-				col, err := defenseEffectiveness(ctx, scens[trial], cfg, sigma, n, true, seed)
-				if err != nil {
-					return pair{}, err
-				}
-				return pair{ind, col}, nil
+		scens := cfg.scenarios(n)
+		err := addPoint(cfg, fmt.Sprintf("fig7 n=%d", n), float64(n), series,
+			func(ctx context.Context, trial int) ([]float64, error) {
+				ind, col, err := effectivenessPair(ctx, scens[trial], cfg, sigma, n,
+					cfg.seed()^0xF17^uint64(trial)<<20^uint64(n))
+				return []float64{ind, col, col - ind}, err
 			})
 		if err != nil {
 			return nil, err
 		}
-		var ia, ca, ba stats.Accumulator
-		for _, v := range vals {
-			ia.Add(v.Ind)
-			ca.Add(v.Col)
-			ba.Add(v.Col - v.Ind)
-		}
-		indep.Add(float64(n), ia.Mean(), ia.StdErr())
-		collab.Add(float64(n), ca.Mean(), ca.StdErr())
-		benefit.Add(float64(n), ba.Mean(), ba.StdErr())
 	}
 	return t, nil
 }
 
-// All runs every figure and returns them keyed by "fig2".."fig7".
-func All(cfg Config) (map[string]*stats.Table, error) {
-	runners := map[string]func(Config) (*stats.Table, error){
-		"fig2": Fig2, "fig3": Fig3, "fig4": Fig4,
-		"fig5": Fig5, "fig6": Fig6, "fig7": Fig7,
-	}
-	out := map[string]*stats.Table{}
-	for name, run := range runners {
-		tb, err := run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+// A Figure is one entry of the figure registry: the name cpsexp -fig and
+// the scenario service select it by, its group, and its runner.
+type Figure struct {
+	// Name is "2".."7" for the paper's figures, else the extension's name.
+	Name string
+	// Group is "paper" for the paper's Figures 2–7 and "ext" for the
+	// extension experiments.
+	Group string
+	// Run regenerates the figure.
+	Run func(Config) (*stats.Table, error)
+}
+
+// registry lists every figure in run order: the paper's Figures 2–7, then
+// the extension experiments.
+var registry = []Figure{
+	{"2", "paper", Fig2}, {"3", "paper", Fig3}, {"4", "paper", Fig4},
+	{"5", "paper", Fig5}, {"6", "paper", Fig6}, {"7", "paper", Fig7},
+	{"baseline", "ext", BaselineComparison},
+	{"deception", "ext", Deception},
+	{"vectors", "ext", AttackVectors},
+	{"security", "ext", SecurityPremium},
+	{"hardening", "ext", HardeningComparison},
+}
+
+// Group returns the registry's figures of group g ("paper" or "ext") in run
+// order.
+func Group(g string) []Figure {
+	var out []Figure
+	for _, f := range registry {
+		if f.Group == g {
+			out = append(out, f)
 		}
-		out[name] = tb
+	}
+	return out
+}
+
+// Lookup returns the registry's figure named name.
+func Lookup(name string) (Figure, bool) {
+	for _, f := range registry {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return Figure{}, false
+}
+
+// Names lists the registry's figure names in run order.
+func Names() []string {
+	var out []string
+	for _, f := range registry {
+		out = append(out, f.Name)
+	}
+	return out
+}
+
+// All runs the paper's figures in registry order and returns them keyed by
+// "fig2".."fig7".
+func All(cfg Config) (map[string]*stats.Table, error) {
+	out := map[string]*stats.Table{}
+	for _, f := range Group("paper") {
+		tb, err := f.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fig%s: %w", f.Name, err)
+		}
+		out["fig"+f.Name] = tb
 	}
 	return out, nil
 }

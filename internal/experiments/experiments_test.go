@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 
 	"cpsguard/internal/core"
 	"cpsguard/internal/graph"
+	"cpsguard/internal/parallel"
 	"cpsguard/internal/stats"
 	"cpsguard/internal/telemetry"
 )
@@ -280,4 +284,85 @@ func TestFig2DispatchesGridOnce(t *testing.T) {
 	if n := solves.Value() - s0; n != oneCount {
 		t.Errorf("Fig. 2 solved %d LPs over 8 actor counts, one actor count's matrix takes %d", n, oneCount)
 	}
+}
+
+// TestAddPointExactAggregate: a point's mean and standard error are within
+// 2 ulps of a math/big reference on a sample prone to cancellation, 1e8 plus
+// spreads of a few units, where the one-pass sum/sum-of-squares formula loses
+// every digit of the variance. The offsets keep every running mean an
+// integer, so Welford's updates round only in the squared deviations; on
+// samples whose running means round, its error grows with mean/spread.
+func TestAddPointExactAggregate(t *testing.T) {
+	var vals []float64
+	for _, d := range []float64{1, 3, 2, 6, -2, 8, -4, 10} {
+		vals = append(vals, 1e8+d)
+	}
+	cfg := Config{Trials: len(vals), Parallel: parallel.Options{Workers: 1}}
+	var tb stats.Table
+	s := tb.AddSeries("v")
+	err := addPoint(cfg, "exact", 0, []*stats.Series{s},
+		func(_ context.Context, trial int) ([]float64, error) { return []float64{vals[trial]}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, se := exactMeanStdErr(vals)
+	got := s.Points[0]
+	if d := ulpsFrom(got.Y, mean); d > 2 {
+		t.Errorf("mean %v is %.1f ulps from exact %v", got.Y, d, mean)
+	}
+	if d := ulpsFrom(got.StdErr, se); d > 2 {
+		t.Errorf("stderr %v is %.1f ulps from exact %v", got.StdErr, d, se)
+	}
+	// The sample must defeat the one-pass formula, or the test shows nothing.
+	var sum, sumSq float64
+	for _, v := range vals {
+		sum += v
+		sumSq += v * v
+	}
+	m := float64(len(vals))
+	naive := math.Sqrt(math.Max(0, (sumSq-sum*sum/m)/(m-1)) / m)
+	if d := ulpsFrom(naive, se); d <= 2 {
+		t.Fatalf("sum/sum-of-squares stderr %v is within %.1f ulps: sample is not cancellation-prone", naive, d)
+	}
+}
+
+// TestAddPointRejectsMisshapenTrial: a trial value with the wrong number of
+// series, such as one replayed from a journal of another figure layout,
+// fails the point instead of being aggregated.
+func TestAddPointRejectsMisshapenTrial(t *testing.T) {
+	var tb stats.Table
+	series := []*stats.Series{tb.AddSeries("a"), tb.AddSeries("b")}
+	err := addPoint(Config{Trials: 2}, "misshapen", 0, series,
+		func(context.Context, int) ([]float64, error) { return []float64{1}, nil })
+	if err == nil || !strings.Contains(err.Error(), "want one per series") {
+		t.Fatalf("err = %v, want a per-series count error", err)
+	}
+}
+
+// exactMeanStdErr returns the mean and standard error of vals computed in
+// 256-bit floating point and rounded once to float64.
+func exactMeanStdErr(vals []float64) (mean, stderr float64) {
+	const prec = 256
+	n := new(big.Float).SetPrec(prec).SetInt64(int64(len(vals)))
+	sum := new(big.Float).SetPrec(prec)
+	for _, v := range vals {
+		sum.Add(sum, big.NewFloat(v))
+	}
+	mu := new(big.Float).SetPrec(prec).Quo(sum, n)
+	ss := new(big.Float).SetPrec(prec)
+	for _, v := range vals {
+		d := new(big.Float).SetPrec(prec).Sub(big.NewFloat(v), mu)
+		ss.Add(ss, d.Mul(d, d))
+	}
+	nm1 := new(big.Float).SetPrec(prec).SetInt64(int64(len(vals) - 1))
+	v := ss.Quo(ss, nm1)
+	v.Quo(v, n)
+	mean, _ = mu.Float64()
+	stderr, _ = v.Sqrt(v).Float64()
+	return mean, stderr
+}
+
+// ulpsFrom returns |got - want| in units of the last place of want.
+func ulpsFrom(got, want float64) float64 {
+	return math.Abs(got-want) / (math.Nextafter(want, math.Inf(1)) - want)
 }

@@ -15,13 +15,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"cpsguard/internal/adversary"
 	"cpsguard/internal/baseline"
 	"cpsguard/internal/core"
 	"cpsguard/internal/impact"
 	"cpsguard/internal/parallel"
-	"cpsguard/internal/rng"
 	"cpsguard/internal/stats"
 )
 
@@ -40,60 +40,40 @@ func BaselineComparison(cfg Config) (*stats.Table, error) {
 		YLabel: "impact reduction ($k/day)",
 	}
 	const n = 4
-	indep := t.AddSeries("economic-independent")
-	collab := t.AddSeries("economic-collaborative")
-	topo := t.AddSeries("betweenness")
-	wtopo := t.AddSeries("capacity-betweenness")
-
-	scens := make([]*core.Scenario, cfg.trials())
-	for i := range scens {
-		scens[i] = cfg.scenarioFor(n, i)
+	series := []*stats.Series{
+		t.AddSeries("economic-independent"), t.AddSeries("economic-collaborative"),
+		t.AddSeries("betweenness"), t.AddSeries("capacity-betweenness"),
 	}
+	scens := cfg.scenarios(n)
 	for _, sigma := range cfg.sigmaGrid() {
-		type row struct{ Ind, Col, Top, Wtop float64 }
-		vals, err := runTrials(cfg, fmt.Sprintf("baseline σ=%v", sigma),
-			func(ctx context.Context, trial int) (row, error) {
+		err := addPoint(cfg, fmt.Sprintf("baseline σ=%v", sigma), sigma, series,
+			func(ctx context.Context, trial int) ([]float64, error) {
 				s := scens[trial]
-				seed := cfg.seed() ^ 0xE41 ^ uint64(trial)<<20 ^ uint64(sigma*1000)
-				ind, err := defenseEffectiveness(ctx, s, cfg, sigma, n, false, seed)
+				ind, col, err := effectivenessPair(ctx, s, cfg, sigma, n,
+					cfg.seed()^0xE41^uint64(trial)<<20^uint64(sigma*1000))
 				if err != nil {
-					return row{}, err
+					return nil, err
 				}
-				col, err := defenseEffectiveness(ctx, s, cfg, sigma, n, true, seed)
+				top, err := topologicalEffectiveness(s, cfg, false)
 				if err != nil {
-					return row{}, err
+					return nil, err
 				}
-				top, err := topologicalEffectiveness(s, cfg, false, seed)
+				wtop, err := topologicalEffectiveness(s, cfg, true)
 				if err != nil {
-					return row{}, err
+					return nil, err
 				}
-				wtop, err := topologicalEffectiveness(s, cfg, true, seed)
-				if err != nil {
-					return row{}, err
-				}
-				return row{ind, col, top, wtop}, nil
+				return []float64{ind, col, top, wtop}, nil
 			})
 		if err != nil {
 			return nil, err
 		}
-		var ia, ca, ta, wa stats.Accumulator
-		for _, v := range vals {
-			ia.Add(v.Ind)
-			ca.Add(v.Col)
-			ta.Add(v.Top)
-			wa.Add(v.Wtop)
-		}
-		indep.Add(sigma, ia.Mean(), ia.StdErr())
-		collab.Add(sigma, ca.Mean(), ca.StdErr())
-		topo.Add(sigma, ta.Mean(), ta.StdErr())
-		wtopo.Add(sigma, wa.Mean(), wa.StdErr())
 	}
 	return t, nil
 }
 
 // topologicalEffectiveness evaluates a betweenness-ranked defense against
 // the same σ=0 single-asset SA attack the economic defenders face.
-func topologicalEffectiveness(s *core.Scenario, cfg Config, capacityWeighted bool, seed uint64) (float64, error) {
+func topologicalEffectiveness(s *core.Scenario, cfg Config, capacityWeighted bool) (float64, error) {
 	truth, err := s.Truth()
 	if err != nil {
 		return 0, err
@@ -110,32 +90,24 @@ func topologicalEffectiveness(s *core.Scenario, cfg Config, capacityWeighted boo
 	} else {
 		scores = baseline.EdgeBetweenness(s.Graph)
 	}
-	costs := map[string]float64{}
-	for t, c := range defenseCostsOf(s) {
-		costs[t] = c
-	}
-	defended := baseline.Rank(scores).Defend(costs, cfg.systemDefenseBudget())
+	defended := baseline.Rank(scores).Defend(defenseCostsOf(s), cfg.systemDefenseBudget())
 	undef := adversary.Evaluate(plan, truth, s.Targets, adversary.EvaluateOptions{})
 	def := adversary.Evaluate(plan, truth, s.Targets, adversary.EvaluateOptions{Defended: defended})
-	_ = seed
 	return undef - def, nil
 }
 
-// defenseCostsOf exposes the scenario's defense costs as a plain map.
+// defenseCostsOf returns the scenario's defense costs as a plain map: its
+// own when set, else unit costs for every target.
 func defenseCostsOf(s *core.Scenario) map[string]float64 {
 	out := map[string]float64{}
-	ids := make([]string, 0, len(s.Targets))
-	for _, t := range s.Targets {
-		ids = append(ids, t.ID)
-	}
 	if s.DefenseCosts != nil {
 		for t, c := range s.DefenseCosts {
 			out[t] = c
 		}
 		return out
 	}
-	for _, id := range ids {
-		out[id] = 1
+	for _, t := range s.Targets {
+		out[t.ID] = 1
 	}
 	return out
 }
@@ -152,66 +124,65 @@ func Deception(cfg Config) (*stats.Table, error) {
 		YLabel: "SA profit ($k/day)",
 	}
 	const n = 6
-	antS := t.AddSeries("anticipated")
-	obsS := t.AddSeries("realized")
-	valS := t.AddSeries("deception value")
-	scens := make([]*core.Scenario, cfg.trials())
-	for i := range scens {
-		scens[i] = cfg.scenarioFor(n, i)
+	series := []*stats.Series{
+		t.AddSeries("anticipated"), t.AddSeries("realized"), t.AddSeries("deception value"),
 	}
-	// Realized profit at σ=0 per trial (the undeceived reference).
-	ref := make([]float64, cfg.trials())
-	for i, s := range scens {
-		truth, err := s.Truth()
-		if err != nil {
-			return nil, err
-		}
-		plan, err := adversary.Solve(adversary.Config{
-			Matrix: truth, Targets: s.Targets, Budget: cfg.attackBudget(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		ref[i] = adversary.Evaluate(plan, truth, s.Targets, adversary.EvaluateOptions{})
-	}
+	scens := cfg.scenarios(n)
+	// Each trial's realized profit at σ=0 (the undeceived reference), solved
+	// by the first point that executes the trial and reused by its later
+	// points; a trial that only replays, or another shard's, never solves it.
+	refs := make([]memo, len(scens))
 	for _, sigma := range cfg.sigmaGrid() {
-		type row struct{ Ant, Obs, Val float64 }
-		vals, err := runTrials(cfg, fmt.Sprintf("deception σ=%v", sigma),
-			func(ctx context.Context, trial int) (row, error) {
+		err := addPoint(cfg, fmt.Sprintf("deception σ=%v", sigma), sigma, series,
+			func(ctx context.Context, trial int) ([]float64, error) {
 				s := scens[trial]
-				truth, err := s.Truth()
-				if err != nil {
-					return row{}, err
-				}
-				view, err := s.View(sigma, cfg.NoiseMode,
-					rng.Derive(cfg.seed()^0xE42, uint64(trial)<<16|uint64(sigma*1000)))
-				if err != nil {
-					return row{}, err
-				}
-				plan, err := adversary.Solve(adversary.Config{
-					Matrix: view, Targets: s.Targets, Budget: cfg.attackBudget(),
-					Ctx: ctx,
+				ref, err := refs[trial].get(func() (float64, error) {
+					truth, err := s.Truth()
+					if err != nil {
+						return 0, err
+					}
+					plan, err := adversary.Solve(adversary.Config{
+						Matrix: truth, Targets: s.Targets, Budget: cfg.attackBudget(), Ctx: ctx,
+					})
+					if err != nil {
+						return 0, err
+					}
+					return adversary.Evaluate(plan, truth, s.Targets, adversary.EvaluateOptions{}), nil
 				})
 				if err != nil {
-					return row{}, err
+					return nil, err
 				}
-				obs := adversary.Evaluate(plan, truth, s.Targets, adversary.EvaluateOptions{})
-				return row{plan.Anticipated, obs, ref[trial] - obs}, nil
+				ant, obs, err := noisyAttack(ctx, cfg, s, sigma, 0xE42, trial)
+				return []float64{ant, obs, ref - obs}, err
 			})
 		if err != nil {
 			return nil, err
 		}
-		var aa, oa, va stats.Accumulator
-		for _, v := range vals {
-			aa.Add(v.Ant)
-			oa.Add(v.Obs)
-			va.Add(v.Val)
-		}
-		antS.Add(sigma, aa.Mean(), aa.StdErr())
-		obsS.Add(sigma, oa.Mean(), oa.StdErr())
-		valS.Add(sigma, va.Mean(), va.StdErr())
 	}
 	return t, nil
+}
+
+// memo holds one value computed on first success. A failed computation (a
+// canceled or timed-out attempt, say) is not kept, so the next caller, such
+// as a retry of the same trial, computes it afresh.
+type memo struct {
+	mu   sync.Mutex
+	done bool
+	v    float64
+}
+
+func (m *memo) get(compute func() (float64, error)) (float64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done {
+		return m.v, nil
+	}
+	v, err := compute()
+	if err != nil {
+		return 0, err
+	}
+	m.v, m.done = v, true
+	return v, nil
 }
 
 // AttackVector is a named family of per-asset perturbations.
@@ -258,14 +229,12 @@ func AttackVectors(cfg Config) (*stats.Table, error) {
 		YLabel: "$k/day",
 	}
 	const n = 6
-	profitS := t.AddSeries("SA profit")
-	damageS := t.AddSeries("worst-case system damage")
-	vectors := StandardVectors()
-	for vi, vec := range vectors {
-		type row struct{ Profit, Damage float64 }
-		vals, err := runTrials(cfg, fmt.Sprintf("vectors %s", vec.Name),
-			func(ctx context.Context, trial int) (row, error) {
-				s := cfg.scenarioFor(n, trial)
+	series := []*stats.Series{t.AddSeries("SA profit"), t.AddSeries("worst-case system damage")}
+	scens := cfg.scenarios(n)
+	for vi, vec := range StandardVectors() {
+		err := addPoint(cfg, fmt.Sprintf("vectors %s", vec.Name), float64(vi), series,
+			func(ctx context.Context, trial int) ([]float64, error) {
+				s := scens[trial]
 				an := &impact.Analysis{
 					Graph: s.Graph, Ownership: s.Ownership,
 					Parallel: parallel.Options{Workers: 1}, Cache: cfg.Cache,
@@ -274,9 +243,7 @@ func AttackVectors(cfg Config) (*stats.Table, error) {
 				m, err := an.ComputeMatrixOf(nil, func(id string) []impact.Perturbation {
 					e := g.Edge(id)
 					cur := 0.0
-					switch {
-					case e == nil:
-					default:
+					if e != nil {
 						cur = e.Capacity
 					}
 					// Loss attacks must stay legal: never lower a loss.
@@ -289,14 +256,14 @@ func AttackVectors(cfg Config) (*stats.Table, error) {
 					return ps
 				})
 				if err != nil {
-					return row{}, err
+					return nil, err
 				}
 				plan, err := adversary.Solve(adversary.Config{
 					Matrix: m, Targets: s.Targets, Budget: cfg.attackBudget(),
 					Ctx: ctx,
 				})
 				if err != nil {
-					return row{}, err
+					return nil, err
 				}
 				worst := 0.0
 				for _, w := range m.WelfareDelta {
@@ -304,18 +271,11 @@ func AttackVectors(cfg Config) (*stats.Table, error) {
 						worst = d
 					}
 				}
-				return row{plan.Anticipated, worst}, nil
+				return []float64{plan.Anticipated, worst}, nil
 			})
 		if err != nil {
 			return nil, err
 		}
-		var pa, da stats.Accumulator
-		for _, v := range vals {
-			pa.Add(v.Profit)
-			da.Add(v.Damage)
-		}
-		profitS.Add(float64(vi), pa.Mean(), pa.StdErr())
-		damageS.Add(float64(vi), da.Mean(), da.StdErr())
 	}
 	return t, nil
 }

@@ -9,12 +9,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"cpsguard/internal/checkpoint"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/parallel"
+	"cpsguard/internal/stats"
 	"cpsguard/internal/telemetry"
 )
 
@@ -97,6 +97,11 @@ func (l *FaultLog) FailureRate() float64 {
 	return float64(len(l.failures)) / float64(l.trials)
 }
 
+// errTrialNotAssigned marks a trial skipped under a shard assignment:
+// another shard owns it. It is internal bookkeeping, never surfaced —
+// skipped trials are excluded from results, fault accounting, and journals.
+var errTrialNotAssigned = errors.New("experiments: trial owned by another shard")
+
 // runTrials runs fn for cfg.trials() trials under the fault policy and
 // returns the results of the trials that succeeded (order-preserving within
 // survivors). A canceled pool context aborts with the context error;
@@ -110,11 +115,6 @@ func (l *FaultLog) FailureRate() float64 {
 // transient errors are retried with backoff, and overlong trials are
 // flagged/requeued by the watchdog. Trial values must round-trip through
 // JSON (exported fields) for replay to be exact.
-// errTrialNotAssigned marks a trial skipped under a shard assignment:
-// another shard owns it. It is internal bookkeeping, never surfaced —
-// skipped trials are excluded from results, fault accounting, and journals.
-var errTrialNotAssigned = errors.New("experiments: trial owned by another shard")
-
 func runTrials[T any](cfg Config, point string,
 	fn func(ctx context.Context, trial int) (T, error)) ([]T, error) {
 	n := cfg.trials()
@@ -246,28 +246,26 @@ func runTrialsAt[T any](cfg Config, point string, idxs []int,
 	return ok, nil
 }
 
-// meanOfTrials is runTrials followed by mean/standard-error aggregation
-// over the surviving trials — the fault-tolerant analogue of
-// parallel.MeanOf.
-func meanOfTrials(cfg Config, point string,
-	fn func(ctx context.Context, trial int) (float64, error)) (mean, stderr float64, err error) {
-	vals, err := runTrials(cfg, point, fn)
+// addPoint runs one point's trials through runTrials and adds the point at x
+// to every series. Each trial returns one value per series, and each series
+// gets the mean and standard error of its values over the surviving trials,
+// folded with stats.Accumulator in trial-index order.
+func addPoint(cfg Config, label string, x float64, series []*stats.Series,
+	fn func(ctx context.Context, trial int) ([]float64, error)) error {
+	vals, err := runTrials(cfg, label, fn)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	var sum, sumSq float64
-	for _, v := range vals {
-		sum += v
-		sumSq += v * v
-	}
-	m := float64(len(vals))
-	mean = sum / m
-	if len(vals) > 1 {
-		variance := (sumSq - sum*sum/m) / (m - 1)
-		if variance < 0 {
-			variance = 0
+	for k, s := range series {
+		var acc stats.Accumulator
+		for _, v := range vals {
+			if len(v) != len(series) {
+				return fmt.Errorf("experiments: %s: trial has %d values, want one per series (%d)",
+					label, len(v), len(series))
+			}
+			acc.Add(v[k])
 		}
-		stderr = math.Sqrt(variance / m)
+		s.Add(x, acc.Mean(), acc.StdErr())
 	}
-	return mean, stderr, nil
+	return nil
 }

@@ -8,12 +8,15 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"cpsguard/internal/checkpoint"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/shard"
+	"cpsguard/internal/stats"
+	"cpsguard/internal/telemetry"
 )
 
 // runShard executes one shard of the resumeConfig Fig2 sweep into its own
@@ -21,16 +24,22 @@ import (
 // manifest — the in-process equivalent of `cpsexp -shard i/n`.
 func runShard(t *testing.T, parent string, a shard.Assignment) {
 	t.Helper()
+	runShardOf(t, parent, a, resumeConfig(), Fig2)
+}
+
+// runShardOf is runShard for any runner and configuration.
+func runShardOf(t *testing.T, parent string, a shard.Assignment, cfg Config,
+	run func(Config) (*stats.Table, error)) {
+	t.Helper()
 	dir := filepath.Join(parent, a.DirName())
 	j, rep, err := checkpoint.Resume(filepath.Join(dir, shard.JournalName), checkpoint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := resumeConfig()
 	sweep := &checkpoint.Sweep{Journal: j, Replay: rep}
 	cfg.Sweep = sweep
 	cfg.Shard = &a
-	if _, err := Fig2(cfg); err != nil {
+	if _, err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	m := shard.NewManifest(a, cfg.Seed, "testkey")
@@ -51,6 +60,13 @@ func runShard(t *testing.T, parent string, a shard.Assignment) {
 // in strict replay mode — every trial must come from a shard journal.
 func mergedCSV(t *testing.T, parent string) string {
 	t.Helper()
+	return mergedCSVOf(t, parent, resumeConfig(), Fig2)
+}
+
+// mergedCSVOf is mergedCSV for any runner and configuration.
+func mergedCSVOf(t *testing.T, parent string, cfg Config,
+	run func(Config) (*stats.Table, error)) string {
+	t.Helper()
 	dirs, err := shard.DiscoverShards(parent)
 	if err != nil {
 		t.Fatal(err)
@@ -59,10 +75,9 @@ func mergedCSV(t *testing.T, parent string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := resumeConfig()
 	sweep := &checkpoint.Sweep{Replay: res.Replay, RequireReplay: true}
 	cfg.Sweep = sweep
-	tb, err := Fig2(cfg)
+	tb, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,5 +270,60 @@ func TestShardDefersFaultPolicyToMerge(t *testing.T) {
 	cfg2.Sweep = &checkpoint.Sweep{Replay: rep} // non-strict: other trials execute
 	if _, err := Fig2(cfg2); err == nil {
 		t.Fatal("merge-side run tolerated a failure the strict policy forbids")
+	}
+}
+
+// TestShardHardeningJournalsOwnedTrials: HardeningComparison runs its trials
+// through the shared trial runner, so shard 0/2 journals exactly its owned
+// trials of every budget, and the merged shards replay to the unsharded
+// table byte for byte.
+func TestShardHardeningJournalsOwnedTrials(t *testing.T) {
+	cfg := fastCfg()
+	baseline, err := HardeningComparison(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := t.TempDir()
+	a0 := shard.Assignment{Index: 0, Count: 2}
+	runShardOf(t, parent, a0, cfg, HardeningComparison)
+	rep, err := checkpoint.Load(filepath.Join(parent, a0.DirName(), shard.JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four budgets × four trials; shard 0/2 owns trials 0 and 2 of each.
+	if rep.Len() != 8 {
+		t.Fatalf("shard journaled %d trials, want 8", rep.Len())
+	}
+	for _, id := range rep.IDs() {
+		idx, err := checkpoint.TrialIndex(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a0.Owns(idx) || !strings.Contains(id, "|hardening budget=") {
+			t.Fatalf("shard journaled %s, want only its own hardening trials", id)
+		}
+	}
+	runShardOf(t, parent, shard.Assignment{Index: 1, Count: 2}, cfg, HardeningComparison)
+	if got := mergedCSVOf(t, parent, cfg, HardeningComparison); got != baseline.CSV() {
+		t.Fatalf("merged CSV differs from single-process run:\n--- want\n%s\n--- got\n%s",
+			baseline.CSV(), got)
+	}
+}
+
+// TestShardDeceptionSolvesOwnedReferences: Deception solves each trial's
+// undeceived reference inside the trial, once, so shard 0/2 of a 4-trial run
+// solves the adversary for its two owned trials only: one reference and one
+// deceived plan per σ each.
+func TestShardDeceptionSolvesOwnedReferences(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Shard = &shard.Assignment{Index: 0, Count: 2}
+	solves := telemetry.Default().Counter("adversary.solves")
+	before := solves.Value()
+	if _, err := Deception(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := solves.Value()-before, int64(2*(1+len(cfg.SigmaGrid))); got != want {
+		t.Fatalf("shard 0/2 ran %d adversary solves, want %d (its 2 trials × (reference + %d σ))",
+			got, want, len(cfg.SigmaGrid))
 	}
 }

@@ -7,7 +7,6 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -245,29 +244,4 @@ func ForEach(n int, opts Options, fn func(i int) error) error {
 		return struct{}{}, fn(i)
 	})
 	return err
-}
-
-// MeanOf runs fn(i) for i in [0,n) in parallel and returns the mean and
-// standard error of the returned values — the inner loop of every
-// Monte-Carlo experiment in this repository.
-func MeanOf(n int, opts Options, fn func(i int) (float64, error)) (mean, stderr float64, err error) {
-	vals, err := Map(n, opts, fn)
-	if err != nil {
-		return 0, 0, err
-	}
-	var sum, sumSq float64
-	for _, v := range vals {
-		sum += v
-		sumSq += v * v
-	}
-	fn2 := float64(n)
-	mean = sum / fn2
-	if n > 1 {
-		variance := (sumSq - sum*sum/fn2) / (fn2 - 1)
-		if variance < 0 {
-			variance = 0
-		}
-		stderr = math.Sqrt(variance / fn2)
-	}
-	return mean, stderr, nil
 }

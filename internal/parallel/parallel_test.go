@@ -3,7 +3,6 @@ package parallel
 import (
 	"context"
 	"errors"
-	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -85,38 +84,6 @@ func TestForEach(t *testing.T) {
 	})
 	if err != nil || sum != 4950 {
 		t.Fatalf("sum = %d err = %v", sum, err)
-	}
-}
-
-func TestMeanOf(t *testing.T) {
-	mean, stderr, err := MeanOf(5, Options{}, func(i int) (float64, error) {
-		return float64(i), nil // 0..4, mean 2, variance 2.5
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mean-2) > 1e-12 {
-		t.Fatalf("mean = %v", mean)
-	}
-	wantSE := math.Sqrt(2.5 / 5)
-	if math.Abs(stderr-wantSE) > 1e-12 {
-		t.Fatalf("stderr = %v, want %v", stderr, wantSE)
-	}
-}
-
-func TestMeanOfSingle(t *testing.T) {
-	mean, stderr, err := MeanOf(1, Options{}, func(i int) (float64, error) { return 7, nil })
-	if err != nil || mean != 7 || stderr != 0 {
-		t.Fatalf("mean=%v stderr=%v err=%v", mean, stderr, err)
-	}
-}
-
-func TestMeanOfError(t *testing.T) {
-	_, _, err := MeanOf(3, Options{}, func(i int) (float64, error) {
-		return 0, errors.New("nope")
-	})
-	if err == nil {
-		t.Fatal("error swallowed")
 	}
 }
 

@@ -25,12 +25,9 @@ import (
 	"strings"
 
 	"cpsguard/internal/core"
+	"cpsguard/internal/experiments"
 	"cpsguard/internal/manifest"
 )
-
-// Figures lists the accepted scenario figures, matching cpsexp -fig.
-var Figures = []string{"2", "3", "4", "5", "6", "7",
-	"baseline", "deception", "vectors", "security", "hardening"}
 
 // Limits that keep one request from monopolizing the service. Operators
 // running genuinely bigger scenarios should use the CLI/shard path — the
@@ -50,8 +47,8 @@ const (
 // canonical key of {"figure":"5"} equals the key of the same request with
 // the defaults spelled out.
 type ScenarioConfig struct {
-	// Figure selects the experiment ("2".."7", "baseline", "deception",
-	// "vectors", "security", "hardening"). Required.
+	// Figure selects the experiment by its registry name (experiments.Names:
+	// "2".."7" and the extensions). Required.
 	Figure string `json:"figure"`
 	// Trials is the number of random ownership draws per point (default 5).
 	Trials int `json:"trials,omitempty"`
@@ -92,16 +89,9 @@ func ParseScenarioConfig(data []byte) (ScenarioConfig, error) {
 // Validate checks ranges and enumerations. It never mutates sc: defaults
 // are applied by FlagMap/Experiment so the stored config stays minimal.
 func (sc ScenarioConfig) Validate() error {
-	found := false
-	for _, f := range Figures {
-		if sc.Figure == f {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if _, ok := experiments.Lookup(sc.Figure); !ok {
 		return fmt.Errorf("servd: unknown figure %q (want one of %s)",
-			sc.Figure, strings.Join(Figures, ", "))
+			sc.Figure, strings.Join(experiments.Names(), ", "))
 	}
 	switch sc.Mode {
 	case "", "graph", "matrix":

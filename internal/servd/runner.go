@@ -14,12 +14,10 @@ import (
 
 	"cpsguard/internal/atomicio"
 	"cpsguard/internal/cli"
-	"cpsguard/internal/core"
 	"cpsguard/internal/experiments"
 	"cpsguard/internal/obs"
 	"cpsguard/internal/parallel"
 	"cpsguard/internal/solvecache"
-	"cpsguard/internal/stats"
 )
 
 // A Runner executes one scenario into dir as a complete run bundle whose
@@ -28,18 +26,6 @@ import (
 // production uses ExperimentRunner.
 type Runner interface {
 	Run(ctx context.Context, sc ScenarioConfig, dir string) error
-}
-
-// figureRunners maps ScenarioConfig.Figure to the experiment runner,
-// mirroring cpsexp's -fig table.
-var figureRunners = map[string]func(experiments.Config) (*stats.Table, error){
-	"2": experiments.Fig2, "3": experiments.Fig3, "4": experiments.Fig4,
-	"5": experiments.Fig5, "6": experiments.Fig6, "7": experiments.Fig7,
-	"baseline":  experiments.BaselineComparison,
-	"deception": experiments.Deception,
-	"vectors":   experiments.AttackVectors,
-	"security":  experiments.SecurityPremium,
-	"hardening": experiments.HardeningComparison,
 }
 
 // ExperimentRunner is the production Runner: it runs the figure through
@@ -66,7 +52,7 @@ type ExperimentRunner struct {
 
 // Run implements Runner.
 func (r *ExperimentRunner) Run(ctx context.Context, sc ScenarioConfig, dir string) error {
-	figRunner, ok := figureRunners[sc.Figure]
+	fig, ok := experiments.Lookup(sc.Figure)
 	if !ok {
 		return fmt.Errorf("servd: unknown figure %q", sc.Figure)
 	}
@@ -90,15 +76,11 @@ func (r *ExperimentRunner) Run(ctx context.Context, sc ScenarioConfig, dir strin
 		Cache:               r.Cache,
 	}
 	if sc.Quick {
-		// Identical to cpsexp -quick, so quick scenarios served here are
+		// The cpsexp -quick preset, so quick scenarios served here are
 		// byte-identical to quick CLI runs.
-		cfg.Trials = 2
-		cfg.ActorGrid = []int{2, 6}
-		cfg.SigmaGrid = []float64{0, 0.3}
-		cfg.PaSamples = 6
-		cfg.NoiseMode = core.MatrixNoise
+		cfg = cfg.Quick()
 	}
-	tb, err := figRunner(cfg)
+	tb, err := fig.Run(cfg)
 	if err != nil {
 		run.Manifest.Note("run failed: %v", err)
 		run.Close() // keep the bundle diagnosable; the caller discards the dir

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"cpsguard/internal/experiments"
 	"cpsguard/internal/lp"
 	"cpsguard/internal/manifest"
 )
@@ -659,6 +660,33 @@ func TestConfigKeyProperties(t *testing.T) {
 	}
 	if RunIDForKey(a.Key()) != "r-"+a.Key()[:16] {
 		t.Fatalf("run ID scheme changed: %s", RunIDForKey(a.Key()))
+	}
+}
+
+// TestValidateAcceptsRegistryFigures: the service accepts exactly the
+// figure registry's paper and extension names; the interventions sweep stays
+// CLI-only.
+func TestValidateAcceptsRegistryFigures(t *testing.T) {
+	want := []string{"2", "3", "4", "5", "6", "7",
+		"baseline", "deception", "vectors", "security", "hardening"}
+	var names []string
+	for _, g := range []string{"paper", "ext"} {
+		for _, f := range experiments.Group(g) {
+			names = append(names, f.Name)
+		}
+	}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("registry paper+ext figures = %v, want %v", names, want)
+	}
+	for _, f := range want {
+		if err := (ScenarioConfig{Figure: f}).Validate(); err != nil {
+			t.Errorf("figure %q rejected: %v", f, err)
+		}
+	}
+	for _, f := range []string{"interventions", "all", "ext", "fig5", ""} {
+		if err := (ScenarioConfig{Figure: f}).Validate(); err == nil {
+			t.Errorf("figure %q accepted", f)
+		}
 	}
 }
 
